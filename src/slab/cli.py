@@ -205,17 +205,13 @@ def _config_grid_sizes(cfg):
         yield int(rung[0])
 
 
-def _result_rows_csv(result):
-    return result.to_csv()
-
-
 def _write_artifacts(out_dir, cfg, results, verdict_lines, passed, t0):
     os.makedirs(out_dir, exist_ok=True)
     csv_files = []
     for name, result in results:
         path = os.path.join(out_dir, name + ".csv")
         with open(path, "w") as fh:
-            fh.write(_result_rows_csv(result))
+            fh.write(result.to_csv())
         csv_files.append(os.path.basename(path))
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
@@ -540,3 +536,7 @@ def main():
 
 for _kind in _SCHEMAS:
     main.add_command(_subcommand(_kind))
+
+
+if __name__ == "__main__":
+    main()

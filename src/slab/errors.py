@@ -53,6 +53,10 @@ class MassEscape(SlabError):
     """Field mass left the monitored region before the window closed."""
 
 
+class ZeroRung(SlabError):
+    """A regularization rung's operator-norm estimate is zero."""
+
+
 class StructureViolation(SlabError):
     """Symbol fails the orbit-set vanishing spot check."""
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import evolve as ev
 from . import grid as gr
 from . import quantize as qu
-from .errors import BandExceeded, ExponentViolation, MassEscape
+from .errors import BandExceeded, ExponentViolation, MassEscape, ZeroRung
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
 
@@ -107,13 +107,17 @@ def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
 
         int_{-T}^{T} ||sigma(X, D) u(t)||^2 dt / ||phi||^2
 
-    by trapezoidal quadrature over the exact spectral trajectory.  The
-    tail indicator (endpoint integrand / peak integrand) flags window
-    truncation; the mass monitor flags wrap-around contamination.
+    by trapezoidal quadrature over the exact trajectory, kept in xi-space
+    (sigma needs separable terms).  The tail indicator (endpoint / peak
+    integrand) flags window truncation; the mass monitor, wrap-around.
     """
     g = phi.grid
     if monitor_radius is None:
         monitor_radius = g.L
+    plan = qu.SeparablePlan(sigma, g)
+    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) \
+        * ev.symbol_lattice(spec.pair, g, spec.order)
+    phi_hat = gr.transform(phi).values
     n_steps = int(round(2.0 * T / dt))
     times = -T + dt * np.arange(n_steps + 1)
     weights = np.ones(n_steps + 1)
@@ -122,14 +126,15 @@ def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
     mass_min = 1.0
     mass_min_box = 1.0
     for j, t in enumerate(times):
-        u = ev.schrodinger_propagate(spec, phi, t)
+        uh = gr.Field(g, np.exp(t * phase) * phi_hat, "xi")
+        u = gr.inverse_transform(uh)
         frac = gr.mass_fraction(u, monitor_radius)
         mass_min = min(mass_min, frac)
         mass_min_box = min(mass_min_box, gr.mass_fraction(u, g.L))
         if frac < mass_tol:
             raise MassEscape(
                 f"containment {frac:.5f} < {mass_tol} at t = {t:+.3f}")
-        integrand[j] = qu.apply_pseudo(u, sigma).norm() ** 2
+        integrand[j] = plan.apply(uh).norm() ** 2
     ratio = float(np.sum(weights * integrand) * dt / phi.norm() ** 2)
     peak = integrand.max()
     tail = float(max(integrand[0], integrand[-1]) / peak) if peak > 0 else 0.0
@@ -223,23 +228,21 @@ def lap_sweep(sigma, spec_pair, grid, d=1.0, eps_list=None, trials=8,
     result = SweepResult(label, spec_pair.primal.label,
                          metadata={"trials": trials, "kind": "lap", "d": d})
     spec = ev.EvolutionSpec(spec_pair, order=order)
+    plan = qu.SeparablePlan(sigma, grid)
+
+    def sandwich(mult):
+        return lambda u: plan.apply(
+            gr.Field(grid, mult * plan.adjoint(u).values, "xi"))
+
     for k, eps in enumerate(eps_list):
         query = ev.ResolventQuery(d=d, eps=eps, sign=sign, chi=chi,
                                   cell_quad=cell_quad)
-        mult = ev.resolvent_multiplier(query, spec, grid)
-
-        def B(u):
-            w = qu.apply_pseudo_adjoint(u, sigma)
-            w = qu.apply_multiplier(w, mult)
-            return qu.apply_pseudo(w, sigma)
-
-        def B_star(u):
-            w = qu.apply_pseudo_adjoint(u, sigma)
-            w = qu.apply_multiplier(w, np.conj(mult))
-            return qu.apply_pseudo(w, sigma)
-
-        nrm = operator_norm((B, B_star), grid, iters=iters, starts=trials,
-                            seed=seed + k)
+        mult = qu.multiplier_values(
+            grid, ev.resolvent_multiplier(query, spec, grid))
+        nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
+                            iters=iters, starts=trials, seed=seed + k)
+        if nrm == 0:
+            raise ZeroRung(f"operator norm estimate is 0 at eps = {eps!r}")
         result.add(grid.N, grid.L, 0.0, eps, nrm, True, seed)
     ratios = result.ratios()
     result.metadata["max_over_min"] = float(max(ratios) / min(ratios))
@@ -304,13 +307,7 @@ def restriction_scaling(sigma, pair, grid, rhos=(1.0, 2.0, 4.0),
     for rho in rhos:
         best = 0.0
         for _ in range(trials):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            center = rho * mid * np.array([np.cos(theta), np.sin(theta)])
-            xi = grid.freq_stack()
-            d2 = np.sum((xi - center) ** 2, axis=-1)
-            spec = np.exp(-d2 / (2.0 * (rho * spread) ** 2)).astype(complex)
-            f = gr.inverse_transform(gr.Field(grid, spec, "xi"))
-            f = gr.Field(grid, f.values / f.norm(), "x")
+            f = make_packet(grid, rng, rho * mid, rho * spread)
             best = max(best, restriction_norm(sigma, pair, f, rho, n_angles))
         out.append(best)
     return out
@@ -339,23 +336,23 @@ def duality_check(sigma, spec_pair, grid, T=4.0, n_times=33, trials=4,
     w[0] = w[-1] = 0.5
     rng = np.random.default_rng(seed)
     hq = grid.h ** grid.n
+    plan = qu.SeparablePlan(sigma, grid)
+    phase = 1j * ev.symbol_lattice(spec_pair, grid, order)
     worst = 0.0
     for _ in range(trials):
         phi = make_packet(grid, rng)
+        phi_hat = gr.transform(phi).values
         vs = [gr.Field(grid, rng.normal(size=grid.shape)
                        + 1j * rng.normal(size=grid.shape), "x")
               for _ in times]
         lhs = 0.0 + 0.0j
         acc = np.zeros(grid.shape, dtype=complex)
         for j, t in enumerate(times):
-            u = ev.schrodinger_propagate(spec, phi, t)
-            su = qu.apply_pseudo(u, sigma)
+            su = plan.apply(gr.Field(grid, np.exp(-t * phase) * phi_hat,
+                                     "xi"))
             lhs += w[j] * dt * np.vdot(vs[j].values, su.values) * hq
-            back = qu.apply_pseudo_adjoint(vs[j], sigma)
-            back = ev.schrodinger_propagate(
-                ev.EvolutionSpec(spec_pair, order=order, sign="+"), back, t)
-            acc += w[j] * dt * back.values
-        rhs = np.vdot(acc, phi.values) * hq
+            acc += w[j] * dt * np.exp(t * phase) * plan.adjoint(vs[j]).values
+        rhs = np.vdot(acc, phi_hat) * (grid.dxi / (2.0 * np.pi)) ** grid.n
         vnorm = np.sqrt(sum(w[j] * dt * vs[j].norm() ** 2
                             for j in range(len(times))))
         worst = max(worst, abs(lhs - rhs) / (phi.norm() * vnorm))

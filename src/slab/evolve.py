@@ -201,11 +201,6 @@ def resolvent_multiplier(query, spec, grid):
     return vals
 
 
-def resolvent_apply(query, spec, f):
-    """Regularized resolvent applied spectrally."""
-    return qu.apply_multiplier(f, resolvent_multiplier(query, spec, f.grid))
-
-
 def epsilon_ladder(k_max=12):
     """Dyadic regularization ladder 2^0 .. 2^{-k_max}."""
     return [2.0 ** -k for k in range(k_max + 1)]

@@ -32,37 +32,33 @@ def low_freq_guard(grid, xi_min=None):
     return gr._smoothstep((r - xi_min) / xi_min)
 
 
-def apply_multiplier(f, m):
-    """m(D) u for a multiplier given as a callable on (..., n) frequency
-    stacks or as a precomputed lattice array.
+def multiplier_values(grid, m, guard=None):
+    """Multiplier (callable or lattice array) on the frequency lattice,
+    times ``guard``; non-finite values are zeroed only where it vanishes.
     """
-    g = f.grid
-    if callable(m):
-        vals = np.asarray(m(g.freq_stack()), dtype=complex)
-    else:
-        vals = np.asarray(m, dtype=complex)
-    if vals.shape != g.shape:
-        vals = np.broadcast_to(vals, g.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteMultiplier("multiplier non-finite on the lattice")
-    fh = gr.transform(f) if f.space == "x" else f
-    return gr.inverse_transform(gr.Field(g, fh.values * vals, "xi"))
-
-
-def _multiplier_values(g, m, guard=None):
-    vals = np.asarray(m(g.freq_stack()), dtype=complex) if callable(m) \
-        else np.asarray(m, dtype=complex) + 0j
-    if vals.shape != g.shape:
-        vals = np.broadcast_to(vals, g.shape).copy()
+    vals = np.array(m(grid.freq_stack()) if callable(m) else m, dtype=complex)
+    if vals.shape != grid.shape:
+        vals = np.broadcast_to(vals, grid.shape).copy()
     if guard is not None:
-        vals = vals * guard
-        vals = np.where(np.isfinite(vals), vals, 0.0)
+        vals = np.where(np.isfinite(vals) | (guard != 0), vals, 0.0) * guard
     if not np.all(np.isfinite(vals)):
         raise NonFiniteMultiplier("multiplier non-finite on the lattice")
     return vals
 
 
+def apply_multiplier(f, m):
+    """m(D) u for a multiplier given as a callable on (..., n) frequency
+    stacks or as a precomputed lattice array.
+    """
+    g = f.grid
+    fh = gr.transform(f) if f.space == "x" else f
+    vals = multiplier_values(g, m)
+    return gr.inverse_transform(gr.Field(g, fh.values * vals, "xi"))
+
+
 def _guard_for(sigma, g, low_freq):
+    if getattr(sigma, "x_singular", False) and not g.offset:
+        raise SingularAtOrigin("x-singular symbol needs an offset grid")
     if low_freq == "auto":
         return low_freq_guard(g) if sigma.xi_singular else None
     if low_freq is True:
@@ -70,37 +66,65 @@ def _guard_for(sigma, g, low_freq):
     return None
 
 
+class SeparablePlan:
+    """sigma(X, D) = sum_r f_r(X) m_r(D) on one grid, built once.
+
+    The x-factors f_r and guarded multipliers m_r are checked and stored
+    read-only at construction, so threads can share one plan.  ``apply``
+    costs R inverse transforms, ``adjoint`` R forward transforms.
+    Symbols singular at xi = 0 get the low-frequency annular guard unless
+    low_freq=False.
+    """
+
+    def __init__(self, sigma, grid, low_freq="auto"):
+        guard = _guard_for(sigma, grid, low_freq)
+        if not getattr(sigma, "terms", None):
+            raise ValueError("symbol carries no separable terms")
+        self.grid = grid
+        X, xi = grid.coord_stack(), grid.freq_stack()
+        self.terms = []
+        for fx, fxi in sigma.terms:
+            xvals = np.array(fx(X), dtype=complex)
+            if not np.all(np.isfinite(xvals)):
+                raise NonFiniteSymbol("x-factor non-finite on the grid")
+            mvals = multiplier_values(grid, fxi(xi), guard)
+            xvals.flags.writeable = mvals.flags.writeable = False
+            self.terms.append((xvals, mvals))
+
+    def apply(self, uh):
+        """sigma(X, D) u from the xi-space field uh = F u (x-space out)."""
+        g = self.grid
+        out = np.zeros(g.shape, dtype=complex)
+        for fx, m in self.terms:
+            out += fx * gr.inverse_transform(
+                gr.Field(g, m * uh.values, "xi")).values
+        return gr.Field(g, out, "x")
+
+    def adjoint(self, v):
+        """F sigma(X, D)^* v for the x-space field v (xi-space out)."""
+        g = self.grid
+        out = np.zeros(g.shape, dtype=complex)
+        for fx, m in self.terms:
+            out += np.conj(m) * gr.transform(
+                gr.Field(g, np.conj(fx) * v.values, "x")).values
+        return gr.Field(g, out, "xi")
+
+
 def apply_pseudo(f, sigma, method="auto", low_freq="auto", batch=256):
     """sigma(X, D) u on the grid.
 
-    method "separable" uses the symbol's term expansion (R multiplier
-    passes); "direct" does the full O(N^{2n}) quadrature; "auto" prefers
-    separable when terms exist.  Symbols singular at xi = 0 get the
-    low-frequency annular guard unless low_freq=False.
+    method "separable" uses the symbol's term expansion (a one-shot
+    SeparablePlan); "direct" does the full O(N^{2n}) quadrature; "auto"
+    prefers separable when terms exist.  Symbols singular at xi = 0 get
+    the low-frequency annular guard unless low_freq=False.
     """
-    g = f.grid
-    if getattr(sigma, "x_singular", False) and not g.offset:
-        raise SingularAtOrigin("x-singular symbol needs an offset grid")
-    guard = _guard_for(sigma, g, low_freq)
-    terms = getattr(sigma, "terms", None)
     if method == "auto":
-        method = "separable" if terms else "direct"
+        method = "separable" if getattr(sigma, "terms", None) else "direct"
     if method == "separable":
-        if not terms:
-            raise ValueError("symbol carries no separable terms")
-        X = g.coord_stack()
-        out = np.zeros(g.shape, dtype=complex)
-        fh = gr.transform(f)
-        for fx, fxi in terms:
-            mvals = _multiplier_values(g, fxi, guard)
-            piece = gr.inverse_transform(gr.Field(g, fh.values * mvals, "xi"))
-            xvals = np.asarray(fx(X), dtype=complex)
-            if not np.all(np.isfinite(xvals)):
-                raise NonFiniteSymbol("x-factor non-finite on the grid")
-            out += xvals * piece.values
-        return gr.Field(g, out, "x")
+        return SeparablePlan(sigma, f.grid, low_freq).apply(gr.transform(f))
     if method == "direct":
-        return _apply_direct(f, sigma, guard, batch)
+        return _apply_direct(f, sigma, _guard_for(sigma, f.grid, low_freq),
+                             batch)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -119,7 +143,8 @@ def _apply_direct(f, sigma, guard, batch):
         xb = x_flat[s:s + batch]
         svals = sigma(xb[:, None, :], xi_flat[None, :, :])
         if guard is not None:
-            svals = np.where(np.isfinite(svals), svals, 0.0)
+            svals = np.where(np.isfinite(svals) | (guard.ravel() != 0),
+                             svals, 0.0)
         if not np.all(np.isfinite(svals)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
         phase = np.exp(1j * xb @ xi_flat.T)
@@ -131,21 +156,8 @@ def apply_pseudo_adjoint(f, sigma, low_freq="auto"):
     """sigma(X, D)^* v = conj-sigma(Y, D) v, the discrete conjugate
     transpose: multiply by conj f_r in x, then apply conj m_r (D).
     """
-    g = f.grid
-    if getattr(sigma, "x_singular", False) and not g.offset:
-        raise SingularAtOrigin("x-singular symbol needs an offset grid")
-    terms = getattr(sigma, "terms", None)
-    if not terms:
-        raise ValueError("adjoint application needs separable terms")
-    guard = _guard_for(sigma, g, low_freq)
-    X = g.coord_stack()
-    out = np.zeros(g.shape, dtype=complex)
-    for fx, fxi in terms:
-        xvals = np.conj(np.asarray(fx(X), dtype=complex))
-        mvals = np.conj(_multiplier_values(g, fxi, guard))
-        piece = gr.Field(g, xvals * f.values, "x")
-        out += apply_multiplier(piece, mvals).values
-    return gr.Field(g, out, "x")
+    return gr.inverse_transform(SeparablePlan(sigma, f.grid,
+                                              low_freq).adjoint(f))
 
 
 # ---------------------------------------------------------------------------

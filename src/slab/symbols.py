@@ -534,48 +534,35 @@ def structured_sigma(pair):
     n = pair.primal.dim
     grad = pair.primal.gradient
 
-    def value(x, xi):
+    def unit_and_amp(x):
         xhat, rx = _safe_unit(x)
-        g = grad(xi)
-        w = wedge(np.broadcast_to(xhat, g.shape), g)
-        rxi = np.linalg.norm(xi, axis=-1)
         with np.errstate(divide="ignore"):
-            amp = np.where(rx > 0, rx, np.inf) ** -0.5
-        return amp * np.sum(w**2, axis=-1) * np.sqrt(rxi)
+            return xhat, np.where(rx > 0, rx, np.inf) ** -0.5
+
+    def value(x, xi):
+        xhat, amp = unit_and_amp(x)
+        g = grad(xi)
+        w = wedge(xhat, g)
+        return amp * np.sum(w**2, axis=-1) * np.sqrt(
+            np.linalg.norm(xi, axis=-1))
+
+    # sigma = amp |xi|^{1/2} sum_{i<j} (xhat_i g_j - xhat_j g_i)^2, expanded
+    def fx(i, j, c):
+        def factor(x):
+            xhat, amp = unit_and_amp(x)
+            return c * amp * xhat[..., i] * xhat[..., j]
+        return factor
+
+    def fxi(i, j):
+        def factor(xi):
+            g = grad(xi)
+            return np.sqrt(np.linalg.norm(xi, axis=-1)) * g[..., i] * g[..., j]
+        return factor
 
     terms = []
     for i, j in wedge_pairs(n):
-        def fx_ii(x, i=i, j=j):
-            xhat, rx = _safe_unit(x)
-            with np.errstate(divide="ignore"):
-                amp = np.where(rx > 0, rx, np.inf) ** -0.5
-            return amp * xhat[..., i] ** 2
-
-        def fxi_jj(xi, i=i, j=j):
-            g = grad(xi)
-            return np.sqrt(np.linalg.norm(xi, axis=-1)) * g[..., j] ** 2
-
-        def fx_ij(x, i=i, j=j):
-            xhat, rx = _safe_unit(x)
-            with np.errstate(divide="ignore"):
-                amp = np.where(rx > 0, rx, np.inf) ** -0.5
-            return -2.0 * amp * xhat[..., i] * xhat[..., j]
-
-        def fxi_ij(xi, i=i, j=j):
-            g = grad(xi)
-            return np.sqrt(np.linalg.norm(xi, axis=-1)) * g[..., i] * g[..., j]
-
-        def fx_jj(x, i=i, j=j):
-            xhat, rx = _safe_unit(x)
-            with np.errstate(divide="ignore"):
-                amp = np.where(rx > 0, rx, np.inf) ** -0.5
-            return amp * xhat[..., j] ** 2
-
-        def fxi_ii(xi, i=i, j=j):
-            g = grad(xi)
-            return np.sqrt(np.linalg.norm(xi, axis=-1)) * g[..., i] ** 2
-
-        terms.extend([(fx_ii, fxi_jj), (fx_ij, fxi_ij), (fx_jj, fxi_ii)])
+        terms.extend([(fx(i, i, 1.0), fxi(j, j)), (fx(i, j, -2.0), fxi(i, j)),
+                      (fx(j, j, 1.0), fxi(i, i))])
 
     return PhaseSpaceSymbol(f"structured[{pair.primal.label}]",
                             (-0.5, 0.5), value, terms)

@@ -1,10 +1,14 @@
 """Command line runner: config validation, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import slab
 from slab.cli import main
 
 
@@ -141,3 +145,17 @@ def test_csv_bytes_reproducible(runner, tmp_path):
         assert res.exit_code == 0, res.output
         blobs.append((out / "geometry.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_module_entry_point_runs(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-m", "slab", "hl-oracle", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "hl-oracle ratio" in res.stdout
+    assert (tmp_path / "out" / "hl_oracle.csv").is_file()

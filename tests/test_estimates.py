@@ -9,7 +9,7 @@ from slab import evolve as ev
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import BandExceeded, ExponentViolation, MassEscape
+from slab.errors import BandExceeded, ExponentViolation, MassEscape, ZeroRung
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -80,6 +80,57 @@ def test_smoothing_ratio_mass_escape():
     with pytest.raises(MassEscape):
         es.smoothing_ratio(zero_symbol(), spec, phi, T=8.0, dt=1.0,
                            monitor_radius=2.0)
+
+
+@pytest.mark.parametrize("sigma,order", [
+    (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(2), 2)])
+def test_smoothing_ratio_matches_reference_loop(sigma, order):
+    # one propagation and one one-shot apply_pseudo per time sample
+    g = gr.make_grid(2, 32, 8.0)
+    phi = es.make_packet(g, np.random.default_rng(4), spread=0.3)
+    spec = ev.EvolutionSpec(EUCLID, order=order)
+    T, dt, radius = 2.0, 0.25, np.sqrt(2.0) * g.L
+    vals, mass = [], []
+    for t in -T + dt * np.arange(int(round(2.0 * T / dt)) + 1):
+        u = ev.schrodinger_propagate(spec, phi, t)
+        mass.append(gr.mass_fraction(u, radius))
+        vals.append(qu.apply_pseudo(u, sigma).norm() ** 2)
+    ratio = (sum(vals) - 0.5 * (vals[0] + vals[-1])) * dt / phi.norm() ** 2
+    rep = es.smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=radius,
+                             mass_tol=0.0)
+    assert rep.ratio == pytest.approx(ratio, rel=1e-12)
+    assert rep.tail == pytest.approx(max(vals[0], vals[-1]) / max(vals),
+                                     rel=1e-12)
+    assert rep.mass_min == pytest.approx(min(mass), rel=1e-12)
+
+
+def test_lap_sweep_matches_reference_loop():
+    g = gr.make_grid(2, 32, 8.0)
+    sig = sy.structured_sigma(EUCLID)
+    eps_list = [1.0, 0.25, 0.0625]
+    res = es.lap_sweep(sig, EUCLID, g, eps_list=eps_list, trials=2, seed=3,
+                       iters=8)
+    chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
+                     0.8 * g.nyquist)
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+
+    def sandwich(m):
+        return lambda u: qu.apply_pseudo(
+            qu.apply_multiplier(qu.apply_pseudo_adjoint(u, sig), m), sig)
+
+    for k, eps in enumerate(eps_list):
+        query = ev.ResolventQuery(d=1.0, eps=eps, chi=chi)
+        mult = ev.resolvent_multiplier(query, spec, g)
+        ref = es.operator_norm((sandwich(mult), sandwich(np.conj(mult))), g,
+                               iters=8, starts=2, seed=3 + k)
+        assert res.ratios()[k] == pytest.approx(ref, rel=1e-12)
+
+
+def test_lap_sweep_zero_rung_names_eps():
+    g = gr.make_grid(2, 16, 4.0)
+    with pytest.raises(ZeroRung, match="eps = 0.5"):
+        es.lap_sweep(zero_symbol(), EUCLID, g, eps_list=[0.5, 0.25],
+                     trials=1, iters=2)
 
 
 def test_verdict_rules():

@@ -3,11 +3,13 @@ canonical transforms, amplitude classes and boundedness ratios."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import CutoffLeakage, NonFiniteMultiplier, StructureViolation
+from slab.errors import (CutoffLeakage, NonFiniteMultiplier, NonFiniteSymbol,
+                         StructureViolation)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -137,6 +139,53 @@ def test_adjoint_consistency():
     lhs = q * np.vdot(v.values, au.values)
     rhs = q * np.vdot(asv.values, u.values)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+SIGMAS = ["structured", "unstructured-critical", "weighted:s=0.75"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(SIGMAS), seed=st.integers(0, 2**32 - 1))
+def test_plan_adjoint_pairing(name, seed):
+    # <v, sigma u> = <sigma^* v, u> on random fields
+    g = gr.make_grid(2, 16, 4.0)
+    plan = qu.SeparablePlan(sy.parse_sigma(name, EUCLID), g)
+    u, v = random_field(g, seed), random_field(g, seed + 1)
+    su = plan.apply(gr.transform(u))
+    sv = gr.inverse_transform(plan.adjoint(v))
+    q = g.h ** g.n
+    lhs = q * np.vdot(v.values, su.values)
+    rhs = q * np.vdot(sv.values, u.values)
+    assert abs(lhs - rhs) <= 1e-10 * v.norm() * su.norm()
+
+
+@pytest.mark.parametrize("name", SIGMAS)
+def test_plan_matches_direct_quadrature(name):
+    g = gr.make_grid(2, 16, 4.0)
+    sig = sy.parse_sigma(name, EUCLID)
+    f = random_field(g, 7)
+    plan = qu.SeparablePlan(sig, g).apply(gr.transform(f))
+    direct = qu.apply_pseudo(f, sig, method="direct")
+    assert np.max(np.abs(plan.values - direct.values)) <= 1e-10 * plan.norm()
+
+
+def test_guard_rejects_non_finite_multiplier_off_origin():
+    # the guard may only absorb non-finite values where it vanishes
+    g = gr.make_grid(2, 32, 8.0)
+
+    def ring_nan(xi):
+        r = np.linalg.norm(xi, axis=-1)
+        return np.where((r > 1.0) & (r < 1.3), np.nan, np.sqrt(r))
+
+    sig = sy.PhaseSpaceSymbol(
+        "ring-nan", (0.0, 0.5), lambda x, xi: ring_nan(xi),
+        terms=[(lambda x: np.ones(x.shape[:-1]), ring_nan)])
+    with pytest.raises(NonFiniteMultiplier):
+        qu.apply_pseudo(random_field(g, 8), sig)
+    with pytest.raises(NonFiniteMultiplier):
+        qu.apply_pseudo_adjoint(random_field(g, 8), sig)
+    with pytest.raises(NonFiniteSymbol):
+        qu.apply_pseudo(random_field(g, 8), sig, method="direct")
 
 
 def test_canonical_identity_for_euclid():
