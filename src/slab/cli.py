@@ -59,7 +59,8 @@ _SCHEMAS = {
         "properties": dict(_COMMON, **_GRID, **{
             "amp_growth": {"type": "number"},
             "declared_order": {"type": "number"},
-            "lams": {"type": "array", "items": {"type": "number"}},
+            "lams": {"type": "array", "items": {"type": "number"},
+                     "minItems": 2},
             "carrier": {"type": "array", "items": {"type": "number"}},
             "center": {"type": "array", "items": {"type": "number"}},
             "band": {"type": "array", "items": {"type": "number"},
@@ -124,7 +125,8 @@ _SCHEMAS = {
         "required": ["p", "sigma", "N", "L"],
         "properties": dict(_COMMON, **_GRID, **{
             "sigma": {"type": "string"},
-            "rhos": {"type": "array", "items": {"type": "number"}},
+            "rhos": {"type": "array", "items": {"type": "number"},
+                     "minItems": 2},
             "trials": {"type": "integer", "minimum": 1},
             "window": {"type": "array", "items": {"type": "number"},
                        "minItems": 2, "maxItems": 2},
@@ -190,10 +192,10 @@ def _load_config(path, overrides, kind):
         if not _is_power_of_two(n):
             raise ConfigInvalid(f"N = {n} is not a power of two")
     if "SLAB_SEED" in os.environ:
-        try:
-            cfg["seed"] = int(os.environ["SLAB_SEED"])
-        except ValueError:
-            raise ConfigInvalid("SLAB_SEED must be an integer")
+        raw = os.environ["SLAB_SEED"].strip()
+        if not raw.isdecimal():
+            raise ConfigInvalid("SLAB_SEED must be a non-negative integer")
+        cfg["seed"] = int(raw)
     cfg.setdefault("seed", 0)
     return cfg
 
@@ -234,9 +236,16 @@ def _write_artifacts(out_dir, cfg, results, verdict_lines, passed, t0):
         click.echo(line)
 
 
+def _resolve(key, parse, spec, *args, **kwargs):
+    """parse(spec, ...); a bad registry name is a config error."""
+    try:
+        return parse(spec, *args, **kwargs)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{key} = {spec!r}: {exc}")
+
+
 def _pair_from_config(cfg, construction="auto"):
-    sym = sy.parse_symbol(cfg["p"])
-    return sy.make_pair(cfg["p"], sym.dim, construction=construction)
+    return _resolve("p", sy.make_pair, cfg["p"], construction=construction)
 
 
 def _scalar_result(kind, label, p_label, entries, seed):
@@ -255,15 +264,14 @@ def _run_geometry_audit(cfg):
     seed = cfg["seed"]
     n_samples = cfg.get("samples", 1000)
     construction = cfg.get("construction", "auto")
-    sym = sy.parse_symbol(cfg["p"])
-    pair = sy.make_pair(cfg["p"], sym.dim, construction=construction)
+    pair = _pair_from_config(cfg, construction)
     closed = pair.construction == "closed-form"
     tol_euler = cfg.get("tol_euler", 1e-8)
     tol_dual = cfg.get("tol_dual", 1e-6 if closed else 1e-5)
     tol_grad = cfg.get("tol_grad", 1e-5)
     tol_rt = cfg.get("tol_roundtrip", 1e-8)
     rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(n_samples, sym.dim))
+    xi = rng.normal(size=(n_samples, pair.primal.dim))
     xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
     scale = np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))
     xi = xi * scale[:, None]
@@ -295,15 +303,6 @@ def _run_geometry_audit(cfg):
     return [("geometry", result)], lines, passed
 
 
-def _band_packet(grid, center, spread):
-    xi = grid.freq_stack()
-    c = np.asarray(center, dtype=float)
-    vals = np.exp(-np.sum((xi - c) ** 2, axis=-1)
-                  / (2.0 * spread * spread)).astype(complex)
-    f = gr.inverse_transform(gr.Field(grid, vals, "xi"))
-    return gr.Field(grid, f.values / f.norm(), "x")
-
-
 def _run_egorov(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
@@ -327,7 +326,7 @@ def _run_egorov(cfg):
                             value=lambda x, xi: xfac(x) * gfac(xi),
                             terms=[(xfac, gfac)])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(*band))
-    env = _band_packet(g, np.zeros(pair.primal.dim), spread)
+    env = gr.spectral_packet(g, np.zeros(pair.primal.dim), spread)
     ratios = qu.egorov_residual(a, plan, declared, env, lams=lams,
                                 carrier=carrier, center=center, spread=False)
     spreadr = max(ratios) / min(ratios)
@@ -353,7 +352,7 @@ def _run_commutator(cfg):
     tol = cfg.get("tol", 1e-7)
     control = cfg.get("control", False)
     floor = cfg.get("control_floor", 1e-2)
-    f = _band_packet(g, center, spread)
+    f = gr.spectral_packet(g, center, spread)
 
     def h(t):
         return np.exp(-(t / scale) ** 2)
@@ -380,7 +379,7 @@ def _run_commutator(cfg):
 def _run_smoothing(cfg, jobs):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = sy.parse_sigma(cfg["sigma"], pair)
+    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
     ladder = [(int(N), float(L), float(T)) for (N, L, T) in cfg["ladder"]]
     result = es.smoothing_sweep(
         sigma, pair, ladder,
@@ -402,7 +401,7 @@ def _run_smoothing(cfg, jobs):
 def _run_lap(cfg, jobs):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = sy.parse_sigma(cfg["sigma"], pair)
+    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
     g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
     ladder = ev.epsilon_ladder(cfg.get("eps_ladder_k", 12))
     result = es.lap_sweep(
@@ -424,7 +423,7 @@ def _run_lap(cfg, jobs):
 def _run_restriction(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = sy.parse_sigma(cfg["sigma"], pair)
+    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
     g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
     rhos = tuple(cfg.get("rhos", (1.0, 2.0, 4.0)))
     lo, hi = cfg.get("window", (1.19, 1.61))
@@ -445,7 +444,7 @@ def _run_restriction(cfg):
 def _run_duality(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = sy.parse_sigma(cfg["sigma"], pair)
+    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
     g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
     tol = cfg.get("tol", 1e-8)
     defect = es.duality_check(sigma, pair, g, T=cfg.get("T", 4.0),

@@ -80,11 +80,7 @@ def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
     """
     theta = rng.uniform(0.0, 2.0 * np.pi)
     center = freq_mag * np.array([np.cos(theta), np.sin(theta)])
-    xi = grid.freq_stack()
-    d2 = np.sum((xi - center) ** 2, axis=-1)
-    spec = np.exp(-d2 / (2.0 * spread**2)).astype(complex)
-    f = gr.inverse_transform(gr.Field(grid, spec, "xi"))
-    return gr.Field(grid, f.values / f.norm(), "x")
+    return gr.spectral_packet(grid, center, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,28 @@ def inverse_transform(f):
     return Field(g, out, space="x")
 
 
+def _phase_sum(values, axis, pts, sign):
+    """sum_k e^{sign i pts_t . k} values[k] over the lattice axis^n for each
+    row t of ``pts`` (M, n), contracted one axis at a time: O(M N^n) work
+    in any dimension."""
+    N = axis.size
+    out = np.exp(sign * 1j * np.outer(pts[:, 0], axis)) @ values.reshape(N, -1)
+    for d in range(1, pts.shape[1]):
+        table = np.exp(sign * 1j * np.outer(pts[:, d], axis))
+        out = np.einsum("tk,tkr->tr", table,
+                        out.reshape(len(pts), N, out.shape[1] // N))
+    return out[:, 0]
+
+
+def spectral_packet(grid, center, spread):
+    """Unit-norm packet with a Gaussian spectrum of width spread at center."""
+    xi = grid.freq_stack()
+    d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
+    spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
+    f = inverse_transform(Field(grid, spec, "xi"))
+    return Field(grid, f.values / f.norm(), "x")
+
+
 def eval_offgrid(f, targets):
     """Trigonometric interpolation of the transform of ``f`` at arbitrary
     frequencies.
@@ -156,20 +178,8 @@ def eval_offgrid(f, targets):
     mass outside the box.
     """
     g = f.grid
-    x = g.axis_points()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    # Per-axis phase factors keep the cost at O(M N^n) with full vectorization.
-    phases = [np.exp(-1j * np.outer(targets[:, ax], x)) for ax in range(g.n)]
-    if g.n == 1:
-        out = phases[0] @ f.values
-    elif g.n == 2:
-        out = np.einsum("tj,jk,tk->t", phases[0], f.values, phases[1])
-    elif g.n == 3:
-        out = np.einsum("tj,jkl,tk,tl->t", phases[0], f.values,
-                        phases[1], phases[2])
-    else:
-        raise NotImplementedError("off-grid evaluation supports n <= 3")
-    return out * g.h**g.n
+    return _phase_sum(f.values, g.axis_points(), targets, -1) * g.h**g.n
 
 
 def eval_field_offgrid(f, points):
@@ -180,20 +190,9 @@ def eval_field_offgrid(f, points):
     exactly.
     """
     g = f.grid
-    fh = transform(f)
-    xi = g.axis_freqs()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    phases = [np.exp(1j * np.outer(points[:, ax], xi)) for ax in range(g.n)]
-    if g.n == 1:
-        out = phases[0] @ fh.values
-    elif g.n == 2:
-        out = np.einsum("tj,jk,tk->t", phases[0], fh.values, phases[1])
-    elif g.n == 3:
-        out = np.einsum("tj,jkl,tk,tl->t", phases[0], fh.values,
-                        phases[1], phases[2])
-    else:
-        raise NotImplementedError("off-grid evaluation supports n <= 3")
-    return out * (g.dxi / (2.0 * np.pi)) ** g.n
+    return (_phase_sum(transform(f).values, g.axis_freqs(), points, 1)
+            * (g.dxi / (2.0 * np.pi)) ** g.n)
 
 
 def weighted_norm(f, m):

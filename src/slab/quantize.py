@@ -8,7 +8,8 @@ Quantization is Kohn-Nirenberg throughout:
 
 discretized with the grid's spectral weights.  Symbols that come with a
 separable expansion a = sum_r f_r(x) m_r(xi) are applied as R multiplier
-passes; anything else falls back to the direct quadrature.
+passes; anything else falls back to the direct O(N^{2n}) quadrature,
+whose one kernel ``_kn_sum`` also serves the Egorov check.
 """
 
 import warnings
@@ -110,7 +111,7 @@ class SeparablePlan:
         return gr.Field(g, out, "xi")
 
 
-def apply_pseudo(f, sigma, method="auto", low_freq="auto", batch=256):
+def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
     """sigma(X, D) u on the grid.
 
     method "separable" uses the symbol's term expansion (a one-shot
@@ -123,32 +124,46 @@ def apply_pseudo(f, sigma, method="auto", low_freq="auto", batch=256):
     if method == "separable":
         return SeparablePlan(sigma, f.grid, low_freq).apply(gr.transform(f))
     if method == "direct":
-        return _apply_direct(f, sigma, _guard_for(sigma, f.grid, low_freq),
-                             batch)
+        return _apply_direct(f, sigma, _guard_for(sigma, f.grid, low_freq))
     raise ValueError(f"unknown method {method!r}")
 
 
-def _apply_direct(f, sigma, guard, batch):
-    """Row-batched direct quadrature of the KN oscillatory sum."""
-    g = f.grid
-    fh = gr.transform(f)
-    w = (g.dxi / (2.0 * np.pi)) ** g.n
-    xi_flat = g.freq_stack().reshape(-1, g.n)
-    uh = fh.values.ravel()
-    if guard is not None:
-        uh = uh * guard.ravel()
-    x_flat = g.coord_stack().reshape(-1, g.n)
-    out = np.empty(x_flat.shape[0], dtype=complex)
-    for s in range(0, x_flat.shape[0], batch):
-        xb = x_flat[s:s + batch]
-        svals = sigma(xb[:, None, :], xi_flat[None, :, :])
-        if guard is not None:
-            svals = np.where(np.isfinite(svals) | (guard.ravel() != 0),
-                             svals, 0.0)
-        if not np.all(np.isfinite(svals)):
+# x-lattice rows per direct-quadrature block: memory is O(_KN_ROWS * K)
+_KN_ROWS = 256
+
+
+def _kn_sum(grid, block, xi_cols, uh):
+    """Direct Kohn-Nirenberg quadrature of a (K, S) stack of spectra uh:
+
+        out[x, s] = (dxi / 2 pi)^n sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
+
+    on the x-lattice, with xi_cols the (K, n) frequencies and block(xb)
+    the symbol on the (rows, K) set.  Each row batch forms the phase
+    times symbol once and applies it to all S columns in one product.
+    """
+    x_flat = grid.coord_stack().reshape(-1, grid.n)
+    w = (grid.dxi / (2.0 * np.pi)) ** grid.n
+    out = np.empty((x_flat.shape[0], uh.shape[1]), dtype=complex)
+    for s in range(0, x_flat.shape[0], _KN_ROWS):
+        xb = x_flat[s:s + _KN_ROWS]
+        # the symbol first: its temporaries are freed before the phase
+        kern = block(xb) * np.exp(1j * xb @ xi_cols.T)
+        if not np.all(np.isfinite(kern)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
-        phase = np.exp(1j * xb @ xi_flat.T)
-        out[s:s + batch] = np.sum(phase * svals * uh[None, :], axis=1) * w
+        out[s:s + _KN_ROWS] = (kern @ uh) * w
+    return out
+
+
+def _apply_direct(f, sigma, guard):
+    """sigma(X, D) u by direct quadrature over the modes the guard keeps."""
+    g = f.grid
+    xi = g.freq_stack().reshape(-1, g.n)
+    uh = gr.transform(f).values.ravel()
+    if guard is not None:
+        keep = guard.ravel() != 0
+        xi, uh = xi[keep], (uh * guard.ravel())[keep]
+    out = _kn_sum(g, lambda xb: sigma(xb[:, None, :], xi[None, :, :]), xi,
+                  uh[:, None])
     return gr.Field(g, out.reshape(g.shape), "x")
 
 
@@ -556,8 +571,8 @@ def basiclem_ratio(pair, a, m, f, lams=(1.0, 2.0, 4.0, 8.0),
     return ratios
 
 
-def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), batch=256,
-                    carrier=None, center=None, spread=True):
+def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), carrier=None,
+                    center=None, spread=True):
     """Weighted residual ratios of the conjugation identity
 
         a(X,D) I_gamma = I_gamma a~(X,D) + R,
@@ -565,39 +580,28 @@ def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), batch=256,
 
     i.e. max over the family of ||(a(X,D) I_g - I_g a~(X,D)) u_lam|| /
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
+    a~(X,D) acts on the whole family in one direct quadrature.
     """
     g = f.grid
-    pair = plan.pair
-    gamma_vals = plan.cutoff.on_freqs(g)
-    live = gamma_vals.ravel() > 1e-14
-    xi_flat = g.freq_stack().reshape(-1, g.n)
-    # precompute the warp data on the live lattice
-    xi_live = xi_flat[live]
-    eta = sy.psi_inv(pair, xi_live)          # psi^{-1}(xi)
-    J = sy.psi_jacobian(pair, eta)           # psi'(psi^{-1}(xi))
+    live = plan.cutoff.on_freqs(g).ravel() > 1e-14
+    xi_live = g.freq_stack().reshape(-1, g.n)[live]
+    eta = sy.psi_inv(plan.pair, xi_live)     # psi^{-1}(xi)
+    J = sy.psi_jacobian(plan.pair, eta)      # psi'(psi^{-1}(xi))
 
-    def a_tilde_row(xb):
-        # xb: (B, n); returns (B, n_live) symbol values
+    def a_tilde(xb):
         xw = np.einsum("bi,kij->bkj", xb, J)
         return a(xw, np.broadcast_to(eta, xw.shape))
 
+    family = [_dilation_family_member(f, lam, carrier, center, spread)
+              for lam in lams]
+    uh = np.stack([gr.transform(ul).values.ravel()[live] for ul in family],
+                  axis=1)
+    tilde = _kn_sum(g, a_tilde, xi_live, uh)
     ratios = []
-    x_flat = g.coord_stack().reshape(-1, g.n)
-    w = (g.dxi / (2.0 * np.pi)) ** g.n
-    for lam in lams:
-        ul = _dilation_family_member(f, lam, carrier, center, spread)
+    for k, ul in enumerate(family):
         left = apply_pseudo(apply_canonical(plan, ul), a)
-        # direct application of a~(X,D) to u_lam, live modes only
-        uh = gr.transform(ul).values.ravel()[live]
-        vals = np.empty(x_flat.shape[0], dtype=complex)
-        for s in range(0, x_flat.shape[0], batch):
-            xb = x_flat[s:s + batch]
-            svals = a_tilde_row(xb)
-            phase = np.exp(1j * xb @ xi_live.T)
-            vals[s:s + batch] = np.sum(phase * svals * uh[None, :],
-                                       axis=1) * w
         right = apply_canonical(
-            plan, gr.Field(g, vals.reshape(g.shape), "x"))
+            plan, gr.Field(g, tilde[:, k].reshape(g.shape), "x"))
         diff = gr.Field(g, left.values - right.values, "x")
         ratios.append(diff.norm() / gr.weighted_norm(ul, m - 1.0))
     return ratios

@@ -38,14 +38,6 @@ def packet(g, center, spread, carrier=None):
     return gr.Field(g, f.values / f.norm(), "x")
 
 
-def spectral_packet(g, center, spread):
-    xi = g.freq_stack()
-    vh = np.exp(-np.sum((xi - np.asarray(center, float))**2, axis=-1)
-                / (2 * spread**2)).astype(complex)
-    f = gr.inverse_transform(gr.Field(g, vh, "xi"))
-    return gr.Field(g, f.values / f.norm(), "x")
-
-
 def test_criterion_01_geometry_identity_suite():
     t0 = time.monotonic()
     cases = [
@@ -170,7 +162,7 @@ def test_criterion_05_fio_identities():
     # (id): forward after inverse equals the squared cutoff multiplier
     g = gr.make_grid(2, 256, 32.0)
     pair = sy.closed_form_dual(sy.quadratic_form(np.diag([1.0, 2.0**-0.5])))
-    u = spectral_packet(g, (3.5, 0.0), 0.42)
+    u = gr.spectral_packet(g, (3.5, 0.0), 0.42)
 
     def safe_p(pts):
         r = np.linalg.norm(pts, axis=-1)
@@ -189,7 +181,7 @@ def test_criterion_05_fio_identities():
 
     # (jd): rotation and its inverse compose to the squared window
     g2 = gr.make_grid(2, 128, 16.0)
-    u2 = spectral_packet(g2, (2.0, 1.0), 0.9)
+    u2 = gr.spectral_packet(g2, (2.0, 1.0), 0.9)
     gam = gr.radial_bump(5.0, 9.0)
     w1 = qu.apply_change_of_vars("rotation:theta=0.7", gam, u2)
     w2 = qu.apply_change_of_vars("rotation:theta=-0.7", gam, w1)
@@ -199,7 +191,7 @@ def test_criterion_05_fio_identities():
 
     # conjugation: the transform intertwines p(D) with |D| on the band
     g3 = gr.make_grid(2, 128, 16.0)
-    u3 = spectral_packet(g3, (3.0, 0.0), 0.35)
+    u3 = gr.spectral_packet(g3, (3.0, 0.0), 0.35)
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(1.0, 2.0, 5.0, 7.0),
                                      direction="inverse")
     xi0 = g3.freq_stack()
@@ -218,7 +210,7 @@ def test_criterion_06_boundedness_ratio_families():
     g = gr.make_grid(2, 64, 16.0)
     checks = {}
 
-    env = spectral_packet(g, (0.0, 0.0), 1.2)
+    env = gr.spectral_packet(g, (0.0, 0.0), 1.2)
     amp = qu.SeparableAmplitude("x-growth-one", [
         (lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)),
          lambda y: np.ones(y.shape[:-1]),
@@ -229,7 +221,7 @@ def test_criterion_06_boundedness_ratio_families():
     r = qu.fio_bound_ratio(amp0, env, mu=0.0, carrier=(3.0, 0.0))
     checks["fio misdeclared > 3"] = max(r) / min(r) > 3.0
 
-    f = spectral_packet(g, (3.0, 0.0), 1.2)
+    f = gr.spectral_packet(g, (3.0, 0.0), 1.2)
     gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
     a = sy.PhaseSpaceSymbol(
         "angular-momentum-weighted", (0.0, 1.0),
@@ -242,7 +234,7 @@ def test_criterion_06_boundedness_ratio_families():
     r = qu.basiclem_ratio(EUCLID, a, 0.0, f, carrier=(3.0, 0.0))
     checks["structure misdeclared > 3"] = max(r) / min(r) > 3.0
 
-    env2 = spectral_packet(g, (0.0, 0.0), 0.8)
+    env2 = gr.spectral_packet(g, (0.0, 0.0), 0.8)
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(0.4, 1.0, 9.0, 11.0))
     ae = sy.PhaseSpaceSymbol(
         "x-growth-one", (1.0, 0.0),

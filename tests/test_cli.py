@@ -159,3 +159,44 @@ def test_module_entry_point_runs(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "hl-oracle ratio" in res.stdout
     assert (tmp_path / "out" / "hl_oracle.csv").is_file()
+
+
+@pytest.mark.parametrize("kind,cfg,env", [
+    ("geometry-audit", {"p": "bogus"}, {}),
+    ("geometry-audit", {"p": "quadratic-form:A=x"}, {}),
+    ("geometry-audit", {"p": "perturbed:amp=x"}, {}),
+    ("geometry-audit", {"p": "perturbed:amp=0.05",
+                        "construction": "closed-form"}, {}),
+    ("geometry-audit", {"p": "euclidean", "samples": 10},
+     {"SLAB_SEED": "-3"}),
+    ("restriction", {"p": "euclidean", "sigma": "nope", "N": 8, "L": 4.0},
+     {}),
+    ("restriction", {"p": "euclidean", "sigma": "weighted:s=x", "N": 8,
+                     "L": 4.0}, {}),
+], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
+        "sigma-unknown", "sigma-weight"])
+def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
+                                              env):
+    path = write_config(tmp_path / "cfg.json", cfg)
+    res = runner.invoke(main, [kind, "--config", path,
+                               "--out", str(tmp_path / "out")], env=env)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), \
+        res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "lams": []}),
+    ("restriction", {"p": "euclidean", "sigma": "structured", "N": 8,
+                     "L": 4.0, "rhos": []}),
+], ids=["egorov-lams", "restriction-rhos"])
+def test_rejects_sweeps_shorter_than_two(runner, tmp_path, kind, cfg):
+    # a family ratio needs at least two members
+    path = write_config(tmp_path / "cfg.json", cfg)
+    res = runner.invoke(main, [kind, "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert "config does not validate" in res.output
+    assert not (tmp_path / "out").exists()

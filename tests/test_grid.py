@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slab import grid as gr
 from slab.errors import InvalidSize, SingularAtOrigin
@@ -42,6 +43,20 @@ def test_transform_roundtrip_and_plancherel(N):
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(
         np.abs(f.values))
     # discrete Plancherel: both norms carry their quadrature weights
+    assert fh.norm() == pytest.approx(f.norm(), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), log_N=st.integers(1, 4),
+       L=st.floats(0.5, 50.0), offset=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transform_roundtrip_property(n, log_N, L, offset, seed):
+    g = gr.make_grid(n, 2**log_N, L, offset=offset)
+    f = random_field(g, seed)
+    fh = gr.transform(f)
+    back = gr.inverse_transform(fh)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(
+        np.abs(f.values))
     assert fh.norm() == pytest.approx(f.norm(), rel=1e-12)
 
 
@@ -196,3 +211,29 @@ def test_offgrid_evaluation_matches_lattice():
     pts = x.reshape(-1, 2)[[7, 77, 777]]
     fv = gr.eval_field_offgrid(f, pts)
     assert np.max(np.abs(fv - f.values.reshape(-1)[[7, 77, 777]])) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_offgrid_evaluation_matches_lattice_any_dimension(n):
+    # one contraction serves every dimension: both interpolants reproduce
+    # the lattice values they interpolate
+    g = gr.make_grid(n, 8, 3.0)
+    f = random_field(g, seed=n)
+    fh = gr.transform(f)
+    idx = np.random.default_rng(n).choice(g.N ** n, size=8, replace=False)
+    targets = g.freq_stack().reshape(-1, n)[idx]
+    vals = gr.eval_offgrid(f, targets)
+    assert np.max(np.abs(vals - fh.values.reshape(-1)[idx])) <= 1e-10
+    pts = g.coord_stack().reshape(-1, n)[idx]
+    fv = gr.eval_field_offgrid(f, pts)
+    assert np.max(np.abs(fv - f.values.reshape(-1)[idx])) <= 1e-10
+
+
+def test_spectral_packet_unit_norm_and_centered():
+    g = gr.make_grid(2, 32, 8.0)
+    f = gr.spectral_packet(g, (1.5, -0.5), 0.6)
+    assert f.space == "x"
+    assert f.norm() == pytest.approx(1.0, rel=1e-12)
+    fh = gr.transform(f)
+    peak = np.unravel_index(np.argmax(np.abs(fh.values)), g.shape)
+    assert np.allclose(g.freq_stack()[peak], (1.5, -0.5), atol=g.dxi)

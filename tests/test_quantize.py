@@ -314,3 +314,36 @@ def test_low_freq_guard_kills_origin():
     r = g.freq_radius()
     assert np.all(guard[r < g.dxi] == 0.0)
     assert np.allclose(guard[r > 4 * g.dxi], 1.0)
+
+
+def _egorov_dual_case(N, value=None):
+    # the egorov CLI run at its defaults: x-growth symbol of order 1,
+    # fixed envelope recentred along (1.4, 0) on the carrier (4, 0)
+    g = gr.make_grid(2, N, 16.0)
+    gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
+    xf = lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))
+    a = sy.PhaseSpaceSymbol("x-growth", (1.0, 0.0),
+                            value=value or (lambda x, xi: xf(x) * gx(xi)),
+                            terms=[(xf, gx)])
+    plan = qu.CanonicalTransformPlan(ELLIPSE,
+                                     gr.annular(0.4, 1.0, 9.0, 11.0))
+    env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
+    return qu.egorov_residual(a, plan, 1.0, env, carrier=(4.0, 0.0),
+                              center=(1.4, 0.0), spread=False)
+
+
+def test_egorov_residual_matches_reference_ratios():
+    # the egorov-dual reference ratios (perfbench/references.json, seed 0)
+    ref = [0.5379865076266316, 0.5133250264144144, 0.508843552395739,
+           0.5545560167326035]
+    with pytest.warns(CutoffLeakage):
+        ratios = _egorov_dual_case(32)
+    assert np.allclose(ratios, ref, rtol=1e-10, atol=0.0)
+
+
+def test_egorov_residual_rejects_non_finite_warped_symbol():
+    def value(x, xi):
+        return np.where(x[..., 0] > 3.0, np.nan, 1.0) * np.ones(xi.shape[:-1])
+
+    with pytest.raises(NonFiniteSymbol):
+        _egorov_dual_case(16, value)
