@@ -90,7 +90,7 @@ _SCHEMAS = {
         "required": ["p", "sigma", "ladder"],
         "properties": dict(_COMMON, **{
             "sigma": {"type": "string"},
-            "ladder": {"type": "array", "items": {
+            "ladder": {"type": "array", "minItems": 2, "items": {
                 "type": "array", "minItems": 3, "maxItems": 3,
                 "items": {"type": "number"}}},
             "trials": {"type": "integer", "minimum": 1},

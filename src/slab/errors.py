@@ -18,7 +18,7 @@ class DegenerateGradient(SlabError):
 
 
 class OptimizerStall(SlabError):
-    """Support-function ascent failed to converge within its budget."""
+    """Support-function solve left a stationarity residual above its gate."""
 
 
 class CurvatureUnchecked(SlabError):
@@ -26,7 +26,8 @@ class CurvatureUnchecked(SlabError):
 
 
 class InvalidSize(SlabError):
-    """Grid size is not a power of two, or box width not positive."""
+    """Grid size not a power of two, box width not positive, or a
+    dimension the construction does not support."""
 
 
 class SingularAtOrigin(SlabError):

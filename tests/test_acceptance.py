@@ -47,10 +47,8 @@ def test_criterion_01_geometry_identity_suite():
     ]
     checks = {}
     rng = np.random.default_rng(0)
-    settings = sy.OptimizerSettings(starts=2)
     for spec, construction, tol_dual in cases:
-        pair = sy.make_pair(spec, 2, construction=construction,
-                            settings=settings)
+        pair = sy.make_pair(spec, 2, construction=construction)
         xi = rng.normal(size=(1000, 2))
         xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
         xi = xi * np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))[:, None]
@@ -74,8 +72,7 @@ def test_criterion_01_geometry_identity_suite():
 def test_criterion_02_dual_oracle():
     A = np.diag([1.0, 0.5])
     pair = sy.make_pair("quadratic-form:A=[[1.0,0.0],[0.0,0.5]]", 2,
-                        construction="support-function",
-                        settings=sy.OptimizerSettings(starts=2))
+                        construction="support-function")
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1000, 2))
     x = x * np.exp(rng.uniform(-1.0, 1.0, 1000))[:, None]

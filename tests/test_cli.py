@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -147,6 +148,29 @@ def test_csv_bytes_reproducible(runner, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_perturbed_tau_duality_on_a_grid(runner, tmp_path):
+    # every x-factor of tau evaluates the support-built dual on the grid
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"p": "perturbed:amp=0.05", "sigma": "tau", "N": 32,
+                        "L": 16.0, "n_times": 3, "tol": 1e-8})
+    t0 = time.monotonic()
+    res = runner.invoke(main, ["duality", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert time.monotonic() - t0 < 10.0
+    assert res.exit_code == 0, res.output
+    assert "duality defect" in res.output
+
+
+def test_optimizer_geometry_audit_roundtrip_at_roundoff(runner, tmp_path):
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"p": "perturbed:amp=0.05", "construction": "optimizer",
+                        "tol_roundtrip": 1e-12})
+    res = runner.invoke(main, ["geometry-audit", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert "psi-roundtrip" in res.output
+
+
 def test_module_entry_point_runs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5})
@@ -173,8 +197,9 @@ def test_module_entry_point_runs(tmp_path):
      {}),
     ("restriction", {"p": "euclidean", "sigma": "weighted:s=x", "N": 8,
                      "L": 4.0}, {}),
+    ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, {}),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
-        "sigma-unknown", "sigma-weight"])
+        "sigma-unknown", "sigma-weight", "p-nonsquare"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               env):
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -191,9 +216,11 @@ def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
     ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "lams": []}),
     ("restriction", {"p": "euclidean", "sigma": "structured", "N": 8,
                      "L": 4.0, "rhos": []}),
-], ids=["egorov-lams", "restriction-rhos"])
+    ("smoothing", {"p": "euclidean", "sigma": "structured",
+                   "ladder": [[8, 4.0, 2.0]]}),
+], ids=["egorov-lams", "restriction-rhos", "smoothing-ladder"])
 def test_rejects_sweeps_shorter_than_two(runner, tmp_path, kind, cfg):
-    # a family ratio needs at least two members
+    # a family ratio, or a verdict's growth step, needs at least two members
     path = write_config(tmp_path / "cfg.json", cfg)
     res = runner.invoke(main, [kind, "--config", path,
                                "--out", str(tmp_path / "out")])

@@ -42,6 +42,20 @@ def test_multiplier_identity_and_unitarity():
     assert phase.norm() == pytest.approx(f.norm(), rel=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2), log_N=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_multiplier_adjointness_property(n, log_N, seed):
+    # <M f, g> = <f, conj(M) g> for a random real symbol on the lattice
+    g = gr.make_grid(n, 2**log_N, 4.0)
+    m = np.random.default_rng(seed).normal(size=g.shape)
+    f, h = random_field(g, seed), random_field(g, seed + 1)
+    q = g.h ** g.n
+    lhs = q * np.vdot(h.values, qu.apply_multiplier(f, m).values)
+    rhs = q * np.vdot(qu.apply_multiplier(h, np.conj(m)).values, f.values)
+    assert abs(lhs - rhs) <= 1e-12 * np.max(np.abs(m)) * f.norm() * h.norm()
+
+
 def test_multiplier_free_schrodinger_gaussian():
     # closed form: e^{-it|D|^2} e^{-|x|^2/2} = (1+2it)^{-n/2}
     #              exp(-|x|^2/(2(1+4t^2)) (1 - 2it))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from slab import symbols as sy
-from slab.errors import DegenerateGradient, ZeroFrequency, ZeroPosition
+from slab.errors import (DegenerateGradient, InvalidSize, OptimizerStall,
+                         ZeroFrequency, ZeroPosition)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -113,6 +114,39 @@ def test_support_function_dual_matches_inverse_matrix():
     ref = sy.quadratic_form(np.linalg.inv(A))
     rel = np.abs(pair.dual(xi) - ref(xi)) / ref(xi)
     assert np.max(rel) <= 1e-6
+
+
+@pytest.mark.parametrize("a", [0.5, 0.05])
+def test_support_solve_matches_closed_form(a):
+    # a = 0.05 crowds most maximizers near the sharp ends of the level
+    # set, where f(theta) turns fastest
+    A = np.diag([1.0, a])
+    pair = sy.make_dual(sy.quadratic_form(A))
+    assert pair.dual.metadata["construction"] == "support-function"
+    ref = sy.quadratic_form(np.linalg.inv(A))
+    x = sample_xi(1000, seed=17)
+    assert np.max(np.abs(pair.dual(x) - ref(x)) / ref(x)) <= 1e-12
+    err = np.linalg.norm(pair.dual.gradient(x) - ref.gradient(x), axis=-1)
+    assert np.max(err) <= 1e-10
+
+
+def test_support_solve_raises_instead_of_returning_bad_points(monkeypatch):
+    x = sample_xi(50, seed=18)
+    pair = sy.make_dual(sy.perturbed(0.05))
+    # no Newton sweeps: the coarse seed's residual is far above the gate
+    monkeypatch.setattr(sy, "_SUPPORT_ITERS", 0)
+    with pytest.raises(OptimizerStall):
+        pair.dual(x)
+    monkeypatch.undo()
+    # a non-finite gradient gives a non-finite residual
+    pair.primal.grad = lambda xi: np.full(xi.shape, np.nan)
+    with pytest.raises(OptimizerStall):
+        pair.dual.gradient(x)
+
+
+def test_support_dual_needs_two_dimensions():
+    with pytest.raises(InvalidSize):
+        sy.make_dual(sy.euclidean(3))
 
 
 @pytest.mark.parametrize("pair", [EUCLID, ELLIPSE],
@@ -319,6 +353,8 @@ def test_parse_symbol_registry():
     assert pert(np.array([1.0, 0.0])) > 0
     with pytest.raises(ValueError):
         sy.parse_symbol("no-such-symbol")
+    with pytest.raises(ValueError):
+        sy.parse_symbol("quadratic-form:A=[[1,2]]")
 
 
 def test_parse_sigma_registry():
