@@ -15,7 +15,8 @@ import numpy as np
 from . import evolve as ev
 from . import grid as gr
 from . import quantize as qu
-from .errors import BandExceeded, ExponentViolation, MassEscape, ZeroRung
+from .errors import (BandExceeded, ExponentViolation, InvalidSize,
+                     MassEscape, ZeroRung)
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
 
@@ -76,8 +77,10 @@ def _parallel_map(fn, items, jobs=None):
 
 def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
     """Unit-norm wave packet: spectral Gaussian at a random direction on
-    the circle of radius freq_mag, centered at x = 0.
+    the circle of radius freq_mag, centered at x = 0 (n = 2).
     """
+    if grid.n != 2:
+        raise InvalidSize(f"random packets need n = 2, got {grid.n}")
     theta = rng.uniform(0.0, 2.0 * np.pi)
     center = freq_mag * np.array([np.cos(theta), np.sin(theta)])
     return gr.spectral_packet(grid, center, spread)
@@ -153,7 +156,7 @@ def smoothing_sweep(sigma, spec_pair, ladder, trials=8, seed=0, dt=0.25,
     ladder = list(ladder)
     root = np.random.SeedSequence(seed)
     for (N, L, T), ss in zip(ladder, root.spawn(len(ladder))):
-        g = gr.make_grid(2, N, float(L))
+        g = gr.make_grid(spec_pair.primal.dim, N, float(L))
         spec = ev.EvolutionSpec(spec_pair, order=order, sign=sign,
                                 T=float(T), dt=dt)
         child_seeds = ss.spawn(trials)
@@ -260,6 +263,8 @@ def surface_nodes(pair, rho, n_angles=512):
     the measure rho^{n-1} d_theta / p(omega)^2, which by the coarea
     formula equals the surface element ds / |grad p| on the curve.
     """
+    if pair.primal.dim != 2:
+        raise InvalidSize(f"surface nodes need n = 2, got {pair.primal.dim}")
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     p_om = pair.primal(omega)
@@ -358,6 +363,10 @@ def duality_check(sigma, spec_pair, grid, T=4.0, n_times=33, trials=4,
 # ---------------------------------------------------------------------------
 # resolvent / surface identity
 
+# angles per eval_offgrid call in resolvent_im_identity: with the default
+# 129 radial nodes its temporaries stay under about 32 MB at N = 128
+_IM_ANGLES = 32
+
 
 def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     """Im((L_p - rho^2 - i eps)^{-1} f, f) by Lorentzian-adapted polar
@@ -367,27 +376,22 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     the Lorentzian factor into the flat measure dw, so the radial rule
     stays accurate uniformly as eps drops below the lattice spacing.
     """
-    g = f.grid
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    p_om = pair.primal(omega)
-    r_max = 0.95 * g.nyquist
-    total = 0.0
-    for a in range(n_angles):
-        v_lo = -rho**2
-        v_hi = (r_max * p_om[a]) ** 2 - rho**2
-        w_lo, w_hi = np.arctan(v_lo / eps), np.arctan(v_hi / eps)
-        wgrid = np.linspace(w_lo, w_hi, n_radial)
-        v = eps * np.tan(wgrid)
-        # roundoff in tan(arctan .) can push rho^2 + v barely negative
-        r = np.sqrt(np.maximum(rho**2 + v, 0.0)) / p_om[a]
-        pts = r[:, None] * omega[a]
-        vals = np.abs(gr.eval_offgrid(f, pts)) ** 2
-        dw = wgrid[1] - wgrid[0]
-        integrand = vals / (2.0 * p_om[a] ** 2)
-        total += (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])) \
-            * dw * (2.0 * np.pi / n_angles)
-    return total / (2.0 * np.pi) ** g.n
+    unit, w, p_om = surface_nodes(pair, 1.0, n_angles)    # omega / p(omega)
+    # v runs from -rho^2 at r = 0 to its value at r = 0.95 nyquist
+    w_lo = np.arctan(-rho**2 / eps)
+    w_hi = np.arctan(((0.95 * f.grid.nyquist * p_om) ** 2 - rho**2) / eps)
+    wgrid = np.linspace(np.full(n_angles, w_lo), w_hi, n_radial, axis=-1)
+    v = eps * np.tan(wgrid)
+    # roundoff in tan(arctan .) can push rho^2 + v barely negative
+    pts = np.sqrt(np.maximum(rho**2 + v, 0.0))[..., None] * unit[:, None]
+    vals = np.concatenate([
+        np.abs(gr.eval_offgrid(f, pts[a:a + _IM_ANGLES].reshape(-1, 2))) ** 2
+        for a in range(0, n_angles, _IM_ANGLES)]).reshape(v.shape)
+    dw = wgrid[:, 1] - wgrid[:, 0]
+    integrand = vals / (2.0 * p_om[:, None] ** 2)
+    per_angle = (np.sum(integrand, axis=1)
+                 - 0.5 * (integrand[:, 0] + integrand[:, -1])) * dw * w
+    return np.sum(per_angle) / (2.0 * np.pi) ** f.grid.n
 
 
 def surface_identity_gap(pair, f, rho, eps, n_angles=256):

@@ -9,7 +9,8 @@ Quantization is Kohn-Nirenberg throughout:
 discretized with the grid's spectral weights.  Symbols that come with a
 separable expansion a = sum_r f_r(x) m_r(xi) are applied as R multiplier
 passes; anything else falls back to the direct O(N^{2n}) quadrature,
-whose one kernel ``_kn_sum`` also serves the Egorov check.
+whose one kernel ``_kn_sum`` also serves the Egorov check.  It takes
+e^{i x.xi} from per-axis tables of e^{i x_d xi_d}, never pair by pair.
 """
 
 import warnings
@@ -19,8 +20,9 @@ import numpy as np
 
 from . import grid as gr
 from . import symbols as sy
-from .errors import (CutoffLeakage, NonFiniteMultiplier, NonFiniteSymbol,
-                     OutOfSector, SingularAtOrigin, StructureViolation)
+from .errors import (CutoffLeakage, InvalidSize, NonFiniteMultiplier,
+                     NonFiniteSymbol, OutOfSector, SingularAtOrigin,
+                     StructureViolation)
 
 
 def low_freq_guard(grid, xi_min=None):
@@ -132,38 +134,43 @@ def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
 _KN_ROWS = 256
 
 
-def _kn_sum(grid, block, xi_cols, uh):
+def _kn_sum(grid, block, kept, uh):
     """Direct Kohn-Nirenberg quadrature of a (K, S) stack of spectra uh:
 
         out[x, s] = (dxi / 2 pi)^n sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
 
-    on the x-lattice, with xi_cols the (K, n) frequencies and block(xb)
-    the symbol on the (rows, K) set.  Each row batch forms the phase
-    times symbol once and applies it to all S columns in one product.
+    on the x-lattice, over the K lattice modes with flat indices ``kept``;
+    block(xb) is the symbol on the (rows, K) set.  As e^{i x.xi} =
+    prod_d e^{i x_d xi_d}, one N x N table e^{i x_j xi_k}, gathered at the
+    kept modes once, gives each row batch n phase factors to multiply
+    into the symbol; the batch then meets all S columns in one product.
     """
+    table = np.exp(1j * np.outer(grid.axis_points(), grid.axis_freqs()))
+    cols = [table[:, k] for k in np.unravel_index(kept, grid.shape)]
+    rows = np.unravel_index(np.arange(grid.N ** grid.n), grid.shape)
     x_flat = grid.coord_stack().reshape(-1, grid.n)
     w = (grid.dxi / (2.0 * np.pi)) ** grid.n
     out = np.empty((x_flat.shape[0], uh.shape[1]), dtype=complex)
     for s in range(0, x_flat.shape[0], _KN_ROWS):
-        xb = x_flat[s:s + _KN_ROWS]
+        b = slice(s, s + _KN_ROWS)
         # the symbol first: its temporaries are freed before the phase
-        kern = block(xb) * np.exp(1j * xb @ xi_cols.T)
+        kern = block(x_flat[b]) * cols[0][rows[0][b]]
+        for col, row in zip(cols[1:], rows[1:]):
+            kern *= col[row[b]]
         if not np.all(np.isfinite(kern)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
-        out[s:s + _KN_ROWS] = (kern @ uh) * w
+        out[b] = (kern @ uh) * w
     return out
 
 
 def _apply_direct(f, sigma, guard):
     """sigma(X, D) u by direct quadrature over the modes the guard keeps."""
     g = f.grid
-    xi = g.freq_stack().reshape(-1, g.n)
-    uh = gr.transform(f).values.ravel()
-    if guard is not None:
-        keep = guard.ravel() != 0
-        xi, uh = xi[keep], (uh * guard.ravel())[keep]
-    out = _kn_sum(g, lambda xb: sigma(xb[:, None, :], xi[None, :, :]), xi,
-                  uh[:, None])
+    guard = np.ones(g.shape) if guard is None else guard
+    kept = np.flatnonzero(guard != 0)
+    xi = g.freq_stack().reshape(-1, g.n)[kept]
+    uh = (gr.transform(f).values * guard).ravel()[kept, None]
+    out = _kn_sum(g, lambda xb: sigma(xb[:, None], xi[None]), kept, uh)
     return gr.Field(g, out.reshape(g.shape), "x")
 
 
@@ -262,10 +269,12 @@ def apply_canonical(plan, f):
 # change of variables
 
 
-def _parse_kappa(spec):
+def _parse_kappa(spec, n):
     if spec == "identity":
         return lambda x: x, False
     if spec.startswith("rotation:theta="):
+        if n != 2:
+            raise InvalidSize(f"rotation kappa needs n = 2, got {n}")
         th = float(spec.split("=", 1)[1])
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         return lambda x: x @ R.T, False
@@ -296,7 +305,7 @@ def apply_change_of_vars(kappa_spec, gamma, f, method="spectral"):
     uses a local spline (cheaper, ~1e-4 accurate).
     """
     g = f.grid
-    kappa, partial = _parse_kappa(kappa_spec)
+    kappa, partial = _parse_kappa(kappa_spec, g.n)
     x_flat = g.coord_stack().reshape(-1, g.n)
     if partial:
         src, valid = kappa(x_flat)
@@ -529,6 +538,8 @@ def structure_spot_check(pair, a, n_samples=64, seed=0, tol=1e-6):
     """Verify a(x, xi) vanishes on the orbit set, relative to its size at
     a rotated off-orbit companion point.  Raises StructureViolation.
     """
+    if pair.primal.dim != 2:
+        raise InvalidSize(f"spot checks need n = 2, got {pair.primal.dim}")
     rng = np.random.default_rng(seed)
     k = rng.normal(size=(n_samples, pair.primal.dim))
     lam = np.exp(rng.uniform(-1.0, 1.0, n_samples))
@@ -580,26 +591,27 @@ def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), carrier=None,
 
     i.e. max over the family of ||(a(X,D) I_g - I_g a~(X,D)) u_lam|| /
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
-    a~(X,D) acts on the whole family in one direct quadrature.
+    a~(X,D) acts on the whole family in one direct quadrature; a(X,D)
+    needs separable terms and is one plan for the whole family.
     """
     g = f.grid
-    live = plan.cutoff.on_freqs(g).ravel() > 1e-14
-    xi_live = g.freq_stack().reshape(-1, g.n)[live]
-    eta = sy.psi_inv(plan.pair, xi_live)     # psi^{-1}(xi)
-    J = sy.psi_jacobian(plan.pair, eta)      # psi'(psi^{-1}(xi))
+    kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
+    eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, g.n)[kept])
+    # psi'(psi^{-1}(xi_k)) side by side: x psi' for all kept k is one product
+    J_cat = sy.psi_jacobian(plan.pair, eta).transpose(1, 0, 2).reshape(g.n, -1)
 
     def a_tilde(xb):
-        xw = np.einsum("bi,kij->bkj", xb, J)
-        return a(xw, np.broadcast_to(eta, xw.shape))
+        return a((xb @ J_cat).reshape(len(xb), -1, g.n), eta[None])
 
     family = [_dilation_family_member(f, lam, carrier, center, spread)
               for lam in lams]
-    uh = np.stack([gr.transform(ul).values.ravel()[live] for ul in family],
+    uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
                   axis=1)
-    tilde = _kn_sum(g, a_tilde, xi_live, uh)
+    tilde = _kn_sum(g, a_tilde, kept, uh)
+    a_plan = SeparablePlan(a, g)
     ratios = []
     for k, ul in enumerate(family):
-        left = apply_pseudo(apply_canonical(plan, ul), a)
+        left = a_plan.apply(gr.transform(apply_canonical(plan, ul)))
         right = apply_canonical(
             plan, gr.Field(g, tilde[:, k].reshape(g.shape), "x"))
         diff = gr.Field(g, left.values - right.values, "x")

@@ -565,8 +565,8 @@ def tau_phase_symbol(pair):
     n = pair.primal.dim
 
     def bvec(x):
-        ps = pair.dual(x)
         gs = pair.dual.gradient(x)
+        ps = np.sum(x * gs, axis=-1)    # p*(x) = x . grad p*(x), degree 1
         return (ps / np.linalg.norm(gs, axis=-1))[..., None] * gs
 
     def value(x, xi):

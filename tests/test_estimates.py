@@ -9,7 +9,8 @@ from slab import evolve as ev
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import BandExceeded, ExponentViolation, MassEscape, ZeroRung
+from slab.errors import (BandExceeded, ExponentViolation, InvalidSize,
+                         MassEscape, ZeroRung)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -199,6 +200,53 @@ def test_resolvent_im_identity_converges():
             for e in (1e-1, 1e-2, 1e-3)]
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 1e-2
+
+
+def _resolvent_im_per_angle(pair, f, rho, eps, n_angles, n_radial=129):
+    # one eval_offgrid call per angle: the reference for the batched sweep
+    g = f.grid
+    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    p_om = pair.primal(omega)
+    r_max = 0.95 * g.nyquist
+    total = 0.0
+    for a in range(n_angles):
+        v_lo = -rho**2
+        v_hi = (r_max * p_om[a]) ** 2 - rho**2
+        w_lo, w_hi = np.arctan(v_lo / eps), np.arctan(v_hi / eps)
+        wgrid = np.linspace(w_lo, w_hi, n_radial)
+        v = eps * np.tan(wgrid)
+        r = np.sqrt(np.maximum(rho**2 + v, 0.0)) / p_om[a]
+        pts = r[:, None] * omega[a]
+        vals = np.abs(gr.eval_offgrid(f, pts)) ** 2
+        dw = wgrid[1] - wgrid[0]
+        integrand = vals / (2.0 * p_om[a] ** 2)
+        total += (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])) \
+            * dw * (2.0 * np.pi / n_angles)
+    return total / (2.0 * np.pi) ** g.n
+
+
+@pytest.mark.parametrize("n_angles", [256, 75])
+@pytest.mark.parametrize("eps", [1e-1, 1e-3])
+def test_resolvent_im_identity_matches_per_angle_loop(eps, n_angles):
+    g = gr.make_grid(2, 64, 16.0)
+    phi = es.make_packet(g, np.random.default_rng(5), freq_mag=1.0,
+                         spread=0.2)
+    ref = _resolvent_im_per_angle(ELLIPSE, phi, 1.0, eps, n_angles)
+    val = es.resolvent_im_identity(ELLIPSE, phi, 1.0, eps, n_angles=n_angles)
+    assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_two_dimensional_sites_reject_other_dimensions():
+    euclid3 = sy.closed_form_dual(sy.euclidean(3))
+    g3 = gr.make_grid(3, 4, 2.0)
+    with pytest.raises(InvalidSize):
+        es.make_packet(g3, np.random.default_rng(0))
+    with pytest.raises(InvalidSize):
+        es.surface_nodes(euclid3, 1.0)
+    with pytest.raises(InvalidSize):
+        es.smoothing_sweep(sy.unstructured_critical(3), euclid3,
+                           [(4, 2.0, 1.0), (8, 4.0, 2.0)], trials=1)
 
 
 def test_duality_check_small_defect():

@@ -1,6 +1,8 @@
 """Operator quantization: multipliers, pseudo-differential application,
 canonical transforms, amplitude classes and boundedness ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import (CutoffLeakage, NonFiniteMultiplier, NonFiniteSymbol,
-                         StructureViolation)
+from slab.errors import (CutoffLeakage, InvalidSize, NonFiniteMultiplier,
+                         NonFiniteSymbol, StructureViolation)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -115,6 +117,33 @@ def test_pseudo_direct_method_agrees_with_separable():
     sep = qu.apply_pseudo(f, sig, method="separable")
     direct = qu.apply_pseudo(f, sig, method="direct")
     assert np.max(np.abs(sep.values - direct.values)) <= 1e-10 * sep.norm()
+
+
+@pytest.mark.parametrize("guard", [False, True])
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("n", [1, 2])
+def test_direct_quadrature_matches_literal_double_sum(n, N, guard):
+    # sum_k e^{i x.xi_k} a(x, xi_k) u_hat_k with the phase exponentiated
+    # per (x, xi) pair, over all modes, the guard applied to u_hat
+    g = gr.make_grid(n, N, 4.0)
+    f = random_field(g, 9)
+
+    def value(x, xi):
+        r = np.linalg.norm(xi, axis=-1)
+        return (np.cos(x[..., 0] * xi[..., -1]) + np.sqrt(r)
+                * np.exp(-np.sum(x * x, axis=-1) / 8.0))
+
+    sig = sy.PhaseSpaceSymbol("mixed", (0.0, 0.5), value)
+    out = qu.apply_pseudo(f, sig, method="direct", low_freq=guard)
+    x = g.coord_stack().reshape(-1, n)
+    xi = g.freq_stack().reshape(-1, n)
+    uh = gr.transform(f).values.ravel()
+    if guard:
+        uh = uh * qu.low_freq_guard(g).ravel()
+    kern = np.exp(1j * x @ xi.T) * value(x[:, None, :], xi[None, :, :])
+    ref = kern @ uh * (g.dxi / (2.0 * np.pi)) ** n
+    assert np.linalg.norm(out.values.ravel() - ref) \
+        <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_rotation_generator_annihilates_radial_fields():
@@ -330,7 +359,7 @@ def test_low_freq_guard_kills_origin():
     assert np.allclose(guard[r > 4 * g.dxi], 1.0)
 
 
-def _egorov_dual_case(N, value=None):
+def _egorov_dual_case(N, value=None, m=1.0):
     # the egorov CLI run at its defaults: x-growth symbol of order 1,
     # fixed envelope recentred along (1.4, 0) on the carrier (4, 0)
     g = gr.make_grid(2, N, 16.0)
@@ -342,7 +371,7 @@ def _egorov_dual_case(N, value=None):
     plan = qu.CanonicalTransformPlan(ELLIPSE,
                                      gr.annular(0.4, 1.0, 9.0, 11.0))
     env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
-    return qu.egorov_residual(a, plan, 1.0, env, carrier=(4.0, 0.0),
+    return qu.egorov_residual(a, plan, m, env, carrier=(4.0, 0.0),
                               center=(1.4, 0.0), spread=False)
 
 
@@ -355,9 +384,33 @@ def test_egorov_residual_matches_reference_ratios():
     assert np.allclose(ratios, ref, rtol=1e-10, atol=0.0)
 
 
+def test_egorov_residual_matches_criterion_06_ratios():
+    # criterion 06's conjugation pair (N = 64, declared and misdeclared
+    # order) against the ratios of the per-pair exponential kernel
+    ref = [0.03114242785568423, 0.02822747956039022, 0.025193912016507267,
+           0.023068473996396426, 0.05442245416468753, 0.07834744614708108,
+           0.13988790147771943, 0.25779311716062586]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffLeakage)
+        ratios = _egorov_dual_case(64) + _egorov_dual_case(64, m=0.0)
+    assert np.allclose(ratios, ref, rtol=1e-12, atol=0.0)
+
+
 def test_egorov_residual_rejects_non_finite_warped_symbol():
     def value(x, xi):
         return np.where(x[..., 0] > 3.0, np.nan, 1.0) * np.ones(xi.shape[:-1])
 
     with pytest.raises(NonFiniteSymbol):
         _egorov_dual_case(16, value)
+
+
+def test_two_dimensional_sites_reject_other_dimensions():
+    euclid3 = sy.closed_form_dual(sy.euclidean(3))
+    a = sy.PhaseSpaceSymbol("one", (0.0, 0.0),
+                            lambda x, xi: np.ones(np.broadcast_shapes(
+                                x.shape[:-1], xi.shape[:-1])))
+    with pytest.raises(InvalidSize):
+        qu.structure_spot_check(euclid3, a)
+    f = random_field(gr.make_grid(3, 4, 2.0), 10)
+    with pytest.raises(InvalidSize):
+        qu.apply_change_of_vars("rotation:theta=0.5", None, f)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from slab import grid as gr
+from slab import quantize as qu
 from slab import symbols as sy
 from slab.errors import (DegenerateGradient, InvalidSize, OptimizerStall,
                          ZeroFrequency, ZeroPosition)
@@ -313,6 +315,29 @@ def test_structured_sigma_vanishing_normalized_samples():
             x /= np.linalg.norm(x)
             assert abs(sig(x, xi)) <= 1e-10
             assert abs(tau(x, xi)) <= 1e-10
+
+
+def test_tau_plan_halves_support_solves(monkeypatch):
+    pair = sy.make_pair("perturbed:amp=0.05")
+    solve = sy._support_maximizer
+    calls = []
+
+    def counted(sym, x):
+        calls.append(len(x))
+        return solve(sym, x)
+
+    monkeypatch.setattr(sy, "_support_maximizer", counted)
+    g = gr.make_grid(2, 32, 8.0)
+    plan = qu.SeparablePlan(sy.tau_phase_symbol(pair), g)
+    assert len(calls) <= 4
+    # the x-factors against b = p*(x) grad p*(x) / |grad p*(x)| from two
+    # separate solves for the value and the gradient
+    X = g.coord_stack()
+    gs = pair.dual.gradient(X)
+    b = (pair.dual(X) / np.linalg.norm(gs, axis=-1))[..., None] * gs
+    ref = [b[..., 0] ** 2, -2.0 * b[..., 0] * b[..., 1], b[..., 1] ** 2]
+    for (fx, _), r in zip(plan.terms, ref):
+        assert np.max(np.abs(fx - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_orbit_examples():
