@@ -376,19 +376,21 @@ def _run_commutator(cfg):
     return [("commutator", result)], [line], passed
 
 
-def _run_smoothing(cfg, jobs):
+def _run_smoothing(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
     ladder = [(int(N), float(L), float(T)) for (N, L, T) in cfg["ladder"]]
+    dt = cfg.get("dt", 0.25)
+    for (_, _, T) in ladder:
+        _resolve("T", lambda T: ev.EvolutionSpec(pair, T=T, dt=dt).times(), T)
     result = es.smoothing_sweep(
         sigma, pair, ladder,
-        trials=cfg.get("trials", 8), seed=seed,
-        dt=cfg.get("dt", 0.25), order=cfg.get("order", 1),
+        trials=cfg.get("trials", 8), seed=seed, dt=dt,
+        order=cfg.get("order", 1),
         freq_mag=cfg.get("freq_mag", 0.9), spread=cfg.get("spread", 0.15),
         monitor_scale=cfg.get("monitor_scale", np.sqrt(2.0)),
-        mass_tol=cfg.get("mass_tol", 0.999), jobs=jobs,
-        sigma_label=cfg["sigma"])
+        mass_tol=cfg.get("mass_tol", 0.999), sigma_label=cfg["sigma"])
     verdict = result.metadata["verdict"]
     expect = cfg.get("expect")
     passed = expect is None or verdict == expect
@@ -398,7 +400,7 @@ def _run_smoothing(cfg, jobs):
     return [("smoothing", result)], lines, passed
 
 
-def _run_lap(cfg, jobs):
+def _run_lap(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
@@ -479,32 +481,25 @@ def _run_hl_oracle(cfg):
     return [("hl_oracle", result)], lines, passed
 
 
+_RUNNERS = {
+    "geometry-audit": _run_geometry_audit, "egorov": _run_egorov,
+    "commutator": _run_commutator, "smoothing": _run_smoothing,
+    "lap": _run_lap, "restriction": _run_restriction,
+    "duality": _run_duality, "hl-oracle": _run_hl_oracle,
+}
+
+
 # ---------------------------------------------------------------------------
 # command plumbing
 
 
-def _execute(kind, config, override, jobs, out):
+def _execute(kind, config, override, out):
     t0 = time.time()
     try:
         cfg = _load_config(config, override, kind)
         cfg["kind"] = kind
         out_dir = out or cfg.get("out", ".")
-        if kind == "geometry-audit":
-            results, lines, passed = _run_geometry_audit(cfg)
-        elif kind == "egorov":
-            results, lines, passed = _run_egorov(cfg)
-        elif kind == "commutator":
-            results, lines, passed = _run_commutator(cfg)
-        elif kind == "smoothing":
-            results, lines, passed = _run_smoothing(cfg, jobs)
-        elif kind == "lap":
-            results, lines, passed = _run_lap(cfg, jobs)
-        elif kind == "restriction":
-            results, lines, passed = _run_restriction(cfg)
-        elif kind == "duality":
-            results, lines, passed = _run_duality(cfg)
-        else:
-            results, lines, passed = _run_hl_oracle(cfg)
+        results, lines, passed = _RUNNERS[kind](cfg)
         _write_artifacts(out_dir, cfg, results, lines, passed, t0)
     except ConfigInvalid as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -520,10 +515,9 @@ def _subcommand(kind):
     @click.option("--config", required=True,
                   type=click.Path(exists=False, dir_okay=False))
     @click.option("--override", multiple=True, metavar="K=V")
-    @click.option("--jobs", type=int, default=None)
     @click.option("--out", type=click.Path(file_okay=False), default=None)
-    def cmd(config, override, jobs, out):
-        _execute(kind, config, override, jobs, out)
+    def cmd(config, override, out):
+        _execute(kind, config, override, out)
     cmd.help = f"Run the {kind} experiment from a JSON config."
     return cmd
 

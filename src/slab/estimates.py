@@ -3,12 +3,12 @@ absorption norm ladders, the surface restriction estimate, the duality
 identity and the weighted-convolution oracle.
 
 All randomness flows through seeded generators recorded in the results;
-sweeps are reproducible bit for bit.
+sweeps are reproducible bit for bit at any BLAS thread count (norms are
+plain reductions).  Smoothing and LAP loops run as stacks of spectra.
 """
 
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -68,13 +68,6 @@ def verdict(ratios, bounded_tol=0.10, growth_tol=0.25):
     return "inconclusive"
 
 
-def _parallel_map(fn, items, jobs=None):
-    if jobs is None or jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
     """Unit-norm wave packet: spectral Gaussian at a random direction on
     the circle of radius freq_mag, centered at x = 0 (n = 2).
@@ -100,6 +93,10 @@ class SmoothingReport:
     mass_min_inscribed: float = 1.0
 
 
+# bytes per smoothing stack chunk (one field at least); it sets peak RSS
+_STACK_BYTES = 1 << 18
+
+
 def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
                     mass_tol=0.999):
     """Space-time smoothing quotient
@@ -111,44 +108,62 @@ def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
     integrand) flags window truncation; the mass monitor, wrap-around.
     """
     g = phi.grid
-    if monitor_radius is None:
-        monitor_radius = g.L
-    plan = qu.SeparablePlan(sigma, g)
-    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) \
-        * ev.symbol_lattice(spec.pair, g, spec.order)
-    phi_hat = gr.transform(phi).values
-    n_steps = int(round(2.0 * T / dt))
-    times = -T + dt * np.arange(n_steps + 1)
-    weights = np.ones(n_steps + 1)
+    radius = g.L if monitor_radius is None else monitor_radius
+    return _smoothing_reports(qu.SeparablePlan(sigma, g), replace(
+        spec, T=T, dt=dt), phi.values[None], radius, mass_tol)[0]
+
+
+def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
+    """smoothing_ratio's report for each x-space packet of the stack phis,
+    their trajectories run as one time-major FFT-native stack.  MassEscape
+    is raised at the first time sample (lowest trial first) whose mass
+    inside monitor_radius falls below mass_tol."""
+    g, S = plan.grid, len(phis)
+    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) * np.fft.ifftshift(
+        ev.symbol_lattice(spec.pair, g, spec.order))
+    times = spec.times()
+    vh = np.fft.fftn(phis, axes=plan.axes)
+    masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
+    fields = max(1, _STACK_BYTES // vh[0].nbytes)
+    rows, cols = max(1, fields // S), min(S, fields)
+    # integrand, mass fraction in the monitor radius, in the box; (t, trial)
+    out = np.empty((3, len(times), S))
+    for j in range(0, len(times), rows):
+        e = np.exp(times[j:j + rows].reshape(-1, *(1,) * g.n) * phase)
+        for s in range(0, S, cols):
+            blk = (slice(j, j + rows), slice(s, s + cols))
+            wh = (e[:, None] * vh[None, blk[1]]).reshape(-1, *g.shape)
+            mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
+            mass = mass.real ** 2 + mass.imag ** 2
+            for k, inside in enumerate(masks, 1):
+                out[k][blk] = (np.sum(mass * inside, axis=plan.axes) / np.sum(
+                    mass, axis=plan.axes)).reshape(len(e), -1)
+            low = np.argwhere(out[1][blk] < mass_tol)
+            if len(low):
+                raise MassEscape(
+                    f"containment {out[1][blk][tuple(low[0])]:.5f} < "
+                    f"{mass_tol} at t = {times[j + low[0][0]]:+.3f}")
+            out[0][blk] = g.h ** g.n * gr.sq_sum(plan.apply(wh), g.n).reshape(
+                len(e), -1)
+    weights = np.ones(len(times))
     weights[0] = weights[-1] = 0.5
-    integrand = np.empty(n_steps + 1)
-    mass_min = 1.0
-    mass_min_box = 1.0
-    for j, t in enumerate(times):
-        uh = gr.Field(g, np.exp(t * phase) * phi_hat, "xi")
-        u = gr.inverse_transform(uh)
-        frac = gr.mass_fraction(u, monitor_radius)
-        mass_min = min(mass_min, frac)
-        mass_min_box = min(mass_min_box, gr.mass_fraction(u, g.L))
-        if frac < mass_tol:
-            raise MassEscape(
-                f"containment {frac:.5f} < {mass_tol} at t = {t:+.3f}")
-        integrand[j] = plan.apply(uh).norm() ** 2
-    ratio = float(np.sum(weights * integrand) * dt / phi.norm() ** 2)
-    peak = integrand.max()
-    tail = float(max(integrand[0], integrand[-1]) / peak) if peak > 0 else 0.0
-    return SmoothingReport(ratio, tail, mass_min, mass_min_box)
+    norm2 = g.h ** g.n * gr.sq_sum(phis, g.n)
+    mass_min = np.minimum(1.0, out[1:].min(axis=1))
+    return [SmoothingReport(
+        float(np.sum(weights * f) * spec.dt / norm2[s]),
+        float(max(f[0], f[-1]) / f.max()) if f.max() > 0 else 0.0,
+        float(mass_min[0, s]), float(mass_min[1, s]))
+        for s, f in enumerate(out[0].T)]
 
 
 def smoothing_sweep(sigma, spec_pair, ladder, trials=8, seed=0, dt=0.25,
                     order=1, sign="-", freq_mag=0.9, spread=0.4,
-                    monitor_scale=1.0, mass_tol=0.999, jobs=None,
-                    sigma_label=None):
+                    monitor_scale=1.0, mass_tol=0.999, sigma_label=None):
     """Max smoothing quotient per refinement rung over random packets.
 
     ladder: iterable of (N, L, T) with fixed lattice spacing h = 2L/N and
     a fixed frequency band, so the rungs probe growing space-time volume
-    at constant resolution.
+    at constant resolution.  A rung's packets run as one stack.
     """
     label = sigma_label or getattr(sigma, "label", "sigma")
     result = SweepResult(label, spec_pair.primal.label,
@@ -159,16 +174,11 @@ def smoothing_sweep(sigma, spec_pair, ladder, trials=8, seed=0, dt=0.25,
         g = gr.make_grid(spec_pair.primal.dim, N, float(L))
         spec = ev.EvolutionSpec(spec_pair, order=order, sign=sign,
                                 T=float(T), dt=dt)
-        child_seeds = ss.spawn(trials)
-
-        def one(cs):
-            rng = np.random.default_rng(cs)
-            phi = make_packet(g, rng, freq_mag, spread)
-            return smoothing_ratio(sigma, spec, phi, float(T), dt,
-                                   monitor_radius=monitor_scale * float(L),
-                                   mass_tol=mass_tol)
-
-        reports = _parallel_map(one, child_seeds, jobs)
+        phis = np.array([
+            make_packet(g, np.random.default_rng(cs), freq_mag, spread).values
+            for cs in ss.spawn(trials)])
+        reports = _smoothing_reports(qu.SeparablePlan(sigma, g), spec, phis,
+                                     monitor_scale * float(L), mass_tol)
         best = max(reports, key=lambda rep: rep.ratio)
         # mass_ok records containment against the inscribed radius L even
         # when the escape gate runs at a larger monitor radius
@@ -184,30 +194,25 @@ def smoothing_sweep(sigma, spec_pair, ladder, trials=8, seed=0, dt=0.25,
 
 
 def operator_norm(ops, grid, iters=20, starts=8, seed=0):
-    """Randomized power iteration on B*B; ops is the pair (B, B_star) of
-    field-to-field maps.  Returns the largest singular-value estimate
-    over the random starts.
-    """
+    """Randomized power iteration on B*B, all random starts as one stack:
+    ops is the pair (B, B_star) of maps on (starts, *grid.shape) stacks of
+    x-samples.  Returns the largest singular-value estimate."""
     B, B_star = ops
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(starts):
-        v = gr.Field(grid, rng.normal(size=grid.shape)
-                     + 1j * rng.normal(size=grid.shape), "x")
-        est = 0.0
-        for _ in range(iters):
-            nv = v.norm()
-            if nv == 0:
-                break
-            w = B(v)
-            est = w.norm() / nv
-            z = B_star(w)
-            nz = z.norm()
-            if nz == 0:
-                break
-            v = gr.Field(grid, z.values / nz, "x")
-        best = max(best, est)
-    return float(best)
+    shape = grid.shape
+    v = np.array([rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                  for _ in range(starts)])
+    est = np.zeros(starts)
+    for _ in range(iters):
+        # a start whose vector vanished keeps its last estimate
+        nv = np.sqrt(gr.sq_sum(v, grid.n))
+        w = B(v)
+        est = np.where(nv > 0, np.sqrt(gr.sq_sum(w, grid.n))
+                       / np.where(nv > 0, nv, 1.0), est)
+        z = B_star(w)
+        nz = np.sqrt(gr.sq_sum(z, grid.n))
+        v = z / np.where(nz > 0, nz, 1.0).reshape(-1, *(1,) * grid.n)
+    return float(est.max())
 
 
 def lap_sweep(sigma, spec_pair, grid, d=1.0, eps_list=None, trials=8,
@@ -226,18 +231,18 @@ def lap_sweep(sigma, spec_pair, grid, d=1.0, eps_list=None, trials=8,
     label = sigma_label or getattr(sigma, "label", "sigma")
     result = SweepResult(label, spec_pair.primal.label,
                          metadata={"trials": trials, "kind": "lap", "d": d})
-    spec = ev.EvolutionSpec(spec_pair, order=order)
     plan = qu.SeparablePlan(sigma, grid)
+    geometry = ev.ResolventGeometry(ev.EvolutionSpec(spec_pair, order=order),
+                                    grid, cell_quad)
 
     def sandwich(mult):
-        return lambda u: plan.apply(
-            gr.Field(grid, mult * plan.adjoint(u).values, "xi"))
+        return lambda v: plan.apply(mult * plan.adjoint(v))
 
     for k, eps in enumerate(eps_list):
         query = ev.ResolventQuery(d=d, eps=eps, sign=sign, chi=chi,
                                   cell_quad=cell_quad)
-        mult = qu.multiplier_values(
-            grid, ev.resolvent_multiplier(query, spec, grid))
+        mult = np.fft.ifftshift(
+            qu.multiplier_values(grid, geometry.multiplier(query)))
         nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
                             iters=iters, starts=trials, seed=seed + k)
         if nrm == 0:
@@ -332,30 +337,27 @@ def duality_check(sigma, spec_pair, grid, T=4.0, n_times=33, trials=4,
     spec = ev.EvolutionSpec(spec_pair, order=order, T=T,
                             dt=2.0 * T / (n_times - 1))
     times = spec.times()
-    dt = spec.dt
-    w = np.ones(len(times))
-    w[0] = w[-1] = 0.5
+    w = np.full(len(times), spec.dt)    # trapezoid weights times dt
+    w[0] = w[-1] = 0.5 * spec.dt
     rng = np.random.default_rng(seed)
     hq = grid.h ** grid.n
     plan = qu.SeparablePlan(sigma, grid)
-    phase = 1j * ev.symbol_lattice(spec_pair, grid, order)
+    phase = 1j * np.fft.ifftshift(ev.symbol_lattice(spec_pair, grid, order))
     worst = 0.0
     for _ in range(trials):
         phi = make_packet(grid, rng)
-        phi_hat = gr.transform(phi).values
-        vs = [gr.Field(grid, rng.normal(size=grid.shape)
-                       + 1j * rng.normal(size=grid.shape), "x")
-              for _ in times]
+        phi_hat = np.fft.fftn(phi.values)
+        vs = np.array([rng.normal(size=grid.shape)
+                       + 1j * rng.normal(size=grid.shape) for _ in times])
         lhs = 0.0 + 0.0j
         acc = np.zeros(grid.shape, dtype=complex)
         for j, t in enumerate(times):
-            su = plan.apply(gr.Field(grid, np.exp(-t * phase) * phi_hat,
-                                     "xi"))
-            lhs += w[j] * dt * np.vdot(vs[j].values, su.values) * hq
-            acc += w[j] * dt * np.exp(t * phase) * plan.adjoint(vs[j]).values
-        rhs = np.vdot(acc, phi_hat) * (grid.dxi / (2.0 * np.pi)) ** grid.n
-        vnorm = np.sqrt(sum(w[j] * dt * vs[j].norm() ** 2
-                            for j in range(len(times))))
+            su = plan.apply(np.exp(-t * phase) * phi_hat)
+            lhs += w[j] * np.sum(np.conj(vs[j]) * su) * hq
+            acc += w[j] * np.exp(t * phase) * plan.adjoint(vs[j])
+        # raw spectra: sum_k conj(fftn a) fftn b = N^n sum_x conj(a) b
+        rhs = np.sum(np.conj(acc) * phi_hat) * hq / grid.N ** grid.n
+        vnorm = np.sqrt(hq * np.sum(w * gr.sq_sum(vs, grid.n)))
         worst = max(worst, abs(lhs - rhs) / (phi.norm() * vnorm))
     return float(worst)
 

@@ -38,8 +38,12 @@ class EvolutionSpec:
             raise ValueError("dt must be positive")
 
     def times(self):
-        """Uniform samples of [-T, T] including both endpoints."""
+        """Uniform samples of [-T, T] including both endpoints; ValueError
+        unless dt divides 2T (to 1e-9 steps)."""
         n = int(round(2.0 * self.T / self.dt))
+        if abs(2.0 * self.T / self.dt - n) > 1e-9:
+            raise ValueError(f"dt = {self.dt!r} does not divide "
+                             f"2T = {2.0 * self.T!r}")
         return -self.T + self.dt * np.arange(n + 1)
 
 
@@ -136,69 +140,71 @@ class ResolventQuery:
             raise ValueError("eps must be positive")
 
 
-def _cell_averaged_resolvent(query, spec, grid, s):
-    # Average of 1/(p^m - d + i s eps) over each dual cell.  Pointwise
-    # sampling is inconsistent once eps drops below the lattice spacing: a
-    # single mode sitting near the characteristic set produces a 1/gap pole
-    # the continuum operator does not have.  Along the axis best aligned
-    # with grad p^m the average is taken in closed form (log antiderivative
-    # of the locally linearized symbol), so the result stays finite
-    # uniformly in eps; the transverse directions use Gauss-Legendre.
-    q = query.cell_quad
-    nodes, weights = np.polynomial.legendre.leggauss(q)
-    nodes = 0.5 * grid.dxi * nodes
-    weights = 0.5 * weights
-    h = grid.dxi
-    m = spec.order
-    p = spec.pair.primal
-    xi = grid.freq_stack()
-    r = np.linalg.norm(xi, axis=-1)
-    safe = np.where((r > 0)[..., None], xi, 1.0)
-    gc = p.gradient(safe)
-    axis = np.argmax(np.abs(gc), axis=-1)
-    z0 = -query.d + 1j * s * query.eps
-    acc = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.n):
-        mask = axis == j
-        if not np.any(mask):
-            continue
-        pts = xi[mask]
-        cell = np.zeros(pts.shape[0], dtype=complex)
-        others = [k for k in range(grid.n) if k != j]
-        for offs in np.ndindex(*(q,) * (grid.n - 1)):
-            shift = np.zeros(grid.n)
-            w = 1.0
-            for k, o in zip(others, offs):
-                shift[k] = nodes[o]
-                w *= weights[o]
-            line = pts + shift
-            lr = np.linalg.norm(line, axis=-1)
-            lsafe = np.where((lr > 0)[..., None], line, 1.0)
-            pv = np.where(lr > 0, p(lsafe), 1.0)
-            b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
-            p0 = np.where(lr > 0, pv ** m, 0.0) + z0
-            bh = 0.5 * b * h
-            flat = np.abs(bh) < 1e-12 * np.abs(p0)
-            num = np.where(flat, 1.0, p0 + bh)
-            den = np.where(flat, 1.0, p0 - bh)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                seg = np.where(flat, 1.0 / p0,
-                               np.log(num / den) / (b * h))
-            cell += w * seg
-        acc[mask] = cell
-    return acc
+class ResolventGeometry:
+    """The eps-independent part of resolvent_multiplier, built once per
+    (spec, grid, cell_quad) and shared by a ladder's rungs.
+
+    cell_quad > 1 averages each dual cell: once eps drops below the
+    lattice spacing, pointwise sampling gives a mode near the
+    characteristic set a 1/gap pole the continuum operator lacks.  The
+    average is in closed form along the axis best aligned with grad p^m
+    (log antiderivative of the linearized symbol, finite uniformly in
+    eps) and Gauss-Legendre across it, from p^m and its slope b per line.
+    """
+
+    def __init__(self, spec, grid, cell_quad=1):
+        self.grid, self.cell_quad = grid, cell_quad
+        if cell_quad <= 1:
+            self.pm = symbol_lattice(spec.pair, grid, spec.order)
+            return
+        nodes, weights = np.polynomial.legendre.leggauss(cell_quad)
+        h, m, p = grid.dxi, spec.order, spec.pair.primal
+        xi = grid.freq_stack()
+        r = np.linalg.norm(xi, axis=-1)
+        gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
+        axis = np.argmax(np.abs(gc), axis=-1)
+        self.lines = []
+        for j in range(grid.n):
+            mask = axis == j
+            if not np.any(mask):
+                continue
+            others = [k for k in range(grid.n) if k != j]
+            for offs in np.ndindex(*(cell_quad,) * (grid.n - 1)):
+                shift = np.zeros(grid.n)
+                shift[others] = 0.5 * h * nodes[list(offs)]
+                line = xi[mask] + shift
+                lr = np.linalg.norm(line, axis=-1)
+                lsafe = np.where((lr > 0)[..., None], line, 1.0)
+                pv = np.where(lr > 0, p(lsafe), 1.0)
+                b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
+                self.lines.append((mask, np.prod(0.5 * weights[list(offs)]),
+                                   np.where(lr > 0, pv ** m, 0.0),
+                                   0.5 * b * h))
+
+    def multiplier(self, query):
+        """(L_p - d -/+ i eps)^{-1} chi on the lattice for one rung, with
+        the geometry's cell_quad."""
+        s = -1.0 if query.sign == "-" else 1.0
+        if self.cell_quad <= 1:
+            vals = 1.0 / (self.pm - query.d + 1j * s * query.eps)
+        else:
+            vals = np.zeros(self.grid.shape, dtype=complex)
+            for mask, w, pm, bh in self.lines:
+                p0 = pm + (-query.d + 1j * s * query.eps)
+                flat = np.abs(bh) < 1e-12 * np.abs(p0)
+                num, den = (np.where(flat, 1.0, p0 + c) for c in (bh, -bh))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # 2 bh is b h exactly
+                    seg = np.where(flat, 1.0 / p0,
+                                   np.log(num / den) / (2.0 * bh))
+                vals[mask] += w * seg
+        if query.chi is not None:
+            vals = vals * query.chi.on_freqs(self.grid)
+        return vals
 
 
 def resolvent_multiplier(query, spec, grid):
-    s = -1.0 if query.sign == "-" else 1.0
-    if query.cell_quad > 1:
-        vals = _cell_averaged_resolvent(query, spec, grid, s)
-    else:
-        pm = symbol_lattice(spec.pair, grid, spec.order)
-        vals = 1.0 / (pm - query.d + 1j * s * query.eps)
-    if query.chi is not None:
-        vals = vals * query.chi.on_freqs(grid)
-    return vals
+    return ResolventGeometry(spec, grid, query.cell_quad).multiplier(query)
 
 
 def epsilon_ladder(k_max=12):

@@ -109,11 +109,15 @@ class Field:
     def norm(self):
         """L^2 norm under the grid quadrature weight."""
         g = self.grid
-        if self.space == "x":
-            w = g.h ** g.n
-        else:
-            w = (g.dxi / (2.0 * np.pi)) ** g.n
-        return np.sqrt(w) * np.linalg.norm(self.values.ravel())
+        w = g.h ** g.n if self.space == "x" else (g.dxi / (2.0 * np.pi)) ** g.n
+        return np.sqrt(w) * np.sqrt(sq_sum(self.values, g.n))
+
+
+def sq_sum(values, n):
+    """sum |values|^2 over the last n axes as a plain reduction, not a BLAS
+    dot, so the bits do not depend on the BLAS thread count."""
+    return np.sum(values.real ** 2 + values.imag ** 2,
+                  axis=tuple(range(-n, 0)))
 
 
 def transform(f):
@@ -199,12 +203,7 @@ def weighted_norm(f, m):
     """L^2_m norm with weight <x>^m (or <xi>^m for spectral fields)."""
     g = f.grid
     r2 = g.radius() ** 2 if f.space == "x" else g.freq_radius() ** 2
-    w = (1.0 + r2) ** (m / 2.0)
-    if f.space == "x":
-        q = g.h ** g.n
-    else:
-        q = (g.dxi / (2.0 * np.pi)) ** g.n
-    return np.sqrt(q) * np.linalg.norm((w * f.values).ravel())
+    return Field(g, (1.0 + r2) ** (m / 2.0) * f.values, f.space).norm()
 
 
 def sample_singular(grid, s):
@@ -219,12 +218,11 @@ def sample_singular(grid, s):
 
 def mass_fraction(f, radius):
     """Fraction of the field's L^2 mass inside |x| <= radius."""
-    r = f.grid.radius()
-    total = np.sum(np.abs(f.values) ** 2)
+    total = sq_sum(f.values, f.grid.n)
     if total == 0:
         return 1.0
-    inside = np.sum(np.abs(f.values[r <= radius]) ** 2)
-    return inside / total
+    return float(sq_sum(f.values * (f.grid.radius() <= radius), f.grid.n)
+                 / total)
 
 
 # ---------------------------------------------------------------------------

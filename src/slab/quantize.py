@@ -7,10 +7,11 @@ Quantization is Kohn-Nirenberg throughout:
     a(X, D) u(x) = (2 pi)^{-n} int e^{i x.xi} a(x, xi) u_hat(xi) d xi,
 
 discretized with the grid's spectral weights.  Symbols that come with a
-separable expansion a = sum_r f_r(x) m_r(xi) are applied as R multiplier
-passes; anything else falls back to the direct O(N^{2n}) quadrature,
-whose one kernel ``_kn_sum`` also serves the Egorov check.  It takes
-e^{i x.xi} from per-axis tables of e^{i x_d xi_d}, never pair by pair.
+separable expansion a = sum_r f_r(x) m_r(xi) are applied by a
+``SeparablePlan``, one FFT call for all R terms on a stack of spectra;
+anything else falls back to the direct O(N^{2n}) quadrature, whose one
+kernel ``_kn_sum`` also serves the Egorov check.  It takes e^{i x.xi}
+from per-axis tables of e^{i x_d xi_d}, never pair by pair.
 """
 
 import warnings
@@ -72,11 +73,13 @@ def _guard_for(sigma, g, low_freq):
 class SeparablePlan:
     """sigma(X, D) = sum_r f_r(X) m_r(D) on one grid, built once.
 
-    The x-factors f_r and guarded multipliers m_r are checked and stored
-    read-only at construction, so threads can share one plan.  ``apply``
-    costs R inverse transforms, ``adjoint`` R forward transforms.
-    Symbols singular at xi = 0 get the low-frequency annular guard unless
-    low_freq=False.
+    The x-factors f_r and guarded multipliers m_r are checked and kept
+    read-only as (R, *grid.shape) stacks, the multipliers in FFT-native
+    order.  ``apply`` and ``adjoint`` take arrays with any leading batch
+    axes and raw spectra vh = np.fft.fftn(u) over the last n axes (the
+    corner phase and h^n of ``grid.transform`` cancel between the ends):
+    a pass is one FFT call over all R terms plus one multiply.  Symbols
+    singular at xi = 0 get the low-frequency guard unless low_freq=False.
     """
 
     def __init__(self, sigma, grid, low_freq="auto"):
@@ -84,33 +87,29 @@ class SeparablePlan:
         if not getattr(sigma, "terms", None):
             raise ValueError("symbol carries no separable terms")
         self.grid = grid
+        self.axes = tuple(range(-grid.n, 0))
         X, xi = grid.coord_stack(), grid.freq_stack()
-        self.terms = []
-        for fx, fxi in sigma.terms:
-            xvals = np.array(fx(X), dtype=complex)
-            if not np.all(np.isfinite(xvals)):
-                raise NonFiniteSymbol("x-factor non-finite on the grid")
-            mvals = multiplier_values(grid, fxi(xi), guard)
-            xvals.flags.writeable = mvals.flags.writeable = False
-            self.terms.append((xvals, mvals))
+        self.x = np.array([np.broadcast_to(fx(X), grid.shape)
+                           for fx, _ in sigma.terms], dtype=complex)
+        if not np.all(np.isfinite(self.x)):
+            raise NonFiniteSymbol("x-factor non-finite on the grid")
+        self.m = np.fft.ifftshift([multiplier_values(grid, fxi(xi), guard)
+                                   for _, fxi in sigma.terms], axes=self.axes)
+        self.x.flags.writeable = self.m.flags.writeable = False
 
-    def apply(self, uh):
-        """sigma(X, D) u from the xi-space field uh = F u (x-space out)."""
-        g = self.grid
-        out = np.zeros(g.shape, dtype=complex)
-        for fx, m in self.terms:
-            out += fx * gr.inverse_transform(
-                gr.Field(g, m * uh.values, "xi")).values
-        return gr.Field(g, out, "x")
+    def _pass(self, v, first, fft, then):
+        t = -self.grid.n - 1    # the term axis, just before the grid axes
+        w = first * np.expand_dims(v, t)
+        fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
+        return np.sum(np.multiply(w, then, out=w), axis=t)
+
+    def apply(self, vh):
+        """x-samples of sigma(X, D) u from vh = fftn(u)."""
+        return self._pass(vh, self.m, np.fft.ifftn, self.x)
 
     def adjoint(self, v):
-        """F sigma(X, D)^* v for the x-space field v (xi-space out)."""
-        g = self.grid
-        out = np.zeros(g.shape, dtype=complex)
-        for fx, m in self.terms:
-            out += np.conj(m) * gr.transform(
-                gr.Field(g, np.conj(fx) * v.values, "x")).values
-        return gr.Field(g, out, "xi")
+        """fftn(sigma(X, D)^* v) from x-samples v."""
+        return self._pass(v, np.conj(self.x), np.fft.fftn, np.conj(self.m))
 
 
 def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
@@ -124,7 +123,8 @@ def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
     if method == "auto":
         method = "separable" if getattr(sigma, "terms", None) else "direct"
     if method == "separable":
-        return SeparablePlan(sigma, f.grid, low_freq).apply(gr.transform(f))
+        plan = SeparablePlan(sigma, f.grid, low_freq)
+        return gr.Field(f.grid, plan.apply(np.fft.fftn(f.values)), "x")
     if method == "direct":
         return _apply_direct(f, sigma, _guard_for(sigma, f.grid, low_freq))
     raise ValueError(f"unknown method {method!r}")
@@ -178,8 +178,8 @@ def apply_pseudo_adjoint(f, sigma, low_freq="auto"):
     """sigma(X, D)^* v = conj-sigma(Y, D) v, the discrete conjugate
     transpose: multiply by conj f_r in x, then apply conj m_r (D).
     """
-    return gr.inverse_transform(SeparablePlan(sigma, f.grid,
-                                              low_freq).adjoint(f))
+    plan = SeparablePlan(sigma, f.grid, low_freq)
+    return gr.Field(f.grid, np.fft.ifftn(plan.adjoint(f.values)), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +611,9 @@ def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), carrier=None,
     a_plan = SeparablePlan(a, g)
     ratios = []
     for k, ul in enumerate(family):
-        left = a_plan.apply(gr.transform(apply_canonical(plan, ul)))
+        left = a_plan.apply(np.fft.fftn(apply_canonical(plan, ul).values))
         right = apply_canonical(
             plan, gr.Field(g, tilde[:, k].reshape(g.shape), "x"))
-        diff = gr.Field(g, left.values - right.values, "x")
+        diff = gr.Field(g, left - right.values, "x")
         ratios.append(diff.norm() / gr.weighted_norm(ul, m - 1.0))
     return ratios

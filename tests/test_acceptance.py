@@ -299,7 +299,7 @@ def test_criterion_08_smoothing_contrast():
                      ("unstructured", sy.unstructured_critical(2))):
         res = es.smoothing_sweep(
             sig, EUCLID, ladder, trials=8, seed=0, dt=0.25, order=1,
-            freq_mag=0.9, spread=0.15, monitor_scale=np.sqrt(2.0), jobs=4,
+            freq_mag=0.9, spread=0.15, monitor_scale=np.sqrt(2.0),
             sigma_label=tag)
         results[tag] = res
         ratios = res.ratios()

@@ -198,8 +198,10 @@ def test_module_entry_point_runs(tmp_path):
     ("restriction", {"p": "euclidean", "sigma": "weighted:s=x", "N": 8,
                      "L": 4.0}, {}),
     ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, {}),
+    ("smoothing", {"p": "euclidean", "sigma": "structured", "dt": 0.3,
+                   "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}, {}),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
-        "sigma-unknown", "sigma-weight", "p-nonsquare"])
+        "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               env):
     path = write_config(tmp_path / "cfg.json", cfg)

@@ -1,6 +1,10 @@
 """Smoothing quotients, operator-norm sweeps, surface restriction, the
 duality identity, and the weighted-convolution oracle."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,6 +109,88 @@ def test_smoothing_ratio_matches_reference_loop(sigma, order):
     assert rep.mass_min == pytest.approx(min(mass), rel=1e-12)
 
 
+def test_smoothing_ratio_rejects_a_step_that_does_not_divide_2T():
+    g = gr.make_grid(2, 16, 4.0)
+    phi = es.make_packet(g, np.random.default_rng(0))
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    with pytest.raises(ValueError, match="does not divide"):
+        es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.3)
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 2 * 16 * 32 * 32, 1 << 30])
+def test_smoothing_chunks_match_one_stack(monkeypatch, stack_bytes):
+    # one field, two fields (a time row split across chunks) and one
+    # unchunked stack all give the same bits
+    ladder = [(32, 8.0, 2.0), (32, 16.0, 4.0)]
+    kw = dict(trials=3, seed=5, dt=0.5, order=1, spread=0.3,
+              monitor_scale=np.sqrt(2.0), mass_tol=0.0)
+    sig = sy.structured_sigma(EUCLID)
+    monkeypatch.setattr(es, "_STACK_BYTES", 1 << 40)
+    ref = es.smoothing_sweep(sig, EUCLID, ladder, **kw)
+    monkeypatch.setattr(es, "_STACK_BYTES", stack_bytes)
+    res = es.smoothing_sweep(sig, EUCLID, ladder, **kw)
+    assert res.rows == ref.rows
+
+
+def test_smoothing_sweep_matches_per_packet_ratios():
+    # a rung's stack gives each packet's one-packet smoothing_ratio
+    g = gr.make_grid(2, 32, 8.0)
+    sig = sy.unstructured_critical(2)
+    res = es.smoothing_sweep(sig, EUCLID, [(32, 8.0, 2.0), (32, 8.0, 3.0)],
+                             trials=3, seed=2, dt=0.5, order=2, spread=0.3,
+                             mass_tol=0.0)
+    rung = np.random.SeedSequence(2).spawn(2)[0]
+    spec = ev.EvolutionSpec(EUCLID, order=2, T=2.0, dt=0.5)
+    best = max(es.smoothing_ratio(
+        sig, spec, es.make_packet(g, np.random.default_rng(cs), 0.9, 0.3),
+        2.0, 0.5, mass_tol=0.0).ratio for cs in rung.spawn(3))
+    assert res.ratios()[0] == best
+
+
+_BLAS_PROBE = """
+import numpy as np
+from slab import estimates as es, evolve as ev, grid as gr, symbols as sy
+E = sy.make_pair("euclidean")
+sm = es.smoothing_sweep(sy.structured_sigma(E), E,
+                        [(128, 16.0, 1.0), (128, 32.0, 2.0)], trials=2,
+                        dt=0.5, spread=0.15, monitor_scale=np.sqrt(2.0))
+lap = es.lap_sweep(sy.structured_sigma(E), E, gr.make_grid(2, 128, 32.0),
+                   eps_list=[1.0, 0.25], trials=1, iters=3, cell_quad=2)
+print(repr(sm.ratios() + lap.ratios()))
+"""
+
+
+def test_sweep_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(es.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        out.append(res.stdout)
+    assert out[0] == out[1]
+
+
+def _power_norm_reference(ops, grid, iters, starts, seed):
+    # operator_norm as one power iteration per start on Field-to-Field maps
+    B, B_star = ops
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(starts):
+        v = gr.Field(grid, rng.normal(size=grid.shape)
+                     + 1j * rng.normal(size=grid.shape), "x")
+        for _ in range(iters):
+            nv = v.norm()
+            w = B(v)
+            est = w.norm() / nv
+            z = B_star(w)
+            v = gr.Field(grid, z.values / z.norm(), "x")
+        best = max(best, est)
+    return best
+
+
 def test_lap_sweep_matches_reference_loop():
     g = gr.make_grid(2, 32, 8.0)
     sig = sy.structured_sigma(EUCLID)
@@ -122,8 +208,8 @@ def test_lap_sweep_matches_reference_loop():
     for k, eps in enumerate(eps_list):
         query = ev.ResolventQuery(d=1.0, eps=eps, chi=chi)
         mult = ev.resolvent_multiplier(query, spec, g)
-        ref = es.operator_norm((sandwich(mult), sandwich(np.conj(mult))), g,
-                               iters=8, starts=2, seed=3 + k)
+        ref = _power_norm_reference((sandwich(mult), sandwich(np.conj(mult))),
+                                    g, iters=8, starts=2, seed=3 + k)
         assert res.ratios()[k] == pytest.approx(ref, rel=1e-12)
 
 
@@ -143,7 +229,8 @@ def test_verdict_rules():
 def test_operator_norm_on_known_multiplier():
     g = gr.make_grid(2, 32, 8.0)
     mvals = np.exp(-g.freq_radius() ** 2 / 4.0)
-    B = lambda f: qu.apply_multiplier(f, mvals)
+    B = lambda vs: np.array([qu.apply_multiplier(gr.Field(g, v, "x"),
+                                                 mvals).values for v in vs])
     est = es.operator_norm((B, B), g, iters=30, starts=4, seed=0)
     assert est == pytest.approx(np.max(mvals), rel=1e-3)
 

@@ -184,6 +184,87 @@ def test_cell_averaged_resolvent_matches_pointwise_off_resonance():
     assert np.max(np.abs(v1 - v8)) <= 0.1 * denom
 
 
+def _cell_averaged_reference(query, spec, grid, s):
+    # the per-rung formula that builds the geometry inside every call
+    q = query.cell_quad
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    nodes = 0.5 * grid.dxi * nodes
+    weights = 0.5 * weights
+    h = grid.dxi
+    m = spec.order
+    p = spec.pair.primal
+    xi = grid.freq_stack()
+    r = np.linalg.norm(xi, axis=-1)
+    safe = np.where((r > 0)[..., None], xi, 1.0)
+    axis = np.argmax(np.abs(p.gradient(safe)), axis=-1)
+    z0 = -query.d + 1j * s * query.eps
+    acc = np.zeros(grid.shape, dtype=complex)
+    for j in range(grid.n):
+        mask = axis == j
+        if not np.any(mask):
+            continue
+        pts = xi[mask]
+        cell = np.zeros(pts.shape[0], dtype=complex)
+        others = [k for k in range(grid.n) if k != j]
+        for offs in np.ndindex(*(q,) * (grid.n - 1)):
+            shift = np.zeros(grid.n)
+            w = 1.0
+            for k, o in zip(others, offs):
+                shift[k] = nodes[o]
+                w *= weights[o]
+            line = pts + shift
+            lr = np.linalg.norm(line, axis=-1)
+            lsafe = np.where((lr > 0)[..., None], line, 1.0)
+            pv = np.where(lr > 0, p(lsafe), 1.0)
+            b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
+            p0 = np.where(lr > 0, pv ** m, 0.0) + z0
+            bh = 0.5 * b * h
+            flat = np.abs(bh) < 1e-12 * np.abs(p0)
+            num = np.where(flat, 1.0, p0 + bh)
+            den = np.where(flat, 1.0, p0 - bh)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                seg = np.where(flat, 1.0 / p0, np.log(num / den) / (b * h))
+            cell += w * seg
+        acc[mask] = cell
+    return acc
+
+
+def _resolvent_reference(query, spec, grid):
+    s = -1.0 if query.sign == "-" else 1.0
+    if query.cell_quad > 1:
+        vals = _cell_averaged_reference(query, spec, grid, s)
+    else:
+        pm = ev.symbol_lattice(spec.pair, grid, spec.order)
+        vals = 1.0 / (pm - query.d + 1j * s * query.eps)
+    return vals * query.chi.on_freqs(grid)
+
+
+@pytest.mark.parametrize("cell_quad", [1, 8])
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_resolvent_geometry_is_bit_identical_per_rung(cell_quad, sign):
+    # one eps-independent geometry serves every rung of a ladder
+    g = gr.make_grid(2, 32, 8.0)
+    spec = ev.EvolutionSpec(ELLIPSE, order=2)
+    chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
+                     0.8 * g.nyquist)
+    geometry = ev.ResolventGeometry(spec, g, cell_quad)
+    for eps in (1.0, 2.0 ** -6, 2.0 ** -12):
+        query = ev.ResolventQuery(d=1.0, eps=eps, sign=sign, chi=chi,
+                                  cell_quad=cell_quad)
+        ref = _resolvent_reference(query, spec, g)
+        assert np.array_equal(geometry.multiplier(query), ref)
+        assert np.array_equal(ev.resolvent_multiplier(query, spec, g), ref)
+
+
+def test_times_reject_a_step_that_does_not_divide_2T():
+    # round(2T/dt) steps would silently move the window's end: T = 1,
+    # dt = 0.3 would integrate up to t = 1.1
+    with pytest.raises(ValueError, match="does not divide"):
+        ev.EvolutionSpec(EUCLID, T=1.0, dt=0.3).times()
+    times = ev.EvolutionSpec(EUCLID, T=1.0, dt=0.2).times()
+    assert len(times) == 11 and times[-1] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_epsilon_ladder_and_stabilization():
     lad = ev.epsilon_ladder(12)
     assert lad[0] == 1.0 and lad[-1] == 2.0**-12 and len(lad) == 13
