@@ -8,6 +8,7 @@ Exit codes: 0 = ran and passed, 2 = ran but the verdict check failed,
 1 = configuration or runtime error.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -162,6 +163,14 @@ _SCHEMAS = {
 }
 
 
+@functools.cache
+def _validator(kind):
+    """The kind's schema validator, built on first use.  The schemas are
+    fixed, so their metaschema check lives in the tests, not in each run."""
+    schema = _SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -184,10 +193,9 @@ def _load_config(path, overrides, kind):
         raise ConfigInvalid(
             f"config kind {cfg.get('kind')!r} does not match subcommand "
             f"{kind!r}")
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        raise ConfigInvalid(f"config does not validate: {exc.message}")
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(cfg))
+    if error is not None:
+        raise ConfigInvalid(f"config does not validate: {error.message}")
     for n in _config_grid_sizes(cfg):
         if not _is_power_of_two(n):
             raise ConfigInvalid(f"N = {n} is not a power of two")

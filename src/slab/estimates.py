@@ -123,7 +123,10 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
         ev.symbol_lattice(spec.pair, g, spec.order))
     times = spec.times()
     vh = np.fft.fftn(phis, axes=plan.axes)
+    # a mask over the whole box (the CLI's default monitor radius, the
+    # half-diagonal) holds fraction 1 exactly: None skips its sum
     masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
+    masks = [None if np.all(inside) else inside for inside in masks]
     fields = max(1, _STACK_BYTES // vh[0].nbytes)
     rows, cols = max(1, fields // S), min(S, fields)
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
@@ -135,9 +138,10 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
             wh = (e[:, None] * vh[None, blk[1]]).reshape(-1, *g.shape)
             mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
             mass = mass.real ** 2 + mass.imag ** 2
+            total = np.sum(mass, axis=plan.axes)
             for k, inside in enumerate(masks, 1):
-                out[k][blk] = (np.sum(mass * inside, axis=plan.axes) / np.sum(
-                    mass, axis=plan.axes)).reshape(len(e), -1)
+                out[k][blk] = 1.0 if inside is None else (np.sum(
+                    mass * inside, axis=plan.axes) / total).reshape(len(e), -1)
             low = np.argwhere(out[1][blk] < mass_tol)
             if len(low):
                 raise MassEscape(
@@ -238,11 +242,9 @@ def lap_sweep(sigma, spec_pair, grid, d=1.0, eps_list=None, trials=8,
     def sandwich(mult):
         return lambda v: plan.apply(mult * plan.adjoint(v))
 
-    for k, eps in enumerate(eps_list):
-        query = ev.ResolventQuery(d=d, eps=eps, sign=sign, chi=chi,
-                                  cell_quad=cell_quad)
-        mult = np.fft.ifftshift(
-            qu.multiplier_values(grid, geometry.multiplier(query)))
+    ladder = geometry.ladder(d, eps_list, sign, chi)
+    for k, (eps, rung) in enumerate(zip(eps_list, ladder)):
+        mult = np.fft.ifftshift(qu.multiplier_values(grid, rung))
         nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
                             iters=iters, starts=trials, seed=seed + k)
         if nrm == 0:
@@ -365,11 +367,6 @@ def duality_check(sigma, spec_pair, grid, T=4.0, n_times=33, trials=4,
 # ---------------------------------------------------------------------------
 # resolvent / surface identity
 
-# angles per eval_offgrid call in resolvent_im_identity: with the default
-# 129 radial nodes its temporaries stay under about 32 MB at N = 128
-_IM_ANGLES = 32
-
-
 def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     """Im((L_p - rho^2 - i eps)^{-1} f, f) by Lorentzian-adapted polar
     quadrature with trigonometric interpolation of fhat, L_p = p(D)^2.
@@ -386,9 +383,8 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     v = eps * np.tan(wgrid)
     # roundoff in tan(arctan .) can push rho^2 + v barely negative
     pts = np.sqrt(np.maximum(rho**2 + v, 0.0))[..., None] * unit[:, None]
-    vals = np.concatenate([
-        np.abs(gr.eval_offgrid(f, pts[a:a + _IM_ANGLES].reshape(-1, 2))) ** 2
-        for a in range(0, n_angles, _IM_ANGLES)]).reshape(v.shape)
+    vals = np.abs(gr.eval_offgrid(f, pts.reshape(-1, 2))) ** 2
+    vals = vals.reshape(v.shape)
     dw = wgrid[:, 1] - wgrid[:, 0]
     integrand = vals / (2.0 * p_om[:, None] ** 2)
     per_angle = (np.sum(integrand, axis=1)

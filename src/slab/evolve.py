@@ -122,6 +122,12 @@ def wave_energy(spec, state, t=0.0):
 # resolvent
 
 
+# bytes of the multipliers one ResolventGeometry.ladder pass evaluates
+# (one rung at least); with its per-line temporaries it sets the pass's
+# memory
+_LADDER_BYTES = 1 << 17
+
+
 @dataclass(frozen=True)
 class ResolventQuery:
     """(L_p - d -/+ i eps)^{-1} chi(D) with L_p = p(D)^order.
@@ -184,22 +190,36 @@ class ResolventGeometry:
     def multiplier(self, query):
         """(L_p - d -/+ i eps)^{-1} chi on the lattice for one rung, with
         the geometry's cell_quad."""
-        s = -1.0 if query.sign == "-" else 1.0
+        return next(self.ladder(query.d, [query.eps], query.sign, query.chi))
+
+    def ladder(self, d, eps_list, sign="-", chi=None):
+        """Yield the multiplier of each rung eps of eps_list, chi evaluated
+        once.  The rungs go in passes of as many as fit in _LADDER_BYTES; a
+        pass meets each cell-quadrature line once, with a (k, 1) complex
+        shift and a (k, *shape) accumulator."""
+        shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * np.array(eps_list)
+        chi_vals = None if chi is None else chi.on_freqs(self.grid)
+        step = max(1, _LADDER_BYTES // (16 * self.grid.N ** self.grid.n))
+        for i in range(0, len(shifts), step):
+            vals = self._rungs(shifts[i:i + step])
+            if chi_vals is not None:
+                vals *= chi_vals
+            yield from vals
+
+    def _rungs(self, shift):
+        """(L_p + shift_k)^{-1}, cell-averaged, for a (k,) shift array."""
         if self.cell_quad <= 1:
-            vals = 1.0 / (self.pm - query.d + 1j * s * query.eps)
-        else:
-            vals = np.zeros(self.grid.shape, dtype=complex)
-            for mask, w, pm, bh in self.lines:
-                p0 = pm + (-query.d + 1j * s * query.eps)
-                flat = np.abs(bh) < 1e-12 * np.abs(p0)
-                num, den = (np.where(flat, 1.0, p0 + c) for c in (bh, -bh))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    # 2 bh is b h exactly
-                    seg = np.where(flat, 1.0 / p0,
-                                   np.log(num / den) / (2.0 * bh))
-                vals[mask] += w * seg
-        if query.chi is not None:
-            vals = vals * query.chi.on_freqs(self.grid)
+            return 1.0 / (self.pm + shift.reshape(-1, *(1,) * self.grid.n))
+        shift = shift[:, None]
+        vals = np.zeros((len(shift), *self.grid.shape), dtype=complex)
+        for mask, w, pm, bh in self.lines:
+            p0 = pm + shift
+            flat = np.abs(bh) < 1e-12 * np.abs(p0)
+            num, den = (np.where(flat, 1.0, p0 + c) for c in (bh, -bh))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # 2 bh is b h exactly
+                seg = np.where(flat, 1.0 / p0, np.log(num / den) / (2.0 * bh))
+            vals[:, mask] += w * seg
         return vals
 
 

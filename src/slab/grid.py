@@ -150,17 +150,35 @@ def inverse_transform(f):
     return Field(g, out, space="x")
 
 
+# bytes of one _phase_sum block's partial sums; it bounds the
+# contraction's temporaries whatever the number of targets and columns
+_PHASE_BYTES = 1 << 18
+
+
 def _phase_sum(values, axis, pts, sign):
-    """sum_k e^{sign i pts_t . k} values[k] over the lattice axis^n for each
-    row t of ``pts`` (M, n), contracted one axis at a time: O(M N^n) work
-    in any dimension."""
-    N = axis.size
-    out = np.exp(sign * 1j * np.outer(pts[:, 0], axis)) @ values.reshape(N, -1)
-    for d in range(1, pts.shape[1]):
-        table = np.exp(sign * 1j * np.outer(pts[:, d], axis))
-        out = np.einsum("tk,tkr->tr", table,
-                        out.reshape(len(pts), N, out.shape[1] // N))
-    return out[:, 0]
+    """sum_k e^{sign i pts_t . k} values[s, k] over the lattice axis^n, for
+    each column s of the (S, N, ..., N) stack ``values`` and each row t of
+    ``pts`` (M, n); returns (S, M).
+
+    The targets go in blocks whose partial sums stay under _PHASE_BYTES.
+    A block builds its n per-axis tables e^{sign i pts_td k_d} once for
+    all S columns and contracts one axis at a time: O(M S N^n) work in any
+    dimension, and column s gets the same bits whatever S is.
+    """
+    S, N, n = len(values), axis.size, pts.shape[1]
+    v = values.reshape(S, N, -1)
+    step = max(1, _PHASE_BYTES // (v[0].nbytes // N * S))
+    out = np.empty((S, len(pts)), dtype=complex)
+    for b in range(0, len(pts), step):
+        p = pts[b:b + step]
+        # axis 0 by one product per column, then the last axis each time
+        part = np.exp(sign * 1j * np.outer(p[:, 0], axis)) @ v
+        for d in range(n - 1, 0, -1):
+            part = np.einsum("tk,strk->str",
+                             np.exp(sign * 1j * np.outer(p[:, d], axis)),
+                             part.reshape(S, len(p), -1, N))
+        out[:, b:b + step] = part[..., 0]
+    return out
 
 
 def spectral_packet(grid, center, spread):
@@ -183,7 +201,8 @@ def eval_offgrid(f, targets):
     """
     g = f.grid
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _phase_sum(f.values, g.axis_points(), targets, -1) * g.h**g.n
+    return (_phase_sum(f.values[None], g.axis_points(), targets, -1)[0]
+            * g.h**g.n)
 
 
 def eval_field_offgrid(f, points):
@@ -195,8 +214,8 @@ def eval_field_offgrid(f, points):
     """
     g = f.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return (_phase_sum(transform(f).values, g.axis_freqs(), points, 1)
-            * (g.dxi / (2.0 * np.pi)) ** g.n)
+    return (_phase_sum(transform(f).values[None], g.axis_freqs(), points,
+                       1)[0] * (g.dxi / (2.0 * np.pi)) ** g.n)
 
 
 def weighted_norm(f, m):

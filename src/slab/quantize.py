@@ -11,7 +11,10 @@ separable expansion a = sum_r f_r(x) m_r(xi) are applied by a
 ``SeparablePlan``, one FFT call for all R terms on a stack of spectra;
 anything else falls back to the direct O(N^{2n}) quadrature, whose one
 kernel ``_kn_sum`` also serves the Egorov check.  It takes e^{i x.xi}
-from per-axis tables of e^{i x_d xi_d}, never pair by pair.
+from per-axis tables of e^{i x_d xi_d}, broadcast over blocks of whole
+lattice rows, never pair by pair.  The canonical transform I_gamma runs
+on a list of fields as one stacked off-grid contraction (a single field
+is the one-column case): cutoff, warp and phase tables are built once.
 """
 
 import warnings
@@ -97,19 +100,21 @@ class SeparablePlan:
                                    for _, fxi in sigma.terms], axes=self.axes)
         self.x.flags.writeable = self.m.flags.writeable = False
 
-    def _pass(self, v, first, fft, then):
-        t = -self.grid.n - 1    # the term axis, just before the grid axes
-        w = first * np.expand_dims(v, t)
+    def _pass(self, w, fft, then):
+        """Sum over the term axis of then * fft(w), for w the products of a
+        factor stack with the input; w is transformed in place."""
         fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
-        return np.sum(np.multiply(w, then, out=w), axis=t)
+        return np.sum(np.multiply(w, then, out=w), axis=-self.grid.n - 1)
 
     def apply(self, vh):
         """x-samples of sigma(X, D) u from vh = fftn(u)."""
-        return self._pass(vh, self.m, np.fft.ifftn, self.x)
+        w = self.m * np.expand_dims(vh, -self.grid.n - 1)   # the term axis
+        return self._pass(w, np.fft.ifftn, self.x)
 
     def adjoint(self, v):
         """fftn(sigma(X, D)^* v) from x-samples v."""
-        return self._pass(v, np.conj(self.x), np.fft.fftn, np.conj(self.m))
+        w = np.conj(self.x) * np.expand_dims(v, -self.grid.n - 1)
+        return self._pass(w, np.fft.fftn, np.conj(self.m))  # conj(x) freed
 
 
 def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
@@ -130,8 +135,9 @@ def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
     raise ValueError(f"unknown method {method!r}")
 
 
-# x-lattice rows per direct-quadrature block: memory is O(_KN_ROWS * K)
-_KN_ROWS = 256
+# x-lattice points per direct-quadrature block (whole leading-axis rows,
+# one row at least): memory is O(_KN_ROWS * K)
+_KN_ROWS = 64
 
 
 def _kn_sum(grid, block, kept, uh):
@@ -140,25 +146,36 @@ def _kn_sum(grid, block, kept, uh):
         out[x, s] = (dxi / 2 pi)^n sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
 
     on the x-lattice, over the K lattice modes with flat indices ``kept``;
-    block(xb) is the symbol on the (rows, K) set.  As e^{i x.xi} =
-    prod_d e^{i x_d xi_d}, one N x N table e^{i x_j xi_k}, gathered at the
-    kept modes once, gives each row batch n phase factors to multiply
-    into the symbol; the batch then meets all S columns in one product.
+    block(xb) is the symbol on the (rows, K) set.  A block is whole rows
+    of the leading axis.  As e^{i x.xi} = prod_d e^{i x_d xi_d}, the n
+    per-axis tables e^{i x_d xi_{k,d}} (N x K, gathered at the kept modes
+    once) broadcast over the block's (rows, N, ..., N, K) view: the symbol,
+    checked finite, is multiplied by them into one kernel buffer that every
+    block reuses, and the block then meets all S columns in one product.
     """
+    N, n, K = grid.N, grid.n, len(kept)
     table = np.exp(1j * np.outer(grid.axis_points(), grid.axis_freqs()))
     cols = [table[:, k] for k in np.unravel_index(kept, grid.shape)]
-    rows = np.unravel_index(np.arange(grid.N ** grid.n), grid.shape)
-    x_flat = grid.coord_stack().reshape(-1, grid.n)
-    w = (grid.dxi / (2.0 * np.pi)) ** grid.n
-    out = np.empty((x_flat.shape[0], uh.shape[1]), dtype=complex)
-    for s in range(0, x_flat.shape[0], _KN_ROWS):
-        b = slice(s, s + _KN_ROWS)
-        # the symbol first: its temporaries are freed before the phase
-        kern = block(x_flat[b]) * cols[0][rows[0][b]]
-        for col, row in zip(cols[1:], rows[1:]):
-            kern *= col[row[b]]
-        if not np.all(np.isfinite(kern)):
+    inner = N ** (n - 1)            # lattice points per leading-axis row
+    lead = min(N, max(1, _KN_ROWS // inner))
+    x_flat = grid.coord_stack().reshape(-1, n)
+    w = (grid.dxi / (2.0 * np.pi)) ** n
+    buf = np.empty((lead * inner, K), dtype=complex)
+    out = np.empty((N ** n, uh.shape[1]), dtype=complex)
+    for i in range(0, N, lead):
+        rows = min(lead, N - i)
+        b = slice(i * inner, (i + rows) * inner)
+        sym = np.broadcast_to(block(x_flat[b]), (rows * inner, K))
+        if not np.all(np.isfinite(sym)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
+        kern = buf[:rows * inner]
+        view = kern.reshape(rows, *grid.shape[1:], K)
+        np.multiply(sym.reshape(view.shape),
+                    cols[0][i:i + rows].reshape(rows, *(1,) * (n - 1), K),
+                    out=view)
+        del sym     # not alive while the next block's symbol is evaluated
+        for d in range(1, n):
+            view *= cols[d].reshape(N, *(1,) * (n - 1 - d), K)
         out[b] = (kern @ uh) * w
     return out
 
@@ -241,28 +258,38 @@ def _leakage_check(fh, gamma_vals, threshold):
 
 
 def apply_canonical(plan, f):
-    """I_gamma u = F^{-1}[gamma(xi) u_hat(psi(xi))].
+    """I_gamma u = F^{-1}[gamma(xi) u_hat(psi(xi))] for a Field u, or for
+    every Field of a list on one grid (the results come back as a list).
 
     The warped spectrum is evaluated by exact trigonometric interpolation
     (direct DFT sum at off-lattice frequencies), only where gamma is
-    supported.
+    supported.  The cutoff, the warp and the phase tables are built once,
+    and all fields meet them in one stacked contraction; CutoffLeakage is
+    checked field by field.
     """
-    g = f.grid
+    fields = [f] if isinstance(f, gr.Field) else list(f)
+    g = fields[0].grid
+    if any(v.grid != g for v in fields):
+        raise ValueError("apply_canonical needs fields on one grid")
     gamma_vals = plan.cutoff.on_freqs(g)
-    fh = gr.transform(f) if f.space == "x" else f
-    _leakage_check(fh, gamma_vals, plan.leak_threshold)
+    for v in fields:
+        _leakage_check(gr.transform(v) if v.space == "x" else v, gamma_vals,
+                       plan.leak_threshold)
+    u = np.array([v.values if v.space == "x" else
+                  gr.inverse_transform(v).values for v in fields])
     xi_flat = g.freq_stack().reshape(-1, g.n)
     gam_flat = gamma_vals.ravel()
     # the zero mode is never warped: the map is undefined at xi = 0 and
     # every admissible cutoff is negligible there
     live = (gam_flat > 1e-14) & (np.linalg.norm(xi_flat, axis=-1) > 0)
-    out = np.zeros(xi_flat.shape[0], dtype=complex)
+    out = np.zeros((len(u), xi_flat.shape[0]), dtype=complex)
     if np.any(live):
-        warped = plan.warp(xi_flat[live])
-        src = gr.Field(g, f.values, "x") if f.space == "x" \
-            else gr.inverse_transform(f)
-        out[live] = gam_flat[live] * gr.eval_offgrid(src, warped)
-    return gr.inverse_transform(gr.Field(g, out.reshape(g.shape), "xi"))
+        # eval_offgrid of every field at once
+        out[:, live] = gam_flat[live] * (gr._phase_sum(
+            u, g.axis_points(), plan.warp(xi_flat[live]), -1) * g.h ** g.n)
+    out = [gr.inverse_transform(gr.Field(g, v.reshape(g.shape), "xi"))
+           for v in out]
+    return out[0] if isinstance(f, gr.Field) else out
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +619,10 @@ def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), carrier=None,
     i.e. max over the family of ||(a(X,D) I_g - I_g a~(X,D)) u_lam|| /
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
     a~(X,D) acts on the whole family in one direct quadrature; a(X,D)
-    needs separable terms and is one plan for the whole family.
+    needs separable terms and is one plan for the whole family.  All
+    2 len(lams) canonical warps, of the family and of a~(X,D) applied to
+    it, are one stacked apply_canonical call, which still checks each
+    field for CutoffLeakage.
     """
     g = f.grid
     kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
@@ -608,12 +638,13 @@ def egorov_residual(a, plan, m, f, lams=(1.0, 2.0, 4.0, 8.0), carrier=None,
     uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
                   axis=1)
     tilde = _kn_sum(g, a_tilde, kept, uh)
+    # I_gamma u_lam and I_gamma a~(X,D) u_lam for the whole family at once
+    warped = np.array([w.values for w in apply_canonical(plan, family + [
+        gr.Field(g, col.reshape(g.shape), "x") for col in tilde.T])])
     a_plan = SeparablePlan(a, g)
+    left = a_plan.apply(np.fft.fftn(warped[:len(family)], axes=a_plan.axes))
     ratios = []
-    for k, ul in enumerate(family):
-        left = a_plan.apply(np.fft.fftn(apply_canonical(plan, ul).values))
-        right = apply_canonical(
-            plan, gr.Field(g, tilde[:, k].reshape(g.shape), "x"))
-        diff = gr.Field(g, left - right.values, "x")
+    for ul, lw, rw in zip(family, left, warped[len(family):]):
+        diff = gr.Field(g, lw - rw, "x")
         ratios.append(diff.norm() / gr.weighted_norm(ul, m - 1.0))
     return ratios

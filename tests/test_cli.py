@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
 import slab
-from slab.cli import main
+from slab.cli import _SCHEMAS, main
 
 
 @pytest.fixture
@@ -229,3 +230,28 @@ def test_rejects_sweeps_shorter_than_two(runner, tmp_path, kind, cfg):
     assert res.exit_code == 1
     assert "config does not validate" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+def test_schema_is_valid_against_its_metaschema(kind):
+    # runs validate configs with a cached validator and skip this check
+    schema = _SCHEMAS[kind]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "lams": []}),
+    ("egorov", {"p": "euclidean", "N": "8", "L": -1.0, "bogus": 1}),
+    ("smoothing", {"p": "euclidean", "sigma": 3, "ladder": [[8, 4.0]]}),
+    ("lap", {"sigma": "structured", "N": 2}),
+])
+def test_validation_message_matches_jsonschema_validate(runner, tmp_path,
+                                                         kind, cfg):
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(cfg, _SCHEMAS[kind])
+    path = write_config(tmp_path / "cfg.json", cfg)
+    res = runner.invoke(main, [kind, "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.output == ("config error: config does not validate: "
+                          f"{exc.value.message}\n")

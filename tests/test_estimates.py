@@ -87,6 +87,18 @@ def test_smoothing_ratio_mass_escape():
                            monitor_radius=2.0)
 
 
+def test_full_box_monitor_still_gates_mass_escape():
+    # a monitor over the whole box holds fraction 1 exactly; a mass_tol
+    # above 1 still trips the gate, with the same message
+    g = gr.make_grid(2, 16, 4.0)
+    phi = es.make_packet(g, np.random.default_rng(0))
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    with pytest.raises(MassEscape, match=r"^containment 1\.00000 < 1\.5 at "
+                                         r"t = -1\.000$"):
+        es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.5,
+                           monitor_radius=np.sqrt(2.0) * g.L, mass_tol=1.5)
+
+
 @pytest.mark.parametrize("sigma,order", [
     (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(2), 2)])
 def test_smoothing_ratio_matches_reference_loop(sigma, order):

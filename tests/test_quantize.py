@@ -266,6 +266,54 @@ def test_canonical_leakage_warning():
         qu.apply_canonical(plan, f)
 
 
+def test_stacked_canonical_equals_per_field():
+    # one stacked call per list of fields: the same bits, and the same
+    # CutoffLeakage warnings, as one call per field
+    g = gr.make_grid(2, 32, 16.0)
+    plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(0.4, 1.0, 9.0, 11.0))
+    fields = [packet(g, (1.0, 0.0), 1.5, carrier=(4.0, 0.0)),
+              packet(g, (0.0, 0.0), 0.5, carrier=(0.5, 0.5)),
+              random_field(g, 2),
+              gr.transform(packet(g, (0.0, -2.0), 1.0, carrier=(0.0, 3.0)))]
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        ref = [qu.apply_canonical(plan, f) for f in fields]
+    with warnings.catch_warnings(record=True) as stacked:
+        warnings.simplefilter("always")
+        out = qu.apply_canonical(plan, fields)
+    assert len(single) > 0
+    assert [str(w.message) for w in stacked] == [str(w.message)
+                                                 for w in single]
+    assert all(w.category is CutoffLeakage for w in stacked)
+    assert [o.space for o in out] == ["x"] * len(fields)
+    for o, r in zip(out, ref):
+        assert np.array_equal(o.values, r.values)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 20])
+@pytest.mark.parametrize("n", [1, 2])
+def test_kn_sum_matches_literal_double_sum(monkeypatch, n, rows):
+    monkeypatch.setattr(qu, "_KN_ROWS", rows)
+    g = gr.make_grid(n, 8, 3.0)
+    rng = np.random.default_rng(n)
+    kept = np.sort(rng.choice(g.N ** n, size=g.N ** n // 2 + 1,
+                              replace=False))
+    xi = g.freq_stack().reshape(-1, n)[kept]
+    uh = rng.normal(size=(len(kept), 3)) + 1j * rng.normal(size=(len(kept), 3))
+
+    def sym(x, k):
+        return (np.cos(x @ np.arange(1.0, n + 1)) + 1j * np.sum(k, -1)) \
+            / (1.0 + np.sum(k * k, -1))
+
+    out = qu._kn_sum(g, lambda xb: sym(xb[:, None], xi[None]), kept, uh)
+    ref = np.zeros((g.N ** n, 3), dtype=complex)
+    for j, x in enumerate(g.coord_stack().reshape(-1, n)):
+        for k, kx in enumerate(xi):
+            ref[j] += np.exp(1j * x @ kx) * sym(x, kx) * uh[k]
+    ref *= (g.dxi / (2.0 * np.pi)) ** n
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_change_of_vars_identity_and_rotation():
     g = gr.make_grid(2, 64, 8.0)
     f = packet(g, (2.0, 0.0), 0.7)
@@ -411,6 +459,22 @@ def test_egorov_residual_matches_criterion_06_ratios():
         warnings.simplefilter("ignore", CutoffLeakage)
         ratios = _egorov_dual_case(64) + _egorov_dual_case(64, m=0.0)
     assert np.allclose(ratios, ref, rtol=1e-12, atol=0.0)
+
+
+def test_egorov_residual_matches_per_warp_ratios_to_roundoff():
+    # ratios of the path with one apply_canonical call per warp, at full
+    # precision; the stacked warps must stay within roundoff of them
+    ref32 = [0.5379865076266311, 0.5133250264144142, 0.5088435523957388,
+             0.5545560167326039, 0.9418746771255077, 1.4252261875850984,
+             2.82532912406258, 6.197232950502866]
+    ref64 = [0.031142427855684243, 0.02822747956039019,
+             0.025193912016507315, 0.02306847399639605]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffLeakage)
+        r32 = _egorov_dual_case(32) + _egorov_dual_case(32, m=0.0)
+        r64 = _egorov_dual_case(64)
+    assert np.allclose(r32, ref32, rtol=1e-14, atol=0.0)
+    assert np.allclose(r64, ref64, rtol=1e-14, atol=0.0)
 
 
 def test_egorov_residual_rejects_non_finite_warped_symbol():
