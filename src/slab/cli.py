@@ -4,6 +4,11 @@ Each subcommand reads a JSON config, runs one sweep kind from the
 library, and writes CSV results plus a JSON run manifest and a
 human-readable verdict file into the output directory.
 
+``KINDS`` is the experiment registry: one ``Kind`` per subcommand holds
+its required keys, its property schemas and its runner.  An optional
+key's default is the JSON-Schema ``default`` of its own property; it is
+filled in after validation, so a runner reads every key as ``cfg[key]``.
+
 Exit codes: 0 = ran and passed, 2 = ran but the verdict check failed,
 1 = configuration or runtime error.
 """
@@ -14,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import click
 import jsonschema
@@ -29,9 +35,9 @@ from .errors import ConfigInvalid, SlabError
 
 _COMMON = {
     "kind": {"type": "string"},
-    "seed": {"type": "integer", "minimum": 0},
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
     "p": {"type": "string"},
-    "out": {"type": "string"},
+    "out": {"type": "string", "default": "."},
 }
 
 _GRID = {
@@ -39,136 +45,56 @@ _GRID = {
     "L": {"type": "number", "exclusiveMinimum": 0},
 }
 
-_SCHEMAS = {
-    "geometry-audit": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p"],
-        "properties": dict(_COMMON, **{
-            "samples": {"type": "integer", "minimum": 1},
-            "construction": {"enum": ["auto", "closed-form", "optimizer"]},
-            "tol_euler": {"type": "number"},
-            "tol_dual": {"type": "number"},
-            "tol_grad": {"type": "number"},
-            "tol_roundtrip": {"type": "number"},
-        }),
-    },
-    "egorov": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "N", "L"],
-        "properties": dict(_COMMON, **_GRID, **{
-            "amp_growth": {"type": "number"},
-            "declared_order": {"type": "number"},
-            "lams": {"type": "array", "items": {"type": "number"},
-                     "minItems": 2},
-            "carrier": {"type": "array", "items": {"type": "number"}},
-            "center": {"type": "array", "items": {"type": "number"}},
-            "band": {"type": "array", "items": {"type": "number"},
-                     "minItems": 4, "maxItems": 4},
-            "packet_spread": {"type": "number"},
-            "slack": {"type": "number"},
-        }),
-    },
-    "commutator": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "N", "L"],
-        "properties": dict(_COMMON, **_GRID, **{
-            "pair_indices": {"type": "array", "items": {"type": "integer"},
-                             "minItems": 2, "maxItems": 2},
-            "profile_scale": {"type": "number", "exclusiveMinimum": 0},
-            "packet_center": {"type": "array", "items": {"type": "number"}},
-            "packet_spread": {"type": "number"},
-            "tol": {"type": "number"},
-            "control": {"type": "boolean"},
-            "control_floor": {"type": "number"},
-        }),
-    },
-    "smoothing": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "sigma", "ladder"],
-        "properties": dict(_COMMON, **{
-            "sigma": {"type": "string"},
-            "ladder": {"type": "array", "minItems": 2, "items": {
-                "type": "array", "minItems": 3, "maxItems": 3,
-                "items": {"type": "number"}}},
-            "trials": {"type": "integer", "minimum": 1},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-            "order": {"type": "integer", "minimum": 1},
-            "freq_mag": {"type": "number"},
-            "spread": {"type": "number"},
-            "monitor_scale": {"type": "number"},
-            "mass_tol": {"type": "number"},
-            "expect": {"enum": ["bounded", "growing"]},
-        }),
-    },
-    "lap": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "sigma", "N", "L"],
-        "properties": dict(_COMMON, **_GRID, **{
-            "sigma": {"type": "string"},
-            "d": {"type": "number", "exclusiveMinimum": 0},
-            "eps_ladder_k": {"type": "integer", "minimum": 0},
-            "trials": {"type": "integer", "minimum": 1},
-            "iters": {"type": "integer", "minimum": 1},
-            "order": {"type": "integer", "minimum": 1},
-            "cell_quad": {"type": "integer", "minimum": 1},
-            "check_structure": {"type": "boolean"},
-            "expect": {"enum": ["bounded", "growing"]},
-        }),
-    },
-    "restriction": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "sigma", "N", "L"],
-        "properties": dict(_COMMON, **_GRID, **{
-            "sigma": {"type": "string"},
-            "rhos": {"type": "array", "items": {"type": "number"},
-                     "minItems": 2},
-            "trials": {"type": "integer", "minimum": 1},
-            "window": {"type": "array", "items": {"type": "number"},
-                       "minItems": 2, "maxItems": 2},
-        }),
-    },
-    "duality": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["p", "sigma", "N", "L"],
-        "properties": dict(_COMMON, **_GRID, **{
-            "sigma": {"type": "string"},
-            "T": {"type": "number", "exclusiveMinimum": 0},
-            "n_times": {"type": "integer", "minimum": 3},
-            "trials": {"type": "integer", "minimum": 1},
-            "order": {"type": "integer", "minimum": 1},
-            "tol": {"type": "number"},
-        }),
-    },
-    "hl-oracle": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["gamma", "delta", "m_exp"],
-        "properties": dict(_COMMON, **{
-            "gamma": {"type": "number"},
-            "delta": {"type": "number"},
-            "m_exp": {"type": "number"},
-            "n": {"type": "integer", "minimum": 1},
-            "N": {"type": "integer", "minimum": 4},
-            "L": {"type": "number", "exclusiveMinimum": 0},
-            "bound": {"type": "number"},
-        }),
-    },
-}
+
+def _num(default, **rules):
+    return {"type": "number", "default": default, **rules}
 
 
-@functools.cache
-def _validator(kind):
-    """The kind's schema validator, built on first use.  The schemas are
-    fixed, so their metaschema check lives in the tests, not in each run."""
-    schema = _SCHEMAS[kind]
-    return jsonschema.validators.validator_for(schema)(schema)
+def _int(default, minimum=1):
+    return {"type": "integer", "minimum": minimum, "default": default}
+
+
+def _vec(default, **rules):
+    return {"type": "array", "items": {"type": "number"}, "default": default,
+            **rules}
+
+
+# a verdict the run must reach; null checks nothing
+_EXPECT = {"enum": ["bounded", "growing", None], "default": None}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment: required keys, property schemas (an optional key
+    carries its ``default``) and the runner cfg -> (results, verdict
+    lines, passed)."""
+
+    required: tuple
+    properties: dict
+    run: object
+
+    @functools.cached_property
+    def schema(self):
+        return {"type": "object", "additionalProperties": False,
+                "required": list(self.required),
+                "properties": dict(_COMMON, **self.properties)}
+
+    @functools.cached_property
+    def validator(self):
+        """Built on first use.  The schemas are fixed, so their metaschema
+        check lives in the tests, not in each run."""
+        return jsonschema.validators.validator_for(self.schema)(self.schema)
+
+
+KINDS = {}
+
+
+def _kind(name, *required, **properties):
+    """Register the decorated runner as experiment ``name``."""
+    def register(run):
+        KINDS[name] = Kind(required, properties, run)
+        return run
+    return register
 
 
 def _is_power_of_two(n):
@@ -181,6 +107,8 @@ def _load_config(path, overrides, kind):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("config is not a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigInvalid(f"override {item!r} is not KEY=VALUE")
@@ -189,11 +117,12 @@ def _load_config(path, overrides, kind):
             cfg[key] = json.loads(raw)
         except json.JSONDecodeError:
             cfg[key] = raw
-    if cfg.get("kind", kind) != kind:
+    if cfg.setdefault("kind", kind) != kind:
         raise ConfigInvalid(
-            f"config kind {cfg.get('kind')!r} does not match subcommand "
+            f"config kind {cfg['kind']!r} does not match subcommand "
             f"{kind!r}")
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(cfg))
+    entry = KINDS[kind]
+    error = jsonschema.exceptions.best_match(entry.validator.iter_errors(cfg))
     if error is not None:
         raise ConfigInvalid(f"config does not validate: {error.message}")
     for n in _config_grid_sizes(cfg):
@@ -204,14 +133,16 @@ def _load_config(path, overrides, kind):
         if not raw.isdecimal():
             raise ConfigInvalid("SLAB_SEED must be a non-negative integer")
         cfg["seed"] = int(raw)
-    cfg.setdefault("seed", 0)
+    for key, prop in entry.schema["properties"].items():
+        if "default" in prop:
+            cfg.setdefault(key, prop["default"])
     return cfg
 
 
 def _config_grid_sizes(cfg):
     if "N" in cfg:
         yield int(cfg["N"])
-    for rung in cfg.get("ladder", []):
+    for rung in cfg["ladder"] if "ladder" in cfg else ():
         yield int(rung[0])
 
 
@@ -223,14 +154,15 @@ def _write_artifacts(out_dir, cfg, results, verdict_lines, passed, t0):
         with open(path, "w") as fh:
             fh.write(result.to_csv())
         csv_files.append(os.path.basename(path))
+    # the effective config: a default hashes the same stated or omitted
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
     manifest = {
         "config_sha256": digest,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
-        "kind": cfg.get("kind"),
-        "seed": cfg.get("seed"),
+        "kind": cfg["kind"],
+        "seed": cfg["seed"],
         "csv": csv_files,
         "passed": bool(passed),
     }
@@ -256,6 +188,19 @@ def _pair_from_config(cfg, construction="auto"):
     return _resolve("p", sy.make_pair, cfg["p"], construction=construction)
 
 
+def _sigma_from_config(cfg, pair):
+    return _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
+
+
+def _grid_from_config(cfg, pair):
+    return gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
+
+
+def _args(cfg, *keys):
+    """The config keys that a library call takes under the same name."""
+    return {key: cfg[key] for key in keys}
+
+
 def _scalar_result(kind, label, p_label, entries, seed):
     """Pack scalar check values into the common sweep-row shape."""
     res = es.SweepResult(label, p_label, metadata={"kind": kind})
@@ -264,22 +209,33 @@ def _scalar_result(kind, label, p_label, entries, seed):
     return res
 
 
+def _verdict_lines(head, verdict, expect):
+    """The verdict line, and whether the verdict meets ``expect``."""
+    passed = expect is None or verdict == expect
+    if expect is not None:
+        head += f" (expected {expect}) {'pass' if passed else 'FAIL'}"
+    return [head], passed
+
+
 # ---------------------------------------------------------------------------
-# experiment bodies (return (results, verdict_lines, passed))
+# the experiments: each runner returns (results, verdict_lines, passed)
 
 
+@_kind("geometry-audit", "p",
+       samples=_int(1000),
+       construction={"enum": ["auto", "closed-form", "optimizer"],
+                     "default": "auto"},
+       tol_euler=_num(1e-8),
+       tol_dual={"type": "number"},    # 1e-6 closed-form, else 1e-5
+       tol_grad=_num(1e-5),
+       tol_roundtrip=_num(1e-8))
 def _run_geometry_audit(cfg):
     seed = cfg["seed"]
-    n_samples = cfg.get("samples", 1000)
-    construction = cfg.get("construction", "auto")
-    pair = _pair_from_config(cfg, construction)
+    pair = _pair_from_config(cfg, cfg["construction"])
     closed = pair.construction == "closed-form"
-    tol_euler = cfg.get("tol_euler", 1e-8)
     tol_dual = cfg.get("tol_dual", 1e-6 if closed else 1e-5)
-    tol_grad = cfg.get("tol_grad", 1e-5)
-    tol_rt = cfg.get("tol_roundtrip", 1e-8)
     rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(n_samples, pair.primal.dim))
+    xi = rng.normal(size=(cfg["samples"], pair.primal.dim))
     xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
     scale = np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))
     xi = xi * scale[:, None]
@@ -294,10 +250,10 @@ def _run_geometry_audit(cfg):
                                axis=-1)
                 / np.linalg.norm(xi, axis=-1))
     checks = [
-        ("euler", euler, tol_euler),
+        ("euler", euler, cfg["tol_euler"]),
         ("dual-unit", dual_unit, tol_dual),
-        ("grad-dual", grad_dual, tol_grad),
-        ("psi-roundtrip", rt, tol_rt),
+        ("grad-dual", grad_dual, cfg["tol_grad"]),
+        ("psi-roundtrip", rt, cfg["tol_roundtrip"]),
     ]
     entries = [(0, 0.0, 0.0, None, val, val <= tol)
                for (_, val, tol) in checks]
@@ -311,32 +267,39 @@ def _run_geometry_audit(cfg):
     return [("geometry", result)], lines, passed
 
 
+@_kind("egorov", "p", "N", "L", **_GRID,
+       amp_growth=_num(1.0),
+       declared_order={"type": "number"},    # amp_growth
+       lams=_vec([1.0, 2.0, 4.0, 8.0], minItems=2),
+       carrier=_vec([4.0, 0.0]),
+       center=_vec([1.4, 0.0]),
+       band=_vec([0.4, 1.0, 9.0, 11.0], minItems=4, maxItems=4),
+       packet_spread=_num(0.8),
+       slack=_num(3.0))
 def _run_egorov(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
-    growth = cfg.get("amp_growth", 1.0)
+    g = _grid_from_config(cfg, pair)
+    growth = cfg["amp_growth"]
     declared = cfg.get("declared_order", growth)
-    lams = tuple(cfg.get("lams", (1.0, 2.0, 4.0, 8.0)))
-    carrier = tuple(cfg.get("carrier", (4.0, 0.0)))
-    center = tuple(cfg.get("center", (1.4, 0.0)))
-    band = cfg.get("band", (0.4, 1.0, 9.0, 11.0))
-    spread = cfg.get("packet_spread", 0.8)
-    slack = cfg.get("slack", 3.0)
+    slack = cfg["slack"]
 
     def gfac(xi):
-        return 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
+        return 1.0 / np.sqrt(1.0 + np.einsum("...i,...i->...", xi, xi))
 
     def xfac(x):
-        return (1.0 + np.sum(x * x, axis=-1)) ** (growth / 2.0)
+        return (1.0 + np.einsum("...i,...i->...", x, x)) ** (growth / 2.0)
 
     a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0),
                             value=lambda x, xi: xfac(x) * gfac(xi),
                             terms=[(xfac, gfac)])
-    plan = qu.CanonicalTransformPlan(pair, gr.annular(*band))
-    env = gr.spectral_packet(g, np.zeros(pair.primal.dim), spread)
-    ratios = qu.egorov_residual(a, plan, declared, env, lams=lams,
-                                carrier=carrier, center=center, spread=False)
+    plan = qu.CanonicalTransformPlan(pair, gr.annular(*cfg["band"]))
+    env = gr.spectral_packet(g, np.zeros(pair.primal.dim),
+                             cfg["packet_spread"])
+    ratios = qu.egorov_residual(a, plan, declared, env,
+                                lams=tuple(cfg["lams"]),
+                                carrier=tuple(cfg["carrier"]),
+                                center=tuple(cfg["center"]), spread=False)
     spreadr = max(ratios) / min(ratios)
     entries = [(cfg["N"], float(cfg["L"]), 0.0, None, r, spreadr <= slack)
                for r in ratios]
@@ -348,24 +311,29 @@ def _run_egorov(cfg):
     return [("egorov", result)], lines, passed
 
 
+@_kind("commutator", "p", "N", "L", **_GRID,
+       pair_indices={"type": "array", "items": {"type": "integer"},
+                     "minItems": 2, "maxItems": 2, "default": [0, 1]},
+       profile_scale=_num(4.0, exclusiveMinimum=0),
+       packet_center=_vec([3.0, 0.0]),
+       packet_spread=_num(1.8),
+       tol=_num(1e-7),
+       control={"type": "boolean", "default": False},
+       control_floor=_num(1e-2))
 def _run_commutator(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    n = pair.primal.dim
-    g = gr.make_grid(n, cfg["N"], float(cfg["L"]))
-    i, j = cfg.get("pair_indices", (0, 1))
-    scale = cfg.get("profile_scale", 4.0)
-    center = cfg.get("packet_center", (3.0, 0.0))
-    spread = cfg.get("packet_spread", 1.8)
-    tol = cfg.get("tol", 1e-7)
-    control = cfg.get("control", False)
-    floor = cfg.get("control_floor", 1e-2)
-    f = gr.spectral_packet(g, center, spread)
+    g = _grid_from_config(cfg, pair)
+    i, j = cfg["pair_indices"]
+    _resolve("pair_indices", lambda ij: sy.omega_phase_symbol(pair, *ij),
+             cfg["pair_indices"])
+    scale, tol, floor = cfg["profile_scale"], cfg["tol"], cfg["control_floor"]
+    f = gr.spectral_packet(g, cfg["packet_center"], cfg["packet_spread"])
 
     def h(t):
         return np.exp(-(t / scale) ** 2)
 
-    if control:
+    if cfg["control"]:
         # multiplier depending on xi_1 only; not a function of p, so the
         # exact-commutation mechanism must fail
         mult = h(g.freq_stack()[..., 0])
@@ -384,61 +352,77 @@ def _run_commutator(cfg):
     return [("commutator", result)], [line], passed
 
 
+@_kind("smoothing", "p", "sigma", "ladder",
+       sigma={"type": "string"},
+       # rungs (N, L, T)
+       ladder={"type": "array", "minItems": 2, "items": {
+           "type": "array", "minItems": 3, "maxItems": 3,
+           "items": {"type": "number", "exclusiveMinimum": 0}}},
+       trials=_int(8),
+       dt=_num(0.25, exclusiveMinimum=0),
+       order=_int(1),
+       freq_mag=_num(0.9),
+       spread=_num(0.15),
+       # the half-diagonal of the box
+       monitor_scale=_num(float(np.sqrt(2.0))),
+       mass_tol=_num(0.999),
+       expect=_EXPECT)
 def _run_smoothing(cfg):
-    seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
+    sigma = _sigma_from_config(cfg, pair)
     ladder = [(int(N), float(L), float(T)) for (N, L, T) in cfg["ladder"]]
-    dt = cfg.get("dt", 0.25)
     for (_, _, T) in ladder:
-        _resolve("T", lambda T: ev.EvolutionSpec(pair, T=T, dt=dt).times(), T)
+        _resolve("T", lambda T: ev.EvolutionSpec(
+            pair, T=T, dt=cfg["dt"]).times(), T)
     result = es.smoothing_sweep(
-        sigma, pair, ladder,
-        trials=cfg.get("trials", 8), seed=seed, dt=dt,
-        order=cfg.get("order", 1),
-        freq_mag=cfg.get("freq_mag", 0.9), spread=cfg.get("spread", 0.15),
-        monitor_scale=cfg.get("monitor_scale", np.sqrt(2.0)),
-        mass_tol=cfg.get("mass_tol", 0.999), sigma_label=cfg["sigma"])
+        sigma, pair, ladder, sigma_label=cfg["sigma"],
+        **_args(cfg, "trials", "seed", "dt", "order", "freq_mag", "spread",
+                "monitor_scale", "mass_tol"))
     verdict = result.metadata["verdict"]
-    expect = cfg.get("expect")
-    passed = expect is None or verdict == expect
-    lines = [f"smoothing verdict: {verdict}"
-             + (f" (expected {expect}) {'pass' if passed else 'FAIL'}"
-                if expect else "")]
+    lines, passed = _verdict_lines(f"smoothing verdict: {verdict}", verdict,
+                                   cfg["expect"])
     return [("smoothing", result)], lines, passed
 
 
+@_kind("lap", "p", "sigma", "N", "L", **_GRID,
+       sigma={"type": "string"},
+       d=_num(1.0, exclusiveMinimum=0),
+       eps_ladder_k=_int(12),
+       trials=_int(3),
+       iters=_int(20),
+       order=_int(2),
+       cell_quad=_int(8),
+       check_structure={"type": "boolean", "default": True},
+       expect=_EXPECT)
 def _run_lap(cfg):
-    seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
-    g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
-    ladder = ev.epsilon_ladder(cfg.get("eps_ladder_k", 12))
+    sigma = _sigma_from_config(cfg, pair)
     result = es.lap_sweep(
-        sigma, pair, g, d=cfg.get("d", 1.0), eps_list=ladder,
-        trials=cfg.get("trials", 3), seed=seed,
-        order=cfg.get("order", 2), iters=cfg.get("iters", 20),
-        check_structure=cfg.get("check_structure", True),
-        cell_quad=cfg.get("cell_quad", 8), sigma_label=cfg["sigma"])
+        sigma, pair, _grid_from_config(cfg, pair),
+        eps_list=ev.epsilon_ladder(cfg["eps_ladder_k"]),
+        sigma_label=cfg["sigma"],
+        **_args(cfg, "d", "trials", "seed", "order", "iters",
+                "check_structure", "cell_quad"))
     verdict = result.metadata["verdict"]
-    expect = cfg.get("expect")
-    passed = expect is None or verdict == expect
-    lines = [f"lap max/min = {result.metadata['max_over_min']:.3f}, "
-             f"verdict: {verdict}"
-             + (f" (expected {expect}) {'pass' if passed else 'FAIL'}"
-                if expect else "")]
+    lines, passed = _verdict_lines(
+        f"lap max/min = {result.metadata['max_over_min']:.3f}, "
+        f"verdict: {verdict}", verdict, cfg["expect"])
     return [("lap", result)], lines, passed
 
 
+@_kind("restriction", "p", "sigma", "N", "L", **_GRID,
+       sigma={"type": "string"},
+       rhos=_vec([1.0, 2.0, 4.0], minItems=2),
+       trials=_int(4),
+       window=_vec([1.19, 1.61], minItems=2, maxItems=2))
 def _run_restriction(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
-    g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
-    rhos = tuple(cfg.get("rhos", (1.0, 2.0, 4.0)))
-    lo, hi = cfg.get("window", (1.19, 1.61))
-    norms = es.restriction_scaling(sigma, pair, g, rhos=rhos,
-                                   trials=cfg.get("trials", 4), seed=seed)
+    sigma = _sigma_from_config(cfg, pair)
+    rhos = tuple(cfg["rhos"])
+    lo, hi = cfg["window"]
+    norms = es.restriction_scaling(sigma, pair, _grid_from_config(cfg, pair),
+                                   rhos=rhos, **_args(cfg, "trials", "seed"))
     doublings = [norms[k + 1] / norms[k] for k in range(len(norms) - 1)]
     passed = all(lo <= r <= hi for r in doublings)
     entries = [(cfg["N"], float(cfg["L"]), 0.0, float(rho), norm,
@@ -451,19 +435,23 @@ def _run_restriction(cfg):
     return [("restriction", result)], lines, passed
 
 
+@_kind("duality", "p", "sigma", "N", "L", **_GRID,
+       sigma={"type": "string"},
+       T=_num(4.0, exclusiveMinimum=0),
+       n_times=_int(33, minimum=3),
+       trials=_int(4),
+       order=_int(2),
+       tol=_num(1e-8))
 def _run_duality(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    sigma = _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
-    g = gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
-    tol = cfg.get("tol", 1e-8)
-    defect = es.duality_check(sigma, pair, g, T=cfg.get("T", 4.0),
-                              n_times=cfg.get("n_times", 33),
-                              trials=cfg.get("trials", 4), seed=seed,
-                              order=cfg.get("order", 2))
+    sigma = _sigma_from_config(cfg, pair)
+    tol = cfg["tol"]
+    defect = es.duality_check(sigma, pair, _grid_from_config(cfg, pair),
+                              **_args(cfg, "T", "n_times", "trials", "seed",
+                                      "order"))
     passed = defect <= tol
-    entries = [(cfg["N"], float(cfg["L"]), cfg.get("T", 4.0), None,
-                defect, passed)]
+    entries = [(cfg["N"], float(cfg["L"]), cfg["T"], None, defect, passed)]
     result = _scalar_result("duality", "adjoint-defect",
                             pair.primal.label, entries, seed)
     lines = [f"duality defect {defect:.3e} (tol {tol:.1e}) "
@@ -471,30 +459,27 @@ def _run_duality(cfg):
     return [("duality", result)], lines, passed
 
 
+@_kind("hl-oracle", "gamma", "delta", "m_exp",
+       gamma={"type": "number"},
+       delta={"type": "number"},
+       m_exp={"type": "number"},
+       n=_int(1),
+       N=_int(512, minimum=4),
+       L=_num(8.0, exclusiveMinimum=0),
+       bound=_num(10.0))
 def _run_hl_oracle(cfg):
-    seed = cfg["seed"]
-    n = cfg.get("n", 1)
-    N = cfg.get("N", 512)
-    L = cfg.get("L", 8.0)
+    N, L, bound = cfg["N"], cfg["L"], cfg["bound"]
     box = lambda y: np.where(np.abs(y) < 2.0, 1.0, 0.0)
     ratio = es.hardy_littlewood_oracle(cfg["gamma"], cfg["delta"],
-                                       cfg["m_exp"], box, n=n, N=N, L=L)
-    bound = cfg.get("bound", 10.0)
+                                       cfg["m_exp"], box,
+                                       **_args(cfg, "n", "N", "L"))
     passed = ratio <= bound
     entries = [(N, L, 0.0, None, ratio, passed)]
     result = _scalar_result("hl-oracle", "hardy-littlewood", "none",
-                            entries, seed)
+                            entries, cfg["seed"])
     lines = [f"hl-oracle ratio {ratio:.4f} (bound {bound}) "
              f"{'pass' if passed else 'FAIL'}"]
     return [("hl_oracle", result)], lines, passed
-
-
-_RUNNERS = {
-    "geometry-audit": _run_geometry_audit, "egorov": _run_egorov,
-    "commutator": _run_commutator, "smoothing": _run_smoothing,
-    "lap": _run_lap, "restriction": _run_restriction,
-    "duality": _run_duality, "hl-oracle": _run_hl_oracle,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +490,8 @@ def _execute(kind, config, override, out):
     t0 = time.time()
     try:
         cfg = _load_config(config, override, kind)
-        cfg["kind"] = kind
-        out_dir = out or cfg.get("out", ".")
-        results, lines, passed = _RUNNERS[kind](cfg)
-        _write_artifacts(out_dir, cfg, results, lines, passed, t0)
+        results, lines, passed = KINDS[kind].run(cfg)
+        _write_artifacts(out or cfg["out"], cfg, results, lines, passed, t0)
     except ConfigInvalid as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
@@ -535,8 +518,8 @@ def main():
     """Numerical experiments for dispersive smoothing estimates."""
 
 
-for _kind in _SCHEMAS:
-    main.add_command(_subcommand(_kind))
+for _name in KINDS:
+    main.add_command(_subcommand(_name))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ identity and the weighted-convolution oracle.
 All randomness flows through seeded generators recorded in the results;
 sweeps are reproducible bit for bit at any BLAS thread count (norms are
 plain reductions).  Smoothing and LAP loops run as stacks of spectra.
+The sweeps take their experiment parameters by keyword, without
+defaults: the one copy of the defaults is the CLI registry
+(``slab.cli.KINDS``).
 """
 
 import io
@@ -160,9 +163,9 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
         for s, f in enumerate(out[0].T)]
 
 
-def smoothing_sweep(sigma, spec_pair, ladder, trials=8, seed=0, dt=0.25,
-                    order=1, sign="-", freq_mag=0.9, spread=0.4,
-                    monitor_scale=1.0, mass_tol=0.999, sigma_label=None):
+def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
+                    freq_mag, spread, monitor_scale, mass_tol, sign="-",
+                    sigma_label=None):
     """Max smoothing quotient per refinement rung over random packets.
 
     ladder: iterable of (N, L, T) with fixed lattice spacing h = 2L/N and
@@ -219,16 +222,14 @@ def operator_norm(ops, grid, iters=20, starts=8, seed=0):
     return float(est.max())
 
 
-def lap_sweep(sigma, spec_pair, grid, d=1.0, eps_list=None, trials=8,
-              seed=0, order=2, sign="-", chi=None, check_structure=True,
-              iters=20, sigma_label=None, cell_quad=1):
+def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
+              check_structure, iters, cell_quad, sign="-", chi=None,
+              sigma_label=None):
     """Operator-norm ladder of sigma(X,D) (L_p - d -/+ i eps)^{-1} chi(D)
     sigma(X,D)^* over the dyadic regularization ladder.
     """
     if check_structure:
         qu.structure_spot_check(spec_pair, sigma)
-    if eps_list is None:
-        eps_list = ev.epsilon_ladder(12)
     if chi is None:
         chi = gr.annular(2.0 * grid.dxi, 4.0 * grid.dxi,
                          0.6 * grid.nyquist, 0.8 * grid.nyquist)
@@ -299,9 +300,8 @@ def restriction_norm(sigma, pair, f, rho, n_angles=512):
         / f.norm()
 
 
-def restriction_scaling(sigma, pair, grid, rhos=(1.0, 2.0, 4.0),
-                        trials=4, seed=0, base_band=(0.8, 1.3),
-                        n_angles=512):
+def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed,
+                        base_band=(0.8, 1.3), n_angles=512):
     """Max restriction ratio per dyadic rho over a dilated trial family.
 
     Each trial draws a random packet with spectrum in base_band and pairs
@@ -325,8 +325,8 @@ def restriction_scaling(sigma, pair, grid, rhos=(1.0, 2.0, 4.0),
 # duality
 
 
-def duality_check(sigma, spec_pair, grid, T=4.0, n_times=33, trials=4,
-                  seed=0, order=2):
+def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
+                  order):
     """Max adjoint defect of the space-time pairing
 
         <sigma(X,D) e^{-i t L} phi, v>_{t,x}
@@ -409,7 +409,7 @@ def surface_identity_gap(pair, f, rho, eps, n_angles=256):
 # weighted convolution oracle
 
 
-def hardy_littlewood_oracle(gamma, delta, m_exp, f, n=1, N=512, L=8.0):
+def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, n, N, L):
     """LHS/RHS quotient of the weighted convolution inequality
 
         || int f(y) / (|x|^gamma |x-y|^m |y|^delta) dy ||_{L^2}
@@ -419,12 +419,12 @@ def hardy_littlewood_oracle(gamma, delta, m_exp, f, n=1, N=512, L=8.0):
     Direct double-sum quadrature on staggered 1-d grids (n = 1 only);
     the stagger keeps x != y and both off the origin.
     """
+    if n != 1:
+        raise InvalidSize(f"the oracle needs n = 1, got {n}")
     if not (gamma < n / 2 and delta < n / 2 and m_exp < n):
         raise ExponentViolation("need gamma, delta < n/2 and m < n")
     if abs(gamma + delta + m_exp - n) > 1e-12:
         raise ExponentViolation("exponents must sum to the dimension")
-    if n != 1:
-        raise NotImplementedError("oracle implemented for n = 1")
     h = 2.0 * L / N
     x = -L + (np.arange(N) + 0.5) * h
     y = x + h / 3.0

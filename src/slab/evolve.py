@@ -8,7 +8,7 @@ time-stepping error anywhere in this module.
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvalidSize, NonFiniteMultiplier, SingularAtOrigin
+from .errors import InvalidSize, SingularAtOrigin
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ is the one-column case): cutoff, warp and phase tables are built once.
 """
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

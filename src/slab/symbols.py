@@ -626,6 +626,9 @@ def omega_phase_symbol(pair, i, j):
     """Omega_ij as a PhaseSpaceSymbol, linear in x (separable, rank n)."""
     n = pair.primal.dim
     pairs = wedge_pairs(n)
+    if (i, j) not in pairs:
+        raise ValueError(f"({i}, {j}) is not an index pair i < j < {n}; "
+                         f"valid pairs: {pairs}")
     idx = pairs.index((i, j))
 
     def coeff(xi, l):

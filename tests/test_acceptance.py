@@ -300,7 +300,7 @@ def test_criterion_08_smoothing_contrast():
         res = es.smoothing_sweep(
             sig, EUCLID, ladder, trials=8, seed=0, dt=0.25, order=1,
             freq_mag=0.9, spread=0.15, monitor_scale=np.sqrt(2.0),
-            sigma_label=tag)
+            mass_tol=0.999, sigma_label=tag)
         results[tag] = res
         ratios = res.ratios()
         growth = [(ratios[i + 1] - ratios[i]) / ratios[i]
@@ -323,11 +323,11 @@ def test_criterion_09_lap_contrast():
     lad = ev.epsilon_ladder(12)
     checks = {}
     res = es.lap_sweep(sy.structured_sigma(EUCLID), EUCLID, g, d=1.0,
-                       eps_list=lad, trials=2, seed=0, iters=10,
+                       eps_list=lad, trials=2, seed=0, order=2, iters=10,
                        check_structure=True, cell_quad=8)
     checks["structured max/min <= 2"] = res.metadata["max_over_min"] <= 2.0
     res = es.lap_sweep(sy.unstructured_critical(2), EUCLID, g, d=1.0,
-                       eps_list=lad, trials=2, seed=0, iters=10,
+                       eps_list=lad, trials=2, seed=0, order=2, iters=10,
                        check_structure=False, cell_quad=8)
     checks["unstructured max/min > 2"] = res.metadata["max_over_min"] > 2.0
 
@@ -335,7 +335,8 @@ def test_criterion_09_lap_contrast():
     g2 = gr.make_grid(2, 128, 16.0)
     chi = gr.annular(1.3, 1.5, 2.2, 2.5)
     res = es.lap_sweep(sy.structured_sigma(EUCLID), EUCLID, g2, d=1.0,
-                       trials=2, seed=0, iters=12, chi=chi, cell_quad=1)
+                       eps_list=lad, trials=2, seed=0, order=2, iters=12,
+                       check_structure=True, chi=chi, cell_quad=1)
     idx = ev.stabilization_index(res.ratios(), rel=0.001)
     checks["off-characteristic stabilizes by 2^-4"] = \
         idx is not None and idx <= 4
@@ -358,7 +359,7 @@ def test_criterion_10_restriction_scaling():
 def test_criterion_11_duality_defect():
     g = gr.make_grid(2, 64, 8.0)
     defect = es.duality_check(sy.structured_sigma(EUCLID), EUCLID, g,
-                              T=4.0, trials=2, seed=0)
+                              T=4.0, n_times=33, trials=2, seed=0, order=2)
     report(11, "duality defect", {"defect <= 1e-8": defect <= 1e-8})
 
 

@@ -1,5 +1,6 @@
 """Command line runner: config validation, artifacts, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -7,11 +8,16 @@ import sys
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import slab
-from slab.cli import _SCHEMAS, main
+from slab import estimates as es
+from slab import evolve as ev
+from slab import grid as gr
+from slab import symbols as sy
+from slab.cli import KINDS, main
 
 
 @pytest.fixture
@@ -201,8 +207,17 @@ def test_module_entry_point_runs(tmp_path):
     ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, {}),
     ("smoothing", {"p": "euclidean", "sigma": "structured", "dt": 0.3,
                    "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}, {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "pair_indices": [0, 5]}, {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "pair_indices": [1, 0]}, {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "pair_indices": [0, 0]}, {}),
+    ("hl-oracle", [0.5, 0.5, 1.0], {}),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
-        "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt"])
+        "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
+        "pair-out-of-range", "pair-reversed", "pair-diagonal",
+        "config-not-object"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               env):
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -221,7 +236,11 @@ def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                      "L": 4.0, "rhos": []}),
     ("smoothing", {"p": "euclidean", "sigma": "structured",
                    "ladder": [[8, 4.0, 2.0]]}),
-], ids=["egorov-lams", "restriction-rhos", "smoothing-ladder"])
+    # k = 0 is a one-rung epsilon ladder
+    ("lap", {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0,
+             "eps_ladder_k": 0}),
+], ids=["egorov-lams", "restriction-rhos", "smoothing-ladder",
+        "lap-eps_ladder_k"])
 def test_rejects_sweeps_shorter_than_two(runner, tmp_path, kind, cfg):
     # a family ratio, or a verdict's growth step, needs at least two members
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -232,10 +251,10 @@ def test_rejects_sweeps_shorter_than_two(runner, tmp_path, kind, cfg):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_schema_is_valid_against_its_metaschema(kind):
     # runs validate configs with a cached validator and skip this check
-    schema = _SCHEMAS[kind]
+    schema = KINDS[kind].schema
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
@@ -244,14 +263,138 @@ def test_schema_is_valid_against_its_metaschema(kind):
     ("egorov", {"p": "euclidean", "N": "8", "L": -1.0, "bogus": 1}),
     ("smoothing", {"p": "euclidean", "sigma": 3, "ladder": [[8, 4.0]]}),
     ("lap", {"sigma": "structured", "N": 2}),
+    ("smoothing", {"p": "euclidean", "sigma": "structured",
+                   "ladder": [[16, 4.0, -1.0], [16, 8.0, 2.0]]}),
+    ("lap", {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0,
+             "eps_ladder_k": 0}),
 ])
 def test_validation_message_matches_jsonschema_validate(runner, tmp_path,
                                                          kind, cfg):
     with pytest.raises(jsonschema.ValidationError) as exc:
-        jsonschema.validate(cfg, _SCHEMAS[kind])
+        jsonschema.validate(cfg, KINDS[kind].schema)
     path = write_config(tmp_path / "cfg.json", cfg)
     res = runner.invoke(main, [kind, "--config", path,
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 1
     assert res.output == ("config error: config does not validate: "
                           f"{exc.value.message}\n")
+
+
+def test_hl_oracle_other_dimension_is_a_one_line_error(runner, tmp_path):
+    # admissible exponents for n = 2; the oracle is one-dimensional
+    path = write_config(tmp_path / "cfg.json",
+                        {"gamma": 0.5, "delta": 0.5, "m_exp": 1.0, "n": 2})
+    res = runner.invoke(main, ["hl-oracle", "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hl-oracle failed:"), \
+        res.output
+    assert "n = 1" in lines[0]
+
+
+def registry_defaults(kind):
+    return {key: prop["default"]
+            for key, prop in KINDS[kind].schema["properties"].items()
+            if "default" in prop}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_schema_defaults_satisfy_their_own_property(kind):
+    defaults = registry_defaults(kind)
+    assert {"seed", "out"} <= set(defaults)
+    for key, value in defaults.items():
+        jsonschema.validate(value, KINDS[kind].schema["properties"][key])
+
+
+def test_config_hash_covers_the_effective_config(runner, tmp_path):
+    base = {"p": "euclidean", "samples": 50}
+    stated = dict(registry_defaults("geometry-audit"), kind="geometry-audit",
+                  **base)
+    digests = []
+    for tag, cfg in (("omitted", base), ("stated", stated),
+                     ("changed", dict(base, tol_grad=2e-5))):
+        path = write_config(tmp_path / f"{tag}.json", cfg)
+        out = tmp_path / tag
+        res = runner.invoke(main, ["geometry-audit", "--config", path,
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests.append(manifest["config_sha256"])
+    assert digests[0] == digests[1] != digests[2]
+
+
+def _box(y):
+    return np.where(np.abs(y) < 2.0, 1.0, 0.0)
+
+
+# each kind's library call, every parameter taken from the effective config
+_LIBRARY_CALLS = {
+    "smoothing": (
+        {"p": "euclidean", "sigma": "structured",
+         "ladder": [[32, 8.0, 2.0], [32, 16.0, 4.0]]},
+        lambda c, pair, sigma: es.smoothing_sweep(
+            sigma, pair, [(int(N), float(L), float(T))
+                          for N, L, T in c["ladder"]],
+            trials=c["trials"], seed=c["seed"], dt=c["dt"],
+            order=c["order"], freq_mag=c["freq_mag"], spread=c["spread"],
+            monitor_scale=c["monitor_scale"],
+            mass_tol=c["mass_tol"]).ratios()),
+    "lap": (
+        {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0},
+        lambda c, pair, sigma: es.lap_sweep(
+            sigma, pair, gr.make_grid(2, c["N"], c["L"]), d=c["d"],
+            eps_list=ev.epsilon_ladder(c["eps_ladder_k"]),
+            trials=c["trials"], seed=c["seed"], order=c["order"],
+            check_structure=c["check_structure"], iters=c["iters"],
+            cell_quad=c["cell_quad"]).ratios()),
+    "restriction": (
+        {"p": "euclidean", "sigma": "structured", "N": 32, "L": 8.0},
+        lambda c, pair, sigma: es.restriction_scaling(
+            sigma, pair, gr.make_grid(2, c["N"], c["L"]),
+            rhos=tuple(c["rhos"]), trials=c["trials"], seed=c["seed"])),
+    "duality": (
+        {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0},
+        lambda c, pair, sigma: [es.duality_check(
+            sigma, pair, gr.make_grid(2, c["N"], c["L"]), T=c["T"],
+            n_times=c["n_times"], trials=c["trials"], seed=c["seed"],
+            order=c["order"])]),
+    "hl-oracle": (
+        {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5},
+        lambda c, pair, sigma: [es.hardy_littlewood_oracle(
+            c["gamma"], c["delta"], c["m_exp"], _box, n=c["n"], N=c["N"],
+            L=c["L"])]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIBRARY_CALLS))
+def test_library_with_registry_defaults_matches_cli(runner, tmp_path, kind):
+    cfg, call = _LIBRARY_CALLS[kind]
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    res = runner.invoke(main, [kind, "--config", path, "--out", str(out)])
+    assert res.exit_code in (0, 2), res.output
+    csv = (out / f"{kind.replace('-', '_')}.csv").read_text()
+    # ratio is the third column from the end of each row
+    cli_ratios = [float(row.split(",")[-3]) for row in csv.splitlines()[1:]]
+    c = dict(registry_defaults(kind), **cfg)
+    pair = sy.make_pair(c["p"]) if "sigma" in c else None
+    sigma = sy.parse_sigma(c["sigma"], pair) if pair else None
+    assert call(c, pair, sigma) == cli_ratios
+
+
+@pytest.mark.parametrize("kind", sorted(_LIBRARY_CALLS))
+def test_library_has_no_default_that_the_registry_sets(kind):
+    fn = {"smoothing": es.smoothing_sweep, "lap": es.lap_sweep,
+          "restriction": es.restriction_scaling,
+          "duality": es.duality_check,
+          "hl-oracle": es.hardy_littlewood_oracle}[kind]
+    params = inspect.signature(fn).parameters
+    # lap's eps_ladder_k sets the library's eps_list
+    set_by_registry = set(registry_defaults(kind)) | {"eps_list"}
+    shared = set_by_registry & set(params)
+    assert "seed" in shared or kind == "hl-oracle"
+    assert len(shared) >= 3
+    for name in shared:
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert params[name].default is inspect.Parameter.empty, name

@@ -134,7 +134,7 @@ def test_smoothing_chunks_match_one_stack(monkeypatch, stack_bytes):
     # one field, two fields (a time row split across chunks) and one
     # unchunked stack all give the same bits
     ladder = [(32, 8.0, 2.0), (32, 16.0, 4.0)]
-    kw = dict(trials=3, seed=5, dt=0.5, order=1, spread=0.3,
+    kw = dict(trials=3, seed=5, dt=0.5, order=1, freq_mag=0.9, spread=0.3,
               monitor_scale=np.sqrt(2.0), mass_tol=0.0)
     sig = sy.structured_sigma(EUCLID)
     monkeypatch.setattr(es, "_STACK_BYTES", 1 << 40)
@@ -149,7 +149,8 @@ def test_smoothing_sweep_matches_per_packet_ratios():
     g = gr.make_grid(2, 32, 8.0)
     sig = sy.unstructured_critical(2)
     res = es.smoothing_sweep(sig, EUCLID, [(32, 8.0, 2.0), (32, 8.0, 3.0)],
-                             trials=3, seed=2, dt=0.5, order=2, spread=0.3,
+                             trials=3, seed=2, dt=0.5, order=2,
+                             freq_mag=0.9, spread=0.3, monitor_scale=1.0,
                              mass_tol=0.0)
     rung = np.random.SeedSequence(2).spawn(2)[0]
     spec = ev.EvolutionSpec(EUCLID, order=2, T=2.0, dt=0.5)
@@ -165,9 +166,11 @@ from slab import estimates as es, evolve as ev, grid as gr, symbols as sy
 E = sy.make_pair("euclidean")
 sm = es.smoothing_sweep(sy.structured_sigma(E), E,
                         [(128, 16.0, 1.0), (128, 32.0, 2.0)], trials=2,
-                        dt=0.5, spread=0.15, monitor_scale=np.sqrt(2.0))
+                        seed=0, dt=0.5, order=1, freq_mag=0.9, spread=0.15,
+                        monitor_scale=np.sqrt(2.0), mass_tol=0.999)
 lap = es.lap_sweep(sy.structured_sigma(E), E, gr.make_grid(2, 128, 32.0),
-                   eps_list=[1.0, 0.25], trials=1, iters=3, cell_quad=2)
+                   d=1.0, eps_list=[1.0, 0.25], trials=1, seed=0, order=2,
+                   check_structure=True, iters=3, cell_quad=2)
 print(repr(sm.ratios() + lap.ratios()))
 """
 
@@ -207,8 +210,9 @@ def test_lap_sweep_matches_reference_loop():
     g = gr.make_grid(2, 32, 8.0)
     sig = sy.structured_sigma(EUCLID)
     eps_list = [1.0, 0.25, 0.0625]
-    res = es.lap_sweep(sig, EUCLID, g, eps_list=eps_list, trials=2, seed=3,
-                       iters=8)
+    res = es.lap_sweep(sig, EUCLID, g, d=1.0, eps_list=eps_list, trials=2,
+                       seed=3, order=2, check_structure=True, iters=8,
+                       cell_quad=1)
     chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
                      0.8 * g.nyquist)
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -228,8 +232,9 @@ def test_lap_sweep_matches_reference_loop():
 def test_lap_sweep_zero_rung_names_eps():
     g = gr.make_grid(2, 16, 4.0)
     with pytest.raises(ZeroRung, match="eps = 0.5"):
-        es.lap_sweep(zero_symbol(), EUCLID, g, eps_list=[0.5, 0.25],
-                     trials=1, iters=2)
+        es.lap_sweep(zero_symbol(), EUCLID, g, d=1.0, eps_list=[0.5, 0.25],
+                     trials=1, seed=0, order=2, check_structure=True,
+                     iters=2, cell_quad=1)
 
 
 def test_verdict_rules():
@@ -345,13 +350,16 @@ def test_two_dimensional_sites_reject_other_dimensions():
         es.surface_nodes(euclid3, 1.0)
     with pytest.raises(InvalidSize):
         es.smoothing_sweep(sy.unstructured_critical(3), euclid3,
-                           [(4, 2.0, 1.0), (8, 4.0, 2.0)], trials=1)
+                           [(4, 2.0, 1.0), (8, 4.0, 2.0)], trials=1, seed=0,
+                           dt=0.25, order=1, freq_mag=0.9, spread=0.4,
+                           monitor_scale=1.0, mass_tol=0.999)
 
 
 def test_duality_check_small_defect():
     g = gr.make_grid(2, 64, 8.0)
     sig = sy.structured_sigma(EUCLID)
-    defect = es.duality_check(sig, EUCLID, g, T=4.0, trials=2, seed=0)
+    defect = es.duality_check(sig, EUCLID, g, T=4.0, n_times=33, trials=2,
+                              seed=0, order=2)
     assert defect <= 1e-8
 
 
@@ -361,19 +369,24 @@ def test_duality_check_trivial_symbol():
         "one", (0.0, 0.0), lambda x, xi: np.ones(x.shape[:-1]),
         terms=[(lambda x: np.ones(x.shape[:-1]),
                 lambda xi: np.ones(xi.shape[:-1]))])
-    defect = es.duality_check(one, EUCLID, g, T=2.0, trials=2, seed=1)
+    defect = es.duality_check(one, EUCLID, g, T=2.0, n_times=33, trials=2,
+                              seed=1, order=2)
     assert defect <= 1e-10
 
 
 def test_hardy_littlewood_oracle():
     box = lambda y: np.where(np.abs(y) < 2.0, 1.0, 0.0)
     zero = lambda y: np.zeros_like(y)
-    assert es.hardy_littlewood_oracle(0.25, 0.25, 0.5, zero) == 0.0
-    ratio = es.hardy_littlewood_oracle(0.25, 0.25, 0.5, box)
+    grid = dict(n=1, N=512, L=8.0)
+    assert es.hardy_littlewood_oracle(0.25, 0.25, 0.5, zero, **grid) == 0.0
+    ratio = es.hardy_littlewood_oracle(0.25, 0.25, 0.5, box, **grid)
     # recorded fixture for the box bump at N=512, L=8
     assert ratio == pytest.approx(7.9694, abs=5e-3)
     with pytest.raises(ExponentViolation):
-        es.hardy_littlewood_oracle(0.5, 0.25, 0.25, box)
+        es.hardy_littlewood_oracle(0.5, 0.25, 0.25, box, **grid)
+    # admissible exponents for n = 2, but the oracle is one-dimensional
+    with pytest.raises(InvalidSize):
+        es.hardy_littlewood_oracle(0.5, 0.5, 1.0, box, n=2, N=512, L=8.0)
 
 
 def test_sweep_result_csv_layout():

@@ -1,0 +1,32 @@
+"""Source hygiene of the slab package, checked with the standard library."""
+
+import ast
+import pathlib
+
+import pytest
+
+import slab
+
+SOURCES = sorted(pathlib.Path(slab.__file__).parent.glob("*.py"))
+
+
+def unused_imports(tree):
+    """Names an import binds that the module never loads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_unused_import_check_finds_one():
+    tree = ast.parse("import os\nimport sys\n"
+                     "from a import b as c, d\nsys.exit(d)\n")
+    assert unused_imports(tree) == ["c", "os"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

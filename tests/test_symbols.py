@@ -370,6 +370,12 @@ def test_omega_phase_symbol_separable_terms_consistent():
         assert np.max(np.abs(contr)) <= 1e-12
 
 
+@pytest.mark.parametrize("i,j", [(0, 5), (1, 0), (0, 0)])
+def test_omega_phase_symbol_names_the_valid_pairs(i, j):
+    with pytest.raises(ValueError, match=r"valid pairs: \[\(0, 1\)\]"):
+        sy.omega_phase_symbol(EUCLID, i, j)
+
+
 def test_parse_symbol_registry():
     assert sy.parse_symbol("euclidean").label == "euclidean"
     q = sy.parse_symbol("quadratic-form:A=[[1.0,0.0],[0.0,0.5]]")
