@@ -22,7 +22,7 @@ class OptimizerStall(SlabError):
 
 
 class CurvatureUnchecked(SlabError):
-    """Dual construction requested before a curvature audit."""
+    """Dual construction on a symbol that fails the curvature audit."""
 
 
 class InvalidSize(SlabError):

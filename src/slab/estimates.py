@@ -5,9 +5,9 @@ identity and the weighted-convolution oracle.
 All randomness flows through seeded generators recorded in the results;
 sweeps are reproducible bit for bit at any BLAS thread count (norms are
 plain reductions).  Smoothing and LAP loops run as stacks of spectra.
-The sweeps take their experiment parameters by keyword, without
-defaults: the one copy of the defaults is the CLI registry
-(``slab.cli.KINDS``).
+The sweeps, smoothing_ratio and operator_norm take their experiment
+parameters by keyword, without defaults: the one copy of the defaults is
+the CLI registry (``slab.cli.KINDS``).
 """
 
 import io
@@ -100,8 +100,7 @@ class SmoothingReport:
 _STACK_BYTES = 1 << 18
 
 
-def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
-                    mass_tol=0.999):
+def smoothing_ratio(sigma, spec, phi, T, dt, *, monitor_radius, mass_tol):
     """Space-time smoothing quotient
 
         int_{-T}^{T} ||sigma(X, D) u(t)||^2 dt / ||phi||^2
@@ -110,10 +109,8 @@ def smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=None,
     (sigma needs separable terms).  The tail indicator (endpoint / peak
     integrand) flags window truncation; the mass monitor, wrap-around.
     """
-    g = phi.grid
-    radius = g.L if monitor_radius is None else monitor_radius
-    return _smoothing_reports(qu.SeparablePlan(sigma, g), replace(
-        spec, T=T, dt=dt), phi.values[None], radius, mass_tol)[0]
+    return _smoothing_reports(qu.SeparablePlan(sigma, phi.grid), replace(
+        spec, T=T, dt=dt), phi.values[None], monitor_radius, mass_tol)[0]
 
 
 def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
@@ -122,8 +119,8 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     is raised at the first time sample (lowest trial first) whose mass
     inside monitor_radius falls below mass_tol."""
     g, S = plan.grid, len(phis)
-    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) * np.fft.ifftshift(
-        ev.symbol_lattice(spec.pair, g, spec.order))
+    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) * ev.symbol_lattice(
+        spec.pair, g, spec.order)
     times = spec.times()
     vh = np.fft.fftn(phis, axes=plan.axes)
     # a mask over the whole box (the CLI's default monitor radius, the
@@ -200,7 +197,7 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
 # limiting absorption
 
 
-def operator_norm(ops, grid, iters=20, starts=8, seed=0):
+def operator_norm(ops, grid, *, iters, starts, seed):
     """Randomized power iteration on B*B, all random starts as one stack:
     ops is the pair (B, B_star) of maps on (starts, *grid.shape) stacks of
     x-samples.  Returns the largest singular-value estimate."""
@@ -245,7 +242,7 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
 
     ladder = geometry.ladder(d, eps_list, sign, chi)
     for k, (eps, rung) in enumerate(zip(eps_list, ladder)):
-        mult = np.fft.ifftshift(qu.multiplier_values(grid, rung))
+        mult = qu.multiplier_values(grid, rung)
         nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
                             iters=iters, starts=trials, seed=seed + k)
         if nrm == 0:
@@ -344,7 +341,7 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     rng = np.random.default_rng(seed)
     hq = grid.h ** grid.n
     plan = qu.SeparablePlan(sigma, grid)
-    phase = 1j * np.fft.ifftshift(ev.symbol_lattice(spec_pair, grid, order))
+    phase = 1j * ev.symbol_lattice(spec_pair, grid, order)
     worst = 0.0
     for _ in range(trials):
         phi = make_packet(grid, rng)

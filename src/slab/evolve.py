@@ -187,11 +187,6 @@ class ResolventGeometry:
                                    np.where(lr > 0, pv ** m, 0.0),
                                    0.5 * b * h))
 
-    def multiplier(self, query):
-        """(L_p - d -/+ i eps)^{-1} chi on the lattice for one rung, with
-        the geometry's cell_quad."""
-        return next(self.ladder(query.d, [query.eps], query.sign, query.chi))
-
     def ladder(self, d, eps_list, sign="-", chi=None):
         """Yield the multiplier of each rung eps of eps_list, chi evaluated
         once.  The rungs go in passes of as many as fit in _LADDER_BYTES; a
@@ -224,7 +219,9 @@ class ResolventGeometry:
 
 
 def resolvent_multiplier(query, spec, grid):
-    return ResolventGeometry(spec, grid, query.cell_quad).multiplier(query)
+    """(L_p - d -/+ i eps)^{-1} chi on the lattice for one query."""
+    return next(ResolventGeometry(spec, grid, query.cell_quad).ladder(
+        query.d, [query.eps], query.sign, query.chi))
 
 
 def epsilon_ladder(k_max=12):

@@ -54,8 +54,12 @@ class Grid:
         return -self.L + shift + self.h * np.arange(self.N)
 
     def axis_freqs(self):
-        """Frequency lattice along one axis, ascending, k in [-N/2, N/2)."""
-        return self.dxi * np.arange(-self.N // 2, self.N // 2)
+        """Frequency lattice along one axis in FFT order: k dxi for
+        k = 0, 1, ..., N/2 - 1, -N/2, ..., -1, the order numpy.fft puts
+        its modes in.  Every xi-space array in slab (transform output,
+        multipliers, symbol lattices, cutoffs) is laid out this way, so a
+        raw np.fft.fftn spectrum meets them index for index."""
+        return self.dxi * np.fft.fftfreq(self.N, 1.0 / self.N)
 
     def coords(self):
         """Spatial coordinate arrays, broadcastable to ``shape``."""
@@ -120,33 +124,28 @@ def sq_sum(values, n):
                   axis=tuple(range(-n, 0)))
 
 
-def transform(f):
-    """Forward transform, x-space field -> xi-space field."""
-    g = f.grid
-    x0 = f.grid.axis_points()[0]
-    spec = np.fft.fftshift(np.fft.fftn(f.values))
-    xi = g.axis_freqs()
-    phase = np.exp(-1j * x0 * xi)
+def _corner_phase(g, v, sign):
+    """v times e^{sign i x_0 xi_d} along every axis d, x_0 the first
+    sample: the phase between the DFT's index origin and the box corner."""
+    phase = np.exp(sign * 1j * g.axis_points()[0] * g.axis_freqs())
     for ax in range(g.n):
         shape = [1] * g.n
         shape[ax] = g.N
-        spec = spec * phase.reshape(shape)
-    spec = spec * g.h**g.n
+        v = v * phase.reshape(shape)
+    return v
+
+
+def transform(f):
+    """Forward transform, x-space field -> xi-space field."""
+    g = f.grid
+    spec = _corner_phase(g, np.fft.fftn(f.values), -1) * g.h**g.n
     return Field(g, spec, space="xi")
 
 
 def inverse_transform(f):
     """Inverse transform, xi-space field -> x-space field."""
     g = f.grid
-    x0 = g.axis_points()[0]
-    xi = g.axis_freqs()
-    phase = np.exp(1j * x0 * xi)
-    v = f.values
-    for ax in range(g.n):
-        shape = [1] * g.n
-        shape[ax] = g.N
-        v = v * phase.reshape(shape)
-    out = np.fft.ifftn(np.fft.ifftshift(v)) / g.h**g.n
+    out = np.fft.ifftn(_corner_phase(g, f.values, 1)) / g.h**g.n
     return Field(g, out, space="x")
 
 

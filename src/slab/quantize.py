@@ -77,12 +77,12 @@ class SeparablePlan:
     """sigma(X, D) = sum_r f_r(X) m_r(D) on one grid, built once.
 
     The x-factors f_r and guarded multipliers m_r are checked and kept
-    read-only as (R, *grid.shape) stacks, the multipliers in FFT-native
-    order.  ``apply`` and ``adjoint`` take arrays with any leading batch
-    axes and raw spectra vh = np.fft.fftn(u) over the last n axes (the
-    corner phase and h^n of ``grid.transform`` cancel between the ends):
-    a pass is one FFT call over all R terms plus one multiply.  Symbols
-    singular at xi = 0 get the low-frequency guard unless low_freq=False.
+    read-only as (R, *grid.shape) stacks.  ``apply`` and ``adjoint`` take
+    arrays with any leading batch axes and raw spectra vh = np.fft.fftn(u)
+    over the last n axes (the corner phase and h^n of ``grid.transform``
+    cancel between the ends): a pass is one FFT call over all R terms plus
+    one multiply.  Symbols singular at xi = 0 get the low-frequency guard
+    unless low_freq=False.
     """
 
     def __init__(self, sigma, grid, low_freq="auto"):
@@ -96,8 +96,8 @@ class SeparablePlan:
                            for fx, _ in sigma.terms], dtype=complex)
         if not np.all(np.isfinite(self.x)):
             raise NonFiniteSymbol("x-factor non-finite on the grid")
-        self.m = np.fft.ifftshift([multiplier_values(grid, fxi(xi), guard)
-                                   for _, fxi in sigma.terms], axes=self.axes)
+        self.m = np.array([multiplier_values(grid, fxi(xi), guard)
+                           for _, fxi in sigma.terms])
         self.x.flags.writeable = self.m.flags.writeable = False
 
     def _pass(self, w, fft, then):
@@ -321,15 +321,14 @@ def _parse_kappa(spec, n):
     raise ValueError(f"unknown change-of-variables spec {spec!r}")
 
 
-def apply_change_of_vars(kappa_spec, gamma, f, method="spectral"):
-    """J_gamma u = (gamma u) o kappa.
+def apply_change_of_vars(kappa_spec, gamma, f):
+    """J_gamma u = (gamma u) o kappa, by spectral interpolation.
 
     kappa_spec in {"identity", "rotation:theta=..", "sector",
     "sector-inverse"}.  The sector map kappa(x) = (x', sqrt(x_n^2-|x'|^2))
     is defined on the cone |x_n| >= |x'|; outside it the output is zero,
     and OutOfSector is raised if gamma is not negligible at the folded
-    boundary point there.  Interpolation is spectral by default; "cubic"
-    uses a local spline (cheaper, ~1e-4 accurate).
+    boundary point there.
     """
     g = f.grid
     kappa, partial = _parse_kappa(kappa_spec, g.n)
@@ -348,17 +347,7 @@ def apply_change_of_vars(kappa_spec, gamma, f, method="spectral"):
     target = gr.Field(g, f.values if gamma is None
                       else gamma.on_coords(g) * f.values, "x")
     out = np.zeros(x_flat.shape[0], dtype=complex)
-    if method == "spectral":
-        out[valid] = gr.eval_field_offgrid(target, src[valid])
-    elif method == "cubic":
-        from scipy.ndimage import map_coordinates
-        # fractional index coordinates on the periodic lattice
-        idx = (src[valid] - g.axis_points()[0]) / g.h
-        re = map_coordinates(target.values.real, idx.T, order=3, mode="grid-wrap")
-        im = map_coordinates(target.values.imag, idx.T, order=3, mode="grid-wrap")
-        out[valid] = re + 1j * im
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out[valid] = gr.eval_field_offgrid(target, src[valid])
     return gr.Field(g, out.reshape(g.shape), "x")
 
 
@@ -537,10 +526,8 @@ def _dilation_family_member(f, lam, carrier=None, center=None, spread=True):
         ul = f
     if center is not None:
         shift = lam * np.asarray(center, dtype=float)
-        fh = gr.transform(ul)
-        ph = np.exp(-1j * np.tensordot(g.freq_stack(), shift,
-                                       axes=([-1], [0])))
-        ul = gr.inverse_transform(gr.Field(g, ph * fh.values, "xi"))
+        ul = apply_multiplier(ul, lambda xi: np.exp(
+            -1j * np.tensordot(xi, shift, axes=([-1], [0]))))
     if carrier is None:
         return ul
     phase = np.exp(1j * np.tensordot(g.coord_stack(), np.asarray(carrier),

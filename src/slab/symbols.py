@@ -55,15 +55,16 @@ def wedge(a, b):
 class HomogeneousSymbol:
     """Degree-1 positively homogeneous function with derivative evaluators.
 
-    ``value`` maps points of shape (..., n) to positive reals.  Missing
-    gradient/hessian evaluators fall back to central finite differences
-    with relative step ``fd_step * |xi|`` (recorded in ``metadata``).
+    ``value`` maps points of shape (..., n) to positive reals and ``grad``
+    to their gradients.  A missing hessian evaluator falls back to central
+    differences of ``grad`` with relative step ``fd_step * |xi|``
+    (recorded in ``metadata``).
     """
 
     label: str
     dim: int
     value: callable
-    grad: callable = None
+    grad: callable
     hess: callable = None
     degree: float = 1.0
     fd_step: float = 1e-5
@@ -71,60 +72,26 @@ class HomogeneousSymbol:
 
     def __post_init__(self):
         self.metadata.setdefault(
-            "gradient", "closed-form" if self.grad else "finite-difference")
-        self.metadata.setdefault(
             "hessian", "closed-form" if self.hess else "finite-difference")
 
     def __call__(self, xi):
         return self.value(np.asarray(xi, dtype=float))
 
     def gradient(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.grad is not None:
-            return self.grad(xi)
-        r = np.linalg.norm(xi, axis=-1, keepdims=True)
-        h = self.fd_step * r
-        cols = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            cols.append((self.value(xi + h * e) - self.value(xi - h * e))
-                        / (2.0 * h[..., 0]))
-        return np.stack(cols, axis=-1)
+        return self.grad(np.asarray(xi, dtype=float))
 
     def hessian(self, xi):
         xi = np.asarray(xi, dtype=float)
         if self.hess is not None:
             return self.hess(xi)
-        r = np.linalg.norm(xi, axis=-1, keepdims=True)
-        if self.grad is not None:
-            # differentiate the exact gradient
-            h = self.fd_step * r
-            rows = []
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = 1.0
-                rows.append((self.grad(xi + h * e) - self.grad(xi - h * e))
-                            / (2.0 * h))
-            H = np.stack(rows, axis=-2)
-        else:
-            # second differences of the value; larger step balances rounding
-            h = 1e-4 * r[..., 0]
-            n = self.dim
-            H = np.empty(xi.shape[:-1] + (n, n))
-            for i in range(n):
-                ei = np.zeros(n)
-                ei[i] = 1.0
-                for j in range(i, n):
-                    ej = np.zeros(n)
-                    ej[j] = 1.0
-                    hi = h[..., None] if xi.ndim > 1 else h
-                    pp = self.value(xi + hi * ei + hi * ej)
-                    pm = self.value(xi + hi * ei - hi * ej)
-                    mp = self.value(xi - hi * ei + hi * ej)
-                    mm = self.value(xi - hi * ei - hi * ej)
-                    H[..., i, j] = (pp - pm - mp + mm) / (4.0 * h**2)
-                    H[..., j, i] = H[..., i, j]
+        h = self.fd_step * np.linalg.norm(xi, axis=-1, keepdims=True)
+        rows = []
+        for i in range(self.dim):
+            e = np.zeros(self.dim)
+            e[i] = 1.0
+            rows.append((self.grad(xi + h * e) - self.grad(xi - h * e))
+                        / (2.0 * h))
+        H = np.stack(rows, axis=-2)
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
@@ -337,7 +304,7 @@ class DualPair:
     construction: str = "support-function"
 
 
-def make_dual(sym, skip_audit=False, audit_samples=512):
+def make_dual(sym, audit_samples=512):
     """Build the dual symbol p*(x) = max {x.sigma : p(sigma) = 1}, n = 2.
 
     Non-vanishing curvature of the compact level set makes it convex, so
@@ -346,8 +313,6 @@ def make_dual(sym, skip_audit=False, audit_samples=512):
     """
     if sym.dim != 2:
         raise InvalidSize(f"support-function duals need n = 2, got {sym.dim}")
-    if skip_audit:
-        raise CurvatureUnchecked("dual construction requires the audit")
     kmin, worst, ok = curvature_audit(sym, n_samples=audit_samples)
     if not ok:
         raise CurvatureUnchecked(

@@ -383,18 +383,31 @@ def test_library_with_registry_defaults_matches_cli(runner, tmp_path, kind):
     assert call(c, pair, sigma) == cli_ratios
 
 
-@pytest.mark.parametrize("kind", sorted(_LIBRARY_CALLS))
+# library functions that take a registry value under another name: the
+# smoothing monitor radius is monitor_scale * L, the lap starts are trials
+_RENAMED_PARAMETERS = {
+    "smoothing_ratio": (es.smoothing_ratio, {"monitor_radius", "mass_tol"}),
+    "operator_norm": (es.operator_norm, {"iters", "starts", "seed"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIBRARY_CALLS)
+                         + sorted(_RENAMED_PARAMETERS))
 def test_library_has_no_default_that_the_registry_sets(kind):
-    fn = {"smoothing": es.smoothing_sweep, "lap": es.lap_sweep,
-          "restriction": es.restriction_scaling,
-          "duality": es.duality_check,
-          "hl-oracle": es.hardy_littlewood_oracle}[kind]
-    params = inspect.signature(fn).parameters
-    # lap's eps_ladder_k sets the library's eps_list
-    set_by_registry = set(registry_defaults(kind)) | {"eps_list"}
-    shared = set_by_registry & set(params)
-    assert "seed" in shared or kind == "hl-oracle"
-    assert len(shared) >= 3
+    if kind in _RENAMED_PARAMETERS:
+        fn, shared = _RENAMED_PARAMETERS[kind]
+        params = inspect.signature(fn).parameters
+    else:
+        fn = {"smoothing": es.smoothing_sweep, "lap": es.lap_sweep,
+              "restriction": es.restriction_scaling,
+              "duality": es.duality_check,
+              "hl-oracle": es.hardy_littlewood_oracle}[kind]
+        params = inspect.signature(fn).parameters
+        # lap's eps_ladder_k sets the library's eps_list
+        set_by_registry = set(registry_defaults(kind)) | {"eps_list"}
+        shared = set_by_registry & set(params)
+        assert "seed" in shared or kind == "hl-oracle"
+        assert len(shared) >= 3
     for name in shared:
         assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
         assert params[name].default is inspect.Parameter.empty, name

@@ -40,7 +40,8 @@ def test_smoothing_ratio_zero_symbol():
     rng = np.random.default_rng(0)
     phi = es.make_packet(g, rng)
     spec = ev.EvolutionSpec(EUCLID, order=2)
-    rep = es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.5)
+    rep = es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.5,
+                             monitor_radius=g.L, mass_tol=0.999)
     assert rep.ratio == 0.0
 
 
@@ -54,7 +55,8 @@ def test_smoothing_ratio_unimodular_annulus():
     sig = annulus_multiplier_symbol(0.3, 0.5, 1.3, 1.5)
     T = 2.0
     rep = es.smoothing_ratio(sig, spec, phi, T=T, dt=0.5,
-                             monitor_radius=np.sqrt(2.0) * g.L)
+                             monitor_radius=np.sqrt(2.0) * g.L,
+                             mass_tol=0.999)
     cut = gr.annular(0.3, 0.5, 1.3, 1.5)
     phih = gr.transform(phi)
     frac = np.sum(np.abs(cut.on_freqs(g) * phih.values) ** 2) / \
@@ -70,7 +72,8 @@ def test_smoothing_ratio_structured_monotone_window():
     spec = ev.EvolutionSpec(EUCLID, order=1)
     sig = sy.structured_sigma(EUCLID)
     reps = [es.smoothing_ratio(sig, spec, phi, T=T, dt=0.5,
-                               monitor_radius=np.sqrt(2.0) * g.L)
+                               monitor_radius=np.sqrt(2.0) * g.L,
+                               mass_tol=0.999)
             for T in (2.0, 8.0)]
     assert 0.0 < reps[0].ratio <= reps[1].ratio
     # dispersive data: window tail indicator decreases as T grows
@@ -84,7 +87,7 @@ def test_smoothing_ratio_mass_escape():
     spec = ev.EvolutionSpec(EUCLID, order=2)
     with pytest.raises(MassEscape):
         es.smoothing_ratio(zero_symbol(), spec, phi, T=8.0, dt=1.0,
-                           monitor_radius=2.0)
+                           monitor_radius=2.0, mass_tol=0.999)
 
 
 def test_full_box_monitor_still_gates_mass_escape():
@@ -126,7 +129,8 @@ def test_smoothing_ratio_rejects_a_step_that_does_not_divide_2T():
     phi = es.make_packet(g, np.random.default_rng(0))
     spec = ev.EvolutionSpec(EUCLID, order=2)
     with pytest.raises(ValueError, match="does not divide"):
-        es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.3)
+        es.smoothing_ratio(zero_symbol(), spec, phi, T=1.0, dt=0.3,
+                           monitor_radius=g.L, mass_tol=0.999)
 
 
 @pytest.mark.parametrize("stack_bytes", [1, 2 * 16 * 32 * 32, 1 << 30])
@@ -156,7 +160,8 @@ def test_smoothing_sweep_matches_per_packet_ratios():
     spec = ev.EvolutionSpec(EUCLID, order=2, T=2.0, dt=0.5)
     best = max(es.smoothing_ratio(
         sig, spec, es.make_packet(g, np.random.default_rng(cs), 0.9, 0.3),
-        2.0, 0.5, mass_tol=0.0).ratio for cs in rung.spawn(3))
+        2.0, 0.5, monitor_radius=g.L, mass_tol=0.0).ratio
+        for cs in rung.spawn(3))
     assert res.ratios()[0] == best
 
 
@@ -419,7 +424,8 @@ def test_smoothing_scaling_covariance():
     phi1 = es.make_packet(g1, rng, freq_mag=1.0, spread=0.2)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     rep1 = es.smoothing_ratio(sig, spec, phi1, T=4.0, dt=0.25,
-                              monitor_radius=np.sqrt(2.0) * g1.L)
+                              monitor_radius=np.sqrt(2.0) * g1.L,
+                              mass_tol=0.999)
     lam = 2.0
     g2 = gr.make_grid(2, 128, lam * 16.0)
     phi2 = gr.Field(g2, gr.eval_field_offgrid(
@@ -427,5 +433,6 @@ def test_smoothing_scaling_covariance():
         "x")
     rep2 = es.smoothing_ratio(sig, spec, phi2, T=lam**2 * 4.0,
                               dt=lam**2 * 0.25,
-                              monitor_radius=np.sqrt(2.0) * g2.L)
+                              monitor_radius=np.sqrt(2.0) * g2.L,
+                              mass_tol=0.999)
     assert rep2.ratio == pytest.approx(rep1.ratio, rel=0.05)

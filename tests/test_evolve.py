@@ -263,7 +263,6 @@ def test_resolvent_geometry_is_bit_identical_per_rung(monkeypatch, cell_quad,
     for eps, ref in zip(eps_list, refs):
         query = ev.ResolventQuery(d=1.0, eps=eps, sign=sign, chi=chi,
                                   cell_quad=cell_quad)
-        assert np.array_equal(geometry.multiplier(query), ref)
         assert np.array_equal(ev.resolvent_multiplier(query, spec, g), ref)
 
 

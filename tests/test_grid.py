@@ -85,6 +85,26 @@ def test_plane_wave_is_lattice_delta():
     assert np.max(rest) <= 1e-10 * mag[idx]
 
 
+@pytest.mark.parametrize("k", [(0, 0), (3, -5), (-16, 7), (15, -1)],
+                         ids=lambda k: f"{k[0]},{k[1]}")
+def test_lattice_is_in_fft_order(k):
+    # the frequency lattice indexes modes the way np.fft.fftn does, so a
+    # raw spectrum and every lattice array line up without a shift
+    g = gr.make_grid(2, 32, 8.0)
+    xi_k = g.dxi * np.array(k, dtype=float)
+    x = g.coord_stack()
+    u = np.exp(1j * x @ xi_k)
+    xi = g.freq_stack()
+    raw = np.fft.fftn(u)
+    assert np.array_equal(xi.reshape(-1, 2)[np.argmax(np.abs(raw))], xi_k)
+    # transform = fftn times the phase of the box corner x_0, times h^n
+    x0 = g.axis_points()[0]
+    ref = (raw * np.exp(-1j * x0 * xi[..., 0])
+           * np.exp(-1j * x0 * xi[..., 1]) * g.h ** g.n)
+    got = gr.transform(gr.Field(g, u, "x")).values
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_weighted_norm_m0_is_quadrature_l2():
     g = gr.make_grid(2, 32, 8.0)
     f = random_field(g, seed=3)

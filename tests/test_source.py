@@ -30,3 +30,10 @@ def test_unused_import_check_finds_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_one_frequency_layout(path):
+    # the lattice is in FFT order end to end; a shift between layouts
+    # would bring a second one back
+    assert "fftshift" not in path.read_text()

@@ -89,9 +89,11 @@ def test_curvature_audit_ellipse():
 
 
 def test_curvature_audit_rejects_quartic():
+    def value(xi):
+        return (xi[..., 0]**4 + xi[..., 1]**4) ** 0.25
+
     quartic = sy.HomogeneousSymbol(
-        "quartic", 2,
-        lambda xi: (xi[..., 0]**4 + xi[..., 1]**4) ** 0.25)
+        "quartic", 2, value, lambda xi: xi**3 / value(xi)[..., None] ** 3)
     kmin, _, ok = sy.curvature_audit(quartic, 2048)
     assert not ok
     assert kmin < 1e-2
