@@ -54,6 +54,10 @@ class MassEscape(SlabError):
     """Field mass left the monitored region before the window closed."""
 
 
+class InvalidRatio(SlabError):
+    """A sweep ratio is negative or not finite."""
+
+
 class ZeroRung(SlabError):
     """A regularization rung's operator-norm estimate is zero."""
 

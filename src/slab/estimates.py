@@ -18,8 +18,8 @@ import numpy as np
 from . import evolve as ev
 from . import grid as gr
 from . import quantize as qu
-from .errors import (BandExceeded, ExponentViolation, InvalidSize,
-                     MassEscape, ZeroRung)
+from .errors import (BandExceeded, ExponentViolation, InvalidRatio,
+                     InvalidSize, MassEscape, ZeroRung)
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
 
@@ -34,8 +34,10 @@ class SweepResult:
     metadata: dict = dc_field(default_factory=dict)
 
     def add(self, N, L, T, eps, ratio, mass_ok, seed):
-        if ratio < 0:
-            raise ValueError("ratios are non-negative by construction")
+        if not (np.isfinite(ratio) and ratio >= 0):
+            raise InvalidRatio(f"ratio {float(ratio)!r} at N = {N}, T = {T}, "
+                               f"eps = {eps}; sweep ratios are finite and "
+                               "non-negative")
         self.rows.append({"N": N, "L": L, "T": T, "eps": eps,
                           "ratio": float(ratio), "mass_ok": bool(mass_ok),
                           "seed": int(seed)})
@@ -119,8 +121,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     is raised at the first time sample (lowest trial first) whose mass
     inside monitor_radius falls below mass_tol."""
     g, S = plan.grid, len(phis)
-    phase = 1j * (-1.0 if spec.sign == "-" else 1.0) * ev.symbol_lattice(
-        spec.pair, g, spec.order)
+    phase = ev.PropagatorPhase(spec, g)
     times = spec.times()
     vh = np.fft.fftn(phis, axes=plan.axes)
     # a mask over the whole box (the CLI's default monitor radius, the
@@ -132,7 +133,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
     out = np.empty((3, len(times), S))
     for j in range(0, len(times), rows):
-        e = np.exp(times[j:j + rows].reshape(-1, *(1,) * g.n) * phase)
+        e = phase(times[j:j + rows])
         for s in range(0, S, cols):
             blk = (slice(j, j + rows), slice(s, s + cols))
             wh = (e[:, None] * vh[None, blk[1]]).reshape(-1, *g.shape)
@@ -341,7 +342,7 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     rng = np.random.default_rng(seed)
     hq = grid.h ** grid.n
     plan = qu.SeparablePlan(sigma, grid)
-    phase = 1j * ev.symbol_lattice(spec_pair, grid, order)
+    phase = ev.PropagatorPhase(spec, grid)     # e^{-i t L}
     worst = 0.0
     for _ in range(trials):
         phi = make_packet(grid, rng)
@@ -351,9 +352,9 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
         lhs = 0.0 + 0.0j
         acc = np.zeros(grid.shape, dtype=complex)
         for j, t in enumerate(times):
-            su = plan.apply(np.exp(-t * phase) * phi_hat)
+            su = plan.apply(phase([t])[0] * phi_hat)
             lhs += w[j] * np.sum(np.conj(vs[j]) * su) * hq
-            acc += w[j] * np.exp(t * phase) * plan.adjoint(vs[j])
+            acc += w[j] * phase([-t])[0] * plan.adjoint(vs[j])
         # raw spectra: sum_k conj(fftn a) fftn b = N^n sum_x conj(a) b
         rhs = np.sum(np.conj(acc) * phi_hat) * hq / grid.N ** grid.n
         vnorm = np.sqrt(hq * np.sum(w * gr.sq_sum(vs, grid.n)))

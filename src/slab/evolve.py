@@ -58,11 +58,48 @@ def symbol_lattice(pair, grid, power=1):
     return np.where(r > 0, vals, 0.0)
 
 
+def _distinct_rows(key):
+    """Distinct rows of the contiguous (P, c) float array key, compared bit
+    for bit, and each row's index into them: key == rows[index] exactly."""
+    order = np.lexsort(key.view(np.uint64).T)
+    bits = key.view(np.uint64)[order]
+    new = np.empty(len(bits), dtype=bool)
+    new[0] = True
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    rows = bits[new].view(float)
+    del bits
+    index = np.empty(len(order), dtype=np.int32)
+    index[order] = np.cumsum(new) - 1
+    return rows, index
+
+
+class PropagatorPhase:
+    """e^{-/+ i t p(D)^m} on the lattice for an array of times.
+
+    The lattice takes few distinct values of p^m (489 of 4096 modes for
+    the euclidean symbol at N = 64), so each call evaluates the complex
+    exponential once per distinct value and time, then gathers: bit for
+    bit the exponential over the whole lattice.
+    """
+
+    def __init__(self, spec, grid):
+        self.shape = grid.shape
+        self.s = -1.0 if spec.sign == "-" else 1.0
+        pm, self.index = _distinct_rows(
+            symbol_lattice(spec.pair, grid, spec.order).reshape(-1, 1))
+        self.pm = pm[:, 0]
+
+    def __call__(self, times):
+        """C-contiguous (k, *grid.shape) stack, one phase per time."""
+        e = np.exp(np.reshape(times, (-1, 1)) * 1j * self.s * self.pm)
+        # np.take keeps C order: a strided gather would send the next
+        # complex multiply down another loop, which moves its bits
+        return np.take(e, self.index, axis=1).reshape(-1, *self.shape)
+
+
 def schrodinger_propagate(spec, phi, t):
     """u(t) = e^{-/+ i t p(D)^m} phi, exact per lattice mode."""
-    pm = symbol_lattice(spec.pair, phi.grid, spec.order)
-    s = -1.0 if spec.sign == "-" else 1.0
-    return qu.apply_multiplier(phi, np.exp(1j * s * t * pm))
+    return qu.apply_multiplier(phi, PropagatorPhase(spec, phi.grid)([t])[0])
 
 
 @dataclass(frozen=True)
@@ -122,9 +159,10 @@ def wave_energy(spec, state, t=0.0):
 # resolvent
 
 
-# bytes of the multipliers one ResolventGeometry.ladder pass evaluates
-# (one rung at least); with its per-line temporaries it sets the pass's
-# memory
+# bytes of one complex value per point the resolvent formula runs on (the
+# distinct cell-quadrature points, or the lattice), times the rungs of one
+# ResolventGeometry.ladder pass (one rung at least): the pass's
+# temporaries are a few arrays of this size
 _LADDER_BYTES = 1 << 17
 
 
@@ -156,6 +194,10 @@ class ResolventGeometry:
     average is in closed form along the axis best aligned with grad p^m
     (log antiderivative of the linearized symbol, finite uniformly in
     eps) and Gauss-Legendre across it, from p^m and its slope b per line.
+    The lines' points take few distinct (p^m, b h / 2) pairs (8448 of
+    32768 for the euclidean symbol at N = 64, cell_quad = 8), so each rung
+    evaluates the log once per distinct lattice value and gathers, bit for
+    bit the per-line result.
     """
 
     def __init__(self, spec, grid, cell_quad=1):
@@ -169,13 +211,18 @@ class ResolventGeometry:
         r = np.linalg.norm(xi, axis=-1)
         gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
         axis = np.argmax(np.abs(gc), axis=-1)
-        self.lines = []
-        for j in range(grid.n):
-            mask = axis == j
-            if not np.any(mask):
-                continue
-            others = [k for k in range(grid.n) if k != j]
-            for offs in np.ndindex(*(cell_quad,) * (grid.n - 1)):
+        groups = [(j, axis == j, [k for k in range(grid.n) if k != j])
+                  for j in range(grid.n)]
+        offsets = list(np.ndindex(*(cell_quad,) * (grid.n - 1)))
+        # each node tuple's lines (one per lattice point) are deduped on
+        # their own, then across node tuples: the temporaries stay at one
+        # lattice's worth
+        rows, index = [], []
+        for offs in offsets:
+            key = np.empty((*grid.shape, 2))
+            for j, mask, others in groups:
+                if not np.any(mask):
+                    continue
                 shift = np.zeros(grid.n)
                 shift[others] = 0.5 * h * nodes[list(offs)]
                 line = xi[mask] + shift
@@ -183,18 +230,25 @@ class ResolventGeometry:
                 lsafe = np.where((lr > 0)[..., None], line, 1.0)
                 pv = np.where(lr > 0, p(lsafe), 1.0)
                 b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
-                self.lines.append((mask, np.prod(0.5 * weights[list(offs)]),
-                                   np.where(lr > 0, pv ** m, 0.0),
-                                   0.5 * b * h))
+                key[mask] = np.stack([np.where(lr > 0, pv ** m, 0.0),
+                                      0.5 * b * h], axis=-1)
+            pairs, idx = _distinct_rows(key.reshape(-1, 2))
+            index.append(idx + sum(map(len, rows)))
+            rows.append(pairs)
+        rows = np.concatenate(rows)
+        pairs, merged = _distinct_rows(rows)
+        self.pm, self.bh = (np.ascontiguousarray(c) for c in pairs.T)
+        self.lines = [(np.prod(0.5 * weights[list(offs)]), merged[idx])
+                      for offs, idx in zip(offsets, index)]
 
     def ladder(self, d, eps_list, sign="-", chi=None):
         """Yield the multiplier of each rung eps of eps_list, chi evaluated
         once.  The rungs go in passes of as many as fit in _LADDER_BYTES; a
-        pass meets each cell-quadrature line once, with a (k, 1) complex
-        shift and a (k, *shape) accumulator."""
+        pass runs the formula once on its (k, points) stack and meets each
+        cell-quadrature line once, with a (k, *shape) accumulator."""
         shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * np.array(eps_list)
         chi_vals = None if chi is None else chi.on_freqs(self.grid)
-        step = max(1, _LADDER_BYTES // (16 * self.grid.N ** self.grid.n))
+        step = max(1, _LADDER_BYTES // (16 * self.pm.size))
         for i in range(0, len(shifts), step):
             vals = self._rungs(shifts[i:i + step])
             if chi_vals is not None:
@@ -205,17 +259,20 @@ class ResolventGeometry:
         """(L_p + shift_k)^{-1}, cell-averaged, for a (k,) shift array."""
         if self.cell_quad <= 1:
             return 1.0 / (self.pm + shift.reshape(-1, *(1,) * self.grid.n))
-        shift = shift[:, None]
-        vals = np.zeros((len(shift), *self.grid.shape), dtype=complex)
-        for mask, w, pm, bh in self.lines:
-            p0 = pm + shift
-            flat = np.abs(bh) < 1e-12 * np.abs(p0)
-            num, den = (np.where(flat, 1.0, p0 + c) for c in (bh, -bh))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # 2 bh is b h exactly
-                seg = np.where(flat, 1.0 / p0, np.log(num / den) / (2.0 * bh))
-            vals[:, mask] += w * seg
-        return vals
+        p0 = self.pm + shift[:, None]
+        flat = np.abs(self.bh) < 1e-12 * np.abs(p0)
+        num, den = (np.where(flat, 1.0, p0 + c) for c in (self.bh, -self.bh))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 2 bh is b h exactly
+            seg = np.where(flat, 1.0 / p0,
+                           np.log(num / den) / (2.0 * self.bh))
+        # every point adds its lines in node order, as one sum per line
+        # did; np.take keeps C order (see PropagatorPhase)
+        vals = np.zeros((len(shift), self.grid.N ** self.grid.n),
+                        dtype=complex)
+        for w, idx in self.lines:
+            vals += w * np.take(seg, idx, axis=1)
+        return vals.reshape(-1, *self.grid.shape)
 
 
 def resolvent_multiplier(query, spec, grid):
@@ -251,8 +308,9 @@ def dump_trajectory(spec, phi, times, directory, prefix="state"):
     """Write each time sample as a field binary plus a JSON manifest."""
     os.makedirs(directory, exist_ok=True)
     names = []
+    phase = PropagatorPhase(spec, phi.grid)
     for k, t in enumerate(times):
-        u = schrodinger_propagate(spec, phi, t)
+        u = qu.apply_multiplier(phi, phase([t])[0])
         name = f"{prefix}_{k:04d}.bin"
         gr.save_field(u, os.path.join(directory, name))
         names.append(name)

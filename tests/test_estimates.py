@@ -13,8 +13,8 @@ from slab import evolve as ev
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import (BandExceeded, ExponentViolation, InvalidSize,
-                         MassEscape, ZeroRung)
+from slab.errors import (BandExceeded, ExponentViolation, InvalidRatio,
+                         InvalidSize, MassEscape, SlabError, ZeroRung)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -163,6 +163,26 @@ def test_smoothing_sweep_matches_per_packet_ratios():
         2.0, 0.5, monitor_radius=g.L, mass_tol=0.0).ratio
         for cs in rung.spawn(3))
     assert res.ratios()[0] == best
+
+
+def test_smoothing_reports_match_across_chunks_for_an_oblique_symbol():
+    # the gathered phase stack gives the same bits one field at a time and
+    # in default chunks, on a lattice without the axis-swap symmetry
+    pair = sy.make_pair("quadratic-form:A=[[1,0.3],[0.3,0.5]]")
+    g = gr.make_grid(2, 32, 8.0)
+    spec = ev.EvolutionSpec(pair, order=2, T=2.0, dt=0.25)
+    rng = np.random.default_rng(4)
+    phis = np.array([es.make_packet(g, rng, 0.9, 0.3).values
+                     for _ in range(3)])
+    plan = qu.SeparablePlan(sy.structured_sigma(pair), g)
+    runs = []
+    for stack_bytes in (16 * g.N ** 2, es._STACK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(es, "_STACK_BYTES", stack_bytes)
+            runs.append(es._smoothing_reports(plan, spec, phis,
+                                              monitor_radius=g.L,
+                                              mass_tol=0.0))
+    assert runs[0] == runs[1]
 
 
 _BLAS_PROBE = """
@@ -405,6 +425,17 @@ def test_sweep_result_csv_layout():
     assert len(lines) == 3
     # byte-stable float formatting
     assert res.to_csv() == csv
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"),
+                                   float("-inf"), -1.0])
+def test_sweep_result_rejects_a_ratio_that_is_not_finite_and_non_negative(
+        ratio):
+    res = es.SweepResult("structured", "euclidean")
+    with pytest.raises(InvalidRatio, match="finite and non-negative"):
+        res.add(64, 8.0, 4.0, None, ratio, True, 7)
+    assert issubclass(InvalidRatio, SlabError)
+    assert res.rows == []
 
 
 def test_make_packet_deterministic():

@@ -266,6 +266,44 @@ def test_resolvent_geometry_is_bit_identical_per_rung(monkeypatch, cell_quad,
         assert np.array_equal(ev.resolvent_multiplier(query, spec, g), ref)
 
 
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
+        sign):
+    # the euclidean lattice repeats its (p^m, b h / 2) pairs, so this is
+    # where evaluating the formula once per distinct pair merges points
+    g = gr.make_grid(2, 64, 16.0)
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
+                     0.8 * g.nyquist)
+    geometry = ev.ResolventGeometry(spec, g, 8)
+    assert geometry.pm.size < 8 * g.N ** 2
+    eps_list = [1.0, 2.0 ** -6, 2.0 ** -12]
+    for eps, rung in zip(eps_list, geometry.ladder(1.0, eps_list, sign, chi)):
+        ref = _resolvent_reference(ev.ResolventQuery(
+            d=1.0, eps=eps, sign=sign, chi=chi, cell_quad=8), spec, g)
+        assert rung.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("label", ["euclidean",
+                                   "quadratic-form:A=[[1,0],[0,0.5]]",
+                                   "perturbed:amp=0.05"])
+@pytest.mark.parametrize("N", [32, 64])
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
+                                                                 sign):
+    pair = sy.make_pair(label)
+    g = gr.make_grid(2, N, 8.0)
+    spec = ev.EvolutionSpec(pair, order=2, sign=sign)
+    P = ev.symbol_lattice(pair, g, 2)
+    s = -1.0 if sign == "-" else 1.0
+    times = np.array([-3.0, -0.25, 0.0, 0.7, 2.5])
+    stack = ev.PropagatorPhase(spec, g)(times)
+    assert stack.shape == (len(times), N, N)
+    assert stack.flags.c_contiguous
+    for t, e in zip(times, stack):
+        assert e.tobytes() == np.exp(t * 1j * s * P).tobytes()
+
+
 def test_times_reject_a_step_that_does_not_divide_2T():
     # round(2T/dt) steps would silently move the window's end: T = 1,
     # dt = 0.3 would integrate up to t = 1.1
