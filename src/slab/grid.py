@@ -86,6 +86,14 @@ class Grid:
         return np.stack(np.meshgrid(*([self.axis_freqs()] * self.n),
                                     indexing="ij"), axis=-1)
 
+    def reflect(self, a):
+        """a(-x) for x-samples a over the last n axes.  On the offset
+        lattice -x_j = x_{N-1-j}, a flip; without the offset -x_j =
+        x_{-j mod N}, a flip and then a roll by one."""
+        axes = tuple(range(-self.n, 0))
+        out = np.flip(a, axis=axes)
+        return out if self.offset else np.roll(out, 1, axis=axes)
+
 
 def make_grid(n, N, L, offset=True):
     """Build a Grid, validating the lattice parameters."""

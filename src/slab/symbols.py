@@ -511,9 +511,12 @@ def structured_sigma(pair):
         return factor
 
     def fxi(i, j):
+        # grad p is degree-0 homogeneous, so the factor has the limit 0 at
+        # xi = 0; the gradient is evaluated only away from it
         def factor(xi):
-            g = grad(xi)
-            return np.sqrt(np.linalg.norm(xi, axis=-1)) * g[..., i] * g[..., j]
+            r = np.linalg.norm(xi, axis=-1)
+            g = grad(np.where((r > 0)[..., None], xi, 1.0))
+            return np.where(r > 0, np.sqrt(r) * g[..., i] * g[..., j], 0.0)
         return factor
 
     terms = []

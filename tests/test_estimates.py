@@ -102,26 +102,78 @@ def test_full_box_monitor_still_gates_mass_escape():
                            monitor_radius=np.sqrt(2.0) * g.L, mass_tol=1.5)
 
 
-@pytest.mark.parametrize("sigma,order", [
-    (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(2), 2)])
-def test_smoothing_ratio_matches_reference_loop(sigma, order):
-    # one propagation and one one-shot apply_pseudo per time sample
-    g = gr.make_grid(2, 32, 8.0)
-    phi = es.make_packet(g, np.random.default_rng(4), spread=0.3)
-    spec = ev.EvolutionSpec(EUCLID, order=order)
-    T, dt, radius = 2.0, 0.25, np.sqrt(2.0) * g.L
-    vals, mass = [], []
+def _check_against_reference_loop(spec, sigma, phi, T, dt, radius):
+    """smoothing_ratio against one propagation and one one-shot
+    apply_pseudo per sample of the whole window [-T, T]; returns how many
+    time samples smoothing_ratio propagated."""
+    vals, mass, inscribed = [], [], []
     for t in -T + dt * np.arange(int(round(2.0 * T / dt)) + 1):
         u = ev.schrodinger_propagate(spec, phi, t)
         mass.append(gr.mass_fraction(u, radius))
+        inscribed.append(gr.mass_fraction(u, phi.grid.L))
         vals.append(qu.apply_pseudo(u, sigma).norm() ** 2)
     ratio = (sum(vals) - 0.5 * (vals[0] + vals[-1])) * dt / phi.norm() ** 2
-    rep = es.smoothing_ratio(sigma, spec, phi, T, dt, monitor_radius=radius,
-                             mass_tol=0.0)
+    samples, call = [], ev.PropagatorPhase.__call__
+
+    def counted(self, times):
+        samples.append(len(times))
+        return call(self, times)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev.PropagatorPhase, "__call__", counted)
+        rep = es.smoothing_ratio(sigma, spec, phi, T, dt,
+                                 monitor_radius=radius, mass_tol=0.0)
     assert rep.ratio == pytest.approx(ratio, rel=1e-12)
     assert rep.tail == pytest.approx(max(vals[0], vals[-1]) / max(vals),
                                      rel=1e-12)
     assert rep.mass_min == pytest.approx(min(mass), rel=1e-12)
+    assert rep.mass_min_inscribed == pytest.approx(min(inscribed), rel=1e-12)
+    return sum(samples)
+
+
+@pytest.mark.parametrize("sigma,order", [
+    (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(2), 2)])
+def test_smoothing_ratio_matches_reference_loop(sigma, order):
+    g = gr.make_grid(2, 32, 8.0)
+    phi = es.make_packet(g, np.random.default_rng(4), spread=0.3)
+    spec = ev.EvolutionSpec(EUCLID, order=order)
+    _check_against_reference_loop(spec, sigma, phi, 2.0, 0.25,
+                                  np.sqrt(2.0) * g.L)
+
+
+@pytest.mark.parametrize("p", ["euclidean",
+                               "quadratic-form:A=[[1,0.3],[0.3,0.5]]",
+                               "perturbed:amp=0.05"])
+@pytest.mark.parametrize("name", ["structured", "unstructured-critical",
+                                  "weighted:s=0.75", "tau"])
+def test_folded_smoothing_window_matches_the_full_reference_loop(name, p):
+    # make_packet's packets are their own conjugate reflections, so the
+    # window runs t <= 0 only: 9 of the 17 samples, whether or not p is
+    # even.  tau's x-factors come from the dual symbol, which is not even
+    # for the perturbed p, so that case takes the full window.  A
+    # monitor radius inside the box makes the mask part of the check.
+    pair = sy.make_pair(p)
+    g = gr.make_grid(2, 32, 8.0)
+    phi = es.make_packet(g, np.random.default_rng(7), spread=0.3)
+    spec = ev.EvolutionSpec(pair, order=2)
+    samples = _check_against_reference_loop(
+        spec, sy.parse_sigma(name, pair), phi, 2.0, 0.25, 0.75 * g.L)
+    assert samples == (17 if (name, p) == ("tau", "perturbed:amp=0.05")
+                       else 9)
+
+
+@pytest.mark.parametrize("shift,T,samples", [
+    ((0, 0), 1.25, 3),      # 6 samples, none at t = 0: 3 run
+    ((3, -2), 2.0, 9),      # a translated packet is not its reflection:
+                            # all 9 samples run
+])
+def test_smoothing_window_fold_edges(shift, T, samples):
+    g = gr.make_grid(2, 32, 8.0)
+    phi = es.make_packet(g, np.random.default_rng(8), spread=0.3)
+    phi = gr.Field(g, np.roll(phi.values, shift, axis=(0, 1)), "x")
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    assert _check_against_reference_loop(
+        spec, sy.structured_sigma(EUCLID), phi, T, 0.5, 0.75 * g.L) == samples
 
 
 def test_smoothing_ratio_rejects_a_step_that_does_not_divide_2T():
@@ -444,6 +496,19 @@ def test_make_packet_deterministic():
     b = es.make_packet(g, np.random.default_rng(42))
     assert np.array_equal(a.values, b.values)
     assert a.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [True, False])
+def test_make_packet_is_its_own_conjugate_reflection(offset):
+    g = gr.make_grid(2, 32, 8.0, offset)
+    for seed in range(3):
+        phi = es.make_packet(g, np.random.default_rng(seed), 1.1, 0.3).values
+        assert np.array_equal(phi, np.conj(g.reflect(phi)))
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+        ref = gr.spectral_packet(g, 1.1 * np.array([np.cos(theta),
+                                                    np.sin(theta)]), 0.3)
+        assert np.max(np.abs(phi - ref.values)) <= 1e-14 * np.max(
+            np.abs(ref.values))
 
 
 def test_smoothing_scaling_covariance():

@@ -257,3 +257,18 @@ def test_spectral_packet_unit_norm_and_centered():
     fh = gr.transform(f)
     peak = np.unravel_index(np.argmax(np.abs(fh.values)), g.shape)
     assert np.allclose(g.freq_stack()[peak], (1.5, -0.5), atol=g.dxi)
+
+
+@pytest.mark.parametrize("offset", [True, False])
+@pytest.mark.parametrize("n", [1, 2])
+def test_reflect_maps_each_sample_to_minus_x(n, offset):
+    # dyadic L keeps every coordinate exact; without the offset the
+    # sample at -L is its own mirror, as L and -L are one periodic point
+    g = gr.make_grid(n, 16, 4.0, offset)
+    X = np.moveaxis(g.coord_stack(), -1, 0)
+    R = g.reflect(X)
+    if offset:
+        assert np.array_equal(R, -X)
+    else:
+        assert np.array_equal(np.where(R == -g.L, g.L, R), -X)
+    assert np.array_equal(g.reflect(R), X)

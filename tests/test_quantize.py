@@ -213,6 +213,18 @@ def test_plan_matches_direct_quadrature(name):
     assert np.max(np.abs(plan.values - direct.values)) <= 1e-10 * plan.norm()
 
 
+@pytest.mark.parametrize("p", ["euclidean", "perturbed:amp=0.05"])
+def test_structured_plan_builds_without_warnings(p):
+    # the xi-factors take their limit 0 at xi = 0 rather than evaluating
+    # the gradient there; the origin stays 0 under the guard
+    pair = sy.make_pair(p)
+    g = gr.make_grid(2, 32, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = qu.SeparablePlan(sy.structured_sigma(pair), g)
+    assert np.all(plan.m[(slice(None),) + (0,) * g.n] == 0)
+
+
 @pytest.mark.parametrize("name", SIGMAS)
 def test_plan_stack_matches_per_slice_calls(name):
     # any leading batch axes: each slice of the stack is the one-field call
