@@ -8,6 +8,8 @@ human-readable verdict file into the output directory.
 its required keys, its property schemas and its runner.  An optional
 key's default is the JSON-Schema ``default`` of its own property; it is
 filled in after validation, so a runner reads every key as ``cfg[key]``.
+``schema_error`` checks a config against its schema with the JSON Schema
+(Draft 2020-12) semantics of the few keywords the schemas use.
 
 Exit codes: 0 = ran and passed, 2 = ran but the verdict check failed,
 1 = configuration or runtime error.
@@ -22,7 +24,6 @@ import time
 from dataclasses import dataclass
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -79,12 +80,6 @@ class Kind:
                 "required": list(self.required),
                 "properties": dict(_COMMON, **self.properties)}
 
-    @functools.cached_property
-    def validator(self):
-        """Built on first use.  The schemas are fixed, so their metaschema
-        check lives in the tests, not in each run."""
-        return jsonschema.validators.validator_for(self.schema)(self.schema)
-
 
 KINDS = {}
 
@@ -97,6 +92,96 @@ def _kind(name, *required, **properties):
     return register
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a bool is neither a number nor an integer; an integral float is an integer
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (
+        isinstance(value, int) or value.is_integer()),
+}
+
+
+def _errors(schema, value, path=()):
+    """(path, message) of each way ``value`` breaks ``schema``, in the
+    order jsonschema yields them: schema keys in turn, depth first."""
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "minimum":
+            if _is_number(value) and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if _is_number(value) and value <= rule:
+                yield path, (f"{value!r} is less than or equal to the "
+                             f"minimum of {rule!r}")
+        elif isinstance(value, list):
+            if key == "minItems" and len(value) < rule:
+                yield path, f"{value!r} is too short"
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} is too long"
+            elif key == "items":
+                for index, item in enumerate(value):
+                    yield from _errors(rule, item, path + (index,))
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "additionalProperties":
+                extra = sorted(set(value) - set(schema["properties"]))
+                if extra:
+                    yield path, ("Additional properties are not allowed ("
+                                 + ", ".join(map(repr, extra))
+                                 + (" was" if len(extra) == 1 else " were")
+                                 + " unexpected)")
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _errors(sub, value[name], path + (name,))
+
+
+def schema_error(schema, value):
+    """The message of the error ``jsonschema.exceptions.best_match`` picks
+    for ``value`` under ``schema``, or None when ``value`` validates.
+
+    The keywords are those of the registry schemas: ``type`` (one name),
+    ``enum`` (strings and null), ``minimum``, ``exclusiveMinimum``,
+    ``minItems`` (at least 2), ``maxItems`` (at least 1), ``items`` (one
+    schema), ``required``, ``additionalProperties: false`` and
+    ``properties``.  best_match takes the first error with the shortest,
+    then the greatest, path.  Its last tie-break, whether ``value``
+    matches the type of the schema that failed, never decides here: every
+    error at one path comes from the one subschema there.
+    """
+    best = max(_errors(schema, value), key=lambda e: (-len(e[0]), e[0]),
+               default=None)
+    return None if best is None else best[1]
+
+
+def _typed(schema, value):
+    """A valid ``value`` with each integral float that ``schema`` types as
+    an integer made an int, so ``8.0`` runs and hashes like ``8``."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if "items" in schema:
+        return [_typed(schema["items"], item) for item in value]
+    if "properties" in schema:
+        return {key: _typed(schema["properties"][key], item)
+                for key, item in value.items()}
+    return value
+
+
 def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -105,7 +190,8 @@ def _load_config(path, overrides, kind):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigInvalid(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config is not a JSON object")
@@ -115,19 +201,23 @@ def _load_config(path, overrides, kind):
         key, _, raw = item.partition("=")
         try:
             cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             cfg[key] = raw
     if cfg.setdefault("kind", kind) != kind:
         raise ConfigInvalid(
             f"config kind {cfg['kind']!r} does not match subcommand "
             f"{kind!r}")
     entry = KINDS[kind]
-    error = jsonschema.exceptions.best_match(entry.validator.iter_errors(cfg))
+    error = schema_error(entry.schema, cfg)
     if error is not None:
-        raise ConfigInvalid(f"config does not validate: {error.message}")
+        raise ConfigInvalid(f"config does not validate: {error}")
+    cfg = _typed(entry.schema, cfg)
     for n in _config_grid_sizes(cfg):
-        if not _is_power_of_two(n):
-            raise ConfigInvalid(f"N = {n} is not a power of two")
+        # a ladder row's N is only typed as a number
+        if not _TYPES["integer"](n):
+            raise ConfigInvalid(f"N = {n} is not an integer")
+        if not _is_power_of_two(int(n)):
+            raise ConfigInvalid(f"N = {int(n)} is not a power of two")
     if "SLAB_SEED" in os.environ:
         raw = os.environ["SLAB_SEED"].strip()
         if not raw.isdecimal():
@@ -141,9 +231,9 @@ def _load_config(path, overrides, kind):
 
 def _config_grid_sizes(cfg):
     if "N" in cfg:
-        yield int(cfg["N"])
+        yield cfg["N"]
     for rung in cfg["ladder"] if "ladder" in cfg else ():
-        yield int(rung[0])
+        yield rung[0]
 
 
 def _write_artifacts(out_dir, cfg, results, verdict_lines, passed, t0):

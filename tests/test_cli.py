@@ -60,6 +60,65 @@ def test_rejects_non_power_of_two_grid(runner, tmp_path):
     assert "not a power of two" in res.output
 
 
+def test_rejects_non_integral_ladder_grid(runner, tmp_path):
+    # a ladder row is typed as numbers only; N = 16.5 must not run as 16
+    cfg = write_config(tmp_path / "cfg.json", {
+        "p": "euclidean", "sigma": "structured",
+        "ladder": [[16.5, 4.0, 1.0], [16, 8.0, 2.0]]})
+    res = runner.invoke(main, ["smoothing", "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.output == "config error: N = 16.5 is not an integer\n"
+    assert not (tmp_path / "out").exists()
+
+
+_SMOOTHING = {"p": "euclidean", "sigma": "structured",
+              "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}
+
+
+# each integer key reaches a call that rejects a float: make_grid's
+# N & (N - 1), SeedSequence.spawn(trials), default_rng(seed)
+@pytest.mark.parametrize("kind,cfg,key,value,override", [
+    ("commutator", {"p": "euclidean", "L": 4.0}, "N", 16, False),
+    ("smoothing", _SMOOTHING, "trials", 2, False),
+    ("geometry-audit", {"p": "euclidean", "samples": 20}, "seed", 1, False),
+    ("smoothing", _SMOOTHING, "trials", 2, True),
+], ids=["N-make_grid", "trials-spawn", "seed-default_rng",
+        "override-trials"])
+def test_integral_float_runs_like_its_int(runner, tmp_path, kind, cfg, key,
+                                          value, override):
+    outputs = []
+    for spelled in (value, float(value)):
+        out = tmp_path / repr(spelled)
+        path = write_config(tmp_path / "cfg.json",
+                            cfg if override else dict(cfg, **{key: spelled}))
+        extra = ["--override", f"{key}={spelled!r}"] if override else []
+        res = runner.invoke(main, [kind, "--config", path, "--out", str(out),
+                                   *extra])
+        assert res.exit_code in (0, 2), res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        artifacts = {p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "manifest.json"}
+        outputs.append((res.exit_code, manifest["config_sha256"],
+                        artifacts))
+    assert outputs[0] == outputs[1]
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(runner, tmp_path):
+    huge = "1" * 5000
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": "euclidean", "samples": %s}' % huge)
+    plain = write_config(tmp_path / "cfg.json", {"p": "euclidean"})
+    for args in (["--config", str(path)],
+                 ["--config", plain, "--override", f"samples={huge}"]):
+        res = runner.invoke(main, ["geometry-audit", *args,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), \
+            res.output
+
+
 def test_rejects_unknown_key(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        {"p": "euclidean", "smaples": 10})

@@ -1,7 +1,10 @@
 """Source hygiene of the slab package, checked with the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,16 @@ def test_one_frequency_layout(path):
     # the lattice is in FFT order end to end; a shift between layouts
     # would bring a second one back
     assert "fftshift" not in path.read_text()
+
+
+def test_cli_import_loads_neither_jsonschema_nor_scipy():
+    # every CLI process pays this import; jsonschema is only the tests'
+    # oracle, and scipy loads only when perfbench's tracer asks for
+    # symbols.minimize
+    src = str(pathlib.Path(slab.__file__).parents[1])
+    code = ("import sys, slab.cli; "
+            "print(sorted({'jsonschema', 'scipy'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src), text=True,
+                         timeout=120, check=True)
+    assert res.stdout == "[]\n"
