@@ -186,10 +186,16 @@ def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _reject_constant(name):
+    # Python's json reads NaN, Infinity and -Infinity, which are not JSON;
+    # a NaN tolerance would compare false with everything
+    raise ConfigInvalid(f"{name} is not a JSON number")
+
+
 def _load_config(path, overrides, kind):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigInvalid(f"cannot read config: {exc}")
@@ -200,7 +206,7 @@ def _load_config(path, overrides, kind):
             raise ConfigInvalid(f"override {item!r} is not KEY=VALUE")
         key, _, raw = item.partition("=")
         try:
-            cfg[key] = json.loads(raw)
+            cfg[key] = json.loads(raw, parse_constant=_reject_constant)
         except ValueError:
             cfg[key] = raw
     if cfg.setdefault("kind", kind) != kind:
@@ -361,10 +367,11 @@ def _run_geometry_audit(cfg):
        amp_growth=_num(1.0),
        declared_order={"type": "number"},    # amp_growth
        lams=_vec([1.0, 2.0, 4.0, 8.0], minItems=2),
-       carrier=_vec([4.0, 0.0]),
-       center=_vec([1.4, 0.0]),
+       # points of the plane: make_pair builds n = 2 symbols only
+       carrier=_vec([4.0, 0.0], minItems=2, maxItems=2),
+       center=_vec([1.4, 0.0], minItems=2, maxItems=2),
        band=_vec([0.4, 1.0, 9.0, 11.0], minItems=4, maxItems=4),
-       packet_spread=_num(0.8),
+       packet_spread=_num(0.8, exclusiveMinimum=0),
        slack=_num(3.0))
 def _run_egorov(cfg):
     seed = cfg["seed"]
@@ -405,8 +412,8 @@ def _run_egorov(cfg):
        pair_indices={"type": "array", "items": {"type": "integer"},
                      "minItems": 2, "maxItems": 2, "default": [0, 1]},
        profile_scale=_num(4.0, exclusiveMinimum=0),
-       packet_center=_vec([3.0, 0.0]),
-       packet_spread=_num(1.8),
+       packet_center=_vec([3.0, 0.0], minItems=2, maxItems=2),
+       packet_spread=_num(1.8, exclusiveMinimum=0),
        tol=_num(1e-7),
        control={"type": "boolean", "default": False},
        control_floor=_num(1e-2))
@@ -452,7 +459,7 @@ def _run_commutator(cfg):
        dt=_num(0.25, exclusiveMinimum=0),
        order=_int(1),
        freq_mag=_num(0.9),
-       spread=_num(0.15),
+       spread=_num(0.15, exclusiveMinimum=0),
        # the half-diagonal of the box
        monitor_scale=_num(float(np.sqrt(2.0))),
        mass_tol=_num(0.999),
@@ -502,7 +509,8 @@ def _run_lap(cfg):
 
 @_kind("restriction", "p", "sigma", "N", "L", **_GRID,
        sigma={"type": "string"},
-       rhos=_vec([1.0, 2.0, 4.0], minItems=2),
+       rhos=_vec([1.0, 2.0, 4.0], minItems=2,
+                 items={"type": "number", "exclusiveMinimum": 0}),
        trials=_int(4),
        window=_vec([1.19, 1.61], minItems=2, maxItems=2))
 def _run_restriction(cfg):

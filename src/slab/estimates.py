@@ -22,6 +22,8 @@ from .errors import (BandExceeded, ExponentViolation, InvalidRatio,
                      InvalidSize, MassEscape, ZeroRung)
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
+BOUNDED_STEP = 0.10
+GROWTH_STEP = 0.25
 
 
 @dataclass
@@ -30,7 +32,7 @@ class SweepResult:
 
     symbol: str
     p: str
-    rows: list = dc_field(default_factory=list)
+    rows: list = dc_field(default_factory=list, init=False)
     metadata: dict = dc_field(default_factory=dict)
 
     def add(self, N, L, T, eps, ratio, mass_ok, seed):
@@ -58,17 +60,17 @@ class SweepResult:
         return buf.getvalue()
 
 
-def verdict(ratios, bounded_tol=0.10, growth_tol=0.25):
-    """"bounded" if the last two rungs grew by <= bounded_tol, "growing"
-    if every rung grew by >= growth_tol, else "inconclusive".
+def verdict(ratios):
+    """"bounded" if the last two rungs grew by <= BOUNDED_STEP (relative),
+    "growing" if every rung grew by >= GROWTH_STEP, else "inconclusive".
     """
     r = np.asarray(ratios, dtype=float)
     if len(r) < 2:
         return "inconclusive"
     steps = np.diff(r) / r[:-1]
-    if steps[-1] <= bounded_tol:
+    if steps[-1] <= BOUNDED_STEP:
         return "bounded"
-    if np.all(steps >= growth_tol):
+    if np.all(steps >= GROWTH_STEP):
         return "growing"
     return "inconclusive"
 
@@ -263,10 +265,10 @@ def operator_norm(ops, grid, *, iters, starts, seed):
 
 
 def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
-              check_structure, iters, cell_quad, sign="-", chi=None,
-              sigma_label=None):
-    """Operator-norm ladder of sigma(X,D) (L_p - d -/+ i eps)^{-1} chi(D)
-    sigma(X,D)^* over the dyadic regularization ladder.
+              check_structure, iters, cell_quad, chi=None, sigma_label=None):
+    """Operator-norm ladder of sigma(X,D) (L_p - d - i eps)^{-1} chi(D)
+    sigma(X,D)^* over the dyadic regularization ladder (ValueError unless
+    every eps is positive).
     """
     if check_structure:
         qu.structure_spot_check(spec_pair, sigma)
@@ -283,7 +285,7 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
     def sandwich(mult):
         return lambda v: plan.apply(mult * plan.adjoint(v))
 
-    ladder = geometry.ladder(d, eps_list, sign, chi)
+    ladder = geometry.ladder(d, eps_list, chi=chi)
     for k, (eps, rung) in enumerate(zip(eps_list, ladder)):
         mult = qu.multiplier_values(grid, rung)
         nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
@@ -332,31 +334,29 @@ def surface_norm(fhat_eval, pair, rho, n_angles=512, band_limit=None):
     return float(np.sqrt(rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)))
 
 
-def restriction_norm(sigma, pair, f, rho, n_angles=512):
+def restriction_norm(sigma, pair, f, rho):
     """Surface norm of the transform of sigma(X,D)^* f, over ||f||."""
     g = qu.apply_pseudo_adjoint(f, sigma)
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
-                        n_angles, band_limit=0.95 * f.grid.nyquist) \
-        / f.norm()
+                        band_limit=0.95 * f.grid.nyquist) / f.norm()
 
 
-def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed,
-                        base_band=(0.8, 1.3), n_angles=512):
+def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
     """Max restriction ratio per dyadic rho over a dilated trial family.
 
-    Each trial draws a random packet with spectrum in base_band and pairs
-    rho with the parabolic dilation f_rho(x) = rho^{n/2} f(rho x), so the
-    homogeneous orders of sigma are probed exactly.
+    Each trial draws a random packet with spectrum in the band (0.8, 1.3)
+    and pairs rho with the parabolic dilation f_rho(x) = rho^{n/2}
+    f(rho x), so the homogeneous orders of sigma are probed exactly.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = base_band
+    lo, hi = 0.8, 1.3
     mid, spread = 0.5 * (lo + hi), 0.25 * (hi - lo)
     out = []
     for rho in rhos:
         best = 0.0
         for _ in range(trials):
             f = make_packet(grid, rng, rho * mid, rho * spread)
-            best = max(best, restriction_norm(sigma, pair, f, rho, n_angles))
+            best = max(best, restriction_norm(sigma, pair, f, rho))
         out.append(best)
     return out
 
@@ -407,9 +407,13 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
 # ---------------------------------------------------------------------------
 # resolvent / surface identity
 
-def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
+_IDENTITY_ANGLES = 256
+
+
+def resolvent_im_identity(pair, f, rho, eps, n_angles=_IDENTITY_ANGLES):
     """Im((L_p - rho^2 - i eps)^{-1} f, f) by Lorentzian-adapted polar
-    quadrature with trigonometric interpolation of fhat, L_p = p(D)^2.
+    quadrature, 129 radial nodes per angle, with trigonometric
+    interpolation of fhat, L_p = p(D)^2.
 
     Substituting v = r^2 p(omega)^2 - rho^2 and w = arctan(v / eps) turns
     the Lorentzian factor into the flat measure dw, so the radial rule
@@ -419,7 +423,7 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     # v runs from -rho^2 at r = 0 to its value at r = 0.95 nyquist
     w_lo = np.arctan(-rho**2 / eps)
     w_hi = np.arctan(((0.95 * f.grid.nyquist * p_om) ** 2 - rho**2) / eps)
-    wgrid = np.linspace(np.full(n_angles, w_lo), w_hi, n_radial, axis=-1)
+    wgrid = np.linspace(np.full(n_angles, w_lo), w_hi, 129, axis=-1)
     v = eps * np.tan(wgrid)
     # roundoff in tan(arctan .) can push rho^2 + v barely negative
     pts = np.sqrt(np.maximum(rho**2 + v, 0.0))[..., None] * unit[:, None]
@@ -432,14 +436,14 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=256, n_radial=129):
     return np.sum(per_angle) / (2.0 * np.pi) ** f.grid.n
 
 
-def surface_identity_gap(pair, f, rho, eps, n_angles=256):
+def surface_identity_gap(pair, f, rho, eps):
     """Relative gap between the surface norm of fhat on rho Sigma_p and
     4 (2 pi)^{n-1} rho Im((L_p - rho^2 - i eps)^{-1} f, f).
     """
     g = f.grid
-    im = resolvent_im_identity(pair, f, rho, eps, n_angles=n_angles)
+    im = resolvent_im_identity(pair, f, rho, eps)
     lhs = surface_norm(lambda pts: gr.eval_offgrid(f, pts), pair, rho,
-                       n_angles=n_angles,
+                       n_angles=_IDENTITY_ANGLES,
                        band_limit=0.95 * g.nyquist) ** 2
     rhs = 4.0 * (2.0 * np.pi) ** (g.n - 1) * rho * im
     return abs(lhs - rhs) / lhs

@@ -104,11 +104,12 @@ def schrodinger_propagate(spec, phi, t):
 
 @dataclass(frozen=True)
 class WaveState:
-    """Displacement and velocity data for the second-order equation."""
+    """Displacement and velocity data for the second-order equation; more
+    than 0.1 % of the velocity's spectral mass in |xi| < 2 dxi raises
+    LowFrequencyMass."""
 
     displacement: gr.Field
     velocity: gr.Field
-    low_freq_tol: float = 1e-3
 
     def __post_init__(self):
         g = self.velocity.grid
@@ -117,7 +118,7 @@ class WaveState:
         total = np.sum(np.abs(vh.values) ** 2)
         if total > 0:
             low = np.sum(np.abs(vh.values[r < 2.0 * g.dxi]) ** 2)
-            if low / total > self.low_freq_tol:
+            if low / total > 1e-3:
                 raise LowFrequencyMass(
                     f"{100 * low / total:.2f}% of velocity spectral mass "
                     "in the excluded low-frequency band")
@@ -164,24 +165,6 @@ def wave_energy(spec, state, t=0.0):
 # ResolventGeometry.ladder pass (one rung at least): the pass's
 # temporaries are a few arrays of this size
 _LADDER_BYTES = 1 << 17
-
-
-@dataclass(frozen=True)
-class ResolventQuery:
-    """(L_p - d -/+ i eps)^{-1} chi(D) with L_p = p(D)^order.
-
-    sign "-" gives -i eps (the + i0 side limit), "+" gives +i eps.
-    """
-
-    d: float
-    eps: float
-    sign: str = "-"
-    chi: object = None
-    cell_quad: int = 1
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 class ResolventGeometry:
@@ -242,11 +225,17 @@ class ResolventGeometry:
                       for offs, idx in zip(offsets, index)]
 
     def ladder(self, d, eps_list, sign="-", chi=None):
-        """Yield the multiplier of each rung eps of eps_list, chi evaluated
-        once.  The rungs go in passes of as many as fit in _LADDER_BYTES; a
-        pass runs the formula once on its (k, points) stack and meets each
+        """Yield (L_p - d -/+ i eps)^{-1} chi(D) for each rung eps of
+        eps_list, chi evaluated once; sign "-" gives -i eps (the + i0 side
+        limit), "+" gives +i eps.  ValueError unless every eps is positive.
+
+        The rungs go in passes of as many as fit in _LADDER_BYTES; a pass
+        runs the formula once on its (k, points) stack and meets each
         cell-quadrature line once, with a (k, *shape) accumulator."""
-        shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * np.array(eps_list)
+        eps = np.array(eps_list, dtype=float)
+        if not np.all(eps > 0):
+            raise ValueError("eps must be positive")
+        shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * eps
         chi_vals = None if chi is None else chi.on_freqs(self.grid)
         step = max(1, _LADDER_BYTES // (16 * self.pm.size))
         for i in range(0, len(shifts), step):
@@ -275,10 +264,12 @@ class ResolventGeometry:
         return vals.reshape(-1, *self.grid.shape)
 
 
-def resolvent_multiplier(query, spec, grid):
-    """(L_p - d -/+ i eps)^{-1} chi on the lattice for one query."""
-    return next(ResolventGeometry(spec, grid, query.cell_quad).ladder(
-        query.d, [query.eps], query.sign, query.chi))
+def resolvent_multiplier(spec, grid, d, eps, sign="-", chi=None,
+                         cell_quad=1):
+    """(L_p - d -/+ i eps)^{-1} chi(D) on the lattice for one eps, with
+    L_p = p(D)^order (see ResolventGeometry.ladder)."""
+    return next(ResolventGeometry(spec, grid, cell_quad).ladder(
+        d, [eps], sign, chi))
 
 
 def epsilon_ladder(k_max=12):
@@ -286,14 +277,14 @@ def epsilon_ladder(k_max=12):
     return [2.0 ** -k for k in range(k_max + 1)]
 
 
-def stabilization_index(values, rel=0.01, window=3):
+def stabilization_index(values, rel=0.01):
     """First index at which the sequence has settled: relative change
-    below ``rel`` over ``window`` consecutive steps.  Returns None if it
-    never stabilizes.
+    below ``rel`` over three consecutive steps.  Returns None if it never
+    stabilizes.
     """
     vals = np.asarray(values, dtype=float)
-    for i in range(len(vals) - window):
-        seg = vals[i:i + window + 1]
+    for i in range(len(vals) - 3):
+        seg = vals[i:i + 4]
         ref = np.abs(seg[0]) if seg[0] != 0 else 1.0
         if np.all(np.abs(np.diff(seg)) <= rel * ref):
             return i
@@ -304,14 +295,15 @@ def stabilization_index(values, rel=0.01, window=3):
 # trajectory dumps
 
 
-def dump_trajectory(spec, phi, times, directory, prefix="state"):
-    """Write each time sample as a field binary plus a JSON manifest."""
+def dump_trajectory(spec, phi, times, directory):
+    """Write each time sample as a field binary state_<k>.bin plus the JSON
+    manifest state_manifest.json."""
     os.makedirs(directory, exist_ok=True)
     names = []
     phase = PropagatorPhase(spec, phi.grid)
     for k, t in enumerate(times):
         u = qu.apply_multiplier(phi, phase([t])[0])
-        name = f"{prefix}_{k:04d}.bin"
+        name = f"state_{k:04d}.bin"
         gr.save_field(u, os.path.join(directory, name))
         names.append(name)
     manifest = {
@@ -321,6 +313,6 @@ def dump_trajectory(spec, phi, times, directory, prefix="state"):
         "times": [float(t) for t in times],
         "files": names,
     }
-    with open(os.path.join(directory, f"{prefix}_manifest.json"), "w") as fh:
+    with open(os.path.join(directory, "state_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest

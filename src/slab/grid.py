@@ -313,13 +313,7 @@ class Cutoff:
                 c = (pts @ axis) / np.where(r > 0, r, 1.0)
             ang = 1.0 - _smoothstep(
                 (p["cos_core"] - c) / (p["cos_core"] - p["cos_support"]))
-            radial = 1.0
-            if "radii" in p:
-                lo, lo1, hi1, hi = p["radii"]
-                radial = (_smoothstep((r - lo) / (lo1 - lo))
-                          * (1.0 - _smoothstep((r - hi1) / (hi - hi1))))
-            out = ang * radial
-            return np.where(r > 0, out, 0.0)
+            return np.where(r > 0, ang, 0.0)
         raise ValueError(f"unknown cutoff kind {self.kind!r}")
 
     def on_freqs(self, grid):
@@ -339,12 +333,9 @@ def annular(lo, lo1, hi1, hi):
     return Cutoff("annular", {"radii": (lo, lo1, hi1, hi)})
 
 
-def conic(axis, cos_core, cos_support, radii=None):
-    params = {"axis": tuple(axis), "cos_core": cos_core,
-              "cos_support": cos_support}
-    if radii is not None:
-        params["radii"] = tuple(radii)
-    return Cutoff("conic", params)
+def conic(axis, cos_core, cos_support):
+    return Cutoff("conic", {"axis": tuple(axis), "cos_core": cos_core,
+                            "cos_support": cos_support})
 
 
 def scalar_profile(lo, lo1, hi1, hi):
@@ -391,12 +382,11 @@ def load_field(path):
     return Field(g, vals)
 
 
-def export_slice_csv(f, path, axis=0, index=None):
-    """Dump a 1D slice as CSV rows (coordinate, real, imag)."""
+def export_slice_csv(f, path, axis=0):
+    """Dump the 1D slice along ``axis`` through index N/2 of every other
+    axis as CSV rows (coordinate, real, imag)."""
     g = f.grid
-    if index is None:
-        index = g.N // 2
-    sl = [index] * g.n
+    sl = [g.N // 2] * g.n
     sl[axis] = slice(None)
     line = f.values[tuple(sl)]
     x = g.axis_points()

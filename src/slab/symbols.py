@@ -24,6 +24,9 @@ from .errors import (CurvatureUnchecked, DegenerateGradient, InvalidSize,
 XI_MIN = 1e-12
 TOL_ORBIT = 1e-8
 KAPPA_MIN = 1e-4
+GRAD_TOL = 1e-10
+FD_STEP = 1e-5          # relative step of the finite-difference Hessian
+JACOBIAN_STEP = 1e-6    # and of psi_jacobian
 
 
 def __getattr__(name):
@@ -57,7 +60,7 @@ class HomogeneousSymbol:
 
     ``value`` maps points of shape (..., n) to positive reals and ``grad``
     to their gradients.  A missing hessian evaluator falls back to central
-    differences of ``grad`` with relative step ``fd_step * |xi|``
+    differences of ``grad`` with relative step ``FD_STEP * |xi|``
     (recorded in ``metadata``).
     """
 
@@ -66,8 +69,6 @@ class HomogeneousSymbol:
     value: callable
     grad: callable
     hess: callable = None
-    degree: float = 1.0
-    fd_step: float = 1e-5
     metadata: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,22 +85,26 @@ class HomogeneousSymbol:
         xi = np.asarray(xi, dtype=float)
         if self.hess is not None:
             return self.hess(xi)
-        h = self.fd_step * np.linalg.norm(xi, axis=-1, keepdims=True)
-        rows = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            rows.append((self.grad(xi + h * e) - self.grad(xi - h * e))
-                        / (2.0 * h))
-        H = np.stack(rows, axis=-2)
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
+        J = _central_jacobian(self.grad, xi, self.dim, FD_STEP)
+        return 0.5 * (J + np.swapaxes(J, -1, -2))
 
 
-def evaluate(sym, xi, order, xi_min=XI_MIN):
+def _central_jacobian(fn, xi, dim, step):
+    """Jacobian of fn at the points xi by central differences with relative
+    step ``step * |xi|``: rows index the output component, columns the
+    differentiation direction."""
+    h = step * np.linalg.norm(xi, axis=-1, keepdims=True)
+    cols = []
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        cols.append((fn(xi + h * e) - fn(xi - h * e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def evaluate(sym, xi, order):
     """Evaluator facade: order 0 -> value, 1 -> gradient, 2 -> hessian."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.linalg.norm(xi, axis=-1) < xi_min):
-        raise ZeroFrequency(f"|xi| below the degeneracy floor {xi_min}")
+    xi = _check_freq(xi)
     if order == 0:
         return sym(xi)
     if order == 1:
@@ -194,7 +199,7 @@ def level_set_samples(sym, count):
     return u / sym(u)[..., None]
 
 
-def gaussian_curvature(sym, pts, grad_tol=1e-10):
+def gaussian_curvature(sym, pts):
     """Gaussian curvature of {p = 1} at points, via the bordered Hessian."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = sym.dim
@@ -203,7 +208,7 @@ def gaussian_curvature(sym, pts, grad_tol=1e-10):
     if H.ndim == 2:
         H = H[None]
     gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn < grad_tol):
+    if np.any(gn < GRAD_TOL):
         raise DegenerateGradient("vanishing gradient on Sigma_p sample")
     B = np.zeros(pts.shape[:-1] + (n + 1, n + 1))
     B[..., :n, :n] = H
@@ -212,8 +217,8 @@ def gaussian_curvature(sym, pts, grad_tol=1e-10):
     return -np.linalg.det(B) / gn ** (n + 1)
 
 
-def curvature_audit(sym, n_samples=512, kappa_min=KAPPA_MIN):
-    """Minimum |Gaussian curvature| over Sigma_p; passes iff above kappa_min.
+def curvature_audit(sym, n_samples=512):
+    """Minimum |Gaussian curvature| over Sigma_p; passes iff above KAPPA_MIN.
 
     Returns (min_abs_curvature, worst_point, passed).
     """
@@ -221,7 +226,7 @@ def curvature_audit(sym, n_samples=512, kappa_min=KAPPA_MIN):
     K = gaussian_curvature(sym, pts)
     i = np.argmin(np.abs(K))
     kmin = np.abs(K[i])
-    return float(kmin), pts[i], bool(kmin > kappa_min)
+    return float(kmin), pts[i], bool(kmin > KAPPA_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +309,7 @@ class DualPair:
     construction: str = "support-function"
 
 
-def make_dual(sym, audit_samples=512):
+def make_dual(sym):
     """Build the dual symbol p*(x) = max {x.sigma : p(sigma) = 1}, n = 2.
 
     Non-vanishing curvature of the compact level set makes it convex, so
@@ -313,7 +318,7 @@ def make_dual(sym, audit_samples=512):
     """
     if sym.dim != 2:
         raise InvalidSize(f"support-function duals need n = 2, got {sym.dim}")
-    kmin, worst, ok = curvature_audit(sym, n_samples=audit_samples)
+    kmin, worst, ok = curvature_audit(sym)
     if not ok:
         raise CurvatureUnchecked(
             f"curvature audit failed: min |K| = {kmin:.3e} at {worst}")
@@ -343,10 +348,10 @@ def closed_form_dual(sym):
 # canonical map, orbits, structure symbols
 
 
-def _check_freq(xi, xi_min=XI_MIN):
+def _check_freq(xi):
     xi = np.asarray(xi, dtype=float)
-    if np.any(np.linalg.norm(xi, axis=-1) < xi_min):
-        raise ZeroFrequency("frequency argument too close to zero")
+    if np.any(np.linalg.norm(xi, axis=-1) < XI_MIN):
+        raise ZeroFrequency(f"|xi| below the degeneracy floor {XI_MIN}")
     return xi
 
 
@@ -365,20 +370,11 @@ def psi_inv(pair, xi):
     return r * pair.dual.gradient(xi)
 
 
-def psi_jacobian(pair, xi, step=1e-6):
+def psi_jacobian(pair, xi):
     """Jacobian matrix psi'(xi) by central differences."""
-    xi = np.asarray(xi, dtype=float)
-    n = pair.primal.dim
-    r = np.linalg.norm(xi, axis=-1, keepdims=True)
-    h = step * r
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols.append((psi(pair, xi + h * e) - psi(pair, xi - h * e))
-                    / (2.0 * h))
-    # rows index the output component, columns the differentiation direction
-    return np.stack(cols, axis=-1)
+    return _central_jacobian(lambda eta: psi(pair, eta),
+                             np.asarray(xi, dtype=float), pair.primal.dim,
+                             JACOBIAN_STEP)
 
 
 def omega(pair, x, xi):
@@ -399,7 +395,7 @@ def omega(pair, x, xi):
     return wedge(v, p[..., None] * g)
 
 
-def gamma_p_membership(pair, x, xi, tol_orbit=TOL_ORBIT):
+def gamma_p_membership(pair, x, xi):
     """Normalized orbit residual |Omega| / (|x| |xi|) and membership flag."""
     xi = _check_freq(xi)
     x = np.asarray(x, dtype=float)
@@ -409,7 +405,7 @@ def gamma_p_membership(pair, x, xi, tol_orbit=TOL_ORBIT):
     denom = np.where(rx > 0, rx, 1.0) * rxi
     res = np.linalg.norm(om, axis=-1) / denom
     res = np.where(rx > 0, res, 0.0)
-    return res, res <= tol_orbit
+    return res, res <= TOL_ORBIT
 
 
 def tau_symbol(pair, x, xi):
@@ -422,11 +418,7 @@ def tau_symbol(pair, x, xi):
     x = np.asarray(x, dtype=float)
     if np.any(np.linalg.norm(x, axis=-1) < XI_MIN):
         raise ZeroPosition("tau needs x away from 0")
-    ps = pair.dual(x)
-    gs = pair.dual.gradient(x)
-    scale = ps / np.linalg.norm(gs, axis=-1)
-    w = wedge(gs, np.broadcast_to(xi, gs.shape))
-    return scale**2 * np.sum(w**2, axis=-1)
+    return tau_phase_symbol(pair)(x, xi)
 
 
 @dataclass(frozen=True)
@@ -477,7 +469,13 @@ class PhaseSpaceSymbol:
 
 def _safe_unit(x):
     r = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(r > 0, r, 1.0), r[..., 0]
+    return x / np.where(r > 0, r, 1.0)
+
+
+def _inv_sqrt_radius(x):
+    """|x|^{-1/2}, with the value 0 at x = 0."""
+    r = np.linalg.norm(x, axis=-1)
+    return np.where(r > 0, r, np.inf) ** -0.5
 
 
 def structured_sigma(pair):
@@ -491,23 +489,17 @@ def structured_sigma(pair):
     n = pair.primal.dim
     grad = pair.primal.gradient
 
-    def unit_and_amp(x):
-        xhat, rx = _safe_unit(x)
-        with np.errstate(divide="ignore"):
-            return xhat, np.where(rx > 0, rx, np.inf) ** -0.5
-
     def value(x, xi):
-        xhat, amp = unit_and_amp(x)
-        g = grad(xi)
-        w = wedge(xhat, g)
-        return amp * np.sum(w**2, axis=-1) * np.sqrt(
+        w = wedge(_safe_unit(x), grad(xi))
+        return _inv_sqrt_radius(x) * np.sum(w**2, axis=-1) * np.sqrt(
             np.linalg.norm(xi, axis=-1))
 
-    # sigma = amp |xi|^{1/2} sum_{i<j} (xhat_i g_j - xhat_j g_i)^2, expanded
+    # sigma = |x|^{-1/2} |xi|^{1/2} sum_{i<j} (xhat_i g_j - xhat_j g_i)^2,
+    # expanded
     def fx(i, j, c):
         def factor(x):
-            xhat, amp = unit_and_amp(x)
-            return c * amp * xhat[..., i] * xhat[..., j]
+            xhat = _safe_unit(x)
+            return c * _inv_sqrt_radius(x) * xhat[..., i] * xhat[..., j]
         return factor
 
     def fxi(i, j):
@@ -560,16 +552,10 @@ def unstructured_critical(n=2):
     """|x|^{-1/2} |xi|^{1/2}: the critical weight with no structure."""
 
     def value(x, xi):
-        _, rx = _safe_unit(x)
-        with np.errstate(divide="ignore"):
-            amp = np.where(rx > 0, rx, np.inf) ** -0.5
-        return amp * np.sqrt(np.linalg.norm(xi, axis=-1))
+        return _inv_sqrt_radius(x) * np.sqrt(np.linalg.norm(xi, axis=-1))
 
-    terms = [(
-        lambda x: np.where(np.linalg.norm(x, axis=-1) > 0,
-                           np.linalg.norm(x, axis=-1), np.inf) ** -0.5,
-        lambda xi: np.sqrt(np.linalg.norm(xi, axis=-1)),
-    )]
+    terms = [(_inv_sqrt_radius,
+              lambda xi: np.sqrt(np.linalg.norm(xi, axis=-1)))]
     return PhaseSpaceSymbol("unstructured-critical", (-0.5, 0.5),
                             value, terms)
 

@@ -273,10 +273,29 @@ def test_module_entry_point_runs(tmp_path):
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
                     "pair_indices": [0, 0]}, {}),
     ("hl-oracle", [0.5, 0.5, 1.0], {}),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "carrier": []}, {}),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0,
+                "carrier": [1.0, 2.0, 3.0]}, {}),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "center": [1.0]}, {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "packet_center": [1.0, 2.0, 3.0]}, {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "packet_center": [1.0]}, {}),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "packet_spread": 0},
+     {}),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "packet_spread": 0}, {}),
+    ("smoothing", dict(_SMOOTHING, spread=0), {}),
+    ("smoothing", dict(_SMOOTHING, spread=-0.1), {}),
+    ("restriction", {"p": "euclidean", "sigma": "structured", "N": 8,
+                     "L": 4.0, "rhos": [0, 1]}, {}),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
-        "config-not-object"])
+        "config-not-object", "carrier-empty", "carrier-3d", "center-1d",
+        "packet_center-3d", "packet_center-1d", "egorov-spread-zero",
+        "commutator-spread-zero", "smoothing-spread-zero",
+        "smoothing-spread-negative", "rhos-zero"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               env):
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -287,6 +306,27 @@ def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
     assert len(lines) == 1 and lines[0].startswith("config error:"), \
         res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("override", [False, True])
+def test_non_finite_json_literals_are_config_errors(runner, tmp_path,
+                                                    literal, override):
+    # Python's json reads them; a NaN tolerance would compare false with
+    # every residual, and an infinite L fails deep in the plan
+    cfg = {"p": "euclidean", "N": 16, "L": 4.0}
+    path = tmp_path / "cfg.json"
+    if override:
+        write_config(path, cfg)
+        extra = ["--override", f"tol={literal}"]
+    else:
+        path.write_text('{"p": "euclidean", "N": 16, "L": %s}' % literal)
+        extra = []
+    res = runner.invoke(main, ["commutator", "--config", str(path),
+                               "--out", str(tmp_path / "out"), *extra])
+    assert res.exit_code == 1
+    assert res.output == f"config error: {literal} is not a JSON number\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind,cfg", [

@@ -299,8 +299,7 @@ def test_lap_sweep_matches_reference_loop():
             qu.apply_multiplier(qu.apply_pseudo_adjoint(u, sig), m), sig)
 
     for k, eps in enumerate(eps_list):
-        query = ev.ResolventQuery(d=1.0, eps=eps, chi=chi)
-        mult = ev.resolvent_multiplier(query, spec, g)
+        mult = ev.resolvent_multiplier(spec, g, d=1.0, eps=eps, chi=chi)
         ref = _power_norm_reference((sandwich(mult), sandwich(np.conj(mult))),
                                     g, iters=8, starts=2, seed=3 + k)
         assert res.ratios()[k] == pytest.approx(ref, rel=1e-12)
@@ -312,6 +311,14 @@ def test_lap_sweep_zero_rung_names_eps():
         es.lap_sweep(zero_symbol(), EUCLID, g, d=1.0, eps_list=[0.5, 0.25],
                      trials=1, seed=0, order=2, check_structure=True,
                      iters=2, cell_quad=1)
+
+
+def test_lap_sweep_rejects_a_non_positive_eps():
+    g = gr.make_grid(2, 16, 4.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        es.lap_sweep(sy.structured_sigma(EUCLID), EUCLID, g, d=1.0,
+                     eps_list=[0.5, 0.0], trials=1, seed=0, order=2,
+                     check_structure=True, iters=2, cell_quad=1)
 
 
 def test_verdict_rules():

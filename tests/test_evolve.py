@@ -137,8 +137,7 @@ def test_resolvent_negative_d_pointwise_formula():
     g = gr.make_grid(2, 32, 8.0)
     chi = gr.annular(1.0, 1.5, 3.0, 3.5)
     spec = ev.EvolutionSpec(EUCLID, order=2)
-    query = ev.ResolventQuery(d=-2.0, eps=1.0, chi=chi)
-    vals = ev.resolvent_multiplier(query, spec, g)
+    vals = ev.resolvent_multiplier(spec, g, d=-2.0, eps=1.0, chi=chi)
     pm = ev.symbol_lattice(EUCLID, g, 2)
     ref = chi.on_freqs(g) / (pm + 2.0 - 1j)
     assert np.max(np.abs(vals - ref)) <= 1e-14
@@ -149,10 +148,10 @@ def test_resolvent_sign_flip_conjugates():
     g = gr.make_grid(2, 32, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 1.0, 3.0, 3.5)
-    minus = ev.resolvent_multiplier(
-        ev.ResolventQuery(d=1.0, eps=0.1, sign="-", chi=chi), spec, g)
-    plus = ev.resolvent_multiplier(
-        ev.ResolventQuery(d=1.0, eps=0.1, sign="+", chi=chi), spec, g)
+    minus = ev.resolvent_multiplier(spec, g, d=1.0, eps=0.1, sign="-",
+                                    chi=chi)
+    plus = ev.resolvent_multiplier(spec, g, d=1.0, eps=0.1, sign="+",
+                                   chi=chi)
     assert np.max(np.abs(plus - np.conj(minus))) <= 1e-14
 
 
@@ -165,8 +164,7 @@ def test_resolvent_off_characteristic_limit():
     d = 1.0
     pm = ev.symbol_lattice(EUCLID, g, 2)
     bare = chi.on_freqs(g) / (pm - d)
-    query = ev.ResolventQuery(d=d, eps=1e-10, chi=chi)
-    vals = ev.resolvent_multiplier(query, spec, g)
+    vals = ev.resolvent_multiplier(spec, g, d=d, eps=1e-10, chi=chi)
     assert np.max(np.abs(vals - bare)) <= 1e-10
 
 
@@ -176,17 +174,26 @@ def test_cell_averaged_resolvent_matches_pointwise_off_resonance():
     g = gr.make_grid(2, 64, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 0.8, 2.5, 2.8)
-    q1 = ev.ResolventQuery(d=1.0, eps=1.0, chi=chi)
-    q8 = ev.ResolventQuery(d=1.0, eps=1.0, chi=chi, cell_quad=8)
-    v1 = ev.resolvent_multiplier(q1, spec, g)
-    v8 = ev.resolvent_multiplier(q8, spec, g)
+    v1 = ev.resolvent_multiplier(spec, g, d=1.0, eps=1.0, chi=chi)
+    v8 = ev.resolvent_multiplier(spec, g, d=1.0, eps=1.0, chi=chi,
+                                 cell_quad=8)
     denom = np.max(np.abs(v1))
     assert np.max(np.abs(v1 - v8)) <= 0.1 * denom
 
 
-def _cell_averaged_reference(query, spec, grid, s):
+@pytest.mark.parametrize("eps", [0.0, -0.25, float("nan")])
+def test_resolvent_ladder_rejects_a_non_positive_eps(eps):
+    g = gr.make_grid(2, 16, 4.0)
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    geometry = ev.ResolventGeometry(spec, g)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        next(geometry.ladder(1.0, [0.5, eps]))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        ev.resolvent_multiplier(spec, g, d=1.0, eps=eps)
+
+
+def _cell_averaged_reference(spec, grid, d, eps, s, q):
     # the per-rung formula that builds the geometry inside every call
-    q = query.cell_quad
     nodes, weights = np.polynomial.legendre.leggauss(q)
     nodes = 0.5 * grid.dxi * nodes
     weights = 0.5 * weights
@@ -197,7 +204,7 @@ def _cell_averaged_reference(query, spec, grid, s):
     r = np.linalg.norm(xi, axis=-1)
     safe = np.where((r > 0)[..., None], xi, 1.0)
     axis = np.argmax(np.abs(p.gradient(safe)), axis=-1)
-    z0 = -query.d + 1j * s * query.eps
+    z0 = -d + 1j * s * eps
     acc = np.zeros(grid.shape, dtype=complex)
     for j in range(grid.n):
         mask = axis == j
@@ -229,14 +236,14 @@ def _cell_averaged_reference(query, spec, grid, s):
     return acc
 
 
-def _resolvent_reference(query, spec, grid):
-    s = -1.0 if query.sign == "-" else 1.0
-    if query.cell_quad > 1:
-        vals = _cell_averaged_reference(query, spec, grid, s)
+def _resolvent_reference(spec, grid, d, eps, sign, chi, cell_quad):
+    s = -1.0 if sign == "-" else 1.0
+    if cell_quad > 1:
+        vals = _cell_averaged_reference(spec, grid, d, eps, s, cell_quad)
     else:
         pm = ev.symbol_lattice(spec.pair, grid, spec.order)
-        vals = 1.0 / (pm - query.d + 1j * s * query.eps)
-    return vals * query.chi.on_freqs(grid)
+        vals = 1.0 / (pm - d + 1j * s * eps)
+    return vals * chi.on_freqs(grid)
 
 
 @pytest.mark.parametrize("cell_quad", [1, 8])
@@ -251,9 +258,8 @@ def test_resolvent_geometry_is_bit_identical_per_rung(monkeypatch, cell_quad,
                      0.8 * g.nyquist)
     geometry = ev.ResolventGeometry(spec, g, cell_quad)
     eps_list = [1.0, 2.0 ** -6, 2.0 ** -12]
-    refs = [_resolvent_reference(ev.ResolventQuery(
-        d=1.0, eps=eps, sign=sign, chi=chi, cell_quad=cell_quad), spec, g)
-        for eps in eps_list]
+    refs = [_resolvent_reference(spec, g, 1.0, eps, sign, chi, cell_quad)
+            for eps in eps_list]
     for ladder_bytes in (1, 1 << 17):
         monkeypatch.setattr(ev, "_LADDER_BYTES", ladder_bytes)
         ladder = list(geometry.ladder(1.0, eps_list, sign, chi))
@@ -261,9 +267,8 @@ def test_resolvent_geometry_is_bit_identical_per_rung(monkeypatch, cell_quad,
         for rung, ref in zip(ladder, refs):
             assert np.array_equal(rung, ref)
     for eps, ref in zip(eps_list, refs):
-        query = ev.ResolventQuery(d=1.0, eps=eps, sign=sign, chi=chi,
-                                  cell_quad=cell_quad)
-        assert np.array_equal(ev.resolvent_multiplier(query, spec, g), ref)
+        assert np.array_equal(ev.resolvent_multiplier(
+            spec, g, 1.0, eps, sign=sign, chi=chi, cell_quad=cell_quad), ref)
 
 
 @pytest.mark.parametrize("sign", ["-", "+"])
@@ -279,8 +284,7 @@ def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
     assert geometry.pm.size < 8 * g.N ** 2
     eps_list = [1.0, 2.0 ** -6, 2.0 ** -12]
     for eps, rung in zip(eps_list, geometry.ladder(1.0, eps_list, sign, chi)):
-        ref = _resolvent_reference(ev.ResolventQuery(
-            d=1.0, eps=eps, sign=sign, chi=chi, cell_quad=8), spec, g)
+        ref = _resolvent_reference(spec, g, 1.0, eps, sign, chi, 8)
         assert rung.tobytes() == ref.tobytes()
 
 
