@@ -363,6 +363,12 @@ def _run_geometry_audit(cfg):
     return [("geometry", result)], lines, passed
 
 
+def _squared_norm(v):
+    """|v|^2 over the last axis as a sum of component products: with two
+    components, einsum's value bit for bit in about half its time."""
+    return sum(v[..., i] * v[..., i] for i in range(v.shape[-1]))
+
+
 @_kind("egorov", "p", "N", "L", **_GRID,
        amp_growth=_num(1.0),
        declared_order={"type": "number"},    # amp_growth
@@ -374,6 +380,10 @@ def _run_geometry_audit(cfg):
        packet_spread=_num(0.8, exclusiveMinimum=0),
        slack=_num(3.0))
 def _run_egorov(cfg):
+    lo, lo1, hi1, hi = cfg["band"]
+    if not lo < lo1 <= hi1 < hi:
+        raise ConfigInvalid(f"band {cfg['band']} is not ordered "
+                            "lo < lo1 <= hi1 < hi")
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     g = _grid_from_config(cfg, pair)
@@ -382,15 +392,15 @@ def _run_egorov(cfg):
     slack = cfg["slack"]
 
     def gfac(xi):
-        return 1.0 / np.sqrt(1.0 + np.einsum("...i,...i->...", xi, xi))
+        return 1.0 / np.sqrt(1.0 + _squared_norm(xi))
 
     def xfac(x):
-        return (1.0 + np.einsum("...i,...i->...", x, x)) ** (growth / 2.0)
+        return (1.0 + _squared_norm(x)) ** (growth / 2.0)
 
     a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0),
                             value=lambda x, xi: xfac(x) * gfac(xi),
                             terms=[(xfac, gfac)])
-    plan = qu.CanonicalTransformPlan(pair, gr.annular(*cfg["band"]))
+    plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
     env = gr.spectral_packet(g, np.zeros(pair.primal.dim),
                              cfg["packet_spread"])
     ratios = qu.egorov_residual(a, plan, declared, env,
@@ -514,11 +524,13 @@ def _run_lap(cfg):
        trials=_int(4),
        window=_vec([1.19, 1.61], minItems=2, maxItems=2))
 def _run_restriction(cfg):
+    lo, hi = cfg["window"]
+    if not lo <= hi:
+        raise ConfigInvalid(f"window {cfg['window']} is not ordered lo <= hi")
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
     rhos = tuple(cfg["rhos"])
-    lo, hi = cfg["window"]
     norms = es.restriction_scaling(sigma, pair, _grid_from_config(cfg, pair),
                                    rhos=rhos, **_args(cfg, "trials", "seed"))
     doublings = [norms[k + 1] / norms[k] for k in range(len(norms) - 1)]

@@ -11,10 +11,13 @@ separable expansion a = sum_r f_r(x) m_r(xi) are applied by a
 ``SeparablePlan``, one FFT call for all R terms on a stack of spectra;
 anything else falls back to the direct O(N^{2n}) quadrature, whose one
 kernel ``_kn_sum`` also serves the Egorov check.  It takes e^{i x.xi}
-from per-axis tables of e^{i x_d xi_d}, broadcast over blocks of whole
-lattice rows, never pair by pair.  The canonical transform I_gamma runs
-on a list of fields as one stacked off-grid contraction (a single field
-is the one-column case): cutoff, warp and phase tables are built once.
+from per-axis tables of e^{i x_d xi_d}, never pair by pair, over blocks
+of lattice points sized in bytes: each block's (points, K) kernel stays
+under glibc's 128 KiB mmap threshold, so its temporaries reuse heap
+memory instead of faulting in fresh pages on every block.  The
+canonical transform I_gamma runs on a list of fields as one stacked
+off-grid contraction (a single field is the one-column case): cutoff,
+warp and phase tables are built once.
 """
 
 import warnings
@@ -134,9 +137,9 @@ def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
     raise ValueError(f"unknown method {method!r}")
 
 
-# x-lattice points per direct-quadrature block (whole leading-axis rows,
-# one row at least): memory is O(_KN_ROWS * K)
-_KN_ROWS = 64
+# glibc's default mmap threshold: _kn_sum keeps each block's (points, K)
+# complex kernel, and so the block's temporaries, under it
+_KN_BYTES = 1 << 17
 
 
 def _kn_sum(grid, block, kept, uh):
@@ -145,36 +148,42 @@ def _kn_sum(grid, block, kept, uh):
         out[x, s] = (dxi / 2 pi)^n sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
 
     on the x-lattice, over the K lattice modes with flat indices ``kept``;
-    block(xb) is the symbol on the (rows, K) set.  A block is whole rows
-    of the leading axis.  As e^{i x.xi} = prod_d e^{i x_d xi_d}, the n
-    per-axis tables e^{i x_d xi_{k,d}} (N x K, gathered at the kept modes
-    once) broadcast over the block's (rows, N, ..., N, K) view: the symbol,
-    checked finite, is multiplied by them into one kernel buffer that every
-    block reuses, and the block then meets all S columns in one product.
+    block(xb) is the symbol on the (points, K) set.  A block is the next
+    lattice points in flat order, as many as keep its (points, K) complex
+    kernel under _KN_BYTES and one at least.  Below that mmap threshold
+    the block's temporaries (the symbol and its intermediates, the
+    gathered phase rows) are heap memory the next block reuses; above it
+    each would be fresh pages, faulted in again on every block.  As
+    e^{i x.xi} = prod_d e^{i x_d xi_d}, the n per-axis tables
+    e^{i x_d xi_{k,d}} (N x K, gathered at the kept modes once) give each
+    block's phase as n gathered rows: the symbol, checked finite, is
+    multiplied by them into one kernel buffer that every block reuses, and
+    the block then meets all S columns in one product.
     """
-    N, n, K = grid.N, grid.n, len(kept)
+    n, K = grid.n, len(kept)
     table = np.exp(1j * np.outer(grid.axis_points(), grid.axis_freqs()))
-    cols = [table[:, k] for k in np.unravel_index(kept, grid.shape)]
-    inner = N ** (n - 1)            # lattice points per leading-axis row
-    lead = min(N, max(1, _KN_ROWS // inner))
+    # np.take is row-major; table[:, k] is column-major, a row's entries
+    # N * 16 bytes apart, which makes every gathered row a strided read
+    cols = [np.take(table, k, axis=1)
+            for k in np.unravel_index(kept, grid.shape)]
+    axes = np.indices(grid.shape).reshape(n, -1)    # per-axis point indices
     x_flat = grid.coord_stack().reshape(-1, n)
+    P = len(x_flat)
+    step = min(P, max(1, (_KN_BYTES - 1) // (16 * K)))
     w = (grid.dxi / (2.0 * np.pi)) ** n
-    buf = np.empty((lead * inner, K), dtype=complex)
-    out = np.empty((N ** n, uh.shape[1]), dtype=complex)
-    for i in range(0, N, lead):
-        rows = min(lead, N - i)
-        b = slice(i * inner, (i + rows) * inner)
-        sym = np.broadcast_to(block(x_flat[b]), (rows * inner, K))
+    buf = np.empty((step, K), dtype=complex)
+    out = np.empty((P, uh.shape[1]), dtype=complex)
+    for i in range(0, P, step):
+        b = slice(i, i + step)
+        xb = x_flat[b]
+        kern = buf[:len(xb)]
+        sym = np.broadcast_to(block(xb), kern.shape)
         if not np.all(np.isfinite(sym)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
-        kern = buf[:rows * inner]
-        view = kern.reshape(rows, *grid.shape[1:], K)
-        np.multiply(sym.reshape(view.shape),
-                    cols[0][i:i + rows].reshape(rows, *(1,) * (n - 1), K),
-                    out=view)
+        np.multiply(sym, cols[0][axes[0, b]], out=kern)
         del sym     # not alive while the next block's symbol is evaluated
         for d in range(1, n):
-            view *= cols[d].reshape(N, *(1,) * (n - 1 - d), K)
+            kern *= cols[d][axes[d, b]]
         out[b] = (kern @ uh) * w
     return out
 

@@ -308,6 +308,32 @@ def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
     assert "Traceback" not in res.output
 
 
+def test_unordered_egorov_band_is_a_config_error(runner, tmp_path):
+    # lo = lo1 made the annular cutoff divide by zero and run a step
+    path = write_config(tmp_path / "cfg.json",
+                        {"p": "euclidean", "N": 8, "L": 4.0,
+                         "band": [1, 1, 9, 11]})
+    res = runner.invoke(main, ["egorov", "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.output == ("config error: band [1, 1, 9, 11] is not ordered "
+                          "lo < lo1 <= hi1 < hi\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unordered_restriction_window_is_a_config_error(runner, tmp_path):
+    # a reversed window ran the whole sweep and then failed every ratio
+    path = write_config(tmp_path / "cfg.json",
+                        {"p": "euclidean", "sigma": "structured", "N": 8,
+                         "L": 4.0, "window": [1.61, 1.19]})
+    res = runner.invoke(main, ["restriction", "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.output == ("config error: window [1.61, 1.19] is not "
+                          "ordered lo <= hi\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("override", [False, True])
 def test_non_finite_json_literals_are_config_errors(runner, tmp_path,

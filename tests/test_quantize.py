@@ -302,16 +302,28 @@ def test_stacked_canonical_equals_per_field():
         assert np.array_equal(o.values, r.values)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1 << 20])
-@pytest.mark.parametrize("n", [1, 2])
-def test_kn_sum_matches_literal_double_sum(monkeypatch, n, rows):
-    monkeypatch.setattr(qu, "_KN_ROWS", rows)
+def _kn_case(n):
     g = gr.make_grid(n, 8, 3.0)
     rng = np.random.default_rng(n)
     kept = np.sort(rng.choice(g.N ** n, size=g.N ** n // 2 + 1,
                               replace=False))
     xi = g.freq_stack().reshape(-1, n)[kept]
     uh = rng.normal(size=(len(kept), 3)) + 1j * rng.normal(size=(len(kept), 3))
+    return g, kept, xi, uh
+
+
+# the smallest byte budget that holds ``points`` (K,) complex kernel rows
+def _budget(points, K):
+    return 16 * K * points + 1
+
+
+# one point per block, 7 points (splitting the 2D lattice's 8-point
+# leading rows, and the 1D lattice unevenly), the whole lattice at once
+@pytest.mark.parametrize("points", [1, 7, 1 << 20])
+@pytest.mark.parametrize("n", [1, 2])
+def test_kn_sum_matches_literal_double_sum(monkeypatch, n, points):
+    g, kept, xi, uh = _kn_case(n)
+    monkeypatch.setattr(qu, "_KN_BYTES", _budget(points, len(kept)))
 
     def sym(x, k):
         return (np.cos(x @ np.arange(1.0, n + 1)) + 1j * np.sum(k, -1)) \
@@ -324,6 +336,31 @@ def test_kn_sum_matches_literal_double_sum(monkeypatch, n, rows):
             ref[j] += np.exp(1j * x @ kx) * sym(x, kx) * uh[k]
     ref *= (g.dxi / (2.0 * np.pi)) ** n
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kn_sum_blocks_fit_the_byte_budget(monkeypatch, n):
+    # every block's (points, K) complex kernel is under the budget unless
+    # it is a single point; the blocks tile the lattice in flat order
+    g, kept, xi, uh = _kn_case(n)
+    K = len(kept)
+    for budget in (1, 100, 16 * K * 3, _budget(3, K), 1 << 13, 1 << 17,
+                   1 << 40):
+        monkeypatch.setattr(qu, "_KN_BYTES", budget)
+        seen = []
+
+        def block(xb):
+            seen.append(xb.copy())
+            return np.ones((len(xb), K))
+
+        qu._kn_sum(g, block, kept, uh)
+        sizes = [len(xb) for xb in seen]
+        assert min(sizes) >= 1, budget
+        assert all(p == 1 or 16 * K * p < budget for p in sizes), budget
+        # as many points as fit: only the last block may be short
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0], budget
+        assert np.array_equal(np.concatenate(seen),
+                              g.coord_stack().reshape(-1, n))
 
 
 def test_change_of_vars_identity_and_rotation():
@@ -503,6 +540,17 @@ def test_egorov_residual_matches_per_warp_ratios_to_roundoff():
         r64 = _egorov_dual_case(64)
     assert np.allclose(r32, ref32, rtol=1e-14, atol=0.0)
     assert np.allclose(r64, ref64, rtol=1e-14, atol=0.0)
+
+
+def test_egorov_residual_ratios_agree_across_kn_budgets(monkeypatch):
+    # the block height only regroups zgemm's sums: roundoff, no more
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffLeakage)
+        ref = _egorov_dual_case(32)
+        for budget in (1, 1 << 15, 1 << 40):
+            monkeypatch.setattr(qu, "_KN_BYTES", budget)
+            ratios = _egorov_dual_case(32)
+            assert np.allclose(ratios, ref, rtol=1e-13, atol=0.0), budget
 
 
 def test_egorov_residual_rejects_non_finite_warped_symbol():
