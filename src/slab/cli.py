@@ -406,7 +406,7 @@ def _run_egorov(cfg):
     ratios = qu.egorov_residual(a, plan, declared, env,
                                 lams=tuple(cfg["lams"]),
                                 carrier=tuple(cfg["carrier"]),
-                                center=tuple(cfg["center"]), spread=False)
+                                center=tuple(cfg["center"]))
     spreadr = max(ratios) / min(ratios)
     entries = [(cfg["N"], float(cfg["L"]), 0.0, None, r, spreadr <= slack)
                for r in ratios]

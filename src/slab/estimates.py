@@ -143,10 +143,11 @@ def _time_reversible(plan, phis, masks):
 
 
 def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
-    """smoothing_ratio's report for each x-space packet of the stack phis,
-    their trajectories run as one time-major FFT-native stack.  MassEscape
-    is raised at the first time sample (lowest trial first) whose mass
-    inside monitor_radius falls below mass_tol.
+    """smoothing_ratio's report for each x-space packet of the stack phis.
+    The loop steps through the time samples one at a time; a sample's
+    trials run as FFT-native stacks of at most _STACK_BYTES (one field at
+    least).  MassEscape is raised at the first time sample (lowest trial
+    first) whose mass inside monitor_radius falls below mass_tol.
 
     When _time_reversible holds (make_packet's packets with every registry
     weight but tau over a symbol that is not even) the window is folded:
@@ -165,28 +166,25 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     masks = [None if np.all(inside) else inside for inside in masks]
     times = (window[:(len(window) + 1) // 2]
              if _time_reversible(plan, phis, masks) else window)
-    fields = max(1, _STACK_BYTES // vh[0].nbytes)
-    rows, cols = max(1, fields // S), min(S, fields)
+    cols = max(1, _STACK_BYTES // vh[0].nbytes)
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
     out = np.empty((3, len(times), S))
-    for j in range(0, len(times), rows):
-        e = phase(times[j:j + rows])
+    for j, t in enumerate(times):
+        e = phase([t])[0]
         for s in range(0, S, cols):
-            blk = (slice(j, j + rows), slice(s, s + cols))
-            wh = (e[:, None] * vh[None, blk[1]]).reshape(-1, *g.shape)
+            wh = e * vh[s:s + cols]
+            blk = out[:, j, s:s + cols]     # a view: writes land in out
             mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
             mass = mass.real ** 2 + mass.imag ** 2
             total = np.sum(mass, axis=plan.axes)
             for k, inside in enumerate(masks, 1):
-                out[k][blk] = 1.0 if inside is None else (np.sum(
-                    mass * inside, axis=plan.axes) / total).reshape(len(e), -1)
-            low = np.argwhere(out[1][blk] < mass_tol)
+                blk[k] = 1.0 if inside is None else np.sum(
+                    mass * inside, axis=plan.axes) / total
+            low = np.flatnonzero(blk[1] < mass_tol)
             if len(low):
-                raise MassEscape(
-                    f"containment {out[1][blk][tuple(low[0])]:.5f} < "
-                    f"{mass_tol} at t = {times[j + low[0][0]]:+.3f}")
-            out[0][blk] = g.h ** g.n * gr.sq_sum(plan.apply(wh), g.n).reshape(
-                len(e), -1)
+                raise MassEscape(f"containment {blk[1][low[0]]:.5f} < "
+                                 f"{mass_tol} at t = {t:+.3f}")
+            blk[0] = g.h ** g.n * gr.sq_sum(plan.apply(wh), g.n)
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)

@@ -160,13 +160,6 @@ def wave_energy(spec, state, t=0.0):
 # resolvent
 
 
-# bytes of one complex value per point the resolvent formula runs on (the
-# distinct cell-quadrature points, or the lattice), times the rungs of one
-# ResolventGeometry.ladder pass (one rung at least): the pass's
-# temporaries are a few arrays of this size
-_LADDER_BYTES = 1 << 17
-
-
 class ResolventGeometry:
     """The eps-independent part of resolvent_multiplier, built once per
     (spec, grid, cell_quad) and shared by a ladder's rungs.
@@ -229,39 +222,35 @@ class ResolventGeometry:
         eps_list, chi evaluated once; sign "-" gives -i eps (the + i0 side
         limit), "+" gives +i eps.  ValueError unless every eps is positive.
 
-        The rungs go in passes of as many as fit in _LADDER_BYTES; a pass
-        runs the formula once on its (k, points) stack and meets each
-        cell-quadrature line once, with a (k, *shape) accumulator."""
+        Each rung runs the formula once on the distinct points (or the
+        lattice) and meets each cell-quadrature line once."""
         eps = np.array(eps_list, dtype=float)
         if not np.all(eps > 0):
             raise ValueError("eps must be positive")
         shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * eps
         chi_vals = None if chi is None else chi.on_freqs(self.grid)
-        step = max(1, _LADDER_BYTES // (16 * self.pm.size))
-        for i in range(0, len(shifts), step):
-            vals = self._rungs(shifts[i:i + step])
+        for shift in shifts:
+            vals = self._rung(shift)
             if chi_vals is not None:
                 vals *= chi_vals
-            yield from vals
+            yield vals
 
-    def _rungs(self, shift):
-        """(L_p + shift_k)^{-1}, cell-averaged, for a (k,) shift array."""
+    def _rung(self, shift):
+        """(L_p + shift)^{-1}, cell-averaged, for one complex shift."""
         if self.cell_quad <= 1:
-            return 1.0 / (self.pm + shift.reshape(-1, *(1,) * self.grid.n))
-        p0 = self.pm + shift[:, None]
+            return 1.0 / (self.pm + shift)
+        p0 = self.pm + shift
         flat = np.abs(self.bh) < 1e-12 * np.abs(p0)
         num, den = (np.where(flat, 1.0, p0 + c) for c in (self.bh, -self.bh))
         with np.errstate(divide="ignore", invalid="ignore"):
             # 2 bh is b h exactly
             seg = np.where(flat, 1.0 / p0,
                            np.log(num / den) / (2.0 * self.bh))
-        # every point adds its lines in node order, as one sum per line
-        # did; np.take keeps C order (see PropagatorPhase)
-        vals = np.zeros((len(shift), self.grid.N ** self.grid.n),
-                        dtype=complex)
+        # every point adds its lines in node order, as one sum per line did
+        vals = np.zeros(self.grid.N ** self.grid.n, dtype=complex)
         for w, idx in self.lines:
-            vals += w * np.take(seg, idx, axis=1)
-        return vals.reshape(-1, *self.grid.shape)
+            vals += w * seg[idx]
+        return vals.reshape(self.grid.shape)
 
 
 def resolvent_multiplier(spec, grid, d, eps, sign="-", chi=None,

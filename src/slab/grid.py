@@ -1,4 +1,5 @@
-"""Periodic sampling lattice, complex fields, DFT contract and weighted norms.
+"""Periodic sampling lattice, complex fields, DFT contract, weighted norms
+and smooth cutoffs.
 
 The box is [-L, L)^n with N samples per axis (N a power of two).  The
 forward transform carries the quadrature weight h^n and the inverse
@@ -8,11 +9,12 @@ conventions
     Fu(xi)   = int e^{-i x.xi} u(x) dx,
     F^{-1}u  = (2 pi)^{-n} int e^{i x.xi} u(xi) dxi
 
-and the discrete Plancherel identity is exact.
+and the discrete Plancherel identity is exact.  Smooth cutoffs are one
+``Cutoff`` type, built from a smoothstep band or a super-Gaussian profile.
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,52 +271,14 @@ def _smoothstep(t):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Smooth cutoff in {radial-bump, annular, conic, scalar-profile}.
+    """Smooth cutoff with values in [0, 1]: ``fn`` of points of shape
+    (..., n), or of scalars for a profile.  A profile composed with a map
+    is Cutoff(lambda xi: profile(p(xi)))."""
 
-    Values lie in [0,1]; identically 1 on the core region and 0 outside
-    the declared support.
-    """
-
-    kind: str
-    params: dict = dc_field(default_factory=dict)
+    fn: object
 
     def __call__(self, pts):
-        """Evaluate at points of shape (..., n) (scalar-profile: shape (...))."""
-        pts = np.asarray(pts, dtype=float)
-        p = self.params
-        if self.kind == "scalar-profile":
-            t = pts
-            lo, lo1, hi1, hi = p["support"]
-            up = _smoothstep((t - lo) / (lo1 - lo))
-            down = 1.0 - _smoothstep((t - hi1) / (hi - hi1))
-            return up * down
-        if self.kind == "analytic-profile":
-            # super-Gaussian ring in the scalar argument; entire function of
-            # t, so its transform decays faster than any Gevrey tail of the
-            # bump-based profiles (needed by the 1e-8 composition checks)
-            t = pts
-            return np.exp(-((t - p["center"]) / p["width"]) ** p["power"])
-        if self.kind == "analytic-ring":
-            r = np.linalg.norm(pts, axis=-1)
-            return np.exp(-((r - p["center"]) / p["width"]) ** p["power"])
-        r = np.linalg.norm(pts - np.asarray(p.get("center", 0.0)), axis=-1)
-        if self.kind == "radial-bump":
-            core, supp = p["core"], p["support"]
-            return 1.0 - _smoothstep((r - core) / (supp - core))
-        if self.kind == "annular":
-            lo, lo1, hi1, hi = p["radii"]
-            up = _smoothstep((r - lo) / (lo1 - lo))
-            down = 1.0 - _smoothstep((r - hi1) / (hi - hi1))
-            return up * down
-        if self.kind == "conic":
-            axis = np.asarray(p["axis"], dtype=float)
-            axis = axis / np.linalg.norm(axis)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                c = (pts @ axis) / np.where(r > 0, r, 1.0)
-            ang = 1.0 - _smoothstep(
-                (p["cos_core"] - c) / (p["cos_core"] - p["cos_support"]))
-            return np.where(r > 0, ang, 0.0)
-        raise ValueError(f"unknown cutoff kind {self.kind!r}")
+        return self.fn(np.asarray(pts, dtype=float))
 
     def on_freqs(self, grid):
         return self(grid.freq_stack())
@@ -323,40 +287,70 @@ class Cutoff:
         return self(grid.coord_stack())
 
 
+def _band(lo, lo1, hi1, hi):
+    """Profile of t: 0 below lo, 1 on [lo1, hi1], 0 above hi."""
+    def band(t):
+        up = _smoothstep((t - lo) / (lo1 - lo))
+        down = 1.0 - _smoothstep((t - hi1) / (hi - hi1))
+        return up * down
+    return band
+
+
+def _super_gaussian(center, width, power):
+    """Profile exp(-((t - center) / width)^power) for an even power: an
+    entire function of t, so its transform decays faster than any Gevrey
+    tail of the band profiles (needed by the 1e-8 composition checks)."""
+    if power % 2:
+        raise ValueError("power must be even")
+    return lambda t: np.exp(-((t - center) / width) ** power)
+
+
+def _radial(profile, center=0.0):
+    """The cutoff profile(|pts - center|)."""
+    center = np.asarray(center)
+    return Cutoff(lambda pts: profile(np.linalg.norm(pts - center, axis=-1)))
+
+
 def radial_bump(core, support, center=0.0):
-    return Cutoff("radial-bump",
-                  {"center": center, "core": core, "support": support})
+    """1 within core of ``center``, 0 beyond support."""
+    return _radial(lambda r: 1.0 - _smoothstep((r - core) / (support - core)),
+                   center)
 
 
 def annular(lo, lo1, hi1, hi):
     """Annular cutoff: 0 below lo, 1 on [lo1, hi1], 0 above hi."""
-    return Cutoff("annular", {"radii": (lo, lo1, hi1, hi)})
+    return _radial(_band(lo, lo1, hi1, hi))
 
 
 def conic(axis, cos_core, cos_support):
-    return Cutoff("conic", {"axis": tuple(axis), "cos_core": cos_core,
-                            "cos_support": cos_support})
+    """1 where the cosine of the angle to ``axis`` is at least cos_core,
+    0 where it is at most cos_support, and 0 at the origin."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+
+    def cone(pts):
+        r = np.linalg.norm(pts, axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = (pts @ axis) / np.where(r > 0, r, 1.0)
+        ang = 1.0 - _smoothstep((cos_core - c) / (cos_core - cos_support))
+        return np.where(r > 0, ang, 0.0)
+    return Cutoff(cone)
 
 
 def scalar_profile(lo, lo1, hi1, hi):
     """1D profile h in C_0^inf((lo, hi)), equal to 1 on [lo1, hi1]."""
-    return Cutoff("scalar-profile", {"support": (lo, lo1, hi1, hi)})
+    return Cutoff(_band(lo, lo1, hi1, hi))
 
 
 def analytic_profile(center, width, power=8):
     """Super-Gaussian scalar profile exp(-((t-center)/width)^power)."""
-    if power % 2:
-        raise ValueError("power must be even")
-    return Cutoff("analytic-profile",
-                  {"center": center, "width": width, "power": power})
+    return Cutoff(_super_gaussian(center, width, power))
 
 
-def analytic_ring(center, width, power=8):
-    """Super-Gaussian ring in |xi|; analytic stand-in for an annulus."""
-    if power % 2:
-        raise ValueError("power must be even")
-    return Cutoff("analytic-ring",
-                  {"center": center, "width": width, "power": power})
+def analytic_ring(center, width):
+    """Super-Gaussian ring exp(-((|xi|-center)/width)^8); analytic
+    stand-in for an annulus."""
+    return _radial(_super_gaussian(center, width, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +376,11 @@ def load_field(path):
     return Field(g, vals)
 
 
-def export_slice_csv(f, path, axis=0):
-    """Dump the 1D slice along ``axis`` through index N/2 of every other
-    axis as CSV rows (coordinate, real, imag)."""
+def export_slice_csv(f, path):
+    """Dump the 1D slice along the first axis through index N/2 of every
+    other axis as CSV rows (coordinate, real, imag)."""
     g = f.grid
-    sl = [g.N // 2] * g.n
-    sl[axis] = slice(None)
+    sl = [slice(None)] + [g.N // 2] * (g.n - 1)
     line = f.values[tuple(sl)]
     x = g.axis_points()
     with open(path, "w") as fh:

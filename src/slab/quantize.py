@@ -6,18 +6,20 @@ Quantization is Kohn-Nirenberg throughout:
 
     a(X, D) u(x) = (2 pi)^{-n} int e^{i x.xi} a(x, xi) u_hat(xi) d xi,
 
-discretized with the grid's spectral weights.  Symbols that come with a
-separable expansion a = sum_r f_r(x) m_r(xi) are applied by a
-``SeparablePlan``, one FFT call for all R terms on a stack of spectra;
-anything else falls back to the direct O(N^{2n}) quadrature, whose one
-kernel ``_kn_sum`` also serves the Egorov check.  It takes e^{i x.xi}
-from per-axis tables of e^{i x_d xi_d}, never pair by pair, over blocks
-of lattice points sized in bytes: each block's (points, K) kernel stays
-under glibc's 128 KiB mmap threshold, so its temporaries reuse heap
-memory instead of faulting in fresh pages on every block.  The
-canonical transform I_gamma runs on a list of fields as one stacked
-off-grid contraction (a single field is the one-column case): cutoff,
-warp and phase tables are built once.
+discretized with the grid's spectral weights.  A symbol singular at
+xi = 0 (a negative or fractional xi-order) gets the low-frequency guard,
+and no other symbol does.  Symbols that come with a separable expansion
+a = sum_r f_r(x) m_r(xi) are applied by a ``SeparablePlan``, one FFT
+call for all R terms on a stack of spectra; anything else falls back to
+the direct O(N^{2n}) quadrature, whose one kernel ``_kn_sum`` also
+serves the Egorov check.  It takes e^{i x.xi} from per-axis tables of
+e^{i x_d xi_d}, never pair by pair, over blocks of lattice points sized
+in bytes: each block's (points, K) kernel stays under glibc's 128 KiB
+mmap threshold, so its temporaries reuse heap memory instead of faulting
+in fresh pages on every block.  The canonical transform I_gamma runs on
+a list of fields as one stacked off-grid contraction (a single field is
+the one-column case): cutoff, warp and phase tables are built once.  Its
+cutoff is a ``grid.Cutoff``, a profile composed with a map included.
 """
 
 import warnings
@@ -65,14 +67,11 @@ def apply_multiplier(f, m):
     return gr.inverse_transform(gr.Field(g, fh.values * vals, "xi"))
 
 
-def _guard_for(sigma, g, low_freq):
+def _guard_for(sigma, g):
+    """The low-frequency guard if sigma is singular at xi = 0, else None."""
     if getattr(sigma, "x_singular", False) and not g.offset:
         raise SingularAtOrigin("x-singular symbol needs an offset grid")
-    if low_freq == "auto":
-        return low_freq_guard(g) if sigma.xi_singular else None
-    if low_freq is True:
-        return low_freq_guard(g)
-    return None
+    return low_freq_guard(g) if sigma.xi_singular else None
 
 
 class SeparablePlan:
@@ -83,12 +82,11 @@ class SeparablePlan:
     arrays with any leading batch axes and raw spectra vh = np.fft.fftn(u)
     over the last n axes (the corner phase and h^n of ``grid.transform``
     cancel between the ends): a pass is one FFT call over all R terms plus
-    one multiply.  Symbols singular at xi = 0 get the low-frequency guard
-    unless low_freq=False.
+    one multiply.  Symbols singular at xi = 0 get the low-frequency guard.
     """
 
-    def __init__(self, sigma, grid, low_freq="auto"):
-        guard = _guard_for(sigma, grid, low_freq)
+    def __init__(self, sigma, grid):
+        guard = _guard_for(sigma, grid)
         if not getattr(sigma, "terms", None):
             raise ValueError("symbol carries no separable terms")
         self.grid = grid
@@ -119,21 +117,21 @@ class SeparablePlan:
         return self._pass(w, np.fft.fftn, np.conj(self.m))  # conj(x) freed
 
 
-def apply_pseudo(f, sigma, method="auto", low_freq="auto"):
+def apply_pseudo(f, sigma, method="auto"):
     """sigma(X, D) u on the grid.
 
     method "separable" uses the symbol's term expansion (a one-shot
     SeparablePlan); "direct" does the full O(N^{2n}) quadrature; "auto"
     prefers separable when terms exist.  Symbols singular at xi = 0 get
-    the low-frequency annular guard unless low_freq=False.
+    the low-frequency annular guard.
     """
     if method == "auto":
         method = "separable" if getattr(sigma, "terms", None) else "direct"
     if method == "separable":
-        plan = SeparablePlan(sigma, f.grid, low_freq)
+        plan = SeparablePlan(sigma, f.grid)
         return gr.Field(f.grid, plan.apply(np.fft.fftn(f.values)), "x")
     if method == "direct":
-        return _apply_direct(f, sigma, _guard_for(sigma, f.grid, low_freq))
+        return _apply_direct(f, sigma, _guard_for(sigma, f.grid))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -209,27 +207,6 @@ def apply_pseudo_adjoint(f, sigma):
 
 # ---------------------------------------------------------------------------
 # canonical transform
-
-
-@dataclass
-class ComposedCutoff:
-    """Cutoff evaluated through a frequency map: base(fn(xi)).
-
-    ``fn`` maps (..., n) points to either scalars (for scalar-profile
-    bases, e.g. fn = p) or points (for warped cutoffs, e.g. fn = psi).
-    """
-
-    fn: object
-    base: gr.Cutoff
-
-    def __call__(self, pts):
-        return self.base(self.fn(np.asarray(pts, dtype=float)))
-
-    def on_freqs(self, grid):
-        return self(grid.freq_stack())
-
-    def on_coords(self, grid):
-        return self(grid.coord_stack())
 
 
 @dataclass
@@ -546,16 +523,16 @@ def _dilation_family_member(f, lam, carrier=None, center=None, spread=True):
 DILATIONS = (1.0, 2.0, 4.0, 8.0)
 
 
-def fio_bound_ratio(amp, f, mu=0.0, carrier=None):
-    """Ratios ||T_a u_lam||_{L^2_mu} / ||u_lam||_{L^2_{m+mu}} over the
-    dilation family; bounded iff max/min <= slack (caller judges).
+def fio_bound_ratio(amp, f):
+    """Ratios ||T_a u_lam||_{L^2} / ||u_lam||_{L^2_m} over the dilation
+    family remodulated onto the carrier (3, 0); bounded iff max/min <=
+    slack (caller judges).
     """
     ratios = []
     for lam in DILATIONS:
-        ul = _dilation_family_member(f, lam, carrier)
+        ul = _dilation_family_member(f, lam, (3.0, 0.0))
         tu = apply_amplitude(ul, amp)
-        ratios.append(gr.weighted_norm(tu, mu)
-                      / gr.weighted_norm(ul, amp.m + mu))
+        ratios.append(gr.weighted_norm(tu, 0.0) / gr.weighted_norm(ul, amp.m))
     return ratios
 
 
@@ -607,7 +584,7 @@ def basiclem_ratio(pair, a, m, f, carrier=None):
 
 
 def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
-                    center=None, spread=True):
+                    center=None):
     """Weighted residual ratios of the conjugation identity
 
         a(X,D) I_gamma = I_gamma a~(X,D) + R,
@@ -615,6 +592,8 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
 
     i.e. max over the family of ||(a(X,D) I_g - I_g a~(X,D)) u_lam|| /
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
+    The family keeps f's envelope: u_lam is f recentred at lam*center and
+    remodulated onto carrier.
     a~(X,D) acts on the whole family in one direct quadrature; a(X,D)
     needs separable terms and is one plan for the whole family.  All
     2 len(lams) canonical warps, of the family and of a~(X,D) applied to
@@ -630,7 +609,7 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     def a_tilde(xb):
         return a((xb @ J_cat).reshape(len(xb), -1, g.n), eta[None])
 
-    family = [_dilation_family_member(f, lam, carrier, center, spread)
+    family = [_dilation_family_member(f, lam, carrier, center, False)
               for lam in lams]
     uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
                   axis=1)

@@ -60,8 +60,7 @@ class HomogeneousSymbol:
 
     ``value`` maps points of shape (..., n) to positive reals and ``grad``
     to their gradients.  A missing hessian evaluator falls back to central
-    differences of ``grad`` with relative step ``FD_STEP * |xi|``
-    (recorded in ``metadata``).
+    differences of ``grad`` with relative step ``FD_STEP * |xi|``.
     """
 
     label: str
@@ -70,10 +69,6 @@ class HomogeneousSymbol:
     grad: callable
     hess: callable = None
     metadata: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        self.metadata.setdefault(
-            "hessian", "closed-form" if self.hess else "finite-difference")
 
     def __call__(self, xi):
         return self.value(np.asarray(xi, dtype=float))
@@ -160,8 +155,9 @@ def quadratic_form(A):
                              metadata={"matrix": A})
 
 
-def perturbed(amp=0.05, n=2):
-    """p(xi) = |xi| (1 + amp (xi_1/|xi|)^3), a smooth asymmetric bump.
+def perturbed(amp=0.05):
+    """p(xi) = |xi| (1 + amp (xi_1/|xi|)^3) on R^2, a smooth asymmetric
+    bump.
 
     Stays convex with non-vanishing curvature for small amp.
     """
@@ -178,7 +174,7 @@ def perturbed(amp=0.05, n=2):
         corr[..., 0] += 3.0 * amp * xi[..., 0] ** 2 / r**2
         return g + corr
 
-    return HomogeneousSymbol(f"perturbed:amp={amp}", n, value, grad)
+    return HomogeneousSymbol(f"perturbed:amp={amp}", 2, value, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -611,28 +607,28 @@ def omega_phase_symbol(pair, i, j):
 # registry
 
 
-def parse_symbol(spec, n=2):
-    """Parse a registry name into a HomogeneousSymbol.
+def parse_symbol(spec):
+    """Parse a registry name into a HomogeneousSymbol on R^2.
 
     Formats: "euclidean", "quadratic-form:A=[[...]]", "perturbed:amp=0.05".
     """
     if spec == "euclidean":
-        return euclidean(n)
+        return euclidean(2)
     if spec.startswith("quadratic-form:A="):
         A = np.asarray(json.loads(spec.split("=", 1)[1]), dtype=float)
-        if A.shape != (n, n):
-            raise ValueError(f"quadratic-form matrix must be {n}x{n}, "
+        if A.shape != (2, 2):
+            raise ValueError("quadratic-form matrix must be 2x2, "
                              f"got shape {A.shape}")
         return quadratic_form(A)
     if spec.startswith("perturbed:amp="):
         amp = float(spec.split("=", 1)[1])
-        return perturbed(amp, n)
+        return perturbed(amp)
     raise ValueError(f"unknown symbol spec {spec!r}")
 
 
-def make_pair(spec, n=2, construction="auto"):
-    """Symbol plus dual, preferring closed forms when registered."""
-    sym = parse_symbol(spec, n)
+def make_pair(spec, construction="auto"):
+    """Symbol plus dual on R^2, preferring closed forms when registered."""
+    sym = parse_symbol(spec)
     if construction in ("auto", "closed-form"):
         try:
             return closed_form_dual(sym)

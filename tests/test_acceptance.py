@@ -48,7 +48,7 @@ def test_criterion_01_geometry_identity_suite():
     checks = {}
     rng = np.random.default_rng(0)
     for spec, construction, tol_dual in cases:
-        pair = sy.make_pair(spec, 2, construction=construction)
+        pair = sy.make_pair(spec, construction=construction)
         xi = rng.normal(size=(1000, 2))
         xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
         xi = xi * np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))[:, None]
@@ -71,7 +71,7 @@ def test_criterion_01_geometry_identity_suite():
 
 def test_criterion_02_dual_oracle():
     A = np.diag([1.0, 0.5])
-    pair = sy.make_pair("quadratic-form:A=[[1.0,0.0],[0.0,0.5]]", 2,
+    pair = sy.make_pair("quadratic-form:A=[[1.0,0.0],[0.0,0.5]]",
                         construction="support-function")
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1000, 2))
@@ -167,8 +167,9 @@ def test_criterion_05_fio_identities():
         sp = np.where(ok[..., None], pts, 1.0)
         return np.where(ok, pair.primal(sp), 0.0)
 
-    gamma = qu.ComposedCutoff(safe_p, gr.analytic_profile(3.5, 2.6, 8))
-    gamma_t = gr.analytic_ring(3.5, 2.6, 8)
+    profile = gr.analytic_profile(3.5, 2.6, 8)
+    gamma = gr.Cutoff(lambda xi: profile(safe_p(xi)))
+    gamma_t = gr.analytic_ring(3.5, 2.6)
     plan_f = qu.CanonicalTransformPlan(pair, gamma, direction="forward")
     plan_i = qu.CanonicalTransformPlan(pair, gamma_t, direction="inverse")
     w = qu.apply_canonical(plan_f, qu.apply_canonical(plan_i, u))
@@ -212,10 +213,10 @@ def test_criterion_06_boundedness_ratio_families():
         (lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)),
          lambda y: np.ones(y.shape[:-1]),
          lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1)))], m=1.0)
-    r = qu.fio_bound_ratio(amp, env, mu=0.0, carrier=(3.0, 0.0))
+    r = qu.fio_bound_ratio(amp, env)
     checks["fio declared <= 3"] = max(r) / min(r) <= 3.0
     amp0 = qu.SeparableAmplitude("misdeclared", amp.terms, m=0.0)
-    r = qu.fio_bound_ratio(amp0, env, mu=0.0, carrier=(3.0, 0.0))
+    r = qu.fio_bound_ratio(amp0, env)
     checks["fio misdeclared > 3"] = max(r) / min(r) > 3.0
 
     f = gr.spectral_packet(g, (3.0, 0.0), 1.2)
@@ -238,10 +239,10 @@ def test_criterion_06_boundedness_ratio_families():
         value=lambda x, xi: np.sqrt(1.0 + np.sum(x * x, axis=-1)) * gx(xi),
         terms=[(lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)), gx)])
     r = qu.egorov_residual(ae, plan, 1.0, env2, carrier=(4.0, 0.0),
-                           center=(1.4, 0.0), spread=False)
+                           center=(1.4, 0.0))
     checks["conjugation declared <= 3"] = max(r) / min(r) <= 3.0
     r = qu.egorov_residual(ae, plan, 0.0, env2, carrier=(4.0, 0.0),
-                           center=(1.4, 0.0), spread=False)
+                           center=(1.4, 0.0))
     checks["conjugation misdeclared > 3"] = max(r) / min(r) > 3.0
     checks["runtime < 5 min"] = (time.monotonic() - t0) < 300.0
     report(6, "boundedness ratio families", checks)

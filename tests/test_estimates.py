@@ -187,8 +187,9 @@ def test_smoothing_ratio_rejects_a_step_that_does_not_divide_2T():
 
 @pytest.mark.parametrize("stack_bytes", [1, 2 * 16 * 32 * 32, 1 << 30])
 def test_smoothing_chunks_match_one_stack(monkeypatch, stack_bytes):
-    # one field, two fields (a time row split across chunks) and one
-    # unchunked stack all give the same bits
+    # chunks of one field, of two fields (a time sample's three trials
+    # split across chunks) and of all of a sample's trials give the same
+    # bits
     ladder = [(32, 8.0, 2.0), (32, 16.0, 4.0)]
     kw = dict(trials=3, seed=5, dt=0.5, order=1, freq_mag=0.9, spread=0.3,
               monitor_scale=np.sqrt(2.0), mass_tol=0.0)

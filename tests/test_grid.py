@@ -191,6 +191,29 @@ def test_scalar_profile_and_analytic_kinds():
         gr.analytic_profile(3.0, 1.0, power=7)
 
 
+def test_cutoffs_compose_a_profile_with_a_map():
+    # the radial cutoffs are their scalar profiles of |xi|, bit for bit,
+    # on the lattice and at the origin
+    g = gr.make_grid(2, 32, 8.0, offset=False)
+    pts = np.concatenate([g.freq_stack().reshape(-1, 2),
+                          g.coord_stack().reshape(-1, 2)])
+    assert np.any(np.all(pts == 0.0, axis=-1))
+    for radial, profile in (
+            (gr.annular(1.0, 2.0, 5.0, 6.0),
+             gr.scalar_profile(1.0, 2.0, 5.0, 6.0)),
+            (gr.analytic_ring(3.5, 2.6), gr.analytic_profile(3.5, 2.6, 8))):
+        composed = gr.Cutoff(lambda xi: profile(np.linalg.norm(xi, axis=-1)))
+        assert radial(pts).tobytes() == composed(pts).tobytes()
+        assert radial.on_freqs(g).tobytes() == composed.on_freqs(g).tobytes()
+    # the origin has no angle: a cone reaching past the orthogonal
+    # directions is still 0 there
+    cone = gr.conic((1.0, 1.0), 0.5, -0.3)
+    assert cone(np.zeros((1, 2)))[0] == 0.0
+    assert cone(np.array([[-1.0, 1.0]]))[0] > 0.0
+    with pytest.raises(ValueError, match="even"):
+        gr.analytic_profile(3.0, 1.0, 7)
+
+
 def test_conic_cutoff_axis_selectivity():
     cone = gr.conic((1.0, 0.0), 0.9, 0.7)
     on_axis = cone(np.array([[4.0, 0.0]]))
@@ -214,7 +237,7 @@ def test_export_slice_csv(tmp_path):
     g = gr.make_grid(2, 16, 4.0)
     f = random_field(g, seed=5)
     path = tmp_path / "slice.csv"
-    gr.export_slice_csv(f, path, axis=0)
+    gr.export_slice_csv(f, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == g.N + 1  # header plus one row per sample
 
