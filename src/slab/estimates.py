@@ -403,51 +403,6 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
 
 
 # ---------------------------------------------------------------------------
-# resolvent / surface identity
-
-_IDENTITY_ANGLES = 256
-
-
-def resolvent_im_identity(pair, f, rho, eps, n_angles=_IDENTITY_ANGLES):
-    """Im((L_p - rho^2 - i eps)^{-1} f, f) by Lorentzian-adapted polar
-    quadrature, 129 radial nodes per angle, with trigonometric
-    interpolation of fhat, L_p = p(D)^2.
-
-    Substituting v = r^2 p(omega)^2 - rho^2 and w = arctan(v / eps) turns
-    the Lorentzian factor into the flat measure dw, so the radial rule
-    stays accurate uniformly as eps drops below the lattice spacing.
-    """
-    unit, w, p_om = surface_nodes(pair, 1.0, n_angles)    # omega / p(omega)
-    # v runs from -rho^2 at r = 0 to its value at r = 0.95 nyquist
-    w_lo = np.arctan(-rho**2 / eps)
-    w_hi = np.arctan(((0.95 * f.grid.nyquist * p_om) ** 2 - rho**2) / eps)
-    wgrid = np.linspace(np.full(n_angles, w_lo), w_hi, 129, axis=-1)
-    v = eps * np.tan(wgrid)
-    # roundoff in tan(arctan .) can push rho^2 + v barely negative
-    pts = np.sqrt(np.maximum(rho**2 + v, 0.0))[..., None] * unit[:, None]
-    vals = np.abs(gr.eval_offgrid(f, pts.reshape(-1, 2))) ** 2
-    vals = vals.reshape(v.shape)
-    dw = wgrid[:, 1] - wgrid[:, 0]
-    integrand = vals / (2.0 * p_om[:, None] ** 2)
-    per_angle = (np.sum(integrand, axis=1)
-                 - 0.5 * (integrand[:, 0] + integrand[:, -1])) * dw * w
-    return np.sum(per_angle) / (2.0 * np.pi) ** f.grid.n
-
-
-def surface_identity_gap(pair, f, rho, eps):
-    """Relative gap between the surface norm of fhat on rho Sigma_p and
-    4 (2 pi)^{n-1} rho Im((L_p - rho^2 - i eps)^{-1} f, f).
-    """
-    g = f.grid
-    im = resolvent_im_identity(pair, f, rho, eps)
-    lhs = surface_norm(lambda pts: gr.eval_offgrid(f, pts), pair, rho,
-                       n_angles=_IDENTITY_ANGLES,
-                       band_limit=0.95 * g.nyquist) ** 2
-    rhs = 4.0 * (2.0 * np.pi) ** (g.n - 1) * rho * im
-    return abs(lhs - rhs) / lhs
-
-
-# ---------------------------------------------------------------------------
 # weighted convolution oracle
 
 

@@ -163,6 +163,12 @@ def inverse_transform(f):
 # contraction's temporaries whatever the number of targets and columns
 _PHASE_BYTES = 1 << 18
 
+# multiply-adds m k n of a complex matrix product that OpenBLAS runs on
+# one thread: 0.3.31 runs (63 x 32) @ (32 x 32) on one and (64 x 32) @
+# (32 x 32) on two, and this bound keeps a factor of two below that.  A
+# threaded product leaves its worker spinning on a core after it returns.
+ONE_THREAD_MACS = 1 << 15
+
 
 def _phase_sum(values, axis, pts, sign):
     """sum_k e^{sign i pts_t . k} values[s, k] over the lattice axis^n, for
@@ -172,11 +178,21 @@ def _phase_sum(values, axis, pts, sign):
     The targets go in blocks whose partial sums stay under _PHASE_BYTES.
     A block builds its n per-axis tables e^{sign i pts_td k_d} once for
     all S columns and contracts one axis at a time: O(M S N^n) work in any
-    dimension, and column s gets the same bits whatever S is.
+    dimension, and column s gets the same bits whatever S is.  In the
+    plane and above, where a block of ONE_THREAD_MACS // N^n targets
+    still has 32 rows (N <= 32 in the plane), blocks hold at most that
+    many, so each column's first-axis product, (targets x N) @ (N x
+    N^(n-1)), runs on one BLAS thread.  On larger lattices a shared
+    product pays for the second thread, and on a line the product is a
+    matrix-vector one that the bound does not keep on one thread; there
+    the blocks keep their byte size.
     """
     S, N, n = len(values), axis.size, pts.shape[1]
     v = values.reshape(S, N, -1)
     step = max(1, _PHASE_BYTES // (v[0].nbytes // N * S))
+    rows = ONE_THREAD_MACS // N ** n
+    if n > 1 and rows >= 32:
+        step = min(step, rows)
     out = np.empty((S, len(pts)), dtype=complex)
     for b in range(0, len(pts), step):
         p = pts[b:b + step]

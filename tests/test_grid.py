@@ -272,6 +272,23 @@ def test_offgrid_evaluation_matches_lattice_any_dimension(n):
     assert np.max(np.abs(fv - f.values.reshape(-1)[idx])) <= 1e-10
 
 
+# (S, N) in the plane where the row bound re-cuts 601 targets: byte-sized
+# blocks of 1024, 256, 512 and 64 targets become blocks of 128, 128, 32
+# and 32
+@pytest.mark.parametrize("S, N", [(1, 16), (4, 16), (1, 32), (8, 32)])
+def test_phase_sum_keeps_its_bits_whatever_the_blocking(monkeypatch, S, N):
+    # the one-thread row bound only re-cuts the targets into blocks, and
+    # each target's row is summed alone: bit for bit the byte-sized blocks
+    rng = np.random.default_rng(N + S)
+    g = gr.make_grid(2, N, 4.0)
+    values = (rng.normal(size=(S,) + g.shape)
+              + 1j * rng.normal(size=(S,) + g.shape))
+    pts = rng.uniform(-g.nyquist, g.nyquist, size=(601, 2))
+    out = gr._phase_sum(values, g.axis_freqs(), pts, 1)
+    monkeypatch.setattr(gr, "ONE_THREAD_MACS", 0)
+    assert np.array_equal(out, gr._phase_sum(values, g.axis_freqs(), pts, 1))
+
+
 def test_spectral_packet_unit_norm_and_centered():
     g = gr.make_grid(2, 32, 8.0)
     f = gr.spectral_packet(g, (1.5, -0.5), 0.6)

@@ -1,6 +1,10 @@
 """Operator quantization: multipliers, pseudo-differential application,
 canonical transforms, amplitude classes and boundedness ratios."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -553,6 +557,49 @@ def test_egorov_residual_ratios_agree_across_kn_budgets(monkeypatch):
             monkeypatch.setattr(qu, "_KN_BYTES", budget)
             ratios = _egorov_dual_case(32)
             assert np.allclose(ratios, ref, rtol=1e-13, atol=0.0), budget
+
+
+def _openblas():
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# CPU ticks of every thread but the main one: the BLAS workers
+_WORKER_TICKS = """
+import os, sys, warnings
+sys.path.insert(0, sys.argv[1])
+from test_quantize import _egorov_dual_case
+
+def worker_ticks():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                stat = fh.read().rsplit(")", 1)[1].split()
+            total += int(stat[11]) + int(stat[12])     # utime, stime
+    return total
+
+warnings.simplefilter("ignore")
+before = worker_ticks()
+for _ in range(3):
+    _egorov_dual_case(32)
+print(worker_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _openblas()),
+                    reason="reads Linux thread stats of an OpenBLAS build")
+def test_egorov_residual_leaves_blas_workers_idle():
+    # a threaded complex product leaves OpenBLAS's worker spinning on a
+    # second core after it returns; the egorov check's products stay under
+    # grid.ONE_THREAD_MACS, so the worker never wakes
+    src = str(pathlib.Path(gr.__file__).parents[1])
+    tests = str(pathlib.Path(__file__).parent)
+    res = subprocess.run(
+        [sys.executable, "-c", _WORKER_TICKS, tests],
+        capture_output=True, text=True, timeout=300, check=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"))
+    assert int(res.stdout) <= 2
 
 
 def test_egorov_residual_rejects_non_finite_warped_symbol():
