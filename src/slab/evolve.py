@@ -6,8 +6,6 @@ Everything is an exact multiplier per time sample; there is no
 time-stepping error anywhere in this module.
 """
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +141,6 @@ def wave_state_at(spec, state, t):
     return w, wt
 
 
-def wave_propagate(spec, state, t):
-    """Displacement w(t) of the second-order evolution."""
-    return wave_state_at(spec, state, t)[0]
-
-
 def wave_energy(spec, state, t=0.0):
     """Conserved energy ||q(D) w||^2 + ||d_t w||^2 at time t."""
     w, wt = wave_state_at(spec, state, t)
@@ -279,29 +272,3 @@ def stabilization_index(values, rel=0.01):
             return i
     return None
 
-
-# ---------------------------------------------------------------------------
-# trajectory dumps
-
-
-def dump_trajectory(spec, phi, times, directory):
-    """Write each time sample as a field binary state_<k>.bin plus the JSON
-    manifest state_manifest.json."""
-    os.makedirs(directory, exist_ok=True)
-    names = []
-    phase = PropagatorPhase(spec, phi.grid)
-    for k, t in enumerate(times):
-        u = qu.apply_multiplier(phi, phase([t])[0])
-        name = f"state_{k:04d}.bin"
-        gr.save_field(u, os.path.join(directory, name))
-        names.append(name)
-    manifest = {
-        "symbol": spec.pair.primal.label,
-        "order": spec.order,
-        "sign": spec.sign,
-        "times": [float(t) for t in times],
-        "files": names,
-    }
-    with open(os.path.join(directory, "state_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return manifest

@@ -13,12 +13,11 @@ and the discrete Plancherel identity is exact.  Smooth cutoffs are one
 ``Cutoff`` type, built from a smoothstep band or a super-Gaussian profile.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSize, SingularAtOrigin
+from .errors import InvalidSize
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,11 @@ def _phase_sum(values, axis, pts, sign):
     plane and above, where a block of ONE_THREAD_MACS // N^n targets
     still has 32 rows (N <= 32 in the plane), blocks hold at most that
     many, so each column's first-axis product, (targets x N) @ (N x
-    N^(n-1)), runs on one BLAS thread.  On larger lattices a shared
-    product pays for the second thread, and on a line the product is a
-    matrix-vector one that the bound does not keep on one thread; there
-    the blocks keep their byte size.
+    N^(n-1)), runs on one BLAS thread; on larger lattices a shared
+    product pays for the second thread.  On a line that product is a
+    matrix-vector one, which OpenBLAS threads whatever the block size,
+    so einsum's own loop contracts it instead, on one core at about the
+    same wall time.
     """
     S, N, n = len(values), axis.size, pts.shape[1]
     v = values.reshape(S, N, -1)
@@ -197,7 +197,8 @@ def _phase_sum(values, axis, pts, sign):
     for b in range(0, len(pts), step):
         p = pts[b:b + step]
         # axis 0 by one product per column, then the last axis each time
-        part = np.exp(sign * 1j * np.outer(p[:, 0], axis)) @ v
+        table = np.exp(sign * 1j * np.outer(p[:, 0], axis))
+        part = np.einsum("tk,skr->str", table, v) if n == 1 else table @ v
         for d in range(n - 1, 0, -1):
             part = np.einsum("tk,strk->str",
                              np.exp(sign * 1j * np.outer(p[:, d], axis)),
@@ -248,16 +249,6 @@ def weighted_norm(f, m):
     g = f.grid
     r2 = g.radius() ** 2 if f.space == "x" else g.freq_radius() ** 2
     return Field(g, (1.0 + r2) ** (m / 2.0) * f.values, f.space).norm()
-
-
-def sample_singular(grid, s):
-    """Field of pointwise |x|^s weights on the lattice."""
-    if s < 0 and not grid.offset:
-        raise SingularAtOrigin(
-            "|x|^s with s<0 needs an offset grid (no x=0 sample)")
-    r = grid.radius()
-    vals = np.asarray(r, dtype=complex) ** s
-    return Field(grid, np.broadcast_to(vals, grid.shape).copy())
 
 
 def mass_fraction(f, radius):
@@ -338,26 +329,6 @@ def annular(lo, lo1, hi1, hi):
     return _radial(_band(lo, lo1, hi1, hi))
 
 
-def conic(axis, cos_core, cos_support):
-    """1 where the cosine of the angle to ``axis`` is at least cos_core,
-    0 where it is at most cos_support, and 0 at the origin."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-
-    def cone(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = (pts @ axis) / np.where(r > 0, r, 1.0)
-        ang = 1.0 - _smoothstep((cos_core - c) / (cos_core - cos_support))
-        return np.where(r > 0, ang, 0.0)
-    return Cutoff(cone)
-
-
-def scalar_profile(lo, lo1, hi1, hi):
-    """1D profile h in C_0^inf((lo, hi)), equal to 1 on [lo1, hi1]."""
-    return Cutoff(_band(lo, lo1, hi1, hi))
-
-
 def analytic_profile(center, width, power=8):
     """Super-Gaussian scalar profile exp(-((t-center)/width)^power)."""
     return Cutoff(_super_gaussian(center, width, power))
@@ -368,38 +339,3 @@ def analytic_ring(center, width):
     stand-in for an annulus."""
     return _radial(_super_gaussian(center, width, 8))
 
-
-# ---------------------------------------------------------------------------
-# serialization: flat little-endian complex64 binary with a JSON sidecar
-
-
-def save_field(f, path):
-    """Write row-major little-endian complex64 binary plus JSON sidecar."""
-    path = str(path)
-    f.values.astype("<c8").tofile(path)
-    sidecar = {"n": f.grid.n, "N": f.grid.N, "L": f.grid.L,
-               "offset": f.grid.offset}
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh)
-
-
-def load_field(path):
-    path = str(path)
-    with open(path + ".json") as fh:
-        meta = json.load(fh)
-    g = make_grid(meta["n"], meta["N"], meta["L"], meta["offset"])
-    vals = np.fromfile(path, dtype="<c8").astype(complex).reshape(g.shape)
-    return Field(g, vals)
-
-
-def export_slice_csv(f, path):
-    """Dump the 1D slice along the first axis through index N/2 of every
-    other axis as CSV rows (coordinate, real, imag)."""
-    g = f.grid
-    sl = [slice(None)] + [g.N // 2] * (g.n - 1)
-    line = f.values[tuple(sl)]
-    x = g.axis_points()
-    with open(path, "w") as fh:
-        fh.write("coord,re,im\n")
-        for xi, v in zip(x, line):
-            fh.write(f"{xi!r},{v.real!r},{v.imag!r}\n")

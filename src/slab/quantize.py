@@ -1,6 +1,6 @@
 """Quantization layer: Fourier multipliers, pseudodifferential operators,
-canonical transforms, sector changes of variables, amplitude-class audits
-and the exact-commutation / boundedness checks built on them.
+canonical transforms, sector changes of variables and the
+exact-commutation / boundedness checks built on them.
 
 Quantization is Kohn-Nirenberg throughout:
 
@@ -361,99 +361,6 @@ def commutator_residual(pair, i, j, h, f, multiplier=None):
     m_then_a = apply_pseudo(apply_multiplier(f, multiplier), om)
     diff = gr.Field(g, a_then_m.values - m_then_a.values, "x")
     return diff.norm() / f.norm()
-
-
-# ---------------------------------------------------------------------------
-# amplitude classes
-
-
-@dataclass(frozen=True)
-class AmplitudeClassSpec:
-    """Family A, B or R with orders m (x), m' (y) and k (xi).
-
-    Derivative gains: family A gains decay in all three variable groups,
-    B in x and y but not xi, R only in y; hence A is contained in B is
-    contained in R.
-    """
-
-    family: str
-    m: float = 0.0
-    mp: float = 0.0
-    k: float = 0.0
-
-    def gains(self):
-        if self.family == "A":
-            return (1.0, 1.0, 1.0)
-        if self.family == "B":
-            return (1.0, 1.0, 0.0)
-        if self.family == "R":
-            return (0.0, 1.0, 0.0)
-        raise ValueError(f"unknown family {self.family!r}")
-
-
-def _directional_derivative(fn, base, group, direction, order, step):
-    """Central-difference directional derivative in one variable group."""
-    args = list(base)
-    v = step * direction
-
-    def at(t):
-        a = list(args)
-        a[group] = args[group] + t * v
-        return fn(*a)
-
-    if order == 0:
-        return fn(*base)
-    if order == 1:
-        return (at(1.0) - at(-1.0)) / (2.0 * step)
-    if order == 2:
-        return (at(1.0) - 2.0 * at(0.0) + at(-1.0)) / step**2
-    raise ValueError("derivative order up to 2")
-
-
-def class_audit(a, spec):
-    """Empirical membership test for an amplitude a(x, y, xi), x, y, xi in
-    R^2.
-
-    Samples 64 points, seed 0, at dyadic magnitudes 1, 4, ..., 256 in each
-    variable group, estimates first and second directional derivatives by
-    finite differences, and compares against the family weight
-
-        <x>^{m - gx |alpha|} <y>^{m' - gy |beta|} <xi>^{k - gxi |gamma|}
-
-    with the gain pattern of the declared family.  Returns (passed,
-    worst_ratio); pass iff worst_ratio <= 50.
-    """
-    n = 2
-    rng = np.random.default_rng(0)
-    gx, gy, gxi = spec.gains()
-    worst = 0.0
-    for _ in range(64):
-        sx, sy_, sxi = rng.choice((1.0, 4.0, 16.0, 64.0, 256.0), size=3)
-        x = sx * _unit(rng, n)
-        y = sy_ * _unit(rng, n)
-        xi = sxi * _unit(rng, n)
-        base = (x, y, xi)
-        mags = (np.sqrt(1 + sx**2), np.sqrt(1 + sy_**2),
-                np.sqrt(1 + sxi**2))
-        orders = (spec.m, spec.mp, spec.k)
-        gains = (gx, gy, gxi)
-        worst = max(worst, np.abs(a(*base)) / np.prod(
-            [mg**o for mg, o in zip(mags, orders)]))
-        for group in range(3):
-            scale = (sx, sy_, sxi)[group]
-            step = 1e-3 * max(scale, 1.0)
-            for order in (1, 2):
-                d = _directional_derivative(a, base, group, _unit(rng, n),
-                                            order, step)
-                wgt = np.prod([mg**o for mg, o in zip(mags, orders)])
-                wgt *= mags[group] ** (-gains[group] * order)
-                worst = max(worst, np.abs(d) / wgt)
-    return bool(worst <= 50.0), float(worst)
-
-
-def _unit(rng, n):
-    v = rng.normal(size=n)
-    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------

@@ -97,18 +97,6 @@ def _central_jacobian(fn, xi, dim, step):
     return np.stack(cols, axis=-1)
 
 
-def evaluate(sym, xi, order):
-    """Evaluator facade: order 0 -> value, 1 -> gradient, 2 -> hessian."""
-    xi = _check_freq(xi)
-    if order == 0:
-        return sym(xi)
-    if order == 1:
-        return sym.gradient(xi)
-    if order == 2:
-        return sym.hessian(xi)
-    raise ValueError("order must be 0, 1 or 2")
-
-
 # ---------------------------------------------------------------------------
 # built-in symbols
 
@@ -402,35 +390,6 @@ def gamma_p_membership(pair, x, xi):
     res = np.linalg.norm(om, axis=-1) / denom
     res = np.where(rx > 0, res, 0.0)
     return res, res <= TOL_ORBIT
-
-
-def tau_symbol(pair, x, xi):
-    """Principal symbol of the squared angular part:
-
-    tau = (p*(x)/|grad p*(x)|)^2 |grad p*(x) ^ xi|^2, non-negative,
-    vanishing on the orbit set (x along grad p(xi), lambda > 0).
-    """
-    xi = _check_freq(xi)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.linalg.norm(x, axis=-1) < XI_MIN):
-        raise ZeroPosition("tau needs x away from 0")
-    return tau_phase_symbol(pair)(x, xi)
-
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    k: np.ndarray
-    t: float
-    x: np.ndarray
-    xi: np.ndarray
-
-
-def orbit(pair, k, t):
-    """Classical orbit of p^2: x(t) = 2 t p(k) grad p(k), xi(t) = k."""
-    k = _check_freq(k)
-    x = 2.0 * t * pair.primal(k)[..., None] * pair.primal.gradient(k)
-    return OrbitPoint(k=np.asarray(k, float), t=float(t), x=x,
-                      xi=np.asarray(k, float))
 
 
 # ---------------------------------------------------------------------------

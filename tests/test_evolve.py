@@ -1,7 +1,5 @@
 """Propagators and the regularized resolvent."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -90,7 +88,7 @@ def test_wave_initial_data_and_energy():
     psi_v = band_field(g, 6)
     state = ev.WaveState(phi, psi_v)
     spec = ev.EvolutionSpec(EUCLID, order=1)
-    w0 = ev.wave_propagate(spec, state, 0.0)
+    w0 = ev.wave_state_at(spec, state, 0.0)[0]
     assert np.max(np.abs(w0.values - phi.values)) <= 1e-12 * phi.norm()
     e0 = ev.wave_energy(spec, state, 0.0)
     for t in (0.5, 2.0, 7.5):
@@ -102,7 +100,7 @@ def test_wave_second_difference_solves_equation():
     state = ev.WaveState(band_field(g, 7), band_field(g, 8))
     spec = ev.EvolutionSpec(EUCLID, order=1)
     dt = 1e-3
-    wm, w0, wp = (ev.wave_propagate(spec, state, t)
+    wm, w0, wp = (ev.wave_state_at(spec, state, t)[0]
                   for t in (1.0 - dt, 1.0, 1.0 + dt))
     acc = (wp.values - 2 * w0.values + wm.values) / dt**2
     lap = qu.apply_multiplier(
@@ -120,7 +118,7 @@ def test_wave_plane_mode_frequency():
     state = ev.WaveState(phi, zero)
     spec = ev.EvolutionSpec(EUCLID, order=1)
     t = 0.77
-    w = ev.wave_propagate(spec, state, t)
+    w = ev.wave_state_at(spec, state, t)[0]
     ref = np.cos(t * np.linalg.norm(k)) * phi.values
     assert np.max(np.abs(w.values - ref)) <= 1e-12
 
@@ -320,17 +318,3 @@ def test_epsilon_ladder_and_stabilization():
     assert ev.stabilization_index([5, 3, 2, 1, 1, 1, 1], rel=0.01) == 3
     assert ev.stabilization_index([5, 4, 3, 2, 1], rel=0.01) is None
 
-
-def test_dump_trajectory(tmp_path):
-    g = gr.make_grid(2, 16, 4.0)
-    f = random_field(g, 10)
-    spec = ev.EvolutionSpec(EUCLID, order=2)
-    times = [0.0, 0.5, 1.0]
-    manifest = ev.dump_trajectory(spec, f, times, tmp_path)
-    assert manifest["times"] == times
-    files = manifest["files"]
-    assert len(files) == 3
-    on_disk = json.loads((tmp_path / "state_manifest.json").read_text())
-    assert on_disk["files"] == files
-    back = gr.load_field(str(tmp_path / files[0]))
-    assert back.grid.N == g.N

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slab import grid as gr
-from slab.errors import InvalidSize, SingularAtOrigin
+from slab.errors import InvalidSize
 
 
 def random_field(g, seed=0):
@@ -138,19 +138,6 @@ def test_weighted_norm_refinement_stable():
     assert abs(vals[1] - vals[0]) < 1e-6
 
 
-def test_sample_singular():
-    g = gr.make_grid(2, 32, 8.0)
-    ones = gr.sample_singular(g, 0.0)
-    assert np.allclose(ones.values, 1.0)
-    w = gr.sample_singular(g, -0.5)
-    assert np.all(np.isfinite(w.values))
-    r = g.radius()
-    assert np.argmax(np.abs(w.values)) == np.argmin(r)
-    g0 = gr.make_grid(2, 32, 8.0, offset=False)
-    with pytest.raises(SingularAtOrigin):
-        gr.sample_singular(g0, -0.5)
-
-
 def test_mass_fraction_monotone():
     g = gr.make_grid(2, 64, 8.0)
     x = g.coord_stack()
@@ -178,7 +165,7 @@ def test_cutoff_ranges_and_plateaus():
 
 
 def test_scalar_profile_and_analytic_kinds():
-    prof = gr.scalar_profile(1.0, 2.0, 3.0, 4.0)
+    prof = gr.Cutoff(gr._band(1.0, 2.0, 3.0, 4.0))
     t = np.linspace(0.0, 5.0, 101)
     v = prof(t)
     assert np.all((v >= 0.0) & (v <= 1.0))
@@ -200,46 +187,13 @@ def test_cutoffs_compose_a_profile_with_a_map():
     assert np.any(np.all(pts == 0.0, axis=-1))
     for radial, profile in (
             (gr.annular(1.0, 2.0, 5.0, 6.0),
-             gr.scalar_profile(1.0, 2.0, 5.0, 6.0)),
+             gr._band(1.0, 2.0, 5.0, 6.0)),
             (gr.analytic_ring(3.5, 2.6), gr.analytic_profile(3.5, 2.6, 8))):
         composed = gr.Cutoff(lambda xi: profile(np.linalg.norm(xi, axis=-1)))
         assert radial(pts).tobytes() == composed(pts).tobytes()
         assert radial.on_freqs(g).tobytes() == composed.on_freqs(g).tobytes()
-    # the origin has no angle: a cone reaching past the orthogonal
-    # directions is still 0 there
-    cone = gr.conic((1.0, 1.0), 0.5, -0.3)
-    assert cone(np.zeros((1, 2)))[0] == 0.0
-    assert cone(np.array([[-1.0, 1.0]]))[0] > 0.0
     with pytest.raises(ValueError, match="even"):
         gr.analytic_profile(3.0, 1.0, 7)
-
-
-def test_conic_cutoff_axis_selectivity():
-    cone = gr.conic((1.0, 0.0), 0.9, 0.7)
-    on_axis = cone(np.array([[4.0, 0.0]]))
-    off_axis = cone(np.array([[0.0, 4.0]]))
-    assert on_axis[0] == pytest.approx(1.0)
-    assert off_axis[0] == pytest.approx(0.0)
-
-
-def test_field_serialization_roundtrip(tmp_path):
-    g = gr.make_grid(2, 32, 8.0)
-    f = random_field(g, seed=11)
-    path = tmp_path / "field.bin"
-    gr.save_field(f, path)
-    back = gr.load_field(path)
-    assert back.grid.N == g.N and back.grid.L == g.L
-    # complex64 storage loses double precision, nothing more
-    assert np.max(np.abs(back.values - f.values)) <= 1e-5
-
-
-def test_export_slice_csv(tmp_path):
-    g = gr.make_grid(2, 16, 4.0)
-    f = random_field(g, seed=5)
-    path = tmp_path / "slice.csv"
-    gr.export_slice_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == g.N + 1  # header plus one row per sample
 
 
 def test_offgrid_evaluation_matches_lattice():

@@ -1,5 +1,5 @@
 """Operator quantization: multipliers, pseudo-differential application,
-canonical transforms, amplitude classes and boundedness ratios."""
+canonical transforms, amplitude operators and boundedness ratios."""
 
 import os
 import pathlib
@@ -402,38 +402,6 @@ def test_change_of_vars_sector_cone():
     assert np.max(np.abs(out.values[cone])) > 0.1 * np.max(np.abs(f.values))
 
 
-def test_class_audit_examples():
-    def a_plain(x, y, xi):
-        return (1.0 + np.sum(np.atleast_1d(x)**2, axis=-1)) ** 0.25
-
-    ok, worst = qu.class_audit(a_plain, qu.AmplitudeClassSpec("A", m=0.5))
-    assert ok
-
-    def a_osc(x, y, xi):
-        xn = np.sqrt(np.sum(np.atleast_1d(x)**2, axis=-1))
-        return (1.0 + xn**2) ** 0.25 * np.sin(xn)
-
-    # oscillation destroys the x-derivative gain: fails A and B, passes R
-    ok_a, _ = qu.class_audit(a_osc, qu.AmplitudeClassSpec("A", m=0.5))
-    ok_b, _ = qu.class_audit(a_osc, qu.AmplitudeClassSpec("B", m=0.5))
-    ok_r, _ = qu.class_audit(a_osc, qu.AmplitudeClassSpec("R", m=0.5))
-    assert not ok_a
-    assert not ok_b
-    assert ok_r
-
-
-def test_class_audit_inclusion_ordering():
-    # a passing A-audit implies passing B and R audits
-    def a(x, y, xi):
-        return (1.0 + np.sum(np.atleast_1d(x)**2, axis=-1)) ** 0.25 / \
-            (1.0 + np.sum(np.atleast_1d(xi)**2, axis=-1)) ** 0.5
-
-    spec = dict(m=0.5, k=-1.0)
-    for fam in ("A", "B", "R"):
-        ok, _ = qu.class_audit(a, qu.AmplitudeClassSpec(fam, **spec))
-        assert ok
-
-
 def test_separable_amplitude_identity_normalization():
     g = gr.make_grid(2, 32, 8.0)
     f = random_field(g, 7)
@@ -564,11 +532,12 @@ def _openblas():
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-# CPU ticks of every thread but the main one: the BLAS workers
+# CPU ticks of every thread but the main one, the BLAS workers, while the
+# calls in sys.argv[2] run in this module's namespace
 _WORKER_TICKS = """
 import os, sys, warnings
 sys.path.insert(0, sys.argv[1])
-from test_quantize import _egorov_dual_case
+import test_quantize
 
 def worker_ticks():
     total = 0
@@ -581,25 +550,46 @@ def worker_ticks():
 
 warnings.simplefilter("ignore")
 before = worker_ticks()
-for _ in range(3):
-    _egorov_dual_case(32)
+exec(sys.argv[2], vars(test_quantize))
 print(worker_ticks() - before)
 """
 
 
-@pytest.mark.skipif(not (sys.platform.startswith("linux") and _openblas()),
-                    reason="reads Linux thread stats of an OpenBLAS build")
+def _worker_ticks(calls):
+    """_WORKER_TICKS of ``calls`` in a process with two BLAS threads."""
+    src = str(pathlib.Path(gr.__file__).parents[1])
+    tests = str(pathlib.Path(__file__).parent)
+    res = subprocess.run(
+        [sys.executable, "-c", _WORKER_TICKS, tests, calls],
+        capture_output=True, text=True, timeout=300, check=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"))
+    return int(res.stdout)
+
+
+_ON_OPENBLAS = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and _openblas()),
+    reason="reads Linux thread stats of an OpenBLAS build")
+
+
+@_ON_OPENBLAS
 def test_egorov_residual_leaves_blas_workers_idle():
     # a threaded complex product leaves OpenBLAS's worker spinning on a
     # second core after it returns; the egorov check's products stay under
     # grid.ONE_THREAD_MACS, so the worker never wakes
-    src = str(pathlib.Path(gr.__file__).parents[1])
-    tests = str(pathlib.Path(__file__).parent)
-    res = subprocess.run(
-        [sys.executable, "-c", _WORKER_TICKS, tests],
-        capture_output=True, text=True, timeout=300, check=True,
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"))
-    assert int(res.stdout) <= 2
+    assert _worker_ticks("for _ in range(3):\n"
+                         "    _egorov_dual_case(32)\n") <= 2
+
+
+@_ON_OPENBLAS
+def test_offgrid_sums_on_a_line_leave_blas_workers_idle():
+    # on a line the off-grid sum's product is a matrix-vector one, which
+    # OpenBLAS threads at any size; it runs outside BLAS instead
+    assert _worker_ticks(
+        "f = random_field(gr.make_grid(1, 1024, 8.0), 3)\n"
+        "for _ in range(3):\n"
+        "    qu.dilate(f, 2.0)\n"
+        "    gr.eval_offgrid(f, np.linspace(-40.0, 40.0, 512)[:, None])\n"
+    ) <= 2
 
 
 def test_egorov_residual_rejects_non_finite_warped_symbol():

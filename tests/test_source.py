@@ -1,6 +1,7 @@
 """Source hygiene of the slab package, checked with the standard library."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -181,19 +182,12 @@ def passed_values(sources, callers):
                 yield f"{module}.{callee}.{param}", default, values
 
 
-def never_set(sources, callers):
-    """``module.callee.parameter`` of each defaulted parameter or dataclass
-    field in ``sources`` that no call in ``callers`` passes."""
-    return sorted(option for option, _, values in
-                  passed_values(sources, callers)
-                  if all(value is _OMITTED for value in values))
-
-
 def single_valued(sources, callers):
     """``module.callee.parameter`` of each defaulted parameter or dataclass
-    field in ``sources`` that takes one value from ``callers``: the
-    literals the calls pass, plus the default where a call leaves it out.
-    A non-literal or a ``*``/``**`` argument is a second value."""
+    field in ``sources`` that takes fewer than two values from
+    ``callers``: the literals the calls pass, plus the default where a
+    call leaves it out (none where no call reaches the callee).  A
+    non-literal or a ``*``/``**`` argument is a second value."""
     out = []
     for option, default, values in passed_values(sources, callers):
         values = {ast.dump(default) if value is _OMITTED else value
@@ -203,29 +197,13 @@ def single_valued(sources, callers):
     return sorted(out)
 
 
-def test_never_set_check_finds_each_unpassed_option():
-    lib = ast.parse(
-        "from dataclasses import dataclass, field\n"
-        "def f(a, b=1, *, c=2, d=3): pass\n"
-        "def g(a=1, b=2): pass\n"
-        "def h(a=1): pass\n"
-        "@dataclass\n"
-        "class K:\n"
-        "    x: int = 0\n"
-        "    y: list = field(init=False)\n"
-        "    def m(self, z=0): pass\n")
-    use = ast.parse("f(0, c=1)\ng(**_args(cfg, 'b'))\nh(**kw)\n"
-                    "K().m(1)\n")
-    assert never_set([("lib", lib)], [use]) == [
-        "lib.K.x", "lib.f.b", "lib.f.d", "lib.g.a"]
-
-
 def test_single_value_check_finds_each_constant_option():
     lib = ast.parse(
         "from dataclasses import dataclass\n"
         "def f(a, b=1, *, c=2, d=3, e=4): pass\n"
         "def g(a=1, b=2, c=3): pass\n"
         "def h(a=1): pass\n"
+        "def u(a=1, *, b=2): pass\n"
         "@dataclass\n"
         "class K:\n"
         "    x: int = 0\n"
@@ -233,27 +211,142 @@ def test_single_value_check_finds_each_constant_option():
         "    def m(self, z=0, w=0): pass\n")
     # f.b: 5 and the default; f.c: 7 twice; f.d: the default, passed as
     # a literal and left out; f.e: a name; g: **_args passes a and *
-    # everything; h: left out only; K.y: passed (1, 2) once;
-    # m.z: 1 by position and by keyword; m.w: 0 and 2
+    # everything; h: left out only; u: no call sets either option;
+    # K.y: passed (1, 2) once; m.z: 1 by position and by keyword; m.w: 0
+    # and 2
     use = ast.parse("f(0, 5, c=7, d=3, e=v)\nf(0, c=7)\n"
                     "g(**_args(cfg, 'a'))\ng(*xs)\nh()\n"
                     "K(1, y=(1, 2))\nK(2)\n"
                     "K().m(1, 0)\nK().m(z=1, w=2)\n")
     assert single_valued([("lib", lib)], [use]) == [
-        "lib.K.y", "lib.f.c", "lib.f.d", "lib.h.a", "lib.m.z"]
-
-
-def test_every_library_option_has_a_caller():
-    # a defaulted parameter or field that no call sets is a constant in
-    # disguise: one more configuration nothing runs
-    sources = [(path.stem, ast.parse(path.read_text())) for path in SOURCES]
-    callers = [ast.parse(path.read_text()) for path in CALLERS]
-    assert never_set(sources, callers) == []
+        "lib.K.y", "lib.f.c", "lib.f.d", "lib.h.a", "lib.m.z", "lib.u.a",
+        "lib.u.b"]
 
 
 def test_every_library_option_takes_two_values():
     # an option every caller gives the same value is a constant in
-    # disguise, like one that no caller sets
+    # disguise, and so is one that no caller sets
     sources = [(path.stem, ast.parse(path.read_text())) for path in SOURCES]
     callers = [ast.parse(path.read_text()) for path in CALLERS]
     assert single_valued(sources, callers) == []
+
+
+def _imports(tree):
+    """{bound name: ``module`` or ``module.name``} of the package's
+    imports in ``tree``: ``from . import grid as gr`` binds gr to grid,
+    ``from .errors import X`` and ``from slab.errors import X`` bind X to
+    errors.X."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "slab"):
+            module = (node.module or "").removeprefix("slab").lstrip(".")
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (
+                    f"{module}.{alias.name}" if module else alias.name)
+    return bound
+
+
+def _references(node, module, bound):
+    """(``module.name``, imported) of each name that ``node`` loads and of
+    each ``alias.name`` of an imported module; imported is True where the
+    name is read from another module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id not in bound:
+            yield f"{module}.{sub.id}", False
+        elif isinstance(sub, ast.Name) and "." in bound[sub.id]:
+            yield bound[sub.id], True
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and "." not in bound.get(sub.value.id, ".")):
+            yield f"{bound[sub.value.id]}.{sub.attr}", True
+
+
+def unreached(sources, roots, callers=()):
+    """``module.name`` of each top-level function or class in ``sources``
+    that neither a ``module.name`` of ``roots``, nor a package name that
+    ``callers`` load, nor a module's import-time statements reach.  A
+    definition reaches every name in it, a class every name in its
+    methods; a name that a module does not define but reads from outside
+    it reaches that module's ``__getattr__``.  Names resolve by spelling
+    alone, so a local variable named like a definition keeps it."""
+    graph, defined, start = {}, set(), []
+    for module, tree in sources:
+        bound = _imports(tree)
+        for stmt in tree.body:
+            refs = list(_references(stmt, module, bound))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(f"{module}.{stmt.name}")
+                graph[f"{module}.{stmt.name}"] = refs
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            graph[f"{module}.{name.id}"] = refs
+            else:
+                start += refs
+    start += [(root, True) for root in roots]
+    for tree in callers:
+        start += _references(tree, "", _imports(tree))
+    seen = set()
+    while start:
+        name, imported = start.pop()
+        if name not in graph and imported:
+            name = name.rsplit(".", 1)[0] + ".__getattr__"
+        if name in graph and name not in seen:
+            seen.add(name)
+            start += graph[name]
+    return sorted(defined - seen)
+
+
+def test_reachability_check_finds_each_unreached_name():
+    lib = ast.parse(
+        "from . import b as bb\n"
+        "from .b import g\n"
+        "def f(): return bb.h()\n"
+        "def dead(): return k()\n"
+        "class K:\n"
+        "    def m(self): return g()\n"
+        "def k(): pass\n"
+        "TABLE = {'k': k}\n"
+        "def main(): pass\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n")
+    other = ast.parse(
+        "def g(): pass\n"
+        "def h(): pass\n"
+        "def lazy(): pass\n"
+        "def __getattr__(name): return lazy\n"
+        "def unused(): return lazy()\n")
+    sources = [("a", lib), ("b", other)]
+    # the import-time statements reach a.main; a.dead reaches a.k, but
+    # nothing reaches a.dead, and a.TABLE is never read; a.K's method
+    # reaches b.g only once a caller names a.K, and b.__getattr__
+    # answers for a name b lacks, read from outside b
+    assert unreached(sources, ["a.f"]) == [
+        "a.K", "a.dead", "a.k", "b.__getattr__", "b.g", "b.lazy",
+        "b.unused"]
+    use = ast.parse("from slab import a as x, b\nx.K()\nb.missing\n")
+    assert unreached(sources, [], [use]) == [
+        "a.dead", "a.f", "a.k", "b.h", "b.unused"]
+
+
+def test_every_public_name_is_reachable():
+    # the library is what the CLI kinds, the acceptance criteria and the
+    # benchmark tracer's attach points reach; anything else is code that
+    # only unit tests run
+    tracing = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracer = importlib.util.module_from_spec(tracing)
+    tracing.loader.exec_module(tracer)
+    roots = ["cli.main", "symbols.HomogeneousSymbol", "symbols.minimize"]
+    roots += [f"{mod}.{fn.split('.')[0]}"
+              for mod, fns in tracer.SPANNED.items() for fn in fns]
+    sources = [(path.stem, ast.parse(path.read_text())) for path in SOURCES]
+    roots += [f"cli.{fn.name}" for fn in dict(sources)["cli"].body
+              if isinstance(fn, ast.FunctionDef) and any(
+                  isinstance(dec, ast.Call) and _name(dec.func) == "_kind"
+                  for dec in fn.decorator_list)]
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    assert unreached(sources, roots, [acceptance]) == []

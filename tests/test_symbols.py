@@ -7,7 +7,7 @@ from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
 from slab.errors import (DegenerateGradient, InvalidSize, OptimizerStall,
-                         ZeroFrequency, ZeroPosition)
+                         ZeroFrequency)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -25,24 +25,6 @@ def sample_xi(count, seed=0, n=2):
 def all_symbols():
     return [sy.euclidean(2), sy.quadratic_form(np.diag([1.0, 0.5])),
             sy.perturbed(0.05)]
-
-
-def test_evaluate_euclidean_examples():
-    p = sy.euclidean(2)
-    xi = np.array([3.0, 4.0])
-    assert sy.evaluate(p, xi, 0) == pytest.approx(5.0)
-    assert np.allclose(sy.evaluate(p, xi, 1), [0.6, 0.8])
-
-
-def test_evaluate_quadratic_form_gradient():
-    p = sy.quadratic_form(np.diag([1.0, 0.5]))
-    g = sy.evaluate(p, np.array([0.0, 1.0]), 1)
-    assert np.allclose(g, [0.0, 0.5], atol=1e-10)
-
-
-def test_evaluate_rejects_zero_frequency():
-    with pytest.raises(ZeroFrequency):
-        sy.evaluate(sy.euclidean(2), np.zeros(2), 0)
 
 
 @pytest.mark.parametrize("sym", all_symbols(), ids=lambda s: s.label)
@@ -193,6 +175,8 @@ def test_psi_euclid_identity_and_ellipse_example():
                        atol=1e-12)
     assert np.allclose(sy.psi_inv(ELLIPSE, np.array([0.0, 0.5])),
                        [0.0, 1.0], atol=1e-10)
+    with pytest.raises(ZeroFrequency):
+        sy.psi(EUCLID, np.zeros(2))
 
 
 def test_omega_euclid_reduces_to_wedge():
@@ -274,20 +258,18 @@ def test_basicrel_equivalence_both_directions():
 
 
 def test_tau_examples():
-    assert sy.tau_symbol(EUCLID, np.array([1.0, 0.0]),
-                         np.array([0.0, 1.0])) == pytest.approx(1.0)
+    tau = sy.tau_phase_symbol(EUCLID)
+    assert tau(np.array([1.0, 0.0]),
+               np.array([0.0, 1.0])) == pytest.approx(1.0)
     rng = np.random.default_rng(12)
     for pair in (EUCLID, ELLIPSE):
         xi = rng.normal(size=2)
         x = 1.7 * pair.primal.gradient(xi)
-        assert abs(sy.tau_symbol(pair, x, xi)) <= 1e-12
+        assert abs(sy.tau_phase_symbol(pair)(x, xi)) <= 1e-12
     x = np.array([0.3, -1.2])
     xi = np.array([2.0, 0.7])
-    base = sy.tau_symbol(EUCLID, x, xi)
-    assert sy.tau_symbol(EUCLID, 2 * x, 3 * xi) == pytest.approx(
-        4 * 9 * base, rel=1e-10)
-    with pytest.raises(ZeroPosition):
-        sy.tau_symbol(EUCLID, np.zeros(2), xi)
+    assert tau(2 * x, 3 * xi) == pytest.approx(4 * 9 * tau(x, xi),
+                                               rel=1e-10)
 
 
 def test_structured_sigma_values_and_orders():
@@ -340,21 +322,6 @@ def test_tau_plan_halves_support_solves(monkeypatch):
     ref = [b[..., 0] ** 2, -2.0 * b[..., 0] * b[..., 1], b[..., 1] ** 2]
     for fx, r in zip(plan.x, ref):
         assert np.max(np.abs(fx - r)) <= 1e-12 * np.max(np.abs(r))
-
-
-def test_orbit_examples():
-    pt = sy.orbit(EUCLID, np.array([1.0, 0.0]), 0.5)
-    assert np.allclose(pt.x, [1.0, 0.0])
-    assert np.allclose(pt.xi, [1.0, 0.0])
-    pt0 = sy.orbit(ELLIPSE, np.array([0.3, 0.8]), 0.0)
-    assert np.allclose(pt0.x, 0.0)
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        k = rng.normal(size=2)
-        t = rng.uniform(-4, 4)
-        pt = sy.orbit(ELLIPSE, k, t)
-        res, member = sy.gamma_p_membership(ELLIPSE, pt.x, pt.xi)
-        assert member
 
 
 def test_omega_phase_symbol_separable_terms_consistent():
