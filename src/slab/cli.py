@@ -224,11 +224,6 @@ def _load_config(path, overrides, kind):
             raise ConfigInvalid(f"N = {n} is not an integer")
         if not _is_power_of_two(int(n)):
             raise ConfigInvalid(f"N = {int(n)} is not a power of two")
-    if "SLAB_SEED" in os.environ:
-        raw = os.environ["SLAB_SEED"].strip()
-        if not raw.isdecimal():
-            raise ConfigInvalid("SLAB_SEED must be a non-negative integer")
-        cfg["seed"] = int(raw)
     for key, prop in entry.schema["properties"].items():
         if "default" in prop:
             cfg.setdefault(key, prop["default"])

@@ -30,20 +30,12 @@ class InvalidSize(SlabError):
     dimension the construction does not support."""
 
 
-class SingularAtOrigin(SlabError):
-    """Singular weight evaluated on a grid that samples x = 0."""
-
-
 class NonFiniteMultiplier(SlabError):
     """Spectral multiplier takes non-finite values on the lattice."""
 
 
 class NonFiniteSymbol(SlabError):
     """Symbol takes non-finite values on the sampling set."""
-
-
-class OutOfSector(SlabError):
-    """Change of variables needs a source point outside its valid cone."""
 
 
 class LowFrequencyMass(SlabError):

@@ -131,7 +131,7 @@ def _time_reversible(plan, phis, masks):
 
     Then conj(e^{-itP} a) = e^{itP} conj(a) for the real lattice values
     of P, and on the lattice reflect(conj(ifftn(a))) is an inverse FFT of
-    conj(a) mode by mode (a phase e^{2 pi i k / N} on the offset lattice),
+    conj(a) mode by mode (a phase e^{2 pi i k / N} on the half-cell lattice),
     so neither P nor the multipliers need to be even in xi.
     """
     g = plan.grid
@@ -200,7 +200,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
 
 
 def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
-                    freq_mag, spread, monitor_scale, mass_tol, sign="-",
+                    freq_mag, spread, monitor_scale, mass_tol,
                     sigma_label=None):
     """Max smoothing quotient per refinement rung over random packets.
 
@@ -217,8 +217,7 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
     root = np.random.SeedSequence(seed)
     for (N, L, T), ss in zip(ladder, root.spawn(len(ladder))):
         g = gr.make_grid(spec_pair.primal.dim, N, float(L))
-        spec = ev.EvolutionSpec(spec_pair, order=order, sign=sign,
-                                T=float(T), dt=dt)
+        spec = ev.EvolutionSpec(spec_pair, order=order, T=float(T), dt=dt)
         phis = np.array([
             make_packet(g, np.random.default_rng(cs), freq_mag, spread).values
             for cs in ss.spawn(trials)])
@@ -304,8 +303,13 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
 # surface restriction
 
 
-def surface_nodes(pair, rho, n_angles=512):
-    """Quadrature nodes on the dilated level set rho Sigma_p (n = 2).
+# quadrature nodes on a surface rho Sigma_p
+_SURFACE_ANGLES = 512
+
+
+def surface_nodes(pair, rho):
+    """_SURFACE_ANGLES quadrature nodes on the dilated level set
+    rho Sigma_p (n = 2), equally spaced in angle.
 
     Returns (points, angular weights, p(omega) values).  The norm uses
     the measure rho^{n-1} d_theta / p(omega)^2, which by the coarea
@@ -313,17 +317,17 @@ def surface_nodes(pair, rho, n_angles=512):
     """
     if pair.primal.dim != 2:
         raise InvalidSize(f"surface nodes need n = 2, got {pair.primal.dim}")
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    theta = 2.0 * np.pi * np.arange(_SURFACE_ANGLES) / _SURFACE_ANGLES
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     p_om = pair.primal(omega)
     pts = rho * omega / p_om[:, None]
-    w = np.full(n_angles, 2.0 * np.pi / n_angles)
+    w = np.full(_SURFACE_ANGLES, 2.0 * np.pi / _SURFACE_ANGLES)
     return pts, w, p_om
 
 
-def surface_norm(fhat_eval, pair, rho, n_angles=512, band_limit=None):
+def surface_norm(fhat_eval, pair, rho, band_limit=None):
     """sqrt of int |fhat|^2 rho^{n-1} dmu over rho Sigma_p."""
-    pts, w, p_om = surface_nodes(pair, rho, n_angles)
+    pts, w, p_om = surface_nodes(pair, rho)
     if band_limit is not None and np.max(np.linalg.norm(pts, axis=-1)) \
             > band_limit:
         raise BandExceeded(
@@ -332,9 +336,10 @@ def surface_norm(fhat_eval, pair, rho, n_angles=512, band_limit=None):
     return float(np.sqrt(rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)))
 
 
-def restriction_norm(sigma, pair, f, rho):
-    """Surface norm of the transform of sigma(X,D)^* f, over ||f||."""
-    g = qu.apply_pseudo_adjoint(f, sigma)
+def restriction_norm(plan, pair, f, rho):
+    """Surface norm of the transform of sigma(X,D)^* f, over ||f||, for
+    the SeparablePlan of sigma on f's grid."""
+    g = gr.Field(f.grid, np.fft.ifftn(plan.adjoint(f.values)), "x")
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
                         band_limit=0.95 * f.grid.nyquist) / f.norm()
 
@@ -347,6 +352,7 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
     f(rho x), so the homogeneous orders of sigma are probed exactly.
     """
     rng = np.random.default_rng(seed)
+    plan = qu.SeparablePlan(sigma, grid)
     lo, hi = 0.8, 1.3
     mid, spread = 0.5 * (lo + hi), 0.25 * (hi - lo)
     out = []
@@ -354,7 +360,7 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
         best = 0.0
         for _ in range(trials):
             f = make_packet(grid, rng, rho * mid, rho * spread)
-            best = max(best, restriction_norm(sigma, pair, f, rho))
+            best = max(best, restriction_norm(plan, pair, f, rho))
         out.append(best)
     return out
 

@@ -17,15 +17,13 @@ from .errors import LowFrequencyMass
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """Dispersive model: generator p(D)^m with the given sign convention.
-
-    sign "-" propagates e^{-i t p(D)^m} (the default, solving
-    (i d_t - p(D)^m) u = 0); "+" the conjugate.
+    """Dispersive model: generator p(D)^m, propagated as e^{-i t p(D)^m},
+    which solves (i d_t - p(D)^m) u = 0; the conjugate propagator is the
+    one at -t.
     """
 
     pair: object
     order: int = 2
-    sign: str = "-"
     T: float = 1.0
     dt: float = 0.1
 
@@ -72,7 +70,7 @@ def _distinct_rows(key):
 
 
 class PropagatorPhase:
-    """e^{-/+ i t p(D)^m} on the lattice for an array of times.
+    """e^{-i t p(D)^m} on the lattice for an array of times.
 
     The lattice takes few distinct values of p^m (489 of 4096 modes for
     the euclidean symbol at N = 64), so each call evaluates the complex
@@ -82,21 +80,20 @@ class PropagatorPhase:
 
     def __init__(self, spec, grid):
         self.shape = grid.shape
-        self.s = -1.0 if spec.sign == "-" else 1.0
         pm, self.index = _distinct_rows(
             symbol_lattice(spec.pair, grid, spec.order).reshape(-1, 1))
         self.pm = pm[:, 0]
 
     def __call__(self, times):
         """C-contiguous (k, *grid.shape) stack, one phase per time."""
-        e = np.exp(np.reshape(times, (-1, 1)) * 1j * self.s * self.pm)
+        e = np.exp(-np.reshape(times, (-1, 1)) * 1j * self.pm)
         # np.take keeps C order: a strided gather would send the next
         # complex multiply down another loop, which moves its bits
         return np.take(e, self.index, axis=1).reshape(-1, *self.shape)
 
 
 def schrodinger_propagate(spec, phi, t):
-    """u(t) = e^{-/+ i t p(D)^m} phi, exact per lattice mode."""
+    """u(t) = e^{-i t p(D)^m} phi, exact per lattice mode."""
     return qu.apply_multiplier(phi, PropagatorPhase(spec, phi.grid)([t])[0])
 
 
@@ -154,8 +151,8 @@ def wave_energy(spec, state, t=0.0):
 
 
 class ResolventGeometry:
-    """The eps-independent part of resolvent_multiplier, built once per
-    (spec, grid, cell_quad) and shared by a ladder's rungs.
+    """The eps-independent part of the resolvent (L_p - d - i eps)^{-1},
+    built once per (spec, grid, cell_quad) and shared by a ladder's rungs.
 
     cell_quad > 1 averages each dual cell: once eps drops below the
     lattice spacing, pointwise sampling gives a mode near the
@@ -210,17 +207,17 @@ class ResolventGeometry:
         self.lines = [(np.prod(0.5 * weights[list(offs)]), merged[idx])
                       for offs, idx in zip(offsets, index)]
 
-    def ladder(self, d, eps_list, sign="-", chi=None):
-        """Yield (L_p - d -/+ i eps)^{-1} chi(D) for each rung eps of
-        eps_list, chi evaluated once; sign "-" gives -i eps (the + i0 side
-        limit), "+" gives +i eps.  ValueError unless every eps is positive.
+    def ladder(self, d, eps_list, chi=None):
+        """Yield (L_p - d - i eps)^{-1} chi(D), the + i0 side limit, for
+        each rung eps of eps_list, chi evaluated once; its conjugate is
+        the + i eps side.  ValueError unless every eps is positive.
 
         Each rung runs the formula once on the distinct points (or the
         lattice) and meets each cell-quadrature line once."""
         eps = np.array(eps_list, dtype=float)
         if not np.all(eps > 0):
             raise ValueError("eps must be positive")
-        shifts = -d + 1j * (-1.0 if sign == "-" else 1.0) * eps
+        shifts = -d - 1j * eps
         chi_vals = None if chi is None else chi.on_freqs(self.grid)
         for shift in shifts:
             vals = self._rung(shift)
@@ -246,12 +243,10 @@ class ResolventGeometry:
         return vals.reshape(self.grid.shape)
 
 
-def resolvent_multiplier(spec, grid, d, eps, sign="-", chi=None,
-                         cell_quad=1):
-    """(L_p - d -/+ i eps)^{-1} chi(D) on the lattice for one eps, with
+def resolvent_multiplier(spec, grid, d, eps):
+    """(L_p - d - i eps)^{-1} on the lattice for one eps, with
     L_p = p(D)^order (see ResolventGeometry.ladder)."""
-    return next(ResolventGeometry(spec, grid, cell_quad).ladder(
-        d, [eps], sign, chi))
+    return next(ResolventGeometry(spec, grid).ladder(d, [eps]))
 
 
 def epsilon_ladder(k_max=12):

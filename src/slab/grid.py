@@ -24,14 +24,13 @@ from .errors import InvalidSize
 class Grid:
     """Uniform periodic lattice on [-L, L)^n.
 
-    With ``offset`` set, samples sit at half-cell centers so no sample
-    hits x = 0 exactly; this is required for singular weights |x|^s, s<0.
+    Samples sit at half-cell centers, so no sample hits x = 0 exactly, as
+    singular weights |x|^s, s < 0, need.
     """
 
     n: int
     N: int
     L: float
-    offset: bool = True
 
     @property
     def h(self):
@@ -51,8 +50,7 @@ class Grid:
 
     def axis_points(self):
         """Sample coordinates along one axis, ascending."""
-        shift = 0.5 * self.h if self.offset else 0.0
-        return -self.L + shift + self.h * np.arange(self.N)
+        return -self.L + 0.5 * self.h + self.h * np.arange(self.N)
 
     def axis_freqs(self):
         """Frequency lattice along one axis in FFT order: k dxi for
@@ -88,15 +86,12 @@ class Grid:
                                     indexing="ij"), axis=-1)
 
     def reflect(self, a):
-        """a(-x) for x-samples a over the last n axes.  On the offset
-        lattice -x_j = x_{N-1-j}, a flip; without the offset -x_j =
-        x_{-j mod N}, a flip and then a roll by one."""
-        axes = tuple(range(-self.n, 0))
-        out = np.flip(a, axis=axes)
-        return out if self.offset else np.roll(out, 1, axis=axes)
+        """a(-x) for x-samples a over the last n axes: on the half-cell
+        lattice -x_j = x_{N-1-j}, a flip."""
+        return np.flip(a, axis=tuple(range(-self.n, 0)))
 
 
-def make_grid(n, N, L, offset=True):
+def make_grid(n, N, L):
     """Build a Grid, validating the lattice parameters."""
     if N < 2 or (N & (N - 1)) != 0:
         raise InvalidSize(f"N={N} is not a power of two >= 2")
@@ -104,7 +99,7 @@ def make_grid(n, N, L, offset=True):
         raise InvalidSize(f"L={L} must be positive")
     if n < 1:
         raise InvalidSize(f"n={n} must be at least 1")
-    return Grid(n=n, N=N, L=float(L), offset=bool(offset))
+    return Grid(n=n, N=N, L=float(L))
 
 
 @dataclass(frozen=True)
@@ -303,25 +298,21 @@ def _band(lo, lo1, hi1, hi):
     return band
 
 
-def _super_gaussian(center, width, power):
-    """Profile exp(-((t - center) / width)^power) for an even power: an
-    entire function of t, so its transform decays faster than any Gevrey
-    tail of the band profiles (needed by the 1e-8 composition checks)."""
-    if power % 2:
-        raise ValueError("power must be even")
-    return lambda t: np.exp(-((t - center) / width) ** power)
+def _super_gaussian(center, width):
+    """Profile exp(-((t - center) / width)^8): an entire function of t, so
+    its transform decays faster than any Gevrey tail of the band profiles
+    (needed by the 1e-8 composition checks)."""
+    return lambda t: np.exp(-((t - center) / width) ** 8)
 
 
-def _radial(profile, center=0.0):
-    """The cutoff profile(|pts - center|)."""
-    center = np.asarray(center)
-    return Cutoff(lambda pts: profile(np.linalg.norm(pts - center, axis=-1)))
+def _radial(profile):
+    """The cutoff profile(|pts|)."""
+    return Cutoff(lambda pts: profile(np.linalg.norm(pts, axis=-1)))
 
 
-def radial_bump(core, support, center=0.0):
-    """1 within core of ``center``, 0 beyond support."""
-    return _radial(lambda r: 1.0 - _smoothstep((r - core) / (support - core)),
-                   center)
+def radial_bump(core, support):
+    """1 within core of the origin, 0 beyond support."""
+    return _radial(lambda r: 1.0 - _smoothstep((r - core) / (support - core)))
 
 
 def annular(lo, lo1, hi1, hi):
@@ -329,13 +320,13 @@ def annular(lo, lo1, hi1, hi):
     return _radial(_band(lo, lo1, hi1, hi))
 
 
-def analytic_profile(center, width, power=8):
-    """Super-Gaussian scalar profile exp(-((t-center)/width)^power)."""
-    return Cutoff(_super_gaussian(center, width, power))
+def analytic_profile(center, width):
+    """Super-Gaussian scalar profile exp(-((t-center)/width)^8)."""
+    return Cutoff(_super_gaussian(center, width))
 
 
 def analytic_ring(center, width):
     """Super-Gaussian ring exp(-((|xi|-center)/width)^8); analytic
     stand-in for an annulus."""
-    return _radial(_super_gaussian(center, width, 8))
+    return _radial(_super_gaussian(center, width))
 

@@ -1,5 +1,5 @@
 """Quantization layer: Fourier multipliers, pseudodifferential operators,
-canonical transforms, sector changes of variables and the
+canonical transforms, rotations of the plane and the
 exact-commutation / boundedness checks built on them.
 
 Quantization is Kohn-Nirenberg throughout:
@@ -30,8 +30,7 @@ import numpy as np
 from . import grid as gr
 from . import symbols as sy
 from .errors import (CutoffLeakage, InvalidSize, NonFiniteMultiplier,
-                     NonFiniteSymbol, OutOfSector, SingularAtOrigin,
-                     StructureViolation)
+                     NonFiniteSymbol, StructureViolation)
 
 
 def low_freq_guard(grid):
@@ -69,8 +68,6 @@ def apply_multiplier(f, m):
 
 def _guard_for(sigma, g):
     """The low-frequency guard if sigma is singular at xi = 0, else None."""
-    if getattr(sigma, "x_singular", False) and not g.offset:
-        raise SingularAtOrigin("x-singular symbol needs an offset grid")
     return low_freq_guard(g) if sigma.xi_singular else None
 
 
@@ -117,6 +114,11 @@ class SeparablePlan:
         return self._pass(w, np.fft.fftn, np.conj(self.m))  # conj(x) freed
 
 
+def _apply_plan(plan, f):
+    """sigma(X, D) u for the SeparablePlan of sigma on f's grid."""
+    return gr.Field(f.grid, plan.apply(np.fft.fftn(f.values)), "x")
+
+
 def apply_pseudo(f, sigma, method="auto"):
     """sigma(X, D) u on the grid.
 
@@ -128,8 +130,7 @@ def apply_pseudo(f, sigma, method="auto"):
     if method == "auto":
         method = "separable" if getattr(sigma, "terms", None) else "direct"
     if method == "separable":
-        plan = SeparablePlan(sigma, f.grid)
-        return gr.Field(f.grid, plan.apply(np.fft.fftn(f.values)), "x")
+        return _apply_plan(SeparablePlan(sigma, f.grid), f)
     if method == "direct":
         return _apply_direct(f, sigma, _guard_for(sigma, f.grid))
     raise ValueError(f"unknown method {method!r}")
@@ -279,59 +280,23 @@ def apply_canonical(plan, f):
 # change of variables
 
 
-def _parse_kappa(spec, n):
-    if spec == "identity":
-        return lambda x: x, False
-    if spec.startswith("rotation:theta="):
-        if n != 2:
-            raise InvalidSize(f"rotation kappa needs n = 2, got {n}")
-        th = float(spec.split("=", 1)[1])
-        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        return lambda x: x @ R.T, False
-    if spec == "sector":
-        def kappa(x):
-            head = x[..., :-1]
-            arg = x[..., -1] ** 2 - np.sum(head**2, axis=-1)
-            tail = np.sqrt(np.maximum(arg, 0.0))
-            return np.concatenate([head, tail[..., None]], axis=-1), arg >= 0
-        return kappa, True
-    if spec == "sector-inverse":
-        def kappa(x):
-            head = x[..., :-1]
-            tail = np.sqrt(x[..., -1] ** 2 + np.sum(head**2, axis=-1))
-            return np.concatenate([head, tail[..., None]], axis=-1)
-        return kappa, False
-    raise ValueError(f"unknown change-of-variables spec {spec!r}")
-
-
 def apply_change_of_vars(kappa_spec, gamma, f):
-    """J_gamma u = (gamma u) o kappa, by spectral interpolation.
-
-    kappa_spec in {"identity", "rotation:theta=..", "sector",
-    "sector-inverse"}.  The sector map kappa(x) = (x', sqrt(x_n^2-|x'|^2))
-    is defined on the cone |x_n| >= |x'|; outside it the output is zero,
-    and OutOfSector is raised if gamma is not negligible at the folded
-    boundary point there.
+    """J_gamma u = (gamma u) o kappa, by spectral interpolation, for the
+    rotation kappa(x) = R_theta x of the plane, kappa_spec
+    "rotation:theta=.."; gamma None means no cutoff.
     """
     g = f.grid
-    kappa, partial = _parse_kappa(kappa_spec, g.n)
-    x_flat = g.coord_stack().reshape(-1, g.n)
-    if partial:
-        src, valid = kappa(x_flat)
-        bad = ~valid
-        if np.any(bad) and gamma is not None:
-            folded = src[bad]
-            if np.any(np.abs(gamma(folded)) > 1e-9):
-                raise OutOfSector(
-                    "cutoff support reaches outside the valid cone")
-    else:
-        src = kappa(x_flat)
-        valid = np.ones(x_flat.shape[0], dtype=bool)
+    if not kappa_spec.startswith("rotation:theta="):
+        raise ValueError(f"unknown change-of-variables spec {kappa_spec!r}")
+    if g.n != 2:
+        raise InvalidSize(f"rotation kappa needs n = 2, got {g.n}")
+    th = float(kappa_spec.split("=", 1)[1])
+    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     target = gr.Field(g, f.values if gamma is None
                       else gamma.on_coords(g) * f.values, "x")
-    out = np.zeros(x_flat.shape[0], dtype=complex)
-    out[valid] = gr.eval_field_offgrid(target, src[valid])
-    return gr.Field(g, out.reshape(g.shape), "x")
+    src = g.coord_stack().reshape(-1, g.n) @ R.T
+    return gr.Field(g, gr.eval_field_offgrid(target, src).reshape(g.shape),
+                    "x")
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +319,11 @@ def commutator_residual(pair, i, j, h, f, multiplier=None):
             pos = r > 0
             vals[pos] = h(pair.primal(xs[pos]))
             return vals
-    # Omega_ij has orders (1, 1): apply_pseudo puts no low-frequency guard
-    # on it
-    om = sy.omega_phase_symbol(pair, i, j)
-    a_then_m = apply_multiplier(apply_pseudo(f, om), multiplier)
-    m_then_a = apply_pseudo(apply_multiplier(f, multiplier), om)
+    # Omega_ij has orders (1, 1): its plan puts no low-frequency guard on
+    # it
+    om = SeparablePlan(sy.omega_phase_symbol(pair, i, j), g)
+    a_then_m = apply_multiplier(_apply_plan(om, f), multiplier)
+    m_then_a = _apply_plan(om, apply_multiplier(f, multiplier))
     diff = gr.Field(g, a_then_m.values - m_then_a.values, "x")
     return diff.norm() / f.norm()
 
@@ -466,26 +431,28 @@ def structure_spot_check(pair, a):
             f"(relative size {np.max(on / scale):.2e})")
 
 
-def basiclem_ratio(pair, a, m, f, carrier=None):
+def basiclem_ratio(pair, a, m, f):
     """LHS/RHS of the structure inequality
 
         ||a(X,D)u|| <= C (sum_{i<j} ||Omega_ij(X,D)u||_{L^2_{m-1}}
                           + ||u||_{L^2_{m-1}})
 
-    over a dilation family.  The symbol must vanish on the orbit set
-    (StructureViolation otherwise).
+    over the dilation family remodulated onto the carrier (3, 0).  The
+    symbol must vanish on the orbit set (StructureViolation otherwise);
+    a and each Omega_ij are one SeparablePlan for the whole family.
     """
     structure_spot_check(pair, a)
-    n = pair.primal.dim
-    omegas = [sy.omega_phase_symbol(pair, i, j)
-              for i, j in sy.wedge_pairs(n)]
+    g = f.grid
+    a_plan = SeparablePlan(a, g)
+    omegas = [SeparablePlan(sy.omega_phase_symbol(pair, i, j), g)
+              for i, j in sy.wedge_pairs(pair.primal.dim)]
     ratios = []
     for lam in DILATIONS:
-        ul = _dilation_family_member(f, lam, carrier)
-        lhs = apply_pseudo(ul, a).norm()
+        ul = _dilation_family_member(f, lam, (3.0, 0.0))
+        lhs = _apply_plan(a_plan, ul).norm()
         rhs = gr.weighted_norm(ul, m - 1.0)
         for om in omegas:
-            rhs += gr.weighted_norm(apply_pseudo(ul, om), m - 1.0)
+            rhs += gr.weighted_norm(_apply_plan(om, ul), m - 1.0)
         ratios.append(lhs / rhs)
     return ratios
 

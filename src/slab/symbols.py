@@ -201,12 +201,13 @@ def gaussian_curvature(sym, pts):
     return -np.linalg.det(B) / gn ** (n + 1)
 
 
-def curvature_audit(sym, n_samples=512):
-    """Minimum |Gaussian curvature| over Sigma_p; passes iff above KAPPA_MIN.
+def curvature_audit(sym):
+    """Minimum |Gaussian curvature| over 512 samples of Sigma_p; passes iff
+    above KAPPA_MIN.
 
     Returns (min_abs_curvature, worst_point, passed).
     """
-    pts = level_set_samples(sym, n_samples)
+    pts = level_set_samples(sym, 512)
     K = gaussian_curvature(sym, pts)
     i = np.argmin(np.abs(K))
     kmin = np.abs(K[i])
@@ -412,10 +413,6 @@ class PhaseSpaceSymbol:
 
     def __call__(self, x, xi):
         return self.value(np.asarray(x, float), np.asarray(xi, float))
-
-    @property
-    def x_singular(self):
-        return self.orders[0] < 0
 
     @property
     def xi_singular(self):

@@ -167,7 +167,7 @@ def test_criterion_05_fio_identities():
         sp = np.where(ok[..., None], pts, 1.0)
         return np.where(ok, pair.primal(sp), 0.0)
 
-    profile = gr.analytic_profile(3.5, 2.6, 8)
+    profile = gr.analytic_profile(3.5, 2.6)
     gamma = gr.Cutoff(lambda xi: profile(safe_p(xi)))
     gamma_t = gr.analytic_ring(3.5, 2.6)
     plan_f = qu.CanonicalTransformPlan(pair, gamma, direction="forward")
@@ -227,9 +227,9 @@ def test_criterion_06_boundedness_ratio_families():
                              - x[..., 1] * xi[..., 0]) * gx(xi),
         terms=[(lambda x: x[..., 0], lambda xi: xi[..., 1] * gx(xi)),
                (lambda x: -x[..., 1], lambda xi: xi[..., 0] * gx(xi))])
-    r = qu.basiclem_ratio(EUCLID, a, 1.0, f, carrier=(3.0, 0.0))
+    r = qu.basiclem_ratio(EUCLID, a, 1.0, f)
     checks["structure declared <= 3"] = max(r) / min(r) <= 3.0
-    r = qu.basiclem_ratio(EUCLID, a, 0.0, f, carrier=(3.0, 0.0))
+    r = qu.basiclem_ratio(EUCLID, a, 0.0, f)
     checks["structure misdeclared > 3"] = max(r) / min(r) > 3.0
 
     env2 = gr.spectral_packet(g, (0.0, 0.0), 0.8)

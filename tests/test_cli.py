@@ -159,8 +159,7 @@ def test_seed_env_override(runner, tmp_path):
                        {"p": "euclidean", "samples": 100, "seed": 3})
     out = tmp_path / "out"
     res = runner.invoke(main, ["geometry-audit", "--config", cfg,
-                               "--out", str(out)],
-                        env={"SLAB_SEED": "11"})
+                               "--out", str(out), "--override", "seed=11"])
     assert res.exit_code == 0, res.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
@@ -251,44 +250,44 @@ def test_module_entry_point_runs(tmp_path):
     assert (tmp_path / "out" / "hl_oracle.csv").is_file()
 
 
-@pytest.mark.parametrize("kind,cfg,env", [
-    ("geometry-audit", {"p": "bogus"}, {}),
-    ("geometry-audit", {"p": "quadratic-form:A=x"}, {}),
-    ("geometry-audit", {"p": "perturbed:amp=x"}, {}),
+@pytest.mark.parametrize("kind,cfg,args", [
+    ("geometry-audit", {"p": "bogus"}, []),
+    ("geometry-audit", {"p": "quadratic-form:A=x"}, []),
+    ("geometry-audit", {"p": "perturbed:amp=x"}, []),
     ("geometry-audit", {"p": "perturbed:amp=0.05",
-                        "construction": "closed-form"}, {}),
+                        "construction": "closed-form"}, []),
     ("geometry-audit", {"p": "euclidean", "samples": 10},
-     {"SLAB_SEED": "-3"}),
+     ["--override", "seed=-3"]),
     ("restriction", {"p": "euclidean", "sigma": "nope", "N": 8, "L": 4.0},
-     {}),
+     []),
     ("restriction", {"p": "euclidean", "sigma": "weighted:s=x", "N": 8,
-                     "L": 4.0}, {}),
-    ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, {}),
+                     "L": 4.0}, []),
+    ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, []),
     ("smoothing", {"p": "euclidean", "sigma": "structured", "dt": 0.3,
-                   "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}, {}),
+                   "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "pair_indices": [0, 5]}, {}),
+                    "pair_indices": [0, 5]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "pair_indices": [1, 0]}, {}),
+                    "pair_indices": [1, 0]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "pair_indices": [0, 0]}, {}),
-    ("hl-oracle", [0.5, 0.5, 1.0], {}),
-    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "carrier": []}, {}),
+                    "pair_indices": [0, 0]}, []),
+    ("hl-oracle", [0.5, 0.5, 1.0], []),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "carrier": []}, []),
     ("egorov", {"p": "euclidean", "N": 8, "L": 4.0,
-                "carrier": [1.0, 2.0, 3.0]}, {}),
-    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "center": [1.0]}, {}),
+                "carrier": [1.0, 2.0, 3.0]}, []),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "center": [1.0]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "packet_center": [1.0, 2.0, 3.0]}, {}),
+                    "packet_center": [1.0, 2.0, 3.0]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "packet_center": [1.0]}, {}),
+                    "packet_center": [1.0]}, []),
     ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "packet_spread": 0},
-     {}),
+     []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
-                    "packet_spread": 0}, {}),
-    ("smoothing", dict(_SMOOTHING, spread=0), {}),
-    ("smoothing", dict(_SMOOTHING, spread=-0.1), {}),
+                    "packet_spread": 0}, []),
+    ("smoothing", dict(_SMOOTHING, spread=0), []),
+    ("smoothing", dict(_SMOOTHING, spread=-0.1), []),
     ("restriction", {"p": "euclidean", "sigma": "structured", "N": 8,
-                     "L": 4.0, "rhos": [0, 1]}, {}),
+                     "L": 4.0, "rhos": [0, 1]}, []),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
@@ -297,10 +296,10 @@ def test_module_entry_point_runs(tmp_path):
         "commutator-spread-zero", "smoothing-spread-zero",
         "smoothing-spread-negative", "rhos-zero"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
-                                              env):
+                                              args):
     path = write_config(tmp_path / "cfg.json", cfg)
     res = runner.invoke(main, [kind, "--config", path,
-                               "--out", str(tmp_path / "out")], env=env)
+                               "--out", str(tmp_path / "out"), *args])
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), \

@@ -300,7 +300,7 @@ def test_lap_sweep_matches_reference_loop():
             qu.apply_multiplier(qu.apply_pseudo_adjoint(u, sig), m), sig)
 
     for k, eps in enumerate(eps_list):
-        mult = ev.resolvent_multiplier(spec, g, d=1.0, eps=eps, chi=chi)
+        mult = next(ev.ResolventGeometry(spec, g).ladder(1.0, [eps], chi))
         ref = _power_norm_reference((sandwich(mult), sandwich(np.conj(mult))),
                                     g, iters=8, starts=2, seed=3 + k)
         assert res.ratios()[k] == pytest.approx(ref, rel=1e-12)
@@ -344,8 +344,7 @@ def test_surface_norm_reference_quadrature():
     r2 = np.sum(g.coord_stack() ** 2, axis=-1)
     f = gr.Field(g, np.exp(-r2 / 2.0) + 0j, "x")
     rho = 1.5
-    val = es.surface_norm(lambda pts: gr.eval_offgrid(f, pts), EUCLID, rho,
-                          n_angles=512)
+    val = es.surface_norm(lambda pts: gr.eval_offgrid(f, pts), EUCLID, rho)
     # closed form: fhat = 2 pi e^{-|xi|^2/2}; with measure rho dtheta the
     # squared norm is rho * 2 pi * (2 pi e^{-rho^2/2})^2
     ref = np.sqrt(rho * 2 * np.pi) * 2 * np.pi * np.exp(-rho**2 / 2.0)
@@ -356,8 +355,9 @@ def test_surface_norm_band_guard():
     g = gr.make_grid(2, 32, 8.0)
     f = gr.Field(g, np.ones(g.shape, complex), "x")
     with pytest.raises(BandExceeded):
-        es.restriction_norm(annulus_multiplier_symbol(0.3, 0.5, 1.3, 1.5),
-                            EUCLID, f, rho=100.0)
+        es.restriction_norm(qu.SeparablePlan(
+            annulus_multiplier_symbol(0.3, 0.5, 1.3, 1.5), g), EUCLID, f,
+            rho=100.0)
 
 
 def test_restriction_disjoint_support_floor():
@@ -375,13 +375,23 @@ def test_restriction_disjoint_support_floor():
     sig = sy.PhaseSpaceSymbol(
         "window", (0.0, 0.0), lambda x, xi: window(xi),
         terms=[(lambda x: np.ones(x.shape[:-1]), window)])
-    val = es.restriction_norm(sig, EUCLID, phi, rho=4.0)
+    val = es.restriction_norm(qu.SeparablePlan(sig, g), EUCLID, phi, rho=4.0)
     assert val <= 1e-8
 
 
 # the resolvent / surface identity: reference code, reached by no CLI kind
 
 _IDENTITY_ANGLES = 256
+
+
+def _unit_nodes(pair, n_angles):
+    """omega / p(omega), the angular weights and p(omega) at n_angles
+    equally spaced angles: es.surface_nodes at rho = 1, any angle count."""
+    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    p_om = pair.primal(omega)
+    w = np.full(n_angles, 2.0 * np.pi / n_angles)
+    return omega / p_om[:, None], w, p_om
 
 
 def resolvent_im_identity(pair, f, rho, eps, n_angles=_IDENTITY_ANGLES):
@@ -393,7 +403,7 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=_IDENTITY_ANGLES):
     the Lorentzian factor into the flat measure dw, so the radial rule
     stays accurate uniformly as eps drops below the lattice spacing.
     """
-    unit, w, p_om = es.surface_nodes(pair, 1.0, n_angles)  # omega / p(omega)
+    unit, w, p_om = _unit_nodes(pair, n_angles)
     # v runs from -rho^2 at r = 0 to its value at r = 0.95 nyquist
     w_lo = np.arctan(-rho**2 / eps)
     w_hi = np.arctan(((0.95 * f.grid.nyquist * p_om) ** 2 - rho**2) / eps)
@@ -416,9 +426,10 @@ def surface_identity_gap(pair, f, rho, eps):
     """
     g = f.grid
     im = resolvent_im_identity(pair, f, rho, eps)
-    lhs = es.surface_norm(lambda pts: gr.eval_offgrid(f, pts), pair, rho,
-                          n_angles=_IDENTITY_ANGLES,
-                          band_limit=0.95 * g.nyquist) ** 2
+    # es.surface_norm squared, at _IDENTITY_ANGLES angles
+    unit, w, p_om = _unit_nodes(pair, _IDENTITY_ANGLES)
+    vals = gr.eval_offgrid(f, rho * unit)
+    lhs = rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)
     rhs = 4.0 * (2.0 * np.pi) ** (g.n - 1) * rho * im
     return abs(lhs - rhs) / lhs
 
@@ -550,9 +561,8 @@ def test_make_packet_deterministic():
     assert a.norm() == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("offset", [True, False])
-def test_make_packet_is_its_own_conjugate_reflection(offset):
-    g = gr.make_grid(2, 32, 8.0, offset)
+def test_make_packet_is_its_own_conjugate_reflection():
+    g = gr.make_grid(2, 32, 8.0)
     for seed in range(3):
         phi = es.make_packet(g, np.random.default_rng(seed), 1.1, 0.3).values
         assert np.array_equal(phi, np.conj(g.reflect(phi)))

@@ -52,7 +52,7 @@ def test_schrodinger_gaussian_closed_form():
     g = gr.make_grid(2, 128, 16.0)
     r2 = np.sum(g.coord_stack()**2, axis=-1)
     f = gr.Field(g, np.exp(-r2 / 2.0) + 0j, "x")
-    spec = ev.EvolutionSpec(EUCLID, order=2, sign="-")
+    spec = ev.EvolutionSpec(EUCLID, order=2)
     t = 0.4
     out = ev.schrodinger_propagate(spec, f, t)
     a = 1.0 + 2j * t
@@ -135,7 +135,7 @@ def test_resolvent_negative_d_pointwise_formula():
     g = gr.make_grid(2, 32, 8.0)
     chi = gr.annular(1.0, 1.5, 3.0, 3.5)
     spec = ev.EvolutionSpec(EUCLID, order=2)
-    vals = ev.resolvent_multiplier(spec, g, d=-2.0, eps=1.0, chi=chi)
+    vals = next(ev.ResolventGeometry(spec, g).ladder(-2.0, [1.0], chi))
     pm = ev.symbol_lattice(EUCLID, g, 2)
     ref = chi.on_freqs(g) / (pm + 2.0 - 1j)
     assert np.max(np.abs(vals - ref)) <= 1e-14
@@ -143,13 +143,14 @@ def test_resolvent_negative_d_pointwise_formula():
 
 
 def test_resolvent_sign_flip_conjugates():
+    # the + i eps side, which the LAP sweep's adjoint multiplies by, is the
+    # conjugate of the - i eps rung
     g = gr.make_grid(2, 32, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 1.0, 3.0, 3.5)
-    minus = ev.resolvent_multiplier(spec, g, d=1.0, eps=0.1, sign="-",
-                                    chi=chi)
-    plus = ev.resolvent_multiplier(spec, g, d=1.0, eps=0.1, sign="+",
-                                   chi=chi)
+    minus = next(ev.ResolventGeometry(spec, g).ladder(1.0, [0.1], chi))
+    pm = ev.symbol_lattice(EUCLID, g, 2)
+    plus = chi.on_freqs(g) / (pm - 1.0 + 0.1j)
     assert np.max(np.abs(plus - np.conj(minus))) <= 1e-14
 
 
@@ -162,7 +163,7 @@ def test_resolvent_off_characteristic_limit():
     d = 1.0
     pm = ev.symbol_lattice(EUCLID, g, 2)
     bare = chi.on_freqs(g) / (pm - d)
-    vals = ev.resolvent_multiplier(spec, g, d=d, eps=1e-10, chi=chi)
+    vals = next(ev.ResolventGeometry(spec, g).ladder(d, [1e-10], chi))
     assert np.max(np.abs(vals - bare)) <= 1e-10
 
 
@@ -172,9 +173,8 @@ def test_cell_averaged_resolvent_matches_pointwise_off_resonance():
     g = gr.make_grid(2, 64, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 0.8, 2.5, 2.8)
-    v1 = ev.resolvent_multiplier(spec, g, d=1.0, eps=1.0, chi=chi)
-    v8 = ev.resolvent_multiplier(spec, g, d=1.0, eps=1.0, chi=chi,
-                                 cell_quad=8)
+    v1 = next(ev.ResolventGeometry(spec, g).ladder(1.0, [1.0], chi))
+    v8 = next(ev.ResolventGeometry(spec, g, 8).ladder(1.0, [1.0], chi))
     denom = np.max(np.abs(v1))
     assert np.max(np.abs(v1 - v8)) <= 0.1 * denom
 
@@ -248,7 +248,8 @@ def _resolvent_reference(spec, grid, d, eps, sign, chi, cell_quad):
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_resolvent_geometry_is_bit_identical_per_rung(cell_quad, sign):
     # one eps-independent geometry serves every rung of a ladder and gives
-    # each rung the bits of the formula evaluated for that eps alone
+    # each rung the bits of the formula evaluated for that eps alone; the
+    # + i eps side is the rung's conjugate, value for value
     g = gr.make_grid(2, 32, 8.0)
     spec = ev.EvolutionSpec(ELLIPSE, order=2)
     chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
@@ -257,20 +258,23 @@ def test_resolvent_geometry_is_bit_identical_per_rung(cell_quad, sign):
     eps_list = [1.0, 2.0 ** -6, 2.0 ** -12]
     refs = [_resolvent_reference(spec, g, 1.0, eps, sign, chi, cell_quad)
             for eps in eps_list]
-    ladder = list(geometry.ladder(1.0, eps_list, sign, chi))
+    side = np.conj if sign == "+" else np.asarray
+    ladder = [side(rung) for rung in geometry.ladder(1.0, eps_list, chi)]
     assert len(ladder) == len(eps_list)
     for rung, ref in zip(ladder, refs):
         assert np.array_equal(rung, ref)
-    for eps, ref in zip(eps_list, refs):
-        assert np.array_equal(ev.resolvent_multiplier(
-            spec, g, 1.0, eps, sign=sign, chi=chi, cell_quad=cell_quad), ref)
+    if cell_quad == 1:
+        for eps, ref in zip(eps_list, refs):
+            assert np.array_equal(side(ev.resolvent_multiplier(
+                spec, g, 1.0, eps)) * chi.on_freqs(g), ref)
 
 
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
         sign):
     # the euclidean lattice repeats its (p^m, b h / 2) pairs, so this is
-    # where evaluating the formula once per distinct pair merges points
+    # where evaluating the formula once per distinct pair merges points;
+    # the + i eps side is the rung's conjugate, value for value
     g = gr.make_grid(2, 64, 16.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
@@ -278,9 +282,12 @@ def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
     geometry = ev.ResolventGeometry(spec, g, 8)
     assert geometry.pm.size < 8 * g.N ** 2
     eps_list = [1.0, 2.0 ** -6, 2.0 ** -12]
-    for eps, rung in zip(eps_list, geometry.ladder(1.0, eps_list, sign, chi)):
+    for eps, rung in zip(eps_list, geometry.ladder(1.0, eps_list, chi)):
         ref = _resolvent_reference(spec, g, 1.0, eps, sign, chi, 8)
-        assert rung.tobytes() == ref.tobytes()
+        if sign == "-":
+            assert rung.tobytes() == ref.tobytes()
+        else:
+            assert np.array_equal(np.conj(rung), ref)
 
 
 @pytest.mark.parametrize("label", ["euclidean",
@@ -290,17 +297,23 @@ def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
                                                                  sign):
+    # e^{-itP} bit for bit; e^{+itP}, which the duality check runs as the
+    # phase at -t, value for value (a zero may change sign)
     pair = sy.make_pair(label)
     g = gr.make_grid(2, N, 8.0)
-    spec = ev.EvolutionSpec(pair, order=2, sign=sign)
+    spec = ev.EvolutionSpec(pair, order=2)
     P = ev.symbol_lattice(pair, g, 2)
     s = -1.0 if sign == "-" else 1.0
     times = np.array([-3.0, -0.25, 0.0, 0.7, 2.5])
-    stack = ev.PropagatorPhase(spec, g)(times)
+    stack = ev.PropagatorPhase(spec, g)(times if sign == "-" else -times)
     assert stack.shape == (len(times), N, N)
     assert stack.flags.c_contiguous
     for t, e in zip(times, stack):
-        assert e.tobytes() == np.exp(t * 1j * s * P).tobytes()
+        ref = np.exp(t * 1j * s * P)
+        if sign == "-":
+            assert e.tobytes() == ref.tobytes()
+        else:
+            assert np.array_equal(e, ref)
 
 
 def test_times_reject_a_step_that_does_not_divide_2T():

@@ -20,18 +20,18 @@ def test_grid_basic_arithmetic():
     assert g.h * g.N == pytest.approx(2 * g.L)
     assert g.dxi == pytest.approx(np.pi / g.L)
     assert g.nyquist == pytest.approx(np.pi * g.N / (2 * g.L))
-    # offset grid never samples x = 0
+    # the half-cell lattice never samples x = 0
     assert np.min(g.radius()) > 0
 
 
 def test_grid_frequency_spacing():
-    g = gr.make_grid(2, 128, 32 * np.pi, offset=False)
+    g = gr.make_grid(2, 128, 32 * np.pi)
     assert g.dxi == pytest.approx(1.0 / 32.0)
 
 
 def test_grid_rejects_non_power_of_two():
     with pytest.raises(InvalidSize):
-        gr.make_grid(1, 7, 1.0, offset=False)
+        gr.make_grid(1, 7, 1.0)
 
 
 @pytest.mark.parametrize("N", [32, 64, 128])
@@ -48,10 +48,9 @@ def test_transform_roundtrip_and_plancherel(N):
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 3), log_N=st.integers(1, 4),
-       L=st.floats(0.5, 50.0), offset=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_transform_roundtrip_property(n, log_N, L, offset, seed):
-    g = gr.make_grid(n, 2**log_N, L, offset=offset)
+       L=st.floats(0.5, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_transform_roundtrip_property(n, log_N, L, seed):
+    g = gr.make_grid(n, 2**log_N, L)
     f = random_field(g, seed)
     fh = gr.transform(f)
     back = gr.inverse_transform(fh)
@@ -171,29 +170,25 @@ def test_scalar_profile_and_analytic_kinds():
     assert np.all((v >= 0.0) & (v <= 1.0))
     assert np.allclose(v[(t >= 2.0) & (t <= 3.0)], 1.0)
 
-    ap = gr.analytic_profile(3.0, 1.0, power=8)
+    ap = gr.analytic_profile(3.0, 1.0)
     assert ap(np.array(3.0)) == pytest.approx(1.0)
     assert ap(np.array(6.0)) < 1e-200 or ap(np.array(6.0)) < 1e-6
-    with pytest.raises(ValueError):
-        gr.analytic_profile(3.0, 1.0, power=7)
 
 
 def test_cutoffs_compose_a_profile_with_a_map():
     # the radial cutoffs are their scalar profiles of |xi|, bit for bit,
     # on the lattice and at the origin
-    g = gr.make_grid(2, 32, 8.0, offset=False)
+    g = gr.make_grid(2, 32, 8.0)
     pts = np.concatenate([g.freq_stack().reshape(-1, 2),
                           g.coord_stack().reshape(-1, 2)])
     assert np.any(np.all(pts == 0.0, axis=-1))
     for radial, profile in (
             (gr.annular(1.0, 2.0, 5.0, 6.0),
              gr._band(1.0, 2.0, 5.0, 6.0)),
-            (gr.analytic_ring(3.5, 2.6), gr.analytic_profile(3.5, 2.6, 8))):
+            (gr.analytic_ring(3.5, 2.6), gr.analytic_profile(3.5, 2.6))):
         composed = gr.Cutoff(lambda xi: profile(np.linalg.norm(xi, axis=-1)))
         assert radial(pts).tobytes() == composed(pts).tobytes()
         assert radial.on_freqs(g).tobytes() == composed.on_freqs(g).tobytes()
-    with pytest.raises(ValueError, match="even"):
-        gr.analytic_profile(3.0, 1.0, 7)
 
 
 def test_offgrid_evaluation_matches_lattice():
@@ -253,16 +248,11 @@ def test_spectral_packet_unit_norm_and_centered():
     assert np.allclose(g.freq_stack()[peak], (1.5, -0.5), atol=g.dxi)
 
 
-@pytest.mark.parametrize("offset", [True, False])
 @pytest.mark.parametrize("n", [1, 2])
-def test_reflect_maps_each_sample_to_minus_x(n, offset):
-    # dyadic L keeps every coordinate exact; without the offset the
-    # sample at -L is its own mirror, as L and -L are one periodic point
-    g = gr.make_grid(n, 16, 4.0, offset)
+def test_reflect_maps_each_sample_to_minus_x(n):
+    # dyadic L keeps every coordinate exact
+    g = gr.make_grid(n, 16, 4.0)
     X = np.moveaxis(g.coord_stack(), -1, 0)
     R = g.reflect(X)
-    if offset:
-        assert np.array_equal(R, -X)
-    else:
-        assert np.array_equal(np.where(R == -g.L, g.L, R), -X)
+    assert np.array_equal(R, -X)
     assert np.array_equal(g.reflect(R), X)

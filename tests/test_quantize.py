@@ -15,7 +15,7 @@ from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
 from slab.errors import (CutoffLeakage, InvalidSize, NonFiniteMultiplier,
-                         NonFiniteSymbol, OutOfSector, StructureViolation)
+                         NonFiniteSymbol, StructureViolation)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -373,7 +373,7 @@ def test_change_of_vars_identity_and_rotation():
     g = gr.make_grid(2, 64, 8.0)
     f = packet(g, (2.0, 0.0), 0.7)
     gam = gr.radial_bump(5.0, 7.0)
-    out = qu.apply_change_of_vars("identity", gam, f)
+    out = qu.apply_change_of_vars("rotation:theta=0.0", gam, f)
     ref = gam.on_coords(g) * f.values
     assert np.max(np.abs(out.values - ref)) <= 1e-10
 
@@ -384,22 +384,6 @@ def test_change_of_vars_identity_and_rotation():
     x = g.coord_stack()
     peak = x.reshape(-1, 2)[np.argmax(np.abs(rot.values))]
     assert np.linalg.norm(np.abs(peak) - np.array([0.0, 2.0])) <= 2 * g.h
-
-
-def test_change_of_vars_sector_cone():
-    # kappa(x) = (x', sqrt(x_n^2 - |x'|^2)) is defined on the cone
-    # |x_n| >= |x'|; outside it x folds onto (x', 0)
-    g = gr.make_grid(2, 32, 8.0)
-    f = packet(g, (0.0, 5.0), 1.5)
-    with pytest.raises(OutOfSector):
-        qu.apply_change_of_vars("sector", gr.radial_bump(2.0, 3.0), f)
-    # a cutoff that vanishes on the folded line x_n = 0
-    gam = gr.radial_bump(2.0, 3.0, center=(0.0, 5.0))
-    out = qu.apply_change_of_vars("sector", gam, f)
-    x = g.coord_stack()
-    cone = np.abs(x[..., 1]) >= np.abs(x[..., 0])
-    assert np.all(out.values[~cone] == 0.0)
-    assert np.max(np.abs(out.values[cone])) > 0.1 * np.max(np.abs(f.values))
 
 
 def test_separable_amplitude_identity_normalization():

@@ -7,7 +7,7 @@ from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
 from slab.errors import (DegenerateGradient, InvalidSize, OptimizerStall,
-                         ZeroFrequency)
+                         ZeroFrequency, ZeroPosition)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -54,7 +54,7 @@ def test_hessian_rank_deficiency_is_exactly_one(sym):
 
 
 def test_curvature_audit_circle():
-    kmin, _, ok = sy.curvature_audit(sy.euclidean(2), 512)
+    kmin, _, ok = sy.curvature_audit(sy.euclidean(2))
     assert ok
     assert kmin == pytest.approx(1.0, abs=1e-8)
 
@@ -63,7 +63,7 @@ def test_curvature_audit_ellipse():
     # level set of |xi A| with A=diag(1,1/2) is the ellipse with semi-axes
     # 1 and 2; minimum curvature a/b^2 = 1/4 sits at (+-1, 0)
     kmin, worst, ok = sy.curvature_audit(
-        sy.quadratic_form(np.diag([1.0, 0.5])), 2048)
+        sy.quadratic_form(np.diag([1.0, 0.5])))
     assert ok
     assert kmin == pytest.approx(0.25, rel=1e-3)
     assert abs(worst[0]) == pytest.approx(1.0, abs=1e-2)
@@ -76,7 +76,7 @@ def test_curvature_audit_rejects_quartic():
 
     quartic = sy.HomogeneousSymbol(
         "quartic", 2, value, lambda xi: xi**3 / value(xi)[..., None] ** 3)
-    kmin, _, ok = sy.curvature_audit(quartic, 2048)
+    kmin, _, ok = sy.curvature_audit(quartic)
     assert not ok
     assert kmin < 1e-2
 
@@ -128,6 +128,15 @@ def test_support_solve_raises_instead_of_returning_bad_points(monkeypatch):
     pair.primal.grad = lambda xi: np.full(xi.shape, np.nan)
     with pytest.raises(OptimizerStall):
         pair.dual.gradient(x)
+
+
+def test_support_dual_rejects_the_origin():
+    # p*(x) = max x.sigma has no maximizer at x = 0, alone or in a batch
+    pair = sy.make_dual(sy.perturbed(0.05))
+    with pytest.raises(ZeroPosition):
+        pair.dual(np.zeros(2))
+    with pytest.raises(ZeroPosition):
+        pair.dual.gradient(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_support_dual_needs_two_dimensions():
