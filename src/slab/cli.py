@@ -125,6 +125,10 @@ def _errors(schema, value, path=()):
             if _is_number(value) and value <= rule:
                 yield path, (f"{value!r} is less than or equal to the "
                              f"minimum of {rule!r}")
+        elif key == "maximum":
+            if _is_number(value) and value > rule:
+                yield path, (f"{value!r} is greater than the maximum of "
+                             f"{rule!r}")
         elif isinstance(value, list):
             if key == "minItems" and len(value) < rule:
                 yield path, f"{value!r} is too short"
@@ -157,9 +161,9 @@ def schema_error(schema, value):
 
     The keywords are those of the registry schemas: ``type`` (one name),
     ``enum`` (strings and null), ``minimum``, ``exclusiveMinimum``,
-    ``minItems`` (at least 2), ``maxItems`` (at least 1), ``items`` (one
-    schema), ``required``, ``additionalProperties: false`` and
-    ``properties``.  best_match takes the first error with the shortest,
+    ``maximum``, ``minItems`` (at least 2), ``maxItems`` (at least 1),
+    ``items`` (one schema), ``required``, ``additionalProperties: false``
+    and ``properties``.  best_match takes the first error with the shortest,
     then the greatest, path.  Its last tie-break, whether ``value``
     matches the type of the schema that failed, never decides here: every
     error at one path comes from the one subschema there.
@@ -283,8 +287,8 @@ def _sigma_from_config(cfg, pair):
     return _resolve("sigma", sy.parse_sigma, cfg["sigma"], pair)
 
 
-def _grid_from_config(cfg, pair):
-    return gr.make_grid(pair.primal.dim, cfg["N"], float(cfg["L"]))
+def _grid_from_config(cfg):
+    return gr.make_grid(cfg["N"], float(cfg["L"]))
 
 
 def _args(cfg, *keys):
@@ -326,26 +330,13 @@ def _run_geometry_audit(cfg):
     closed = pair.construction == "closed-form"
     tol_dual = cfg.get("tol_dual", 1e-6 if closed else 1e-5)
     rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(cfg["samples"], pair.primal.dim))
+    xi = rng.normal(size=(cfg["samples"], 2))
     xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
     scale = np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))
     xi = xi * scale[:, None]
-
-    p = pair.primal(xi)
-    g = pair.primal.gradient(xi)
-    euler = np.max(np.abs(np.sum(xi * g, axis=-1) - p) / p)
-    dual_unit = np.max(np.abs(pair.dual(g) - 1.0))
-    grad_dual = np.max(np.linalg.norm(
-        pair.dual.gradient(g) - xi / p[:, None], axis=-1))
-    rt = np.max(np.linalg.norm(sy.psi_inv(pair, sy.psi(pair, xi)) - xi,
-                               axis=-1)
-                / np.linalg.norm(xi, axis=-1))
-    checks = [
-        ("euler", euler, cfg["tol_euler"]),
-        ("dual-unit", dual_unit, tol_dual),
-        ("grad-dual", grad_dual, cfg["tol_grad"]),
-        ("psi-roundtrip", rt, cfg["tol_roundtrip"]),
-    ]
+    tols = (cfg["tol_euler"], tol_dual, cfg["tol_grad"], cfg["tol_roundtrip"])
+    checks = [(name, val, tol) for (name, val), tol
+              in zip(sy.geometry_identities(pair, xi), tols)]
     entries = [(0, 0.0, 0.0, None, val, val <= tol)
                for (_, val, tol) in checks]
     result = _scalar_result("geometry-audit", "geometry",
@@ -359,16 +350,17 @@ def _run_geometry_audit(cfg):
 
 
 def _squared_norm(v):
-    """|v|^2 over the last axis as a sum of component products: with two
-    components, einsum's value bit for bit in about half its time."""
-    return sum(v[..., i] * v[..., i] for i in range(v.shape[-1]))
+    """|v|^2 of planar vectors as a sum of component products: einsum's
+    value bit for bit in about half its time."""
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
 @_kind("egorov", "p", "N", "L", **_GRID,
        amp_growth=_num(1.0),
        declared_order={"type": "number"},    # amp_growth
-       lams=_vec([1.0, 2.0, 4.0, 8.0], minItems=2),
-       # points of the plane: make_pair builds n = 2 symbols only
+       lams=_vec([1.0, 2.0, 4.0, 8.0], minItems=2,
+                 items={"type": "number", "exclusiveMinimum": 0}),
+       # points of the plane
        carrier=_vec([4.0, 0.0], minItems=2, maxItems=2),
        center=_vec([1.4, 0.0], minItems=2, maxItems=2),
        band=_vec([0.4, 1.0, 9.0, 11.0], minItems=4, maxItems=4),
@@ -381,7 +373,7 @@ def _run_egorov(cfg):
                             "lo < lo1 <= hi1 < hi")
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    g = _grid_from_config(cfg, pair)
+    g = _grid_from_config(cfg)
     growth = cfg["amp_growth"]
     declared = cfg.get("declared_order", growth)
     slack = cfg["slack"]
@@ -396,8 +388,7 @@ def _run_egorov(cfg):
                             value=lambda x, xi: xfac(x) * gfac(xi),
                             terms=[(xfac, gfac)])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
-    env = gr.spectral_packet(g, np.zeros(pair.primal.dim),
-                             cfg["packet_spread"])
+    env = gr.spectral_packet(g, np.zeros(2), cfg["packet_spread"])
     ratios = qu.egorov_residual(a, plan, declared, env,
                                 lams=tuple(cfg["lams"]),
                                 carrier=tuple(cfg["carrier"]),
@@ -414,8 +405,6 @@ def _run_egorov(cfg):
 
 
 @_kind("commutator", "p", "N", "L", **_GRID,
-       pair_indices={"type": "array", "items": {"type": "integer"},
-                     "minItems": 2, "maxItems": 2, "default": [0, 1]},
        profile_scale=_num(4.0, exclusiveMinimum=0),
        packet_center=_vec([3.0, 0.0], minItems=2, maxItems=2),
        packet_spread=_num(1.8, exclusiveMinimum=0),
@@ -425,10 +414,7 @@ def _run_egorov(cfg):
 def _run_commutator(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
-    g = _grid_from_config(cfg, pair)
-    i, j = cfg["pair_indices"]
-    _resolve("pair_indices", lambda ij: sy.omega_phase_symbol(pair, *ij),
-             cfg["pair_indices"])
+    g = _grid_from_config(cfg)
     scale, tol, floor = cfg["profile_scale"], cfg["tol"], cfg["control_floor"]
     f = gr.spectral_packet(g, cfg["packet_center"], cfg["packet_spread"])
 
@@ -439,12 +425,12 @@ def _run_commutator(cfg):
         # multiplier depending on xi_1 only; not a function of p, so the
         # exact-commutation mechanism must fail
         mult = h(g.freq_stack()[..., 0])
-        res = qu.commutator_residual(pair, i, j, h, f, multiplier=mult)
+        res = qu.commutator_residual(pair, h, f, multiplier=mult)
         passed = res >= floor
         line = (f"commutator control residual {res:.3e} "
                 f"(floor {floor:.1e}) {'pass' if passed else 'FAIL'}")
     else:
-        res = qu.commutator_residual(pair, i, j, h, f)
+        res = qu.commutator_residual(pair, h, f)
         passed = res <= tol
         line = (f"commutator residual {res:.3e} (tol {tol:.1e}) "
                 f"{'pass' if passed else 'FAIL'}")
@@ -489,7 +475,8 @@ def _run_smoothing(cfg):
 @_kind("lap", "p", "sigma", "N", "L", **_GRID,
        sigma={"type": "string"},
        d=_num(1.0, exclusiveMinimum=0),
-       eps_ladder_k=_int(12),
+       # 2^-1074 is the least positive double
+       eps_ladder_k=dict(_int(12), maximum=1074),
        trials=_int(3),
        iters=_int(20),
        order=_int(2),
@@ -500,7 +487,7 @@ def _run_lap(cfg):
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
     result = es.lap_sweep(
-        sigma, pair, _grid_from_config(cfg, pair),
+        sigma, pair, _grid_from_config(cfg),
         eps_list=ev.epsilon_ladder(cfg["eps_ladder_k"]),
         sigma_label=cfg["sigma"],
         **_args(cfg, "d", "trials", "seed", "order", "iters",
@@ -526,7 +513,7 @@ def _run_restriction(cfg):
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
     rhos = tuple(cfg["rhos"])
-    norms = es.restriction_scaling(sigma, pair, _grid_from_config(cfg, pair),
+    norms = es.restriction_scaling(sigma, pair, _grid_from_config(cfg),
                                    rhos=rhos, **_args(cfg, "trials", "seed"))
     doublings = [norms[k + 1] / norms[k] for k in range(len(norms) - 1)]
     passed = all(lo <= r <= hi for r in doublings)
@@ -552,7 +539,7 @@ def _run_duality(cfg):
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
     tol = cfg["tol"]
-    defect = es.duality_check(sigma, pair, _grid_from_config(cfg, pair),
+    defect = es.duality_check(sigma, pair, _grid_from_config(cfg),
                               **_args(cfg, "T", "n_times", "trials", "seed",
                                       "order"))
     passed = defect <= tol
@@ -568,7 +555,6 @@ def _run_duality(cfg):
        gamma={"type": "number"},
        delta={"type": "number"},
        m_exp={"type": "number"},
-       n=_int(1),
        N=_int(512, minimum=4),
        L=_num(8.0, exclusiveMinimum=0),
        bound=_num(10.0))
@@ -577,7 +563,7 @@ def _run_hl_oracle(cfg):
     box = lambda y: np.where(np.abs(y) < 2.0, 1.0, 0.0)
     ratio = es.hardy_littlewood_oracle(cfg["gamma"], cfg["delta"],
                                        cfg["m_exp"], box,
-                                       **_args(cfg, "n", "N", "L"))
+                                       **_args(cfg, "N", "L"))
     passed = ratio <= bound
     entries = [(N, L, 0.0, None, ratio, passed)]
     result = _scalar_result("hl-oracle", "hardy-littlewood", "none",

@@ -26,8 +26,7 @@ class CurvatureUnchecked(SlabError):
 
 
 class InvalidSize(SlabError):
-    """Grid size not a power of two, box width not positive, or a
-    dimension the construction does not support."""
+    """Grid size not a power of two or box width not positive."""
 
 
 class NonFiniteMultiplier(SlabError):

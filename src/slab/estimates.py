@@ -19,7 +19,7 @@ from . import evolve as ev
 from . import grid as gr
 from . import quantize as qu
 from .errors import (BandExceeded, ExponentViolation, InvalidRatio,
-                     InvalidSize, MassEscape, ZeroRung)
+                     MassEscape, ZeroRung)
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
 BOUNDED_STEP = 0.10
@@ -77,15 +77,13 @@ def verdict(ratios):
 
 def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
     """Unit-norm wave packet: spectral Gaussian at a random direction on
-    the circle of radius freq_mag, centered at x = 0 (n = 2).
+    the circle of radius freq_mag, centered at x = 0.
 
     The spectrum is real, so phi(x) = conj(phi(-x)) up to roundoff; the
     packet is averaged with its conjugate reflection to make that exact
     (a move of ~1e-15 per sample), which lets _smoothing_reports fold
     its time window.
     """
-    if grid.n != 2:
-        raise InvalidSize(f"random packets need n = 2, got {grid.n}")
     theta = rng.uniform(0.0, 2.0 * np.pi)
     center = freq_mag * np.array([np.cos(theta), np.sin(theta)])
     phi = gr.spectral_packet(grid, center, spread).values
@@ -184,13 +182,13 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
             if len(low):
                 raise MassEscape(f"containment {blk[1][low[0]]:.5f} < "
                                  f"{mass_tol} at t = {t:+.3f}")
-            blk[0] = g.h ** g.n * gr.sq_sum(plan.apply(wh), g.n)
+            blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh))
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)
     weights = np.ones(len(window))
     weights[0] = weights[-1] = 0.5
-    norm2 = g.h ** g.n * gr.sq_sum(phis, g.n)
+    norm2 = g.h ** 2 * gr.sq_sum(phis)
     mass_min = np.minimum(1.0, out[1:].min(axis=1))
     return [SmoothingReport(
         float(np.sum(weights * f) * spec.dt / norm2[s]),
@@ -216,7 +214,7 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
     ladder = list(ladder)
     root = np.random.SeedSequence(seed)
     for (N, L, T), ss in zip(ladder, root.spawn(len(ladder))):
-        g = gr.make_grid(spec_pair.primal.dim, N, float(L))
+        g = gr.make_grid(N, float(L))
         spec = ev.EvolutionSpec(spec_pair, order=order, T=float(T), dt=dt)
         phis = np.array([
             make_packet(g, np.random.default_rng(cs), freq_mag, spread).values
@@ -249,15 +247,15 @@ def operator_norm(ops, grid, *, iters, starts, seed):
     est = np.zeros(starts)
     for k in range(iters):
         # a start whose vector vanished keeps its last estimate
-        nv = np.sqrt(gr.sq_sum(v, grid.n))
+        nv = np.sqrt(gr.sq_sum(v))
         w = B(v)
-        est = np.where(nv > 0, np.sqrt(gr.sq_sum(w, grid.n))
+        est = np.where(nv > 0, np.sqrt(gr.sq_sum(w))
                        / np.where(nv > 0, nv, 1.0), est)
         if k == iters - 1:
             break     # the next start vector would go unread
         z = B_star(w)
-        nz = np.sqrt(gr.sq_sum(z, grid.n))
-        v = z / np.where(nz > 0, nz, 1.0).reshape(-1, *(1,) * grid.n)
+        nz = np.sqrt(gr.sq_sum(z))
+        v = z / np.where(nz > 0, nz, 1.0).reshape(-1, 1, 1)
     return float(est.max())
 
 
@@ -309,14 +307,12 @@ _SURFACE_ANGLES = 512
 
 def surface_nodes(pair, rho):
     """_SURFACE_ANGLES quadrature nodes on the dilated level set
-    rho Sigma_p (n = 2), equally spaced in angle.
+    rho Sigma_p, equally spaced in angle.
 
     Returns (points, angular weights, p(omega) values).  The norm uses
-    the measure rho^{n-1} d_theta / p(omega)^2, which by the coarea
-    formula equals the surface element ds / |grad p| on the curve.
+    the measure rho d_theta / p(omega)^2, which by the coarea formula
+    equals the surface element ds / |grad p| on the curve.
     """
-    if pair.primal.dim != 2:
-        raise InvalidSize(f"surface nodes need n = 2, got {pair.primal.dim}")
     theta = 2.0 * np.pi * np.arange(_SURFACE_ANGLES) / _SURFACE_ANGLES
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     p_om = pair.primal(omega)
@@ -326,7 +322,7 @@ def surface_nodes(pair, rho):
 
 
 def surface_norm(fhat_eval, pair, rho, band_limit=None):
-    """sqrt of int |fhat|^2 rho^{n-1} dmu over rho Sigma_p."""
+    """sqrt of int |fhat|^2 rho dmu over rho Sigma_p."""
     pts, w, p_om = surface_nodes(pair, rho)
     if band_limit is not None and np.max(np.linalg.norm(pts, axis=-1)) \
             > band_limit:
@@ -348,8 +344,8 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
     """Max restriction ratio per dyadic rho over a dilated trial family.
 
     Each trial draws a random packet with spectrum in the band (0.8, 1.3)
-    and pairs rho with the parabolic dilation f_rho(x) = rho^{n/2}
-    f(rho x), so the homogeneous orders of sigma are probed exactly.
+    and pairs rho with the parabolic dilation f_rho(x) = rho f(rho x),
+    so the homogeneous orders of sigma are probed exactly.
     """
     rng = np.random.default_rng(seed)
     plan = qu.SeparablePlan(sigma, grid)
@@ -386,7 +382,7 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     w = np.full(len(times), spec.dt)    # trapezoid weights times dt
     w[0] = w[-1] = 0.5 * spec.dt
     rng = np.random.default_rng(seed)
-    hq = grid.h ** grid.n
+    hq = grid.h ** 2
     plan = qu.SeparablePlan(sigma, grid)
     phase = ev.PropagatorPhase(spec, grid)     # e^{-i t L}
     worst = 0.0
@@ -401,9 +397,9 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
             su = plan.apply(phase([t])[0] * phi_hat)
             lhs += w[j] * np.sum(np.conj(vs[j]) * su) * hq
             acc += w[j] * phase([-t])[0] * plan.adjoint(vs[j])
-        # raw spectra: sum_k conj(fftn a) fftn b = N^n sum_x conj(a) b
-        rhs = np.sum(np.conj(acc) * phi_hat) * hq / grid.N ** grid.n
-        vnorm = np.sqrt(hq * np.sum(w * gr.sq_sum(vs, grid.n)))
+        # raw spectra: sum_k conj(fftn a) fftn b = N^2 sum_x conj(a) b
+        rhs = np.sum(np.conj(acc) * phi_hat) * hq / grid.N ** 2
+        vnorm = np.sqrt(hq * np.sum(w * gr.sq_sum(vs)))
         worst = max(worst, abs(lhs - rhs) / (phi.norm() * vnorm))
     return float(worst)
 
@@ -412,22 +408,22 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
 # weighted convolution oracle
 
 
-def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, n, N, L):
-    """LHS/RHS quotient of the weighted convolution inequality
+def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, N, L):
+    """LHS/RHS quotient of the weighted convolution inequality on the line
 
         || int f(y) / (|x|^gamma |x-y|^m |y|^delta) dy ||_{L^2}
             <= C ||f||_{L^2},
 
-    valid for gamma < n/2, delta < n/2, m < n, gamma + delta + m = n.
-    Direct double-sum quadrature on staggered 1-d grids (n = 1 only);
-    the stagger keeps x != y and both off the origin.
+    valid for gamma < 1/2, delta < 1/2, m < 1, gamma + delta + m = 1:
+    slab's one computation off the plane.  Direct double-sum quadrature
+    on staggered grids of [-L, L); the stagger keeps x != y and both off
+    the origin.  InvalidRatio when no sample of f is positive, as the
+    quotient is then 0/0.
     """
-    if n != 1:
-        raise InvalidSize(f"the oracle needs n = 1, got {n}")
-    if not (gamma < n / 2 and delta < n / 2 and m_exp < n):
-        raise ExponentViolation("need gamma, delta < n/2 and m < n")
-    if abs(gamma + delta + m_exp - n) > 1e-12:
-        raise ExponentViolation("exponents must sum to the dimension")
+    if not (gamma < 0.5 and delta < 0.5 and m_exp < 1):
+        raise ExponentViolation("need gamma, delta < 1/2 and m < 1")
+    if abs(gamma + delta + m_exp - 1) > 1e-12:
+        raise ExponentViolation("exponents must sum to 1")
     h = 2.0 * L / N
     x = -L + (np.arange(N) + 0.5) * h
     y = x + h / 3.0
@@ -440,4 +436,7 @@ def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, n, N, L):
     g = kern @ fy * h
     lhs = np.sqrt(np.sum(g**2) * h)
     rhs = np.sqrt(np.sum(fy**2) * h)
-    return float(lhs / rhs) if rhs > 0 else 0.0
+    if not rhs > 0:
+        raise InvalidRatio(f"no sample of f is positive on [-{L}, {L}) at "
+                           f"N = {N}: the quotient is 0/0")
+    return float(lhs / rhs)

@@ -177,20 +177,19 @@ class ResolventGeometry:
         r = np.linalg.norm(xi, axis=-1)
         gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
         axis = np.argmax(np.abs(gc), axis=-1)
-        groups = [(j, axis == j, [k for k in range(grid.n) if k != j])
-                  for j in range(grid.n)]
-        offsets = list(np.ndindex(*(cell_quad,) * (grid.n - 1)))
-        # each node tuple's lines (one per lattice point) are deduped on
-        # their own, then across node tuples: the temporaries stay at one
-        # lattice's worth
+        # each node's lines (one per lattice point) are deduped on their
+        # own, then across nodes: the temporaries stay at one lattice's
+        # worth
         rows, index = [], []
-        for offs in offsets:
+        for node in nodes:
             key = np.empty((*grid.shape, 2))
-            for j, mask, others in groups:
+            for j in (0, 1):
+                mask = axis == j
                 if not np.any(mask):
                     continue
-                shift = np.zeros(grid.n)
-                shift[others] = 0.5 * h * nodes[list(offs)]
+                # the line runs along axis j, offset by the node across it
+                shift = np.zeros(2)
+                shift[1 - j] = 0.5 * h * node
                 line = xi[mask] + shift
                 lr = np.linalg.norm(line, axis=-1)
                 lsafe = np.where((lr > 0)[..., None], line, 1.0)
@@ -204,8 +203,8 @@ class ResolventGeometry:
         rows = np.concatenate(rows)
         pairs, merged = _distinct_rows(rows)
         self.pm, self.bh = (np.ascontiguousarray(c) for c in pairs.T)
-        self.lines = [(np.prod(0.5 * weights[list(offs)]), merged[idx])
-                      for offs, idx in zip(offsets, index)]
+        self.lines = [(0.5 * weight, merged[idx])
+                      for weight, idx in zip(weights, index)]
 
     def ladder(self, d, eps_list, chi=None):
         """Yield (L_p - d - i eps)^{-1} chi(D), the + i0 side limit, for
@@ -237,7 +236,7 @@ class ResolventGeometry:
             seg = np.where(flat, 1.0 / p0,
                            np.log(num / den) / (2.0 * self.bh))
         # every point adds its lines in node order, as one sum per line did
-        vals = np.zeros(self.grid.N ** self.grid.n, dtype=complex)
+        vals = np.zeros(self.grid.N ** 2, dtype=complex)
         for w, idx in self.lines:
             vals += w * seg[idx]
         return vals.reshape(self.grid.shape)

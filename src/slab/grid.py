@@ -1,13 +1,13 @@
-"""Periodic sampling lattice, complex fields, DFT contract, weighted norms
-and smooth cutoffs.
+"""Periodic sampling lattice of the plane, complex fields, DFT contract,
+weighted norms and smooth cutoffs.
 
-The box is [-L, L)^n with N samples per axis (N a power of two).  The
-forward transform carries the quadrature weight h^n and the inverse
-carries (pi/L)^n / (2 pi)^n, so the discrete pair matches the continuum
+The box is [-L, L)^2 with N samples per axis (N a power of two).  The
+forward transform carries the quadrature weight h^2 and the inverse
+carries (pi/L)^2 / (2 pi)^2, so the discrete pair matches the continuum
 conventions
 
     Fu(xi)   = int e^{-i x.xi} u(x) dx,
-    F^{-1}u  = (2 pi)^{-n} int e^{i x.xi} u(xi) dxi
+    F^{-1}u  = (2 pi)^{-2} int e^{i x.xi} u(xi) dxi
 
 and the discrete Plancherel identity is exact.  Smooth cutoffs are one
 ``Cutoff`` type, built from a smoothstep band or a super-Gaussian profile.
@@ -22,13 +22,12 @@ from .errors import InvalidSize
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice on [-L, L)^n.
+    """Uniform periodic lattice on [-L, L)^2.
 
     Samples sit at half-cell centers, so no sample hits x = 0 exactly, as
     singular weights |x|^s, s < 0, need.
     """
 
-    n: int
     N: int
     L: float
 
@@ -46,7 +45,7 @@ class Grid:
 
     @property
     def shape(self):
-        return (self.N,) * self.n
+        return (self.N, self.N)
 
     def axis_points(self):
         """Sample coordinates along one axis, ascending."""
@@ -63,12 +62,12 @@ class Grid:
     def coords(self):
         """Spatial coordinate arrays, broadcastable to ``shape``."""
         x = self.axis_points()
-        return np.meshgrid(*([x] * self.n), indexing="ij", sparse=True)
+        return np.meshgrid(x, x, indexing="ij", sparse=True)
 
     def freqs(self):
         """Frequency coordinate arrays, broadcastable to ``shape``."""
         xi = self.axis_freqs()
-        return np.meshgrid(*([xi] * self.n), indexing="ij", sparse=True)
+        return np.meshgrid(xi, xi, indexing="ij", sparse=True)
 
     def radius(self):
         return np.sqrt(sum(c**2 for c in self.coords()))
@@ -77,29 +76,27 @@ class Grid:
         return np.sqrt(sum(c**2 for c in self.freqs()))
 
     def coord_stack(self):
-        """Spatial coordinates as an array of shape (N, ..., N, n)."""
-        return np.stack(np.meshgrid(*([self.axis_points()] * self.n),
-                                    indexing="ij"), axis=-1)
+        """Spatial coordinates as an array of shape (N, N, 2)."""
+        x = self.axis_points()
+        return np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
 
     def freq_stack(self):
-        return np.stack(np.meshgrid(*([self.axis_freqs()] * self.n),
-                                    indexing="ij"), axis=-1)
+        xi = self.axis_freqs()
+        return np.stack(np.meshgrid(xi, xi, indexing="ij"), axis=-1)
 
     def reflect(self, a):
-        """a(-x) for x-samples a over the last n axes: on the half-cell
+        """a(-x) for x-samples a over the last two axes: on the half-cell
         lattice -x_j = x_{N-1-j}, a flip."""
-        return np.flip(a, axis=tuple(range(-self.n, 0)))
+        return np.flip(a, axis=(-2, -1))
 
 
-def make_grid(n, N, L):
+def make_grid(N, L):
     """Build a Grid, validating the lattice parameters."""
     if N < 2 or (N & (N - 1)) != 0:
         raise InvalidSize(f"N={N} is not a power of two >= 2")
     if L <= 0:
         raise InvalidSize(f"L={L} must be positive")
-    if n < 1:
-        raise InvalidSize(f"n={n} must be at least 1")
-    return Grid(n=n, N=N, L=float(L))
+    return Grid(N=N, L=float(L))
 
 
 @dataclass(frozen=True)
@@ -117,39 +114,34 @@ class Field:
     def norm(self):
         """L^2 norm under the grid quadrature weight."""
         g = self.grid
-        w = g.h ** g.n if self.space == "x" else (g.dxi / (2.0 * np.pi)) ** g.n
-        return np.sqrt(w) * np.sqrt(sq_sum(self.values, g.n))
+        w = g.h ** 2 if self.space == "x" else (g.dxi / (2.0 * np.pi)) ** 2
+        return np.sqrt(w) * np.sqrt(sq_sum(self.values))
 
 
-def sq_sum(values, n):
-    """sum |values|^2 over the last n axes as a plain reduction, not a BLAS
-    dot, so the bits do not depend on the BLAS thread count."""
-    return np.sum(values.real ** 2 + values.imag ** 2,
-                  axis=tuple(range(-n, 0)))
+def sq_sum(values):
+    """sum |values|^2 over the last two axes as a plain reduction, not a
+    BLAS dot, so the bits do not depend on the BLAS thread count."""
+    return np.sum(values.real ** 2 + values.imag ** 2, axis=(-2, -1))
 
 
 def _corner_phase(g, v, sign):
-    """v times e^{sign i x_0 xi_d} along every axis d, x_0 the first
+    """v times e^{sign i x_0 xi_d} along both axes d, x_0 the first
     sample: the phase between the DFT's index origin and the box corner."""
     phase = np.exp(sign * 1j * g.axis_points()[0] * g.axis_freqs())
-    for ax in range(g.n):
-        shape = [1] * g.n
-        shape[ax] = g.N
-        v = v * phase.reshape(shape)
-    return v
+    return v * phase[:, None] * phase
 
 
 def transform(f):
     """Forward transform, x-space field -> xi-space field."""
     g = f.grid
-    spec = _corner_phase(g, np.fft.fftn(f.values), -1) * g.h**g.n
+    spec = _corner_phase(g, np.fft.fftn(f.values), -1) * g.h**2
     return Field(g, spec, space="xi")
 
 
 def inverse_transform(f):
     """Inverse transform, xi-space field -> x-space field."""
     g = f.grid
-    out = np.fft.ifftn(_corner_phase(g, f.values, 1)) / g.h**g.n
+    out = np.fft.ifftn(_corner_phase(g, f.values, 1)) / g.h**2
     return Field(g, out, space="x")
 
 
@@ -165,40 +157,31 @@ ONE_THREAD_MACS = 1 << 15
 
 
 def _phase_sum(values, axis, pts, sign):
-    """sum_k e^{sign i pts_t . k} values[s, k] over the lattice axis^n, for
-    each column s of the (S, N, ..., N) stack ``values`` and each row t of
-    ``pts`` (M, n); returns (S, M).
+    """sum_k e^{sign i pts_t . k} values[s, k] over the lattice axis^2, for
+    each column s of the (S, N, N) stack ``values`` and each row t of
+    ``pts`` (M, 2); returns (S, M).
 
     The targets go in blocks whose partial sums stay under _PHASE_BYTES.
-    A block builds its n per-axis tables e^{sign i pts_td k_d} once for
-    all S columns and contracts one axis at a time: O(M S N^n) work in any
-    dimension, and column s gets the same bits whatever S is.  In the
-    plane and above, where a block of ONE_THREAD_MACS // N^n targets
-    still has 32 rows (N <= 32 in the plane), blocks hold at most that
-    many, so each column's first-axis product, (targets x N) @ (N x
-    N^(n-1)), runs on one BLAS thread; on larger lattices a shared
-    product pays for the second thread.  On a line that product is a
-    matrix-vector one, which OpenBLAS threads whatever the block size,
-    so einsum's own loop contracts it instead, on one core at about the
-    same wall time.
+    A block builds its two per-axis tables e^{sign i pts_td k_d} once for
+    all S columns and contracts one axis at a time: O(M S N^2) work, and
+    column s gets the same bits whatever S is.  Where a block of
+    ONE_THREAD_MACS // N^2 targets still has 32 rows (N <= 32), blocks
+    hold at most that many, so each column's first-axis product,
+    (targets x N) @ (N x N), runs on one BLAS thread; on larger lattices
+    a shared product pays for the second thread.
     """
-    S, N, n = len(values), axis.size, pts.shape[1]
-    v = values.reshape(S, N, -1)
-    step = max(1, _PHASE_BYTES // (v[0].nbytes // N * S))
-    rows = ONE_THREAD_MACS // N ** n
-    if n > 1 and rows >= 32:
+    S, N = len(values), axis.size
+    step = max(1, _PHASE_BYTES // (values[0].nbytes // N * S))
+    rows = ONE_THREAD_MACS // N ** 2
+    if rows >= 32:
         step = min(step, rows)
     out = np.empty((S, len(pts)), dtype=complex)
     for b in range(0, len(pts), step):
         p = pts[b:b + step]
-        # axis 0 by one product per column, then the last axis each time
-        table = np.exp(sign * 1j * np.outer(p[:, 0], axis))
-        part = np.einsum("tk,skr->str", table, v) if n == 1 else table @ v
-        for d in range(n - 1, 0, -1):
-            part = np.einsum("tk,strk->str",
-                             np.exp(sign * 1j * np.outer(p[:, d], axis)),
-                             part.reshape(S, len(p), -1, N))
-        out[:, b:b + step] = part[..., 0]
+        # axis 0 by one product per column, then axis 1 by einsum
+        part = np.exp(sign * 1j * np.outer(p[:, 0], axis)) @ values
+        out[:, b:b + step] = np.einsum(
+            "tk,stk->st", np.exp(sign * 1j * np.outer(p[:, 1], axis)), part)
     return out
 
 
@@ -215,28 +198,28 @@ def eval_offgrid(f, targets):
     """Trigonometric interpolation of the transform of ``f`` at arbitrary
     frequencies.
 
-    Evaluates the DFT quadrature sum h^n sum_j e^{-i x_j . eta} u_j at each
-    row of ``targets`` (shape (M, n)).  This is exact for the periodized
+    Evaluates the DFT quadrature sum h^2 sum_j e^{-i x_j . eta} u_j at each
+    row of ``targets`` (shape (M, 2)).  This is exact for the periodized
     field; the only error against the continuum transform is the spatial
     mass outside the box.
     """
     g = f.grid
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     return (_phase_sum(f.values[None], g.axis_points(), targets, -1)[0]
-            * g.h**g.n)
+            * g.h**2)
 
 
 def eval_field_offgrid(f, points):
     """Trigonometric interpolation of an x-space field at arbitrary points.
 
-    Uses the spectral representation u(x) = (2 pi)^{-n} dxi^n
+    Uses the spectral representation u(x) = (2 pi)^{-2} dxi^2
     sum_k e^{i x.xi_k} u_hat(xi_k), which interpolates the grid samples
     exactly.
     """
     g = f.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return (_phase_sum(transform(f).values[None], g.axis_freqs(), points,
-                       1)[0] * (g.dxi / (2.0 * np.pi)) ** g.n)
+                       1)[0] * (g.dxi / (2.0 * np.pi)) ** 2)
 
 
 def weighted_norm(f, m):
@@ -248,11 +231,10 @@ def weighted_norm(f, m):
 
 def mass_fraction(f, radius):
     """Fraction of the field's L^2 mass inside |x| <= radius."""
-    total = sq_sum(f.values, f.grid.n)
+    total = sq_sum(f.values)
     if total == 0:
         return 1.0
-    return float(sq_sum(f.values * (f.grid.radius() <= radius), f.grid.n)
-                 / total)
+    return float(sq_sum(f.values * (f.grid.radius() <= radius)) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +256,7 @@ def _smoothstep(t):
 @dataclass(frozen=True)
 class Cutoff:
     """Smooth cutoff with values in [0, 1]: ``fn`` of points of shape
-    (..., n), or of scalars for a profile.  A profile composed with a map
+    (..., 2), or of scalars for a profile.  A profile composed with a map
     is Cutoff(lambda xi: profile(p(xi)))."""
 
     fn: object

@@ -4,14 +4,14 @@ exact-commutation / boundedness checks built on them.
 
 Quantization is Kohn-Nirenberg throughout:
 
-    a(X, D) u(x) = (2 pi)^{-n} int e^{i x.xi} a(x, xi) u_hat(xi) d xi,
+    a(X, D) u(x) = (2 pi)^{-2} int e^{i x.xi} a(x, xi) u_hat(xi) d xi,
 
 discretized with the grid's spectral weights.  A symbol singular at
 xi = 0 (a negative or fractional xi-order) gets the low-frequency guard,
 and no other symbol does.  Symbols that come with a separable expansion
 a = sum_r f_r(x) m_r(xi) are applied by a ``SeparablePlan``, one FFT
 call for all R terms on a stack of spectra; anything else falls back to
-the direct O(N^{2n}) quadrature, whose one kernel ``_kn_sum`` also
+the direct O(N^4) quadrature, whose one kernel ``_kn_sum`` also
 serves the Egorov check.  It takes e^{i x.xi} from per-axis tables of
 e^{i x_d xi_d}, never pair by pair, over blocks of lattice points sized
 in bytes: each block's (points, K) kernel stays under glibc's 128 KiB
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import grid as gr
 from . import symbols as sy
-from .errors import (CutoffLeakage, InvalidSize, NonFiniteMultiplier,
-                     NonFiniteSymbol, StructureViolation)
+from .errors import (CutoffLeakage, NonFiniteMultiplier, NonFiniteSymbol,
+                     StructureViolation)
 
 
 def low_freq_guard(grid):
@@ -57,7 +57,7 @@ def multiplier_values(grid, m, guard=None):
 
 
 def apply_multiplier(f, m):
-    """m(D) u for a multiplier given as a callable on (..., n) frequency
+    """m(D) u for a multiplier given as a callable on (..., 2) frequency
     stacks or as a precomputed lattice array.
     """
     g = f.grid
@@ -77,7 +77,7 @@ class SeparablePlan:
     The x-factors f_r and guarded multipliers m_r are checked and kept
     read-only as (R, *grid.shape) stacks.  ``apply`` and ``adjoint`` take
     arrays with any leading batch axes and raw spectra vh = np.fft.fftn(u)
-    over the last n axes (the corner phase and h^n of ``grid.transform``
+    over the last two axes (the corner phase and h^2 of ``grid.transform``
     cancel between the ends): a pass is one FFT call over all R terms plus
     one multiply.  Symbols singular at xi = 0 get the low-frequency guard.
     """
@@ -87,7 +87,7 @@ class SeparablePlan:
         if not getattr(sigma, "terms", None):
             raise ValueError("symbol carries no separable terms")
         self.grid = grid
-        self.axes = tuple(range(-grid.n, 0))
+        self.axes = (-2, -1)
         X, xi = grid.coord_stack(), grid.freq_stack()
         self.x = np.array([np.broadcast_to(fx(X), grid.shape)
                            for fx, _ in sigma.terms], dtype=complex)
@@ -101,16 +101,16 @@ class SeparablePlan:
         """Sum over the term axis of then * fft(w), for w the products of a
         factor stack with the input; w is transformed in place."""
         fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
-        return np.sum(np.multiply(w, then, out=w), axis=-self.grid.n - 1)
+        return np.sum(np.multiply(w, then, out=w), axis=-3)
 
     def apply(self, vh):
         """x-samples of sigma(X, D) u from vh = fftn(u)."""
-        w = self.m * np.expand_dims(vh, -self.grid.n - 1)   # the term axis
+        w = self.m * np.expand_dims(vh, -3)     # the term axis
         return self._pass(w, np.fft.ifftn, self.x)
 
     def adjoint(self, v):
         """fftn(sigma(X, D)^* v) from x-samples v."""
-        w = np.conj(self.x) * np.expand_dims(v, -self.grid.n - 1)
+        w = np.conj(self.x) * np.expand_dims(v, -3)
         return self._pass(w, np.fft.fftn, np.conj(self.m))  # conj(x) freed
 
 
@@ -123,7 +123,7 @@ def apply_pseudo(f, sigma, method="auto"):
     """sigma(X, D) u on the grid.
 
     method "separable" uses the symbol's term expansion (a one-shot
-    SeparablePlan); "direct" does the full O(N^{2n}) quadrature; "auto"
+    SeparablePlan); "direct" does the full O(N^4) quadrature; "auto"
     prefers separable when terms exist.  Symbols singular at xi = 0 get
     the low-frequency annular guard.
     """
@@ -144,7 +144,7 @@ _KN_BYTES = 1 << 17
 def _kn_sum(grid, block, kept, uh):
     """Direct Kohn-Nirenberg quadrature of a (K, S) stack of spectra uh:
 
-        out[x, s] = (dxi / 2 pi)^n sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
+        out[x, s] = (dxi / 2 pi)^2 sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
 
     on the x-lattice, over the K lattice modes with flat indices ``kept``;
     block(xb) is the symbol on the (points, K) set.  A block is the next
@@ -153,23 +153,24 @@ def _kn_sum(grid, block, kept, uh):
     the block's temporaries (the symbol and its intermediates, the
     gathered phase rows) are heap memory the next block reuses; above it
     each would be fresh pages, faulted in again on every block.  As
-    e^{i x.xi} = prod_d e^{i x_d xi_d}, the n per-axis tables
+    e^{i x.xi} = e^{i x_0 xi_0} e^{i x_1 xi_1}, the two per-axis tables
     e^{i x_d xi_{k,d}} (N x K, gathered at the kept modes once) give each
-    block's phase as n gathered rows: the symbol, checked finite, is
+    block's phase as two gathered rows: the symbol, checked finite, is
     multiplied by them into one kernel buffer that every block reuses, and
     the block then meets all S columns in one product.
     """
-    n, K = grid.n, len(kept)
+    K = len(kept)
     table = np.exp(1j * np.outer(grid.axis_points(), grid.axis_freqs()))
     # np.take is row-major; table[:, k] is column-major, a row's entries
     # N * 16 bytes apart, which makes every gathered row a strided read
-    cols = [np.take(table, k, axis=1)
-            for k in np.unravel_index(kept, grid.shape)]
-    axes = np.indices(grid.shape).reshape(n, -1)    # per-axis point indices
-    x_flat = grid.coord_stack().reshape(-1, n)
+    col0, col1 = (np.take(table, k, axis=1)
+                  for k in np.unravel_index(kept, grid.shape))
+    # per-axis point indices
+    ax0, ax1 = np.indices(grid.shape).reshape(2, -1)
+    x_flat = grid.coord_stack().reshape(-1, 2)
     P = len(x_flat)
     step = min(P, max(1, (_KN_BYTES - 1) // (16 * K)))
-    w = (grid.dxi / (2.0 * np.pi)) ** n
+    w = (grid.dxi / (2.0 * np.pi)) ** 2
     buf = np.empty((step, K), dtype=complex)
     out = np.empty((P, uh.shape[1]), dtype=complex)
     for i in range(0, P, step):
@@ -179,10 +180,9 @@ def _kn_sum(grid, block, kept, uh):
         sym = np.broadcast_to(block(xb), kern.shape)
         if not np.all(np.isfinite(sym)):
             raise NonFiniteSymbol("symbol non-finite on the sampling set")
-        np.multiply(sym, cols[0][axes[0, b]], out=kern)
+        np.multiply(sym, col0[ax0[b]], out=kern)
         del sym     # not alive while the next block's symbol is evaluated
-        for d in range(1, n):
-            kern *= cols[d][axes[d, b]]
+        kern *= col1[ax1[b]]
         out[b] = (kern @ uh) * w
     return out
 
@@ -192,7 +192,7 @@ def _apply_direct(f, sigma, guard):
     g = f.grid
     guard = np.ones(g.shape) if guard is None else guard
     kept = np.flatnonzero(guard != 0)
-    xi = g.freq_stack().reshape(-1, g.n)[kept]
+    xi = g.freq_stack().reshape(-1, 2)[kept]
     uh = (gr.transform(f).values * guard).ravel()[kept, None]
     out = _kn_sum(g, lambda xb: sigma(xb[:, None], xi[None]), kept, uh)
     return gr.Field(g, out.reshape(g.shape), "x")
@@ -261,7 +261,7 @@ def apply_canonical(plan, f):
         _leakage_check(gr.transform(v) if v.space == "x" else v, gamma_vals)
     u = np.array([v.values if v.space == "x" else
                   gr.inverse_transform(v).values for v in fields])
-    xi_flat = g.freq_stack().reshape(-1, g.n)
+    xi_flat = g.freq_stack().reshape(-1, 2)
     gam_flat = gamma_vals.ravel()
     # the zero mode is never warped: the map is undefined at xi = 0 and
     # every admissible cutoff is negligible there
@@ -270,7 +270,7 @@ def apply_canonical(plan, f):
     if np.any(live):
         # eval_offgrid of every field at once
         out[:, live] = gam_flat[live] * (gr._phase_sum(
-            u, g.axis_points(), plan.warp(xi_flat[live]), -1) * g.h ** g.n)
+            u, g.axis_points(), plan.warp(xi_flat[live]), -1) * g.h ** 2)
     out = [gr.inverse_transform(gr.Field(g, v.reshape(g.shape), "xi"))
            for v in out]
     return out[0] if isinstance(f, gr.Field) else out
@@ -283,18 +283,15 @@ def apply_canonical(plan, f):
 def apply_change_of_vars(kappa_spec, gamma, f):
     """J_gamma u = (gamma u) o kappa, by spectral interpolation, for the
     rotation kappa(x) = R_theta x of the plane, kappa_spec
-    "rotation:theta=.."; gamma None means no cutoff.
+    "rotation:theta=..", and the cutoff gamma, a ``grid.Cutoff``.
     """
     g = f.grid
     if not kappa_spec.startswith("rotation:theta="):
         raise ValueError(f"unknown change-of-variables spec {kappa_spec!r}")
-    if g.n != 2:
-        raise InvalidSize(f"rotation kappa needs n = 2, got {g.n}")
     th = float(kappa_spec.split("=", 1)[1])
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    target = gr.Field(g, f.values if gamma is None
-                      else gamma.on_coords(g) * f.values, "x")
-    src = g.coord_stack().reshape(-1, g.n) @ R.T
+    target = gr.Field(g, gamma.on_coords(g) * f.values, "x")
+    src = g.coord_stack().reshape(-1, 2) @ R.T
     return gr.Field(g, gr.eval_field_offgrid(target, src).reshape(g.shape),
                     "x")
 
@@ -303,12 +300,12 @@ def apply_change_of_vars(kappa_spec, gamma, f):
 # exact commutation
 
 
-def commutator_residual(pair, i, j, h, f, multiplier=None):
-    """Relative norm of [Omega_ij(X, D), m(D)] u.
+def commutator_residual(pair, h, f, multiplier=None):
+    """Relative norm of [Omega(X, D), m(D)] u.
 
     Default m = h(p(xi)), a scalar profile of the symbol; any function of
-    p commutes with the quantized Omega_ij up to discretization because
-    Omega_ij is linear in x and grad_x Omega_ij . grad p = 0.  Passing an
+    p commutes with the quantized Omega up to discretization because
+    Omega is linear in x and grad_x Omega . grad p = 0.  Passing an
     explicit ``multiplier`` (e.g. h(xi_1)) gives the non-commuting control.
     """
     g = f.grid
@@ -319,9 +316,8 @@ def commutator_residual(pair, i, j, h, f, multiplier=None):
             pos = r > 0
             vals[pos] = h(pair.primal(xs[pos]))
             return vals
-    # Omega_ij has orders (1, 1): its plan puts no low-frequency guard on
-    # it
-    om = SeparablePlan(sy.omega_phase_symbol(pair, i, j), g)
+    # Omega has orders (1, 1): its plan puts no low-frequency guard on it
+    om = SeparablePlan(sy.omega_phase_symbol(pair), g)
     a_then_m = apply_multiplier(_apply_plan(om, f), multiplier)
     m_then_a = _apply_plan(om, apply_multiplier(f, multiplier))
     diff = gr.Field(g, a_then_m.values - m_then_a.values, "x")
@@ -336,8 +332,8 @@ def commutator_residual(pair, i, j, h, f, multiplier=None):
 class SeparableAmplitude:
     """a(x, y, xi) = sum_r f_r(x) g_r(y) m_r(xi), with declared x-order m.
 
-    T_a u = (2 pi)^n sum_r f_r . m_r(D)(g_r u) under the discrete
-    normalization (a == 1 gives T_a = (2 pi)^n identity).
+    T_a u = (2 pi)^2 sum_r f_r . m_r(D)(g_r u) under the discrete
+    normalization (a == 1 gives T_a = (2 pi)^2 identity).
     """
 
     label: str
@@ -357,13 +353,13 @@ def apply_amplitude(f, amp):
         src = gr.Field(g, np.asarray(fy(X), dtype=complex) * f.values, "x")
         piece = apply_multiplier(src, lambda xs, fxi=fxi: fxi(xs))
         out += np.asarray(fx(X), dtype=complex) * piece.values
-    return gr.Field(g, (2.0 * np.pi) ** g.n * out, "x")
+    return gr.Field(g, (2.0 * np.pi) ** 2 * out, "x")
 
 
 def dilate(f, lam):
     """u_lambda(x) = u(x / lambda), by spectral interpolation."""
     g = f.grid
-    pts = g.coord_stack().reshape(-1, g.n) / lam
+    pts = g.coord_stack().reshape(-1, 2) / lam
     vals = gr.eval_field_offgrid(f, pts).reshape(g.shape)
     return gr.Field(g, vals, "x")
 
@@ -413,10 +409,8 @@ def structure_spot_check(pair, a):
     seed 0: StructureViolation where it exceeds 1e-6 times its size at a
     rotated off-orbit companion point.
     """
-    if pair.primal.dim != 2:
-        raise InvalidSize(f"spot checks need n = 2, got {pair.primal.dim}")
     rng = np.random.default_rng(0)
-    k = rng.normal(size=(64, pair.primal.dim))
+    k = rng.normal(size=(64, 2))
     lam = np.exp(rng.uniform(-1.0, 1.0, 64))
     gp = pair.primal.gradient(k)
     x_on = lam[:, None] * gp
@@ -434,25 +428,22 @@ def structure_spot_check(pair, a):
 def basiclem_ratio(pair, a, m, f):
     """LHS/RHS of the structure inequality
 
-        ||a(X,D)u|| <= C (sum_{i<j} ||Omega_ij(X,D)u||_{L^2_{m-1}}
-                          + ||u||_{L^2_{m-1}})
+        ||a(X,D)u|| <= C (||Omega(X,D)u||_{L^2_{m-1}} + ||u||_{L^2_{m-1}})
 
     over the dilation family remodulated onto the carrier (3, 0).  The
     symbol must vanish on the orbit set (StructureViolation otherwise);
-    a and each Omega_ij are one SeparablePlan for the whole family.
+    a and Omega are one SeparablePlan each for the whole family.
     """
     structure_spot_check(pair, a)
     g = f.grid
     a_plan = SeparablePlan(a, g)
-    omegas = [SeparablePlan(sy.omega_phase_symbol(pair, i, j), g)
-              for i, j in sy.wedge_pairs(pair.primal.dim)]
+    om = SeparablePlan(sy.omega_phase_symbol(pair), g)
     ratios = []
     for lam in DILATIONS:
         ul = _dilation_family_member(f, lam, (3.0, 0.0))
         lhs = _apply_plan(a_plan, ul).norm()
         rhs = gr.weighted_norm(ul, m - 1.0)
-        for om in omegas:
-            rhs += gr.weighted_norm(_apply_plan(om, ul), m - 1.0)
+        rhs += gr.weighted_norm(_apply_plan(om, ul), m - 1.0)
         ratios.append(lhs / rhs)
     return ratios
 
@@ -476,12 +467,12 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     """
     g = f.grid
     kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
-    eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, g.n)[kept])
+    eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
     # psi'(psi^{-1}(xi_k)) side by side: x psi' for all kept k is one product
-    J_cat = sy.psi_jacobian(plan.pair, eta).transpose(1, 0, 2).reshape(g.n, -1)
+    J_cat = sy.psi_jacobian(plan.pair, eta).transpose(1, 0, 2).reshape(2, -1)
 
     def a_tilde(xb):
-        return a((xb @ J_cat).reshape(len(xb), -1, g.n), eta[None])
+        return a((xb @ J_cat).reshape(len(xb), -1, 2), eta[None])
 
     family = [_dilation_family_member(f, lam, carrier, center, False)
               for lam in lams]

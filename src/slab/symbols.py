@@ -6,11 +6,11 @@ unit level set), the frequency warp psi conjugating p(D) to |D|, and the
 wedge symbol Omega(x, xi) that vanishes exactly on the classical orbit
 set Gamma_p = {(lambda grad p(xi), xi)}.
 
-Duals without a closed form are built for n = 2 only: a curvature audit
-first, then one batched solve of p*(x) = max {x.sigma : p(sigma) = 1}
-over all points, a coarse argmax over angles followed by bracketed
-Newton steps on the angle.  By the envelope rule the maximizer is
-grad p*(x).
+Everything lives in the plane.  Duals without a closed form are built
+by a curvature audit first, then one batched solve of
+p*(x) = max {x.sigma : p(sigma) = 1} over all points, a coarse argmax
+over angles followed by bracketed Newton steps on the angle.  By the
+envelope rule the maximizer is grad p*(x).
 """
 
 import json
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (CurvatureUnchecked, DegenerateGradient, InvalidSize,
-                     OptimizerStall, ZeroFrequency, ZeroPosition)
+from .errors import (CurvatureUnchecked, DegenerateGradient, OptimizerStall,
+                     ZeroFrequency, ZeroPosition)
 
 XI_MIN = 1e-12
 TOL_ORBIT = 1e-8
@@ -39,32 +39,27 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def wedge_pairs(n):
-    """Index pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def wedge(a, b):
-    """Outer product (a_i b_j - a_j b_i)_{i<j}, last axis is the vector axis."""
+    """a_0 b_1 - a_1 b_0 of planar vectors; the last axis is the vector
+    axis."""
     a = np.asarray(a)
     b = np.asarray(b)
-    n = a.shape[-1]
-    comps = [a[..., i] * b[..., j] - a[..., j] * b[..., i]
-             for i, j in wedge_pairs(n)]
-    return np.stack(comps, axis=-1)
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 @dataclass
 class HomogeneousSymbol:
-    """Degree-1 positively homogeneous function with derivative evaluators.
+    """Degree-1 positively homogeneous function on the plane with
+    derivative evaluators.
 
-    ``value`` maps points of shape (..., n) to positive reals and ``grad``
+    ``value`` maps points of shape (..., 2) to positive reals and ``grad``
     to their gradients.  A missing hessian evaluator falls back to central
     differences of ``grad`` with relative step ``FD_STEP * |xi|``.
     """
 
+    dim = 2     # the plane: a class constant the benchmark tracer reads
+
     label: str
-    dim: int
     value: callable
     grad: callable
     hess: callable = None
@@ -80,28 +75,24 @@ class HomogeneousSymbol:
         xi = np.asarray(xi, dtype=float)
         if self.hess is not None:
             return self.hess(xi)
-        J = _central_jacobian(self.grad, xi, self.dim, FD_STEP)
+        J = _central_jacobian(self.grad, xi, FD_STEP)
         return 0.5 * (J + np.swapaxes(J, -1, -2))
 
 
-def _central_jacobian(fn, xi, dim, step):
+def _central_jacobian(fn, xi, step):
     """Jacobian of fn at the points xi by central differences with relative
     step ``step * |xi|``: rows index the output component, columns the
     differentiation direction."""
     h = step * np.linalg.norm(xi, axis=-1, keepdims=True)
-    cols = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        cols.append((fn(xi + h * e) - fn(xi - h * e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return np.stack([(fn(xi + h * e) - fn(xi - h * e)) / (2.0 * h)
+                     for e in np.eye(2)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # built-in symbols
 
 
-def euclidean(n=2):
+def euclidean():
     def value(xi):
         return np.linalg.norm(xi, axis=-1)
 
@@ -112,16 +103,15 @@ def euclidean(n=2):
     def hess(xi):
         r = np.linalg.norm(xi, axis=-1)
         u = xi / r[..., None]
-        eye = np.eye(xi.shape[-1])
-        return (eye - u[..., :, None] * u[..., None, :]) / r[..., None, None]
+        return (np.eye(2) - u[..., :, None] * u[..., None, :]) \
+            / r[..., None, None]
 
-    return HomogeneousSymbol("euclidean", n, value, grad, hess)
+    return HomogeneousSymbol("euclidean", value, grad, hess)
 
 
 def quadratic_form(A):
     """p(xi) = |xi A| for a symmetric positive definite matrix A."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     M = A @ A.T
 
     def value(xi):
@@ -139,13 +129,12 @@ def quadratic_form(A):
                 - g[..., :, None] * g[..., None, :] / p[..., None, None] ** 3)
 
     label = "quadratic-form:A=" + json.dumps(A.tolist())
-    return HomogeneousSymbol(label, n, value, grad, hess,
+    return HomogeneousSymbol(label, value, grad, hess,
                              metadata={"matrix": A})
 
 
 def perturbed(amp=0.05):
-    """p(xi) = |xi| (1 + amp (xi_1/|xi|)^3) on R^2, a smooth asymmetric
-    bump.
+    """p(xi) = |xi| (1 + amp (xi_1/|xi|)^3), a smooth asymmetric bump.
 
     Stays convex with non-vanishing curvature for small amp.
     """
@@ -162,31 +151,29 @@ def perturbed(amp=0.05):
         corr[..., 0] += 3.0 * amp * xi[..., 0] ** 2 / r**2
         return g + corr
 
-    return HomogeneousSymbol(f"perturbed:amp={amp}", 2, value, grad)
+    return HomogeneousSymbol(f"perturbed:amp={amp}", value, grad)
 
 
 # ---------------------------------------------------------------------------
 # sampling and the curvature audit
 
 
-def sphere_points(n, count):
-    """Golden-angle unit directions in the plane (n = 2 only)."""
-    if n != 2:
-        raise InvalidSize(f"sphere sampling supports n = 2, got {n}")
-    theta = 2.0 * np.pi * np.arange(count) / ((1.0 + np.sqrt(5.0)) / 2.0)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+# samples of Sigma_p that the curvature audit checks
+_LEVEL_SET_SAMPLES = 512
 
 
-def level_set_samples(sym, count):
-    """Points on Sigma_p by radial projection of sphere points."""
-    u = sphere_points(sym.dim, count)
+def level_set_samples(sym):
+    """_LEVEL_SET_SAMPLES points on Sigma_p: golden-angle unit directions,
+    projected radially."""
+    theta = (2.0 * np.pi * np.arange(_LEVEL_SET_SAMPLES)
+             / ((1.0 + np.sqrt(5.0)) / 2.0))
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return u / sym(u)[..., None]
 
 
 def gaussian_curvature(sym, pts):
     """Gaussian curvature of {p = 1} at points, via the bordered Hessian."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = sym.dim
     g = np.atleast_2d(sym.gradient(pts))
     H = sym.hessian(pts)
     if H.ndim == 2:
@@ -194,20 +181,20 @@ def gaussian_curvature(sym, pts):
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn < GRAD_TOL):
         raise DegenerateGradient("vanishing gradient on Sigma_p sample")
-    B = np.zeros(pts.shape[:-1] + (n + 1, n + 1))
-    B[..., :n, :n] = H
-    B[..., :n, n] = g
-    B[..., n, :n] = g
-    return -np.linalg.det(B) / gn ** (n + 1)
+    B = np.zeros(pts.shape[:-1] + (3, 3))
+    B[..., :2, :2] = H
+    B[..., :2, 2] = g
+    B[..., 2, :2] = g
+    return -np.linalg.det(B) / gn ** 3
 
 
 def curvature_audit(sym):
-    """Minimum |Gaussian curvature| over 512 samples of Sigma_p; passes iff
-    above KAPPA_MIN.
+    """Minimum |Gaussian curvature| over the level_set_samples of Sigma_p;
+    passes iff above KAPPA_MIN.
 
     Returns (min_abs_curvature, worst_point, passed).
     """
-    pts = level_set_samples(sym, 512)
+    pts = level_set_samples(sym)
     K = gaussian_curvature(sym, pts)
     i = np.argmin(np.abs(K))
     kmin = np.abs(K[i])
@@ -215,7 +202,7 @@ def curvature_audit(sym):
 
 
 # ---------------------------------------------------------------------------
-# dual construction (n = 2)
+# dual construction
 
 # Coarse angles that seed every support solve; the best one's two
 # neighbours bracket the maximizer.
@@ -295,14 +282,12 @@ class DualPair:
 
 
 def make_dual(sym):
-    """Build the dual symbol p*(x) = max {x.sigma : p(sigma) = 1}, n = 2.
+    """Build the dual symbol p*(x) = max {x.sigma : p(sigma) = 1}.
 
     Non-vanishing curvature of the compact level set makes it convex, so
     the maximization is well posed; the dual gradient is the maximizer
     itself (envelope rule).
     """
-    if sym.dim != 2:
-        raise InvalidSize(f"support-function duals need n = 2, got {sym.dim}")
     kmin, worst, ok = curvature_audit(sym)
     if not ok:
         raise CurvatureUnchecked(
@@ -313,7 +298,7 @@ def make_dual(sym):
         sigma, val = _support_maximizer(sym, x.reshape(-1, 2))
         return sigma.reshape(x.shape), val.reshape(x.shape[:-1])
 
-    dual = HomogeneousSymbol(sym.label + "*", 2, lambda x: solve(x)[1],
+    dual = HomogeneousSymbol(sym.label + "*", lambda x: solve(x)[1],
                              lambda x: solve(x)[0],
                              metadata={"construction": "support-function"})
     return DualPair(sym, dual, construction="support-function")
@@ -322,7 +307,7 @@ def make_dual(sym):
 def closed_form_dual(sym):
     """Known duals: euclidean is self-dual, |xi A| pairs with |xi A^{-1}|."""
     if sym.label == "euclidean":
-        return DualPair(sym, euclidean(sym.dim), construction="closed-form")
+        return DualPair(sym, euclidean(), construction="closed-form")
     if "matrix" in sym.metadata:
         Ainv = np.linalg.inv(sym.metadata["matrix"])
         return DualPair(sym, quadratic_form(Ainv), construction="closed-form")
@@ -358,8 +343,26 @@ def psi_inv(pair, xi):
 def psi_jacobian(pair, xi):
     """Jacobian matrix psi'(xi) by central differences."""
     return _central_jacobian(lambda eta: psi(pair, eta),
-                             np.asarray(xi, dtype=float), pair.primal.dim,
-                             JACOBIAN_STEP)
+                             np.asarray(xi, dtype=float), JACOBIAN_STEP)
+
+
+def geometry_identities(pair, xi):
+    """The worst residual of each identity of the pair over the nonzero
+    frequencies xi (m, 2), as (name, residual) in order: "euler"
+    |xi . grad p - p| / p, "dual-unit" |p*(grad p) - 1|, "grad-dual"
+    |grad p*(grad p) - xi / p| and "psi-roundtrip"
+    |psi^{-1}(psi(xi)) - xi| / |xi|."""
+    p = pair.primal(xi)
+    g = pair.primal.gradient(xi)
+    return [
+        ("euler", np.max(np.abs(np.sum(xi * g, axis=-1) - p) / p)),
+        ("dual-unit", np.max(np.abs(pair.dual(g) - 1.0))),
+        ("grad-dual", np.max(np.linalg.norm(
+            pair.dual.gradient(g) - xi / p[:, None], axis=-1))),
+        ("psi-roundtrip", np.max(
+            np.linalg.norm(psi_inv(pair, psi(pair, xi)) - xi, axis=-1)
+            / np.linalg.norm(xi, axis=-1))),
+    ]
 
 
 def omega(pair, x, xi):
@@ -388,7 +391,7 @@ def gamma_p_membership(pair, x, xi):
     rxi = np.linalg.norm(xi, axis=-1)
     om = omega(pair, x, xi)
     denom = np.where(rx > 0, rx, 1.0) * rxi
-    res = np.linalg.norm(om, axis=-1) / denom
+    res = np.abs(om) / denom
     res = np.where(rx > 0, res, 0.0)
     return res, res <= TOL_ORBIT
 
@@ -438,16 +441,14 @@ def structured_sigma(pair):
     non-negative, orders (-1/2, +1/2), vanishing exactly on the orbit set
     away from x = 0.
     """
-    n = pair.primal.dim
     grad = pair.primal.gradient
 
     def value(x, xi):
         w = wedge(_safe_unit(x), grad(xi))
-        return _inv_sqrt_radius(x) * np.sum(w**2, axis=-1) * np.sqrt(
+        return _inv_sqrt_radius(x) * w**2 * np.sqrt(
             np.linalg.norm(xi, axis=-1))
 
-    # sigma = |x|^{-1/2} |xi|^{1/2} sum_{i<j} (xhat_i g_j - xhat_j g_i)^2,
-    # expanded
+    # sigma = |x|^{-1/2} |xi|^{1/2} (xhat_0 g_1 - xhat_1 g_0)^2, expanded
     def fx(i, j, c):
         def factor(x):
             xhat = _safe_unit(x)
@@ -463,18 +464,14 @@ def structured_sigma(pair):
             return np.where(r > 0, np.sqrt(r) * g[..., i] * g[..., j], 0.0)
         return factor
 
-    terms = []
-    for i, j in wedge_pairs(n):
-        terms.extend([(fx(i, i, 1.0), fxi(j, j)), (fx(i, j, -2.0), fxi(i, j)),
-                      (fx(j, j, 1.0), fxi(i, i))])
-
+    terms = [(fx(0, 0, 1.0), fxi(1, 1)), (fx(0, 1, -2.0), fxi(0, 1)),
+             (fx(1, 1, 1.0), fxi(0, 0))]
     return PhaseSpaceSymbol(f"structured[{pair.primal.label}]",
                             (-0.5, 0.5), value, terms)
 
 
 def tau_phase_symbol(pair):
     """tau as a PhaseSpaceSymbol with orders (2, 2) and separable terms."""
-    n = pair.primal.dim
 
     def bvec(x):
         gs = pair.dual.gradient(x)
@@ -483,24 +480,19 @@ def tau_phase_symbol(pair):
 
     def value(x, xi):
         b = bvec(x)
-        w = wedge(b, np.broadcast_to(xi, b.shape))
-        return np.sum(w**2, axis=-1)
+        return wedge(b, np.broadcast_to(xi, b.shape)) ** 2
 
-    terms = []
-    for i, j in wedge_pairs(n):
-        terms.extend([
-            (lambda x, i=i, j=j: bvec(x)[..., i] ** 2,
-             lambda xi, i=i, j=j: xi[..., j] ** 2),
-            (lambda x, i=i, j=j: -2.0 * bvec(x)[..., i] * bvec(x)[..., j],
-             lambda xi, i=i, j=j: xi[..., i] * xi[..., j]),
-            (lambda x, i=i, j=j: bvec(x)[..., j] ** 2,
-             lambda xi, i=i, j=j: xi[..., i] ** 2),
-        ])
+    terms = [
+        (lambda x: bvec(x)[..., 0] ** 2, lambda xi: xi[..., 1] ** 2),
+        (lambda x: -2.0 * bvec(x)[..., 0] * bvec(x)[..., 1],
+         lambda xi: xi[..., 0] * xi[..., 1]),
+        (lambda x: bvec(x)[..., 1] ** 2, lambda xi: xi[..., 0] ** 2),
+    ]
     return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0),
                             value, terms)
 
 
-def unstructured_critical(n=2):
+def unstructured_critical():
     """|x|^{-1/2} |xi|^{1/2}: the critical weight with no structure."""
 
     def value(x, xi):
@@ -512,7 +504,7 @@ def unstructured_critical(n=2):
                             value, terms)
 
 
-def weighted_subcritical(s, n=2):
+def weighted_subcritical(s):
     """<x>^{-s} |xi|^{1/2}: bounded smoothing regime for s > 1/2."""
 
     def value(x, xi):
@@ -528,18 +520,12 @@ def weighted_subcritical(s, n=2):
     return PhaseSpaceSymbol(f"weighted:s={s}", (0.0, 0.5), value, terms)
 
 
-def omega_phase_symbol(pair, i, j):
-    """Omega_ij as a PhaseSpaceSymbol, linear in x (separable, rank n)."""
-    n = pair.primal.dim
-    pairs = wedge_pairs(n)
-    if (i, j) not in pairs:
-        raise ValueError(f"({i}, {j}) is not an index pair i < j < {n}; "
-                         f"valid pairs: {pairs}")
-    idx = pairs.index((i, j))
+def omega_phase_symbol(pair):
+    """Omega as a PhaseSpaceSymbol, linear in x (separable, rank 2)."""
 
     def coeff(xi, l):
-        # Omega_ij = sum_l x_l C_l(xi) with
-        # C_l = H*_{li} p g_j - H*_{lj} p g_i, H* = hess p*(grad p).
+        # Omega = sum_l x_l C_l(xi) with
+        # C_l = H*_{l0} p g_1 - H*_{l1} p g_0, H* = hess p*(grad p).
         # C_l is degree-1 homogeneous, hence 0 at xi = 0 by continuity.
         xi = np.asarray(xi, dtype=float)
         r = np.linalg.norm(xi, axis=-1)
@@ -547,16 +533,13 @@ def omega_phase_symbol(pair, i, j):
         g = pair.primal.gradient(safe)
         p = pair.primal(safe)
         H = pair.dual.hessian(g)
-        out = p * (H[..., l, i] * g[..., j] - H[..., l, j] * g[..., i])
+        out = p * (H[..., l, 0] * g[..., 1] - H[..., l, 1] * g[..., 0])
         return np.where(r > 0, out, 0.0)
 
-    def value(x, xi):
-        return omega(pair, x, xi)[..., idx]
-
     terms = [(lambda x, l=l: np.asarray(x, float)[..., l],
-              lambda xi, l=l: coeff(xi, l)) for l in range(n)]
-    return PhaseSpaceSymbol(f"Omega[{i}{j};{pair.primal.label}]",
-                            (1.0, 1.0), value, terms)
+              lambda xi, l=l: coeff(xi, l)) for l in range(2)]
+    return PhaseSpaceSymbol(f"Omega[{pair.primal.label}]", (1.0, 1.0),
+                            lambda x, xi: omega(pair, x, xi), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +547,12 @@ def omega_phase_symbol(pair, i, j):
 
 
 def parse_symbol(spec):
-    """Parse a registry name into a HomogeneousSymbol on R^2.
+    """Parse a registry name into a HomogeneousSymbol.
 
     Formats: "euclidean", "quadratic-form:A=[[...]]", "perturbed:amp=0.05".
     """
     if spec == "euclidean":
-        return euclidean(2)
+        return euclidean()
     if spec.startswith("quadratic-form:A="):
         A = np.asarray(json.loads(spec.split("=", 1)[1]), dtype=float)
         if A.shape != (2, 2):
@@ -583,7 +566,7 @@ def parse_symbol(spec):
 
 
 def make_pair(spec, construction="auto"):
-    """Symbol plus dual on R^2, preferring closed forms when registered."""
+    """Symbol plus dual, preferring closed forms when registered."""
     sym = parse_symbol(spec)
     if construction in ("auto", "closed-form"):
         try:
@@ -599,10 +582,9 @@ def parse_sigma(spec, pair):
     if spec == "structured":
         return structured_sigma(pair)
     if spec == "unstructured-critical":
-        return unstructured_critical(pair.primal.dim)
+        return unstructured_critical()
     if spec.startswith("weighted:s="):
-        return weighted_subcritical(float(spec.split("=", 1)[1]),
-                                    pair.primal.dim)
+        return weighted_subcritical(float(spec.split("=", 1)[1]))
     if spec == "tau":
         return tau_phase_symbol(pair)
     raise ValueError(f"unknown sigma spec {spec!r}")

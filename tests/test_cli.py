@@ -265,6 +265,8 @@ def test_module_entry_point_runs(tmp_path):
     ("geometry-audit", {"p": "quadratic-form:A=[[1,2]]"}, []),
     ("smoothing", {"p": "euclidean", "sigma": "structured", "dt": 0.3,
                    "ladder": [[16, 4.0, 1.0], [16, 8.0, 2.0]]}, []),
+    # the plane has one index pair and no pair_indices key: each of
+    # these is an unknown key
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
                     "pair_indices": [0, 5]}, []),
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
@@ -288,13 +290,19 @@ def test_module_entry_point_runs(tmp_path):
     ("smoothing", dict(_SMOOTHING, spread=-0.1), []),
     ("restriction", {"p": "euclidean", "sigma": "structured", "N": 8,
                      "L": 4.0, "rhos": [0, 1]}, []),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "lams": [-1, 1]}, []),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 4.0, "lams": [0, 1]}, []),
+    # 2^-1075 rounds to 0.0, which no resolvent rung takes
+    ("lap", {"p": "euclidean", "sigma": "structured", "N": 8, "L": 4.0,
+             "eps_ladder_k": 1075}, []),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
         "config-not-object", "carrier-empty", "carrier-3d", "center-1d",
         "packet_center-3d", "packet_center-1d", "egorov-spread-zero",
         "commutator-spread-zero", "smoothing-spread-zero",
-        "smoothing-spread-negative", "rhos-zero"])
+        "smoothing-spread-negative", "rhos-zero", "lams-negative",
+        "lams-zero", "eps_ladder_k-underflow"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               args):
     path = write_config(tmp_path / "cfg.json", cfg)
@@ -391,6 +399,8 @@ def test_schema_is_valid_against_its_metaschema(kind):
                    "ladder": [[16, 4.0, -1.0], [16, 8.0, 2.0]]}),
     ("lap", {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0,
              "eps_ladder_k": 0}),
+    ("lap", {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0,
+             "eps_ladder_k": 2000}),
 ])
 def test_validation_message_matches_jsonschema_validate(runner, tmp_path,
                                                          kind, cfg):
@@ -405,16 +415,36 @@ def test_validation_message_matches_jsonschema_validate(runner, tmp_path,
 
 
 def test_hl_oracle_other_dimension_is_a_one_line_error(runner, tmp_path):
-    # admissible exponents for n = 2; the oracle is one-dimensional
+    # the oracle runs on the line: a stated dimension is an unknown key,
+    # and exponents admissible in the plane break the line's bounds
+    for cfg, start in (
+            ({"gamma": 0.25, "delta": 0.25, "m_exp": 0.5, "n": 2},
+             "config error: config does not validate: Additional "
+             "properties are not allowed ('n' was unexpected)"),
+            ({"gamma": 0.5, "delta": 0.5, "m_exp": 1.0},
+             "hl-oracle failed: need gamma, delta < 1/2 and m < 1")):
+        path = write_config(tmp_path / "cfg.json", cfg)
+        res = runner.invoke(main, ["hl-oracle", "--config", path,
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert res.output == start + "\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
+    # with L = 1e300 no sample falls in the box |y| < 2; the quotient is
+    # 0/0, which once read as a passing ratio of 0
     path = write_config(tmp_path / "cfg.json",
-                        {"gamma": 0.5, "delta": 0.5, "m_exp": 1.0, "n": 2})
+                        {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5,
+                         "L": 1e300})
     res = runner.invoke(main, ["hl-oracle", "--config", path,
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("hl-oracle failed:"), \
         res.output
-    assert "n = 1" in lines[0]
+    assert "0/0" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def registry_defaults(kind):
@@ -467,7 +497,7 @@ _LIBRARY_CALLS = {
     "lap": (
         {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0},
         lambda c, pair, sigma: es.lap_sweep(
-            sigma, pair, gr.make_grid(2, c["N"], c["L"]), d=c["d"],
+            sigma, pair, gr.make_grid(c["N"], c["L"]), d=c["d"],
             eps_list=ev.epsilon_ladder(c["eps_ladder_k"]),
             trials=c["trials"], seed=c["seed"], order=c["order"],
             check_structure=c["check_structure"], iters=c["iters"],
@@ -475,18 +505,18 @@ _LIBRARY_CALLS = {
     "restriction": (
         {"p": "euclidean", "sigma": "structured", "N": 32, "L": 8.0},
         lambda c, pair, sigma: es.restriction_scaling(
-            sigma, pair, gr.make_grid(2, c["N"], c["L"]),
+            sigma, pair, gr.make_grid(c["N"], c["L"]),
             rhos=tuple(c["rhos"]), trials=c["trials"], seed=c["seed"])),
     "duality": (
         {"p": "euclidean", "sigma": "structured", "N": 16, "L": 4.0},
         lambda c, pair, sigma: [es.duality_check(
-            sigma, pair, gr.make_grid(2, c["N"], c["L"]), T=c["T"],
+            sigma, pair, gr.make_grid(c["N"], c["L"]), T=c["T"],
             n_times=c["n_times"], trials=c["trials"], seed=c["seed"],
             order=c["order"])]),
     "hl-oracle": (
         {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5},
         lambda c, pair, sigma: [es.hardy_littlewood_oracle(
-            c["gamma"], c["delta"], c["m_exp"], _box, n=c["n"], N=c["N"],
+            c["gamma"], c["delta"], c["m_exp"], _box, N=c["N"],
             L=c["L"])]),
 }
 
@@ -530,8 +560,9 @@ def test_library_has_no_default_that_the_registry_sets(kind):
         # lap's eps_ladder_k sets the library's eps_list
         set_by_registry = set(registry_defaults(kind)) | {"eps_list"}
         shared = set_by_registry & set(params)
+        # the oracle shares only its grid, N and L
         assert "seed" in shared or kind == "hl-oracle"
-        assert len(shared) >= 3
+        assert len(shared) >= (2 if kind == "hl-oracle" else 3)
     for name in shared:
         assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
         assert params[name].default is inspect.Parameter.empty, name

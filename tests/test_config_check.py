@@ -8,9 +8,9 @@ from jsonschema.exceptions import best_match
 from slab.cli import KINDS, _typed, schema_error
 
 # the keywords schema_error implements; "default" is an annotation
-CHECKED = {"type", "enum", "minimum", "exclusiveMinimum", "minItems",
-           "maxItems", "items", "required", "additionalProperties",
-           "properties", "default"}
+CHECKED = {"type", "enum", "minimum", "exclusiveMinimum", "maximum",
+           "minItems", "maxItems", "items", "required",
+           "additionalProperties", "properties", "default"}
 TYPES = ("object", "array", "string", "boolean", "number", "integer")
 
 
@@ -45,11 +45,11 @@ def unchecked(schema):
 def test_unchecked_finds_each_unhandled_part():
     schema = {"type": "object", "additionalProperties": {"type": "number"},
               "properties": {
-                  "a": {"type": ["number", "null"], "maximum": 1},
+                  "a": {"type": ["number", "null"], "multipleOf": 1},
                   "b": {"type": "array", "minItems": 1, "items": [{}]},
                   "c": {"enum": [1]}}}
     assert unchecked(schema) == [
-        "additionalProperties", "maximum", "type ['number', 'null']",
+        "additionalProperties", "multipleOf", "type ['number', 'null']",
         "minItems 1 or maxItems 0", "items", "enum [1]"]
 
 
@@ -86,6 +86,11 @@ def values(schema, junk):
         good = {"number": NUMBERS, "integer": INTEGERS,
                 "string": st.sampled_from(["euclidean", "structured", ""]),
                 "boolean": st.booleans()}[schema["type"]]
+        if "maximum" in schema:
+            # the bound itself and just past it, an int and a float each
+            top = schema["maximum"]
+            good = st.one_of(good, st.sampled_from(
+                [top, top + 1, float(top), float(top + 1)]))
     return st.one_of(good, good, JUNK) if junk else good
 
 

@@ -14,7 +14,7 @@ from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
 from slab.errors import (BandExceeded, ExponentViolation, InvalidRatio,
-                         InvalidSize, MassEscape, SlabError, ZeroRung)
+                         MassEscape, SlabError, ZeroRung)
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -36,7 +36,7 @@ def annulus_multiplier_symbol(lo, lo1, hi1, hi):
 
 
 def test_smoothing_ratio_zero_symbol():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     rng = np.random.default_rng(0)
     phi = es.make_packet(g, rng)
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -48,7 +48,7 @@ def test_smoothing_ratio_zero_symbol():
 def test_smoothing_ratio_unimodular_annulus():
     # a pure frequency cutoff makes the integrand constant in t, so the
     # quotient is 2T times the spectral mass fraction under the cutoff
-    g = gr.make_grid(2, 64, 16.0)
+    g = gr.make_grid(64, 16.0)
     rng = np.random.default_rng(1)
     phi = es.make_packet(g, rng, freq_mag=0.9, spread=0.15)
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -66,7 +66,7 @@ def test_smoothing_ratio_unimodular_annulus():
 
 
 def test_smoothing_ratio_structured_monotone_window():
-    g = gr.make_grid(2, 128, 16.0)
+    g = gr.make_grid(128, 16.0)
     rng = np.random.default_rng(2)
     phi = es.make_packet(g, rng, freq_mag=0.9, spread=0.15)
     spec = ev.EvolutionSpec(EUCLID, order=1)
@@ -81,7 +81,7 @@ def test_smoothing_ratio_structured_monotone_window():
 
 
 def test_smoothing_ratio_mass_escape():
-    g = gr.make_grid(2, 32, 4.0)
+    g = gr.make_grid(32, 4.0)
     rng = np.random.default_rng(3)
     phi = es.make_packet(g, rng, freq_mag=2.0, spread=0.3)
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -93,7 +93,7 @@ def test_smoothing_ratio_mass_escape():
 def test_full_box_monitor_still_gates_mass_escape():
     # a monitor over the whole box holds fraction 1 exactly; a mass_tol
     # above 1 still trips the gate, with the same message
-    g = gr.make_grid(2, 16, 4.0)
+    g = gr.make_grid(16, 4.0)
     phi = es.make_packet(g, np.random.default_rng(0))
     spec = ev.EvolutionSpec(EUCLID, order=2)
     with pytest.raises(MassEscape, match=r"^containment 1\.00000 < 1\.5 at "
@@ -132,9 +132,9 @@ def _check_against_reference_loop(spec, sigma, phi, T, dt, radius):
 
 
 @pytest.mark.parametrize("sigma,order", [
-    (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(2), 2)])
+    (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(), 2)])
 def test_smoothing_ratio_matches_reference_loop(sigma, order):
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     phi = es.make_packet(g, np.random.default_rng(4), spread=0.3)
     spec = ev.EvolutionSpec(EUCLID, order=order)
     _check_against_reference_loop(spec, sigma, phi, 2.0, 0.25,
@@ -153,7 +153,7 @@ def test_folded_smoothing_window_matches_the_full_reference_loop(name, p):
     # for the perturbed p, so that case takes the full window.  A
     # monitor radius inside the box makes the mask part of the check.
     pair = sy.make_pair(p)
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     phi = es.make_packet(g, np.random.default_rng(7), spread=0.3)
     spec = ev.EvolutionSpec(pair, order=2)
     samples = _check_against_reference_loop(
@@ -168,7 +168,7 @@ def test_folded_smoothing_window_matches_the_full_reference_loop(name, p):
                             # all 9 samples run
 ])
 def test_smoothing_window_fold_edges(shift, T, samples):
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     phi = es.make_packet(g, np.random.default_rng(8), spread=0.3)
     phi = gr.Field(g, np.roll(phi.values, shift, axis=(0, 1)), "x")
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -177,7 +177,7 @@ def test_smoothing_window_fold_edges(shift, T, samples):
 
 
 def test_smoothing_ratio_rejects_a_step_that_does_not_divide_2T():
-    g = gr.make_grid(2, 16, 4.0)
+    g = gr.make_grid(16, 4.0)
     phi = es.make_packet(g, np.random.default_rng(0))
     spec = ev.EvolutionSpec(EUCLID, order=2)
     with pytest.raises(ValueError, match="does not divide"):
@@ -203,8 +203,8 @@ def test_smoothing_chunks_match_one_stack(monkeypatch, stack_bytes):
 
 def test_smoothing_sweep_matches_per_packet_ratios():
     # a rung's stack gives each packet's one-packet smoothing_ratio
-    g = gr.make_grid(2, 32, 8.0)
-    sig = sy.unstructured_critical(2)
+    g = gr.make_grid(32, 8.0)
+    sig = sy.unstructured_critical()
     res = es.smoothing_sweep(sig, EUCLID, [(32, 8.0, 2.0), (32, 8.0, 3.0)],
                              trials=3, seed=2, dt=0.5, order=2,
                              freq_mag=0.9, spread=0.3, monitor_scale=1.0,
@@ -222,7 +222,7 @@ def test_smoothing_reports_match_across_chunks_for_an_oblique_symbol():
     # the gathered phase stack gives the same bits one field at a time and
     # in default chunks, on a lattice without the axis-swap symmetry
     pair = sy.make_pair("quadratic-form:A=[[1,0.3],[0.3,0.5]]")
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     spec = ev.EvolutionSpec(pair, order=2, T=2.0, dt=0.25)
     rng = np.random.default_rng(4)
     phis = np.array([es.make_packet(g, rng, 0.9, 0.3).values
@@ -246,7 +246,7 @@ sm = es.smoothing_sweep(sy.structured_sigma(E), E,
                         [(128, 16.0, 1.0), (128, 32.0, 2.0)], trials=2,
                         seed=0, dt=0.5, order=1, freq_mag=0.9, spread=0.15,
                         monitor_scale=np.sqrt(2.0), mass_tol=0.999)
-lap = es.lap_sweep(sy.structured_sigma(E), E, gr.make_grid(2, 128, 32.0),
+lap = es.lap_sweep(sy.structured_sigma(E), E, gr.make_grid(128, 32.0),
                    d=1.0, eps_list=[1.0, 0.25], trials=1, seed=0, order=2,
                    check_structure=True, iters=3, cell_quad=2)
 print(repr(sm.ratios() + lap.ratios()))
@@ -285,7 +285,7 @@ def _power_norm_reference(ops, grid, iters, starts, seed):
 
 
 def test_lap_sweep_matches_reference_loop():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     sig = sy.structured_sigma(EUCLID)
     eps_list = [1.0, 0.25, 0.0625]
     res = es.lap_sweep(sig, EUCLID, g, d=1.0, eps_list=eps_list, trials=2,
@@ -307,7 +307,7 @@ def test_lap_sweep_matches_reference_loop():
 
 
 def test_lap_sweep_zero_rung_names_eps():
-    g = gr.make_grid(2, 16, 4.0)
+    g = gr.make_grid(16, 4.0)
     with pytest.raises(ZeroRung, match="eps = 0.5"):
         es.lap_sweep(zero_symbol(), EUCLID, g, d=1.0, eps_list=[0.5, 0.25],
                      trials=1, seed=0, order=2, check_structure=True,
@@ -315,7 +315,7 @@ def test_lap_sweep_zero_rung_names_eps():
 
 
 def test_lap_sweep_rejects_a_non_positive_eps():
-    g = gr.make_grid(2, 16, 4.0)
+    g = gr.make_grid(16, 4.0)
     with pytest.raises(ValueError, match="eps must be positive"):
         es.lap_sweep(sy.structured_sigma(EUCLID), EUCLID, g, d=1.0,
                      eps_list=[0.5, 0.0], trials=1, seed=0, order=2,
@@ -329,7 +329,7 @@ def test_verdict_rules():
 
 
 def test_operator_norm_on_known_multiplier():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     mvals = np.exp(-g.freq_radius() ** 2 / 4.0)
     B = lambda vs: np.array([qu.apply_multiplier(gr.Field(g, v, "x"),
                                                  mvals).values for v in vs])
@@ -340,7 +340,7 @@ def test_operator_norm_on_known_multiplier():
 def test_surface_norm_reference_quadrature():
     # Gaussian transform restricted to the circle of radius rho; compare
     # the low-discrepancy surface rule against a dense reference
-    g = gr.make_grid(2, 128, 16.0)
+    g = gr.make_grid(128, 16.0)
     r2 = np.sum(g.coord_stack() ** 2, axis=-1)
     f = gr.Field(g, np.exp(-r2 / 2.0) + 0j, "x")
     rho = 1.5
@@ -352,7 +352,7 @@ def test_surface_norm_reference_quadrature():
 
 
 def test_surface_norm_band_guard():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     f = gr.Field(g, np.ones(g.shape, complex), "x")
     with pytest.raises(BandExceeded):
         es.restriction_norm(qu.SeparablePlan(
@@ -361,7 +361,7 @@ def test_surface_norm_band_guard():
 
 
 def test_restriction_disjoint_support_floor():
-    g = gr.make_grid(2, 64, 16.0)
+    g = gr.make_grid(64, 16.0)
     rng = np.random.default_rng(4)
     # spectrum near |xi| = 0.5, surface at rho = 4; both the packet and the
     # frequency window are Gaussian so the filtered field stays spatially
@@ -417,27 +417,26 @@ def resolvent_im_identity(pair, f, rho, eps, n_angles=_IDENTITY_ANGLES):
     integrand = vals / (2.0 * p_om[:, None] ** 2)
     per_angle = (np.sum(integrand, axis=1)
                  - 0.5 * (integrand[:, 0] + integrand[:, -1])) * dw * w
-    return np.sum(per_angle) / (2.0 * np.pi) ** f.grid.n
+    return np.sum(per_angle) / (2.0 * np.pi) ** 2
 
 
 def surface_identity_gap(pair, f, rho, eps):
     """Relative gap between the surface norm of fhat on rho Sigma_p and
-    4 (2 pi)^{n-1} rho Im((L_p - rho^2 - i eps)^{-1} f, f).
+    8 pi rho Im((L_p - rho^2 - i eps)^{-1} f, f).
     """
-    g = f.grid
     im = resolvent_im_identity(pair, f, rho, eps)
     # es.surface_norm squared, at _IDENTITY_ANGLES angles
     unit, w, p_om = _unit_nodes(pair, _IDENTITY_ANGLES)
     vals = gr.eval_offgrid(f, rho * unit)
     lhs = rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)
-    rhs = 4.0 * (2.0 * np.pi) ** (g.n - 1) * rho * im
+    rhs = 4.0 * (2.0 * np.pi) * rho * im
     return abs(lhs - rhs) / lhs
 
 
 def test_resolvent_im_identity_converges():
     # the imaginary-part surface identity: the gap is O(eps) until the
     # radial quadrature floor takes over near 3e-3
-    g = gr.make_grid(2, 128, 16.0)
+    g = gr.make_grid(128, 16.0)
     rng = np.random.default_rng(5)
     phi = es.make_packet(g, rng, freq_mag=1.0, spread=0.2)
     gaps = [surface_identity_gap(EUCLID, phi, rho=1.0, eps=e)
@@ -467,13 +466,13 @@ def _resolvent_im_per_angle(pair, f, rho, eps, n_angles, n_radial=129):
         integrand = vals / (2.0 * p_om[a] ** 2)
         total += (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])) \
             * dw * (2.0 * np.pi / n_angles)
-    return total / (2.0 * np.pi) ** g.n
+    return total / (2.0 * np.pi) ** 2
 
 
 @pytest.mark.parametrize("n_angles", [256, 75])
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_resolvent_im_identity_matches_per_angle_loop(eps, n_angles):
-    g = gr.make_grid(2, 64, 16.0)
+    g = gr.make_grid(64, 16.0)
     phi = es.make_packet(g, np.random.default_rng(5), freq_mag=1.0,
                          spread=0.2)
     ref = _resolvent_im_per_angle(ELLIPSE, phi, 1.0, eps, n_angles)
@@ -481,22 +480,8 @@ def test_resolvent_im_identity_matches_per_angle_loop(eps, n_angles):
     assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_two_dimensional_sites_reject_other_dimensions():
-    euclid3 = sy.closed_form_dual(sy.euclidean(3))
-    g3 = gr.make_grid(3, 4, 2.0)
-    with pytest.raises(InvalidSize):
-        es.make_packet(g3, np.random.default_rng(0))
-    with pytest.raises(InvalidSize):
-        es.surface_nodes(euclid3, 1.0)
-    with pytest.raises(InvalidSize):
-        es.smoothing_sweep(sy.unstructured_critical(3), euclid3,
-                           [(4, 2.0, 1.0), (8, 4.0, 2.0)], trials=1, seed=0,
-                           dt=0.25, order=1, freq_mag=0.9, spread=0.4,
-                           monitor_scale=1.0, mass_tol=0.999)
-
-
 def test_duality_check_small_defect():
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     sig = sy.structured_sigma(EUCLID)
     defect = es.duality_check(sig, EUCLID, g, T=4.0, n_times=33, trials=2,
                               seed=0, order=2)
@@ -504,7 +489,7 @@ def test_duality_check_small_defect():
 
 
 def test_duality_check_trivial_symbol():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     one = sy.PhaseSpaceSymbol(
         "one", (0.0, 0.0), lambda x, xi: np.ones(x.shape[:-1]),
         terms=[(lambda x: np.ones(x.shape[:-1]),
@@ -517,16 +502,18 @@ def test_duality_check_trivial_symbol():
 def test_hardy_littlewood_oracle():
     box = lambda y: np.where(np.abs(y) < 2.0, 1.0, 0.0)
     zero = lambda y: np.zeros_like(y)
-    grid = dict(n=1, N=512, L=8.0)
-    assert es.hardy_littlewood_oracle(0.25, 0.25, 0.5, zero, **grid) == 0.0
+    grid = dict(N=512, L=8.0)
+    # no positive sample: the quotient is 0/0, not a passing 0
+    with pytest.raises(InvalidRatio, match="0/0"):
+        es.hardy_littlewood_oracle(0.25, 0.25, 0.5, zero, **grid)
     ratio = es.hardy_littlewood_oracle(0.25, 0.25, 0.5, box, **grid)
     # recorded fixture for the box bump at N=512, L=8
     assert ratio == pytest.approx(7.9694, abs=5e-3)
     with pytest.raises(ExponentViolation):
         es.hardy_littlewood_oracle(0.5, 0.25, 0.25, box, **grid)
-    # admissible exponents for n = 2, but the oracle is one-dimensional
-    with pytest.raises(InvalidSize):
-        es.hardy_littlewood_oracle(0.5, 0.5, 1.0, box, n=2, N=512, L=8.0)
+    # admissible exponents in the plane, but the oracle is on the line
+    with pytest.raises(ExponentViolation):
+        es.hardy_littlewood_oracle(0.5, 0.5, 1.0, box, **grid)
 
 
 def test_sweep_result_csv_layout():
@@ -554,7 +541,7 @@ def test_sweep_result_rejects_a_ratio_that_is_not_finite_and_non_negative(
 
 
 def test_make_packet_deterministic():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     a = es.make_packet(g, np.random.default_rng(42))
     b = es.make_packet(g, np.random.default_rng(42))
     assert np.array_equal(a.values, b.values)
@@ -562,7 +549,7 @@ def test_make_packet_deterministic():
 
 
 def test_make_packet_is_its_own_conjugate_reflection():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     for seed in range(3):
         phi = es.make_packet(g, np.random.default_rng(seed), 1.1, 0.3).values
         assert np.array_equal(phi, np.conj(g.reflect(phi)))
@@ -578,14 +565,14 @@ def test_smoothing_scaling_covariance():
     # quotient invariant for exact orders (-1/2, 1/2) at m = 2
     sig = sy.structured_sigma(EUCLID)
     rng = np.random.default_rng(6)
-    g1 = gr.make_grid(2, 128, 16.0)
+    g1 = gr.make_grid(128, 16.0)
     phi1 = es.make_packet(g1, rng, freq_mag=1.0, spread=0.2)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     rep1 = es.smoothing_ratio(sig, spec, phi1, T=4.0, dt=0.25,
                               monitor_radius=np.sqrt(2.0) * g1.L,
                               mass_tol=0.999)
     lam = 2.0
-    g2 = gr.make_grid(2, 128, lam * 16.0)
+    g2 = gr.make_grid(128, lam * 16.0)
     phi2 = gr.Field(g2, gr.eval_field_offgrid(
         phi1, (g2.coord_stack() / lam).reshape(-1, 2)).reshape(g2.shape),
         "x")

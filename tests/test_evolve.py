@@ -29,7 +29,7 @@ def band_field(g, seed=0, lo=1.0, hi=4.0):
 
 
 def test_schrodinger_identity_at_t0():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     f = random_field(g, 1)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     out = ev.schrodinger_propagate(spec, f, 0.0)
@@ -40,7 +40,7 @@ def test_schrodinger_identity_at_t0():
                                         (ELLIPSE, 3)],
                          ids=["euclid-m2", "ellipse-m1", "ellipse-m3"])
 def test_schrodinger_unitarity(pair, order):
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     f = random_field(g, 2)
     spec = ev.EvolutionSpec(pair, order=order)
     for t in (0.3, 1.7, -2.4):
@@ -49,7 +49,7 @@ def test_schrodinger_unitarity(pair, order):
 
 
 def test_schrodinger_gaussian_closed_form():
-    g = gr.make_grid(2, 128, 16.0)
+    g = gr.make_grid(128, 16.0)
     r2 = np.sum(g.coord_stack()**2, axis=-1)
     f = gr.Field(g, np.exp(-r2 / 2.0) + 0j, "x")
     spec = ev.EvolutionSpec(EUCLID, order=2)
@@ -63,7 +63,7 @@ def test_schrodinger_gaussian_closed_form():
 @pytest.mark.parametrize("pair,order", [(EUCLID, 2), (ELLIPSE, 2)],
                          ids=["euclid", "ellipse"])
 def test_schrodinger_group_law(pair, order):
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     f = random_field(g, 3)
     spec = ev.EvolutionSpec(pair, order=order)
     one = ev.schrodinger_propagate(
@@ -73,7 +73,7 @@ def test_schrodinger_group_law(pair, order):
 
 
 def test_propagator_commutes_with_functions_of_p():
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     f = random_field(g, 4)
     spec = ev.EvolutionSpec(ELLIPSE, order=2)
     h_of_p = np.exp(-ev.symbol_lattice(ELLIPSE, g) ** 2 / 4.0)
@@ -83,7 +83,7 @@ def test_propagator_commutes_with_functions_of_p():
 
 
 def test_wave_initial_data_and_energy():
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     phi = band_field(g, 5)
     psi_v = band_field(g, 6)
     state = ev.WaveState(phi, psi_v)
@@ -96,7 +96,7 @@ def test_wave_initial_data_and_energy():
 
 
 def test_wave_second_difference_solves_equation():
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     state = ev.WaveState(band_field(g, 7), band_field(g, 8))
     spec = ev.EvolutionSpec(EUCLID, order=1)
     dt = 1e-3
@@ -110,7 +110,7 @@ def test_wave_second_difference_solves_equation():
 
 
 def test_wave_plane_mode_frequency():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     k = np.array([3 * g.dxi, 4 * g.dxi])
     x = g.coord_stack()
     phi = gr.Field(g, np.exp(1j * x @ k), "x")
@@ -124,7 +124,7 @@ def test_wave_plane_mode_frequency():
 
 
 def test_wave_rejects_low_frequency_velocity():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     phi = band_field(g, 9)
     dc = gr.Field(g, np.ones(g.shape, complex), "x")
     with pytest.raises(LowFrequencyMass):
@@ -132,7 +132,7 @@ def test_wave_rejects_low_frequency_velocity():
 
 
 def test_resolvent_negative_d_pointwise_formula():
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     chi = gr.annular(1.0, 1.5, 3.0, 3.5)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     vals = next(ev.ResolventGeometry(spec, g).ladder(-2.0, [1.0], chi))
@@ -145,7 +145,7 @@ def test_resolvent_negative_d_pointwise_formula():
 def test_resolvent_sign_flip_conjugates():
     # the + i eps side, which the LAP sweep's adjoint multiplies by, is the
     # conjugate of the - i eps rung
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 1.0, 3.0, 3.5)
     minus = next(ev.ResolventGeometry(spec, g).ladder(1.0, [0.1], chi))
@@ -157,7 +157,7 @@ def test_resolvent_sign_flip_conjugates():
 def test_resolvent_off_characteristic_limit():
     # chi supported away from {p^2 = d}: the eps -> 0 limit is the eps = 0
     # multiplier
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(2.0, 2.2, 2.8, 3.0)   # p in [2, 3], p^2 in [4, 9]
     d = 1.0
@@ -170,7 +170,7 @@ def test_resolvent_off_characteristic_limit():
 def test_cell_averaged_resolvent_matches_pointwise_off_resonance():
     # with eps well above the lattice spacing the cell average is a small
     # correction, not a different operator
-    g = gr.make_grid(2, 64, 8.0)
+    g = gr.make_grid(64, 8.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(0.5, 0.8, 2.5, 2.8)
     v1 = next(ev.ResolventGeometry(spec, g).ladder(1.0, [1.0], chi))
@@ -181,7 +181,7 @@ def test_cell_averaged_resolvent_matches_pointwise_off_resonance():
 
 @pytest.mark.parametrize("eps", [0.0, -0.25, float("nan")])
 def test_resolvent_ladder_rejects_a_non_positive_eps(eps):
-    g = gr.make_grid(2, 16, 4.0)
+    g = gr.make_grid(16, 4.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     geometry = ev.ResolventGeometry(spec, g)
     with pytest.raises(ValueError, match="eps must be positive"):
@@ -204,19 +204,15 @@ def _cell_averaged_reference(spec, grid, d, eps, s, q):
     axis = np.argmax(np.abs(p.gradient(safe)), axis=-1)
     z0 = -d + 1j * s * eps
     acc = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.n):
+    for j in (0, 1):
         mask = axis == j
         if not np.any(mask):
             continue
         pts = xi[mask]
         cell = np.zeros(pts.shape[0], dtype=complex)
-        others = [k for k in range(grid.n) if k != j]
-        for offs in np.ndindex(*(q,) * (grid.n - 1)):
-            shift = np.zeros(grid.n)
-            w = 1.0
-            for k, o in zip(others, offs):
-                shift[k] = nodes[o]
-                w *= weights[o]
+        for node, w in zip(nodes, weights):
+            shift = np.zeros(2)
+            shift[1 - j] = node
             line = pts + shift
             lr = np.linalg.norm(line, axis=-1)
             lsafe = np.where((lr > 0)[..., None], line, 1.0)
@@ -250,7 +246,7 @@ def test_resolvent_geometry_is_bit_identical_per_rung(cell_quad, sign):
     # one eps-independent geometry serves every rung of a ladder and gives
     # each rung the bits of the formula evaluated for that eps alone; the
     # + i eps side is the rung's conjugate, value for value
-    g = gr.make_grid(2, 32, 8.0)
+    g = gr.make_grid(32, 8.0)
     spec = ev.EvolutionSpec(ELLIPSE, order=2)
     chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
                      0.8 * g.nyquist)
@@ -275,7 +271,7 @@ def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
     # the euclidean lattice repeats its (p^m, b h / 2) pairs, so this is
     # where evaluating the formula once per distinct pair merges points;
     # the + i eps side is the rung's conjugate, value for value
-    g = gr.make_grid(2, 64, 16.0)
+    g = gr.make_grid(64, 16.0)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     chi = gr.annular(2.0 * g.dxi, 4.0 * g.dxi, 0.6 * g.nyquist,
                      0.8 * g.nyquist)
@@ -300,7 +296,7 @@ def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
     # e^{-itP} bit for bit; e^{+itP}, which the duality check runs as the
     # phase at -t, value for value (a zero may change sign)
     pair = sy.make_pair(label)
-    g = gr.make_grid(2, N, 8.0)
+    g = gr.make_grid(N, 8.0)
     spec = ev.EvolutionSpec(pair, order=2)
     P = ev.symbol_lattice(pair, g, 2)
     s = -1.0 if sign == "-" else 1.0
