@@ -384,9 +384,7 @@ def _run_egorov(cfg):
     def xfac(x):
         return (1.0 + _squared_norm(x)) ** (growth / 2.0)
 
-    a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0),
-                            value=lambda x, xi: xfac(x) * gfac(xi),
-                            terms=[(xfac, gfac)])
+    a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0), [(xfac, gfac)])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
     env = gr.spectral_packet(g, np.zeros(2), cfg["packet_spread"])
     ratios = qu.egorov_residual(a, plan, declared, env,
@@ -419,7 +417,9 @@ def _run_commutator(cfg):
     f = gr.spectral_packet(g, cfg["packet_center"], cfg["packet_spread"])
 
     def h(t):
-        return np.exp(-(t / scale) ** 2)
+        # a tiny scale overflows (t / scale)^2; exp(-inf) is h's limit 0
+        with np.errstate(over="ignore"):
+            return np.exp(-(t / scale) ** 2)
 
     if cfg["control"]:
         # multiplier depending on xi_1 only; not a function of p, so the

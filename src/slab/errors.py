@@ -46,7 +46,8 @@ class MassEscape(SlabError):
 
 
 class InvalidRatio(SlabError):
-    """A sweep ratio is negative or not finite."""
+    """A ratio is negative, not finite, or vacuous (0/0, or a residual
+    of an operator applied to zero)."""
 
 
 class ZeroRung(SlabError):

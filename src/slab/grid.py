@@ -96,6 +96,11 @@ def make_grid(N, L):
         raise InvalidSize(f"N={N} is not a power of two >= 2")
     if L <= 0:
         raise InvalidSize(f"L={L} must be positive")
+    h = 2.0 * L / N
+    # a Python float's ** raises OverflowError where * gives inf
+    if not np.isfinite(h * h):
+        raise InvalidSize(f"L={L}: the cell area (2L/N)^2 at N={N} is not "
+                          "finite")
     return Grid(N=N, L=float(L))
 
 

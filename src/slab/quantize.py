@@ -8,18 +8,19 @@ Quantization is Kohn-Nirenberg throughout:
 
 discretized with the grid's spectral weights.  A symbol singular at
 xi = 0 (a negative or fractional xi-order) gets the low-frequency guard,
-and no other symbol does.  Symbols that come with a separable expansion
-a = sum_r f_r(x) m_r(xi) are applied by a ``SeparablePlan``, one FFT
-call for all R terms on a stack of spectra; anything else falls back to
-the direct O(N^4) quadrature, whose one kernel ``_kn_sum`` also
-serves the Egorov check.  It takes e^{i x.xi} from per-axis tables of
-e^{i x_d xi_d}, never pair by pair, over blocks of lattice points sized
-in bytes: each block's (points, K) kernel stays under glibc's 128 KiB
-mmap threshold, so its temporaries reuse heap memory instead of faulting
-in fresh pages on every block.  The canonical transform I_gamma runs on
-a list of fields as one stacked off-grid contraction (a single field is
-the one-column case): cutoff, warp and phase tables are built once.  Its
-cutoff is a ``grid.Cutoff``, a profile composed with a map included.
+and no other symbol does.  A symbol is its separable expansion
+a = sum_r f_r(x) m_r(xi), applied by a ``SeparablePlan``: one FFT call
+for all R terms on a stack of spectra.  The direct O(N^4) quadrature
+``_kn_sum`` serves ``apply_pseudo(method="direct")`` and the Egorov
+check's warped symbol, which is not separable.  It takes e^{i x.xi} from
+per-axis tables of e^{i x_d xi_d}, never pair by pair, over blocks of
+lattice points sized in bytes: each block's (points, K) kernel stays
+under glibc's 128 KiB mmap threshold, so its temporaries reuse heap
+memory instead of faulting in fresh pages on every block.  The
+canonical transform I_gamma runs on a list of fields as one stacked
+off-grid contraction (a single field is the one-column case): cutoff,
+warp and phase tables are built once.  Its cutoff is a ``grid.Cutoff``,
+a profile composed with a map included.
 """
 
 import warnings
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import grid as gr
 from . import symbols as sy
-from .errors import (CutoffLeakage, NonFiniteMultiplier, NonFiniteSymbol,
-                     StructureViolation)
+from .errors import (CutoffLeakage, InvalidRatio, NonFiniteMultiplier,
+                     NonFiniteSymbol, StructureViolation)
 
 
 def low_freq_guard(grid):
@@ -84,8 +85,6 @@ class SeparablePlan:
 
     def __init__(self, sigma, grid):
         guard = _guard_for(sigma, grid)
-        if not getattr(sigma, "terms", None):
-            raise ValueError("symbol carries no separable terms")
         self.grid = grid
         self.axes = (-2, -1)
         X, xi = grid.coord_stack(), grid.freq_stack()
@@ -122,14 +121,11 @@ def _apply_plan(plan, f):
 def apply_pseudo(f, sigma, method="auto"):
     """sigma(X, D) u on the grid.
 
-    method "separable" uses the symbol's term expansion (a one-shot
-    SeparablePlan); "direct" does the full O(N^4) quadrature; "auto"
-    prefers separable when terms exist.  Symbols singular at xi = 0 get
-    the low-frequency annular guard.
+    method "separable" (or "auto") applies the symbol's terms through a
+    one-shot SeparablePlan; "direct" does the full O(N^4) quadrature.
+    Symbols singular at xi = 0 get the low-frequency annular guard.
     """
-    if method == "auto":
-        method = "separable" if getattr(sigma, "terms", None) else "direct"
-    if method == "separable":
+    if method in ("auto", "separable"):
         return _apply_plan(SeparablePlan(sigma, f.grid), f)
     if method == "direct":
         return _apply_direct(f, sigma, _guard_for(sigma, f.grid))
@@ -307,6 +303,8 @@ def commutator_residual(pair, h, f, multiplier=None):
     p commutes with the quantized Omega up to discretization because
     Omega is linear in x and grad_x Omega . grad p = 0.  Passing an
     explicit ``multiplier`` (e.g. h(xi_1)) gives the non-commuting control.
+    InvalidRatio when m(D) u vanishes identically: the residual would
+    then be 0 whatever Omega does.
     """
     g = f.grid
     if multiplier is None:
@@ -316,44 +314,21 @@ def commutator_residual(pair, h, f, multiplier=None):
             pos = r > 0
             vals[pos] = h(pair.primal(xs[pos]))
             return vals
+    mu = apply_multiplier(f, multiplier)
+    if not np.any(mu.values):
+        raise InvalidRatio("m(D) u vanishes on the lattice, so the "
+                           "commutator residual would be 0 whatever Omega "
+                           "does")
     # Omega has orders (1, 1): its plan puts no low-frequency guard on it
     om = SeparablePlan(sy.omega_phase_symbol(pair), g)
     a_then_m = apply_multiplier(_apply_plan(om, f), multiplier)
-    m_then_a = _apply_plan(om, apply_multiplier(f, multiplier))
+    m_then_a = _apply_plan(om, mu)
     diff = gr.Field(g, a_then_m.values - m_then_a.values, "x")
     return diff.norm() / f.norm()
 
 
 # ---------------------------------------------------------------------------
-# amplitude operators and boundedness ratios
-
-
-@dataclass
-class SeparableAmplitude:
-    """a(x, y, xi) = sum_r f_r(x) g_r(y) m_r(xi), with declared x-order m.
-
-    T_a u = (2 pi)^2 sum_r f_r . m_r(D)(g_r u) under the discrete
-    normalization (a == 1 gives T_a = (2 pi)^2 identity).
-    """
-
-    label: str
-    terms: list
-    m: float = 0.0
-
-    def __call__(self, x, y, xi):
-        return sum(fx(x) * fy(y) * fxi(xi) for fx, fy, fxi in self.terms)
-
-
-def apply_amplitude(f, amp):
-    """T_a u for a separable amplitude."""
-    g = f.grid
-    X = g.coord_stack()
-    out = np.zeros(g.shape, dtype=complex)
-    for fx, fy, fxi in amp.terms:
-        src = gr.Field(g, np.asarray(fy(X), dtype=complex) * f.values, "x")
-        piece = apply_multiplier(src, lambda xs, fxi=fxi: fxi(xs))
-        out += np.asarray(fx(X), dtype=complex) * piece.values
-    return gr.Field(g, (2.0 * np.pi) ** 2 * out, "x")
+# boundedness ratios
 
 
 def dilate(f, lam):
@@ -391,16 +366,17 @@ def _dilation_family_member(f, lam, carrier=None, center=None, spread=True):
 DILATIONS = (1.0, 2.0, 4.0, 8.0)
 
 
-def fio_bound_ratio(amp, f):
-    """Ratios ||T_a u_lam||_{L^2} / ||u_lam||_{L^2_m} over the dilation
-    family remodulated onto the carrier (3, 0); bounded iff max/min <=
-    slack (caller judges).
+def fio_bound_ratio(a, m, f):
+    """Ratios ||a(X,D) u_lam||_{L^2} / ||u_lam||_{L^2_m} for a symbol a
+    of declared x-order m, over the dilation family remodulated onto the
+    carrier (3, 0); bounded iff max/min <= slack (caller judges).  a is
+    one SeparablePlan for the whole family.
     """
+    plan = SeparablePlan(a, f.grid)
     ratios = []
     for lam in DILATIONS:
         ul = _dilation_family_member(f, lam, (3.0, 0.0))
-        tu = apply_amplitude(ul, amp)
-        ratios.append(gr.weighted_norm(tu, 0.0) / gr.weighted_norm(ul, amp.m))
+        ratios.append(_apply_plan(plan, ul).norm() / gr.weighted_norm(ul, m))
     return ratios
 
 

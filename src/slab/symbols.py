@@ -110,7 +110,8 @@ def euclidean():
 
 
 def quadratic_form(A):
-    """p(xi) = |xi A| for a symmetric positive definite matrix A."""
+    """p(xi) = |xi A| for an invertible matrix A; the value is
+    sqrt(xi A A^T xi), so A need not be symmetric."""
     A = np.asarray(A, dtype=float)
     M = A @ A.T
 
@@ -305,12 +306,14 @@ def make_dual(sym):
 
 
 def closed_form_dual(sym):
-    """Known duals: euclidean is self-dual, |xi A| pairs with |xi A^{-1}|."""
+    """Known duals: euclidean is self-dual, |xi A| pairs with |x A^{-T}|
+    (the maximum of x.sigma over |sigma A| = 1, with eta = sigma A)."""
     if sym.label == "euclidean":
         return DualPair(sym, euclidean(), construction="closed-form")
     if "matrix" in sym.metadata:
         Ainv = np.linalg.inv(sym.metadata["matrix"])
-        return DualPair(sym, quadratic_form(Ainv), construction="closed-form")
+        return DualPair(sym, quadratic_form(Ainv.T),
+                        construction="closed-form")
     raise ValueError(f"no closed-form dual registered for {sym.label!r}")
 
 
@@ -402,20 +405,20 @@ def gamma_p_membership(pair, x, xi):
 
 @dataclass
 class PhaseSpaceSymbol:
-    """Symbol sigma(x, xi), homogeneous of order ``orders[0]`` in x and
-    ``orders[1]`` in xi, smooth away from x = 0 and xi = 0.
-
-    ``terms`` optionally lists separable factors (f_x, f_xi) with
-    sigma = sum_r f_x,r(x) f_xi,r(xi); quantization exploits them.
+    """Symbol sigma(x, xi) = sum_r f_x,r(x) f_xi,r(xi), given by its
+    separable ``terms`` (f_x, f_xi): homogeneous of order ``orders[0]`` in
+    x and ``orders[1]`` in xi, smooth away from x = 0 and xi = 0.  The
+    terms are the whole definition: quantization applies them and a point
+    value is their sum, taken in order.
     """
 
     label: str
     orders: tuple
-    value: callable
-    terms: list = None
+    terms: list
 
     def __call__(self, x, xi):
-        return self.value(np.asarray(x, float), np.asarray(xi, float))
+        x, xi = np.asarray(x, float), np.asarray(xi, float)
+        return sum(fx(x) * fxi(xi) for fx, fxi in self.terms)
 
     @property
     def xi_singular(self):
@@ -433,22 +436,21 @@ def _inv_sqrt_radius(x):
     return np.where(r > 0, r, np.inf) ** -0.5
 
 
+def _sqrt_radius(xi):
+    return np.sqrt(np.linalg.norm(xi, axis=-1))
+
+
 def structured_sigma(pair):
     """The structured critical symbol
 
         sigma(x, xi) = |x|^{-1/2} |(x/|x|) ^ grad p(xi)|^2 |xi|^{1/2},
 
     non-negative, orders (-1/2, +1/2), vanishing exactly on the orbit set
-    away from x = 0.
+    away from x = 0.  The wedge squared expands into three terms,
+    xhat_0^2 g_1^2 - 2 xhat_0 xhat_1 g_0 g_1 + xhat_1^2 g_0^2.
     """
     grad = pair.primal.gradient
 
-    def value(x, xi):
-        w = wedge(_safe_unit(x), grad(xi))
-        return _inv_sqrt_radius(x) * w**2 * np.sqrt(
-            np.linalg.norm(xi, axis=-1))
-
-    # sigma = |x|^{-1/2} |xi|^{1/2} (xhat_0 g_1 - xhat_1 g_0)^2, expanded
     def fx(i, j, c):
         def factor(x):
             xhat = _safe_unit(x)
@@ -467,20 +469,17 @@ def structured_sigma(pair):
     terms = [(fx(0, 0, 1.0), fxi(1, 1)), (fx(0, 1, -2.0), fxi(0, 1)),
              (fx(1, 1, 1.0), fxi(0, 0))]
     return PhaseSpaceSymbol(f"structured[{pair.primal.label}]",
-                            (-0.5, 0.5), value, terms)
+                            (-0.5, 0.5), terms)
 
 
 def tau_phase_symbol(pair):
-    """tau as a PhaseSpaceSymbol with orders (2, 2) and separable terms."""
+    """tau(x, xi) = (b(x) ^ xi)^2 with b = p*(x) grad p*(x) / |grad p*(x)|,
+    orders (2, 2), as three separable terms."""
 
     def bvec(x):
         gs = pair.dual.gradient(x)
         ps = np.sum(x * gs, axis=-1)    # p*(x) = x . grad p*(x), degree 1
         return (ps / np.linalg.norm(gs, axis=-1))[..., None] * gs
-
-    def value(x, xi):
-        b = bvec(x)
-        return wedge(b, np.broadcast_to(xi, b.shape)) ** 2
 
     terms = [
         (lambda x: bvec(x)[..., 0] ** 2, lambda xi: xi[..., 1] ** 2),
@@ -488,46 +487,32 @@ def tau_phase_symbol(pair):
          lambda xi: xi[..., 0] * xi[..., 1]),
         (lambda x: bvec(x)[..., 1] ** 2, lambda xi: xi[..., 0] ** 2),
     ]
-    return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0),
-                            value, terms)
+    return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0), terms)
 
 
 def unstructured_critical():
     """|x|^{-1/2} |xi|^{1/2}: the critical weight with no structure."""
-
-    def value(x, xi):
-        return _inv_sqrt_radius(x) * np.sqrt(np.linalg.norm(xi, axis=-1))
-
-    terms = [(_inv_sqrt_radius,
-              lambda xi: np.sqrt(np.linalg.norm(xi, axis=-1)))]
     return PhaseSpaceSymbol("unstructured-critical", (-0.5, 0.5),
-                            value, terms)
+                            [(_inv_sqrt_radius, _sqrt_radius)])
 
 
 def weighted_subcritical(s):
     """<x>^{-s} |xi|^{1/2}: bounded smoothing regime for s > 1/2."""
 
-    def value(x, xi):
-        rx2 = np.sum(np.asarray(x, float) ** 2, axis=-1)
-        return (1.0 + rx2) ** (-s / 2.0) * np.sqrt(
-            np.linalg.norm(xi, axis=-1))
+    def fx(x):
+        return (1.0 + np.sum(x ** 2, axis=-1)) ** (-s / 2.0)
 
-    terms = [(
-        lambda x: (1.0 + np.sum(np.asarray(x, float) ** 2, axis=-1))
-        ** (-s / 2.0),
-        lambda xi: np.sqrt(np.linalg.norm(xi, axis=-1)),
-    )]
-    return PhaseSpaceSymbol(f"weighted:s={s}", (0.0, 0.5), value, terms)
+    return PhaseSpaceSymbol(f"weighted:s={s}", (0.0, 0.5),
+                            [(fx, _sqrt_radius)])
 
 
 def omega_phase_symbol(pair):
-    """Omega as a PhaseSpaceSymbol, linear in x (separable, rank 2)."""
+    """Omega as a PhaseSpaceSymbol, linear in x (separable, rank 2):
+    Omega = sum_l x_l C_l(xi), the form ``omega`` evaluates pointwise."""
 
     def coeff(xi, l):
-        # Omega = sum_l x_l C_l(xi) with
         # C_l = H*_{l0} p g_1 - H*_{l1} p g_0, H* = hess p*(grad p).
         # C_l is degree-1 homogeneous, hence 0 at xi = 0 by continuity.
-        xi = np.asarray(xi, dtype=float)
         r = np.linalg.norm(xi, axis=-1)
         safe = np.where((r > 0)[..., None], xi, 1.0)
         g = pair.primal.gradient(safe)
@@ -536,10 +521,9 @@ def omega_phase_symbol(pair):
         out = p * (H[..., l, 0] * g[..., 1] - H[..., l, 1] * g[..., 0])
         return np.where(r > 0, out, 0.0)
 
-    terms = [(lambda x, l=l: np.asarray(x, float)[..., l],
-              lambda xi, l=l: coeff(xi, l)) for l in range(2)]
-    return PhaseSpaceSymbol(f"Omega[{pair.primal.label}]", (1.0, 1.0),
-                            lambda x, xi: omega(pair, x, xi), terms)
+    terms = [(lambda x, l=l: x[..., l], lambda xi, l=l: coeff(xi, l))
+             for l in range(2)]
+    return PhaseSpaceSymbol(f"Omega[{pair.primal.label}]", (1.0, 1.0), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +542,19 @@ def parse_symbol(spec):
         if A.shape != (2, 2):
             raise ValueError("quadratic-form matrix must be 2x2, "
                              f"got shape {A.shape}")
+        # the form squares A and its closed-form dual squares A^{-T}:
+        # both Gram matrices must be finite
+        try:
+            with np.errstate(all="ignore"):
+                B = np.linalg.inv(A).T
+                finite = np.isfinite(A @ A.T).all() and \
+                    np.isfinite(B @ B.T).all()
+        except np.linalg.LinAlgError:
+            finite = False
+        if not finite:
+            raise ValueError(f"quadratic-form matrix {A.tolist()} is "
+                             "singular, or A A^T or its inverse is not "
+                             "finite")
         return quadratic_form(A)
     if spec.startswith("perturbed:amp="):
         amp = float(spec.split("=", 1)[1])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -295,6 +296,8 @@ def test_module_entry_point_runs(tmp_path):
     # 2^-1075 rounds to 0.0, which no resolvent rung takes
     ("lap", {"p": "euclidean", "sigma": "structured", "N": 8, "L": 4.0,
              "eps_ladder_k": 1075}, []),
+    # the closed-form dual would square A^{-1} = diag(1, 1e200)
+    ("geometry-audit", {"p": "quadratic-form:A=[[1,0],[0,1e-200]]"}, []),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
@@ -302,17 +305,27 @@ def test_module_entry_point_runs(tmp_path):
         "packet_center-3d", "packet_center-1d", "egorov-spread-zero",
         "commutator-spread-zero", "smoothing-spread-zero",
         "smoothing-spread-negative", "rhos-zero", "lams-negative",
-        "lams-zero", "eps_ladder_k-underflow"])
+        "lams-zero", "eps_ladder_k-underflow", "p-ill-conditioned"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               args):
+    line = one_line_failure(runner, tmp_path, kind, cfg, *args)
+    assert line.startswith("config error:"), line
+
+
+def one_line_failure(runner, tmp_path, kind, cfg, *args):
+    """The output line of a run of ``kind`` on ``cfg`` that must exit 1
+    with one line and write nothing; a numpy RuntimeWarning is an error,
+    so a run that warns on its way to the line fails."""
     path = write_config(tmp_path / "cfg.json", cfg)
-    res = runner.invoke(main, [kind, "--config", path,
-                               "--out", str(tmp_path / "out"), *args])
-    assert res.exit_code == 1
-    lines = res.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error:"), \
-        res.output
-    assert "Traceback" not in res.output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, [kind, "--config", path,
+                                   "--out", str(tmp_path / "out"), *args])
+    lines = res.output.splitlines()
+    assert res.exit_code == 1 and len(lines) == 1, (res.output,
+                                                     res.exception)
+    assert not (tmp_path / "out").exists()
+    return lines[0]
 
 
 def test_unordered_egorov_band_is_a_config_error(runner, tmp_path):
@@ -445,6 +458,26 @@ def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
         res.output
     assert "0/0" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,cfg,start", [
+    # h = 2L/N past ~1.3e154 squares to inf, where Python's float ** once
+    # raised an OverflowError traceback
+    ("commutator", {"p": "euclidean", "N": 16, "L": 1e200},
+     "commutator failed: L=1e+200: the cell area"),
+    ("smoothing", {"p": "euclidean", "sigma": "structured",
+                   "ladder": [[8, 4.0, 1.0], [8, 1e300, 2.0]]},
+     "smoothing failed: L=1e+300: the cell area"),
+    # h underflows to 0 at every lattice frequency, so m(D) u = 0 and the
+    # residual, once reported as a pass, would be 0 whatever Omega does
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "profile_scale": 1e-300},
+     "commutator failed: m(D) u vanishes"),
+], ids=["grid-L-1e200", "ladder-L-1e300", "commutator-profile-vanishes"])
+def test_degenerate_runs_fail_in_one_line(runner, tmp_path, kind, cfg,
+                                          start):
+    line = one_line_failure(runner, tmp_path, kind, cfg)
+    assert line.startswith(start), line
 
 
 def registry_defaults(kind):

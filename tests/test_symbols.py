@@ -81,12 +81,23 @@ def test_curvature_audit_rejects_quartic():
 
 
 def test_closed_form_dual_matches_inverse_matrix():
+    # the dual of |xi A| is |x A^{-T}|; |x A^{-1}| agrees with it only
+    # for a normal A, such as a diagonal one, and not for criterion 04's
+    # rotated form
     xi = sample_xi(1000, seed=3)
-    A = np.diag([1.0, 0.5])
-    pair = sy.closed_form_dual(sy.quadratic_form(A))
-    ref = sy.quadratic_form(np.linalg.inv(A))
-    assert np.max(np.abs(pair.dual(xi) - ref(xi)) / ref(xi)) <= 1e-12
-    assert pair.dual(np.array([0.0, 1.0])) == pytest.approx(2.0)
+    rot = np.array([[0.96, 0.28], [-0.28, 0.96]])
+    for A in (np.diag([1.0, 0.5]), rot @ np.diag([1.0, 0.7])):
+        pair = sy.closed_form_dual(sy.quadratic_form(A))
+        ref = np.linalg.norm(xi @ np.linalg.inv(A).T, axis=-1)
+        assert np.max(np.abs(pair.dual(xi) - ref) / ref) <= 1e-12
+        # p*(grad p) = 1: the primal's gradients lie on the dual unit set
+        g = pair.primal.gradient(xi)
+        assert np.max(np.abs(pair.dual(g) - 1.0)) <= 1e-12
+        # the support-function solve, which knows nothing of A
+        sup = sy.make_dual(pair.primal)
+        assert np.max(np.abs(sup.dual(xi) - ref) / ref) <= 1e-12
+    assert sy.closed_form_dual(sy.quadratic_form(np.diag([1.0, 0.5]))).dual(
+        np.array([0.0, 1.0])) == pytest.approx(2.0)
 
 
 def test_support_function_dual_matches_inverse_matrix():
@@ -332,9 +343,8 @@ def test_omega_phase_symbol_separable_terms_consistent():
         om = sy.omega_phase_symbol(pair)
         x = rng.normal(size=(8, 2))
         xi = rng.normal(size=(8, 2)) * 2
-        direct = om(x, xi)
-        from_terms = sum(fx(x) * fxi(xi) for fx, fxi in om.terms)
-        assert np.max(np.abs(direct - from_terms)) <= 1e-12
+        # the pointwise form through the projected x against the terms
+        assert np.max(np.abs(sy.omega(pair, x, xi) - om(x, xi))) <= 1e-12
         # gradient direction contracts to zero against the coefficients
         g = pair.primal.gradient(xi)
         contr = sum(g[..., l] * om.terms[l][1](xi) for l in range(2))
@@ -351,6 +361,11 @@ def test_parse_symbol_registry():
         sy.parse_symbol("no-such-symbol")
     with pytest.raises(ValueError):
         sy.parse_symbol("quadratic-form:A=[[1,2]]")
+    # singular, or A A^T or the dual's A^{-T} A^{-1} is not finite
+    for A in ("[[1,2],[2,4]]", "[[1,0],[0,0]]", "[[1,0],[0,1e-200]]",
+              "[[1,0],[0,1e200]]", "[[1e300,0],[0,1]]"):
+        with pytest.raises(ValueError, match="quadratic-form matrix"):
+            sy.parse_symbol(f"quadratic-form:A={A}")
 
 
 def test_parse_sigma_registry():
