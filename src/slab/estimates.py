@@ -18,8 +18,7 @@ import numpy as np
 from . import evolve as ev
 from . import grid as gr
 from . import quantize as qu
-from .errors import (BandExceeded, ExponentViolation, InvalidRatio,
-                     MassEscape, ZeroRung)
+from .errors import SlabError
 
 CSV_HEADER = "symbol,p,N,L,T,eps,ratio,mass_ok,seed"
 BOUNDED_STEP = 0.10
@@ -37,9 +36,9 @@ class SweepResult:
 
     def add(self, N, L, T, eps, ratio, mass_ok, seed):
         if not (np.isfinite(ratio) and ratio >= 0):
-            raise InvalidRatio(f"ratio {float(ratio)!r} at N = {N}, T = {T}, "
-                               f"eps = {eps}; sweep ratios are finite and "
-                               "non-negative")
+            raise SlabError(f"ratio {float(ratio)!r} at N = {N}, T = {T}, "
+                            f"eps = {eps}; sweep ratios are finite and "
+                            "non-negative")
         self.rows.append({"N": N, "L": L, "T": T, "eps": eps,
                           "ratio": float(ratio), "mass_ok": bool(mass_ok),
                           "seed": int(seed)})
@@ -144,14 +143,14 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     """smoothing_ratio's report for each x-space packet of the stack phis.
     The loop steps through the time samples one at a time; a sample's
     trials run as FFT-native stacks of at most _STACK_BYTES (one field at
-    least).  MassEscape is raised at the first time sample (lowest trial
+    least).  A SlabError is raised at the first time sample (lowest trial
     first) whose mass inside monitor_radius falls below mass_tol.
 
     When _time_reversible holds (make_packet's packets with every registry
     weight but tau over a symbol that is not even) the window is folded:
     only the samples t <= 0 run, in natural order, and each t > 0 takes
     its mirror's values, which halves the work.  A mirror's mass equals
-    its own, so MassEscape still fires at the same first sample.
+    its own, so the error still fires at the same first sample.
     Otherwise the same loop runs the full window.
     """
     g, S = plan.grid, len(phis)
@@ -180,8 +179,8 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
                     mass * inside, axis=plan.axes) / total
             low = np.flatnonzero(blk[1] < mass_tol)
             if len(low):
-                raise MassEscape(f"containment {blk[1][low[0]]:.5f} < "
-                                 f"{mass_tol} at t = {t:+.3f}")
+                raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
+                                f"{mass_tol} at t = {t:+.3f}")
             blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh))
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
@@ -286,7 +285,7 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
         nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
                             iters=iters, starts=trials, seed=seed + k)
         if nrm == 0:
-            raise ZeroRung(f"operator norm estimate is 0 at eps = {eps!r}")
+            raise SlabError(f"operator norm estimate is 0 at eps = {eps!r}")
         result.add(grid.N, grid.L, 0.0, eps, nrm, True, seed)
     ratios = result.ratios()
     result.metadata["max_over_min"] = float(max(ratios) / min(ratios))
@@ -326,7 +325,7 @@ def surface_norm(fhat_eval, pair, rho, band_limit=None):
     pts, w, p_om = surface_nodes(pair, rho)
     if band_limit is not None and np.max(np.linalg.norm(pts, axis=-1)) \
             > band_limit:
-        raise BandExceeded(
+        raise SlabError(
             f"surface at rho = {rho} leaves the usable frequency band")
     vals = fhat_eval(pts)
     return float(np.sqrt(rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)))
@@ -417,13 +416,13 @@ def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, N, L):
     valid for gamma < 1/2, delta < 1/2, m < 1, gamma + delta + m = 1:
     slab's one computation off the plane.  Direct double-sum quadrature
     on staggered grids of [-L, L); the stagger keeps x != y and both off
-    the origin.  InvalidRatio when no sample of f is positive, as the
+    the origin.  SlabError when no sample of f is positive, as the
     quotient is then 0/0.
     """
     if not (gamma < 0.5 and delta < 0.5 and m_exp < 1):
-        raise ExponentViolation("need gamma, delta < 1/2 and m < 1")
+        raise SlabError("need gamma, delta < 1/2 and m < 1")
     if abs(gamma + delta + m_exp - 1) > 1e-12:
-        raise ExponentViolation("exponents must sum to 1")
+        raise SlabError("exponents must sum to 1")
     h = 2.0 * L / N
     x = -L + (np.arange(N) + 0.5) * h
     y = x + h / 3.0
@@ -437,6 +436,6 @@ def hardy_littlewood_oracle(gamma, delta, m_exp, f, *, N, L):
     lhs = np.sqrt(np.sum(g**2) * h)
     rhs = np.sqrt(np.sum(fy**2) * h)
     if not rhs > 0:
-        raise InvalidRatio(f"no sample of f is positive on [-{L}, {L}) at "
-                           f"N = {N}: the quotient is 0/0")
+        raise SlabError(f"no sample of f is positive on [-{L}, {L}) at "
+                        f"N = {N}: the quotient is 0/0")
     return float(lhs / rhs)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import grid as gr
 from . import quantize as qu
-from .errors import LowFrequencyMass
+from .errors import SlabError
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def schrodinger_propagate(spec, phi, t):
 class WaveState:
     """Displacement and velocity data for the second-order equation; more
     than 0.1 % of the velocity's spectral mass in |xi| < 2 dxi raises
-    LowFrequencyMass."""
+    SlabError."""
 
     displacement: gr.Field
     velocity: gr.Field
@@ -114,7 +114,7 @@ class WaveState:
         if total > 0:
             low = np.sum(np.abs(vh.values[r < 2.0 * g.dxi]) ** 2)
             if low / total > 1e-3:
-                raise LowFrequencyMass(
+                raise SlabError(
                     f"{100 * low / total:.2f}% of velocity spectral mass "
                     "in the excluded low-frequency band")
 

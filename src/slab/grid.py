@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSize
+from .errors import SlabError
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,14 @@ class Grid:
 def make_grid(N, L):
     """Build a Grid, validating the lattice parameters."""
     if N < 2 or (N & (N - 1)) != 0:
-        raise InvalidSize(f"N={N} is not a power of two >= 2")
+        raise SlabError(f"N={N} is not a power of two >= 2")
     if L <= 0:
-        raise InvalidSize(f"L={L} must be positive")
+        raise SlabError(f"L={L} must be positive")
     h = 2.0 * L / N
     # a Python float's ** raises OverflowError where * gives inf
     if not np.isfinite(h * h):
-        raise InvalidSize(f"L={L}: the cell area (2L/N)^2 at N={N} is not "
-                          "finite")
+        raise SlabError(f"L={L}: the cell area (2L/N)^2 at N={N} is not "
+                        "finite")
     return Grid(N=N, L=float(L))
 
 
@@ -191,12 +191,18 @@ def _phase_sum(values, axis, pts, sign):
 
 
 def spectral_packet(grid, center, spread):
-    """Unit-norm packet with a Gaussian spectrum of width spread at center."""
+    """Unit-norm packet with a Gaussian spectrum of width spread at center;
+    SlabError where its norm on the grid is not a positive finite number
+    (it underflows to 0 on a huge box)."""
     xi = grid.freq_stack()
     d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
     spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
     f = inverse_transform(Field(grid, spec, "xi"))
-    return Field(grid, f.values / f.norm(), "x")
+    norm = f.norm()
+    if not (np.isfinite(norm) and norm > 0):
+        raise SlabError(f"packet norm {float(norm)!r} at N = {grid.N}, "
+                        f"L = {grid.L} is not a positive finite number")
+    return Field(grid, f.values / norm, "x")
 
 
 def eval_offgrid(f, targets):

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import grid as gr
 from . import symbols as sy
-from .errors import (CutoffLeakage, InvalidRatio, NonFiniteMultiplier,
-                     NonFiniteSymbol, StructureViolation)
+from .errors import CutoffLeakage, SlabError
 
 
 def low_freq_guard(grid):
@@ -53,7 +52,7 @@ def multiplier_values(grid, m, guard=None):
     if guard is not None:
         vals = np.where(np.isfinite(vals) | (guard != 0), vals, 0.0) * guard
     if not np.all(np.isfinite(vals)):
-        raise NonFiniteMultiplier("multiplier non-finite on the lattice")
+        raise SlabError("multiplier non-finite on the lattice")
     return vals
 
 
@@ -91,7 +90,7 @@ class SeparablePlan:
         self.x = np.array([np.broadcast_to(fx(X), grid.shape)
                            for fx, _ in sigma.terms], dtype=complex)
         if not np.all(np.isfinite(self.x)):
-            raise NonFiniteSymbol("x-factor non-finite on the grid")
+            raise SlabError("x-factor non-finite on the grid")
         self.m = np.array([multiplier_values(grid, fxi(xi), guard)
                            for _, fxi in sigma.terms])
         self.x.flags.writeable = self.m.flags.writeable = False
@@ -175,7 +174,7 @@ def _kn_sum(grid, block, kept, uh):
         kern = buf[:len(xb)]
         sym = np.broadcast_to(block(xb), kern.shape)
         if not np.all(np.isfinite(sym)):
-            raise NonFiniteSymbol("symbol non-finite on the sampling set")
+            raise SlabError("symbol non-finite on the sampling set")
         np.multiply(sym, col0[ax0[b]], out=kern)
         del sym     # not alive while the next block's symbol is evaluated
         kern *= col1[ax1[b]]
@@ -276,16 +275,14 @@ def apply_canonical(plan, f):
 # change of variables
 
 
-def apply_change_of_vars(kappa_spec, gamma, f):
+def apply_change_of_vars(theta, gamma, f):
     """J_gamma u = (gamma u) o kappa, by spectral interpolation, for the
-    rotation kappa(x) = R_theta x of the plane, kappa_spec
-    "rotation:theta=..", and the cutoff gamma, a ``grid.Cutoff``.
+    rotation kappa(x) = R_theta x of the plane by the angle theta and the
+    cutoff gamma, a ``grid.Cutoff``.
     """
     g = f.grid
-    if not kappa_spec.startswith("rotation:theta="):
-        raise ValueError(f"unknown change-of-variables spec {kappa_spec!r}")
-    th = float(kappa_spec.split("=", 1)[1])
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    R = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]])
     target = gr.Field(g, gamma.on_coords(g) * f.values, "x")
     src = g.coord_stack().reshape(-1, 2) @ R.T
     return gr.Field(g, gr.eval_field_offgrid(target, src).reshape(g.shape),
@@ -303,7 +300,7 @@ def commutator_residual(pair, h, f, multiplier=None):
     p commutes with the quantized Omega up to discretization because
     Omega is linear in x and grad_x Omega . grad p = 0.  Passing an
     explicit ``multiplier`` (e.g. h(xi_1)) gives the non-commuting control.
-    InvalidRatio when m(D) u vanishes identically: the residual would
+    SlabError when m(D) u vanishes identically: the residual would
     then be 0 whatever Omega does.
     """
     g = f.grid
@@ -316,9 +313,9 @@ def commutator_residual(pair, h, f, multiplier=None):
             return vals
     mu = apply_multiplier(f, multiplier)
     if not np.any(mu.values):
-        raise InvalidRatio("m(D) u vanishes on the lattice, so the "
-                           "commutator residual would be 0 whatever Omega "
-                           "does")
+        raise SlabError("m(D) u vanishes on the lattice, so the "
+                        "commutator residual would be 0 whatever Omega "
+                        "does")
     # Omega has orders (1, 1): its plan puts no low-frequency guard on it
     om = SeparablePlan(sy.omega_phase_symbol(pair), g)
     a_then_m = apply_multiplier(_apply_plan(om, f), multiplier)
@@ -382,7 +379,7 @@ def fio_bound_ratio(a, m, f):
 
 def structure_spot_check(pair, a):
     """Verify a(x, xi) vanishes on the orbit set at 64 points drawn with
-    seed 0: StructureViolation where it exceeds 1e-6 times its size at a
+    seed 0: SlabError where it exceeds 1e-6 times its size at a
     rotated off-orbit companion point.
     """
     rng = np.random.default_rng(0)
@@ -396,7 +393,7 @@ def structure_spot_check(pair, a):
     off = np.abs(a(x_off, k))
     scale = np.maximum(off, 1e-300)
     if np.max(on / scale) > 1e-6:
-        raise StructureViolation(
+        raise SlabError(
             f"symbol does not vanish on the orbit set "
             f"(relative size {np.max(on / scale):.2e})")
 
@@ -407,7 +404,7 @@ def basiclem_ratio(pair, a, m, f):
         ||a(X,D)u|| <= C (||Omega(X,D)u||_{L^2_{m-1}} + ||u||_{L^2_{m-1}})
 
     over the dilation family remodulated onto the carrier (3, 0).  The
-    symbol must vanish on the orbit set (StructureViolation otherwise);
+    symbol must vanish on the orbit set (SlabError otherwise);
     a and Omega are one SeparablePlan each for the whole family.
     """
     structure_spot_check(pair, a)
@@ -435,20 +432,28 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
     The family keeps f's envelope: u_lam is f recentred at lam*center and
     remodulated onto carrier.
-    a~(X,D) acts on the whole family in one direct quadrature; a(X,D)
-    needs separable terms and is one plan for the whole family.  All
-    2 len(lams) canonical warps, of the family and of a~(X,D) applied to
-    it, are one stacked apply_canonical call, which still checks each
-    field for CutoffLeakage.
+    a~(X,D) acts on the whole family in one direct quadrature, with a's
+    xi-factors evaluated once at the warped frequencies (SlabError when
+    the cutoff keeps no lattice mode); a(X,D) is one plan for the whole
+    family.  All 2 len(lams) canonical warps, of the family and of
+    a~(X,D) applied to it, are one stacked apply_canonical call, which
+    still checks each field for CutoffLeakage.
     """
     g = f.grid
     kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
+    if not len(kept):
+        raise SlabError(f"the cutoff band keeps no lattice mode at N = {g.N}, "
+                        f"L = {g.L}: it lies past the Nyquist frequency "
+                        f"{g.nyquist:.4g} or between modes {g.dxi:.4g} apart")
     eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
     # psi'(psi^{-1}(xi_k)) side by side: x psi' for all kept k is one product
     J_cat = sy.psi_jacobian(plan.pair, eta).transpose(1, 0, 2).reshape(2, -1)
+    # a's xi-factors at eta, evaluated once for every block
+    terms = [(fx, fxi(eta[None])) for fx, fxi in a.terms]
 
     def a_tilde(xb):
-        return a((xb @ J_cat).reshape(len(xb), -1, 2), eta[None])
+        x = (xb @ J_cat).reshape(len(xb), -1, 2)
+        return sum(fx(x) * m for fx, m in terms)
 
     family = [_dilation_family_member(f, lam, carrier, center, False)
               for lam in lams]

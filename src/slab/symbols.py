@@ -18,8 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (CurvatureUnchecked, DegenerateGradient, OptimizerStall,
-                     ZeroFrequency, ZeroPosition)
+from .errors import SlabError
 
 XI_MIN = 1e-12
 TOL_ORBIT = 1e-8
@@ -181,7 +180,7 @@ def gaussian_curvature(sym, pts):
         H = H[None]
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn < GRAD_TOL):
-        raise DegenerateGradient("vanishing gradient on Sigma_p sample")
+        raise SlabError("vanishing gradient on Sigma_p sample")
     B = np.zeros(pts.shape[:-1] + (3, 3))
     B[..., :2, :2] = H
     B[..., :2, 2] = g
@@ -243,7 +242,7 @@ def _support_maximizer(sym, x):
     step.  Returns the maximizers and the values x . sigma.
     """
     if np.any(np.all(x == 0.0, axis=-1)):
-        raise ZeroPosition("the support function has no maximizer at x = 0")
+        raise SlabError("the support function has no maximizer at x = 0")
     coarse = 2.0 * np.pi * np.arange(_SUPPORT_ANGLES) / _SUPPORT_ANGLES
     ring = np.stack([np.cos(coarse), np.sin(coarse)], axis=-1)
     theta = coarse[np.argmax(x @ (ring / sym(ring)[:, None]).T, axis=-1)]
@@ -268,8 +267,8 @@ def _support_maximizer(sym, x):
     sigma, d1, _ = _support_slopes(sym, x, theta)
     tol = 1e-7 * np.maximum(1.0, np.linalg.norm(x, axis=-1))
     if not np.all(np.abs(d1) <= tol):
-        raise OptimizerStall(f"stationarity residual {np.max(np.abs(d1)):.2e}"
-                             " after the bracketed Newton solve")
+        raise SlabError(f"stationarity residual {np.max(np.abs(d1)):.2e}"
+                        " after the bracketed Newton solve")
     return sigma, np.sum(x * sigma, axis=-1)
 
 
@@ -291,7 +290,7 @@ def make_dual(sym):
     """
     kmin, worst, ok = curvature_audit(sym)
     if not ok:
-        raise CurvatureUnchecked(
+        raise SlabError(
             f"curvature audit failed: min |K| = {kmin:.3e} at {worst}")
 
     def solve(x):
@@ -324,7 +323,7 @@ def closed_form_dual(sym):
 def _check_freq(xi):
     xi = np.asarray(xi, dtype=float)
     if np.any(np.linalg.norm(xi, axis=-1) < XI_MIN):
-        raise ZeroFrequency(f"|xi| below the degeneracy floor {XI_MIN}")
+        raise SlabError(f"|xi| below the degeneracy floor {XI_MIN}")
     return xi
 
 

@@ -473,7 +473,27 @@ def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
     ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
                     "profile_scale": 1e-300},
      "commutator failed: m(D) u vanishes"),
-], ids=["grid-L-1e200", "ladder-L-1e300", "commutator-profile-vanishes"])
+    # the annular cutoff keeps no lattice mode, where the direct
+    # Kohn-Nirenberg sum once divided by zero: a band past the lattice,
+    # and the default band past Nyquist 0.196 at N = 8, L = 64
+    ("egorov", {"p": "euclidean", "N": 16, "L": 16.0,
+                "band": [20, 21, 22, 23]},
+     "egorov failed: the cutoff band keeps no lattice mode at N = 16, "
+     "L = 16.0: it lies past the Nyquist frequency 1.571"),
+    ("egorov", {"p": "euclidean", "N": 8, "L": 64.0},
+     "egorov failed: the cutoff band keeps no lattice mode at N = 8, "
+     "L = 64.0: it lies past the Nyquist frequency 0.1963"),
+    # the packet's norm underflows to 0 on a box this wide, which once
+    # passed duality with a 0 defect and ran commutator into NaN ratios
+    ("duality", {"p": "euclidean", "sigma": "structured", "N": 16,
+                 "L": 1e150},
+     "duality failed: packet norm 0.0 at N = 16, L = 1e+150 is not a "
+     "positive finite number"),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 1e150},
+     "commutator failed: packet norm 0.0 at N = 16, L = 1e+150"),
+], ids=["grid-L-1e200", "ladder-L-1e300", "commutator-profile-vanishes",
+        "egorov-band-past-lattice", "egorov-band-past-nyquist",
+        "duality-L-1e150", "commutator-L-1e150"])
 def test_degenerate_runs_fail_in_one_line(runner, tmp_path, kind, cfg,
                                           start):
     line = one_line_failure(runner, tmp_path, kind, cfg)

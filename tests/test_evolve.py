@@ -7,7 +7,7 @@ from slab import evolve as ev
 from slab import grid as gr
 from slab import quantize as qu
 from slab import symbols as sy
-from slab.errors import LowFrequencyMass
+from slab.errors import SlabError
 
 
 EUCLID = sy.make_pair("euclidean")
@@ -127,7 +127,8 @@ def test_wave_rejects_low_frequency_velocity():
     g = gr.make_grid(32, 8.0)
     phi = band_field(g, 9)
     dc = gr.Field(g, np.ones(g.shape, complex), "x")
-    with pytest.raises(LowFrequencyMass):
+    with pytest.raises(SlabError, match="velocity spectral mass in the "
+                                        "excluded low-frequency band"):
         ev.WaveState(phi, dc)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slab import grid as gr
-from slab.errors import InvalidSize
+from slab.errors import SlabError
 
 
 def random_field(g, seed=0):
@@ -30,7 +30,7 @@ def test_grid_frequency_spacing():
 
 
 def test_grid_rejects_non_power_of_two():
-    with pytest.raises(InvalidSize):
+    with pytest.raises(SlabError, match=r"^N=7 is not a power of two >= 2$"):
         gr.make_grid(7, 1.0)
 
 

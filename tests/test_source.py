@@ -375,3 +375,47 @@ def test_every_public_name_is_reachable():
                   for dec in fn.decorator_list)]
     callers = [ast.parse(path.read_text()) for path in CALLERS]
     assert unreached(sources, roots, callers) == []
+
+
+def handled_types(trees):
+    """Names of the types that an ``except`` clause or the class argument
+    of an ``issubclass`` call in ``trees`` names, alone or in a tuple; a
+    dotted name counts by its last part."""
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                spec = node.type
+            elif (isinstance(node, ast.Call) and _name(node.func)
+                  == "issubclass" and len(node.args) == 2):
+                spec = node.args[1]
+            else:
+                continue
+            named.update(_name(t) for t in (
+                spec.elts if isinstance(spec, ast.Tuple) else [spec]))
+    return named
+
+
+def test_handler_check_finds_each_unhandled_type():
+    errors = ast.parse("class A(Exception): pass\nclass B(A): pass\n"
+                       "class C(A): pass\nclass D(Warning): pass\n"
+                       "class E(A): pass\n")
+    use = ast.parse("try:\n    f()\nexcept (errors.B, KeyError):\n    pass\n"
+                    "except A as exc:\n    raise E() from exc\n"
+                    "ok = issubclass(w.category, D)\n"
+                    "pytest.raises(C)\n")
+    # raising E and pytest.raises(C) tell no handler apart
+    assert sorted({cls.name for cls in errors.body} - handled_types([use])) \
+        == ["C", "E"]
+
+
+def test_every_error_type_is_handled():
+    # a type only earns its place where a production handler tells it
+    # apart from the others; a type that is only raised, or named only by
+    # a unit test's pytest.raises, is the base type with another name
+    errors = ast.parse(
+        pathlib.Path(slab.__file__).with_name("errors.py").read_text())
+    defined = {cls.name for cls in errors.body
+               if isinstance(cls, ast.ClassDef)}
+    callers = [ast.parse(path.read_text()) for path in [*SOURCES, *CALLERS]]
+    assert sorted(defined - handled_types(callers)) == []
