@@ -5,9 +5,10 @@ library, and writes CSV results plus a JSON run manifest and a
 human-readable verdict file into the output directory.
 
 ``KINDS`` is the experiment registry: one ``Kind`` per subcommand holds
-its required keys, its property schemas and its runner.  An optional
-key's default is the JSON-Schema ``default`` of its own property; it is
-filled in after validation, so a runner reads every key as ``cfg[key]``.
+its required keys, the schemas of its inputs and its runner, which keeps
+the bound its verdict checks as a constant.  An optional key's default
+is the JSON-Schema ``default`` of its own property; it is filled in
+after validation, so a runner reads every key as ``cfg[key]``.
 ``schema_error`` checks a config against its schema with the JSON Schema
 (Draft 2020-12) semantics of the few keywords the schemas use.
 
@@ -34,14 +35,11 @@ from . import quantize as qu
 from . import symbols as sy
 from .errors import ConfigInvalid, SlabError
 
-_COMMON = {
-    "kind": {"type": "string"},
-    "seed": {"type": "integer", "minimum": 0, "default": 0},
+# the schemas of the inputs that several kinds require: the symbol and
+# weight registry names and the grid
+_SHARED = {
     "p": {"type": "string"},
-    "out": {"type": "string", "default": "."},
-}
-
-_GRID = {
+    "sigma": {"type": "string"},
     "N": {"type": "integer", "minimum": 4},
     "L": {"type": "number", "exclusiveMinimum": 0},
 }
@@ -78,16 +76,18 @@ class Kind:
     def schema(self):
         return {"type": "object", "additionalProperties": False,
                 "required": list(self.required),
-                "properties": dict(_COMMON, **self.properties)}
+                "properties": {"seed": _int(0, minimum=0), **self.properties}}
 
 
 KINDS = {}
 
 
 def _kind(name, *required, **properties):
-    """Register the decorated runner as experiment ``name``."""
+    """Register the decorated runner as experiment ``name``; a required
+    key of ``_SHARED`` takes its schema from there."""
     def register(run):
-        KINDS[name] = Kind(required, properties, run)
+        shared = {key: _SHARED[key] for key in required if key in _SHARED}
+        KINDS[name] = Kind(required, dict(shared, **properties), run)
         return run
     return register
 
@@ -192,7 +192,7 @@ def _is_power_of_two(n):
 
 def _reject_constant(name):
     # Python's json reads NaN, Infinity and -Infinity, which are not JSON;
-    # a NaN tolerance would compare false with everything
+    # a NaN input would compare false with everything
     raise ConfigInvalid(f"{name} is not a JSON number")
 
 
@@ -213,10 +213,6 @@ def _load_config(path, overrides, kind):
             cfg[key] = json.loads(raw, parse_constant=_reject_constant)
         except ValueError:
             cfg[key] = raw
-    if cfg.setdefault("kind", kind) != kind:
-        raise ConfigInvalid(
-            f"config kind {cfg['kind']!r} does not match subcommand "
-            f"{kind!r}")
     entry = KINDS[kind]
     error = schema_error(entry.schema, cfg)
     if error is not None:
@@ -231,6 +227,7 @@ def _load_config(path, overrides, kind):
     for key, prop in entry.schema["properties"].items():
         if "default" in prop:
             cfg.setdefault(key, prop["default"])
+    cfg["kind"] = kind
     return cfg
 
 
@@ -319,22 +316,18 @@ def _verdict_lines(head, verdict, expect):
 @_kind("geometry-audit", "p",
        samples=_int(1000),
        construction={"enum": ["auto", "closed-form", "optimizer"],
-                     "default": "auto"},
-       tol_euler=_num(1e-8),
-       tol_dual={"type": "number"},    # 1e-6 closed-form, else 1e-5
-       tol_grad=_num(1e-5),
-       tol_roundtrip=_num(1e-8))
+                     "default": "auto"})
 def _run_geometry_audit(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg, cfg["construction"])
+    # criterion 01's bounds; a closed-form dual is exact to roundoff
     closed = pair.construction == "closed-form"
-    tol_dual = cfg.get("tol_dual", 1e-6 if closed else 1e-5)
+    tols = (1e-8, 1e-6 if closed else 1e-5, 1e-5, 1e-8)
     rng = np.random.default_rng(seed)
     xi = rng.normal(size=(cfg["samples"], 2))
     xi = xi[np.linalg.norm(xi, axis=-1) > 1e-3]
     scale = np.exp(rng.uniform(-1.0, 1.0, xi.shape[0]))
     xi = xi * scale[:, None]
-    tols = (cfg["tol_euler"], tol_dual, cfg["tol_grad"], cfg["tol_roundtrip"])
     checks = [(name, val, tol) for (name, val), tol
               in zip(sy.geometry_identities(pair, xi), tols)]
     entries = [(0, 0.0, 0.0, None, val, val <= tol)
@@ -355,7 +348,7 @@ def _squared_norm(v):
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
-@_kind("egorov", "p", "N", "L", **_GRID,
+@_kind("egorov", "p", "N", "L",
        amp_growth=_num(1.0),
        declared_order={"type": "number"},    # amp_growth
        lams=_vec([1.0, 2.0, 4.0, 8.0], minItems=2,
@@ -364,8 +357,7 @@ def _squared_norm(v):
        carrier=_vec([4.0, 0.0], minItems=2, maxItems=2),
        center=_vec([1.4, 0.0], minItems=2, maxItems=2),
        band=_vec([0.4, 1.0, 9.0, 11.0], minItems=4, maxItems=4),
-       packet_spread=_num(0.8, exclusiveMinimum=0),
-       slack=_num(3.0))
+       packet_spread=_num(0.8, exclusiveMinimum=0))
 def _run_egorov(cfg):
     lo, lo1, hi1, hi = cfg["band"]
     if not lo < lo1 <= hi1 < hi:
@@ -376,7 +368,7 @@ def _run_egorov(cfg):
     g = _grid_from_config(cfg)
     growth = cfg["amp_growth"]
     declared = cfg.get("declared_order", growth)
-    slack = cfg["slack"]
+    slack = 3.0    # criterion 06's bound on max/min
 
     def gfac(xi):
         return 1.0 / np.sqrt(1.0 + _squared_norm(xi))
@@ -402,18 +394,17 @@ def _run_egorov(cfg):
     return [("egorov", result)], lines, passed
 
 
-@_kind("commutator", "p", "N", "L", **_GRID,
+@_kind("commutator", "p", "N", "L",
        profile_scale=_num(4.0, exclusiveMinimum=0),
        packet_center=_vec([3.0, 0.0], minItems=2, maxItems=2),
        packet_spread=_num(1.8, exclusiveMinimum=0),
-       tol=_num(1e-7),
-       control={"type": "boolean", "default": False},
-       control_floor=_num(1e-2))
+       control={"type": "boolean", "default": False})
 def _run_commutator(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     g = _grid_from_config(cfg)
-    scale, tol, floor = cfg["profile_scale"], cfg["tol"], cfg["control_floor"]
+    scale = cfg["profile_scale"]
+    tol, floor = 1e-7, 1e-2    # criterion 04's bounds
     f = gr.spectral_packet(g, cfg["packet_center"], cfg["packet_spread"])
 
     def h(t):
@@ -441,7 +432,6 @@ def _run_commutator(cfg):
 
 
 @_kind("smoothing", "p", "sigma", "ladder",
-       sigma={"type": "string"},
        # rungs (N, L, T)
        ladder={"type": "array", "minItems": 2, "items": {
            "type": "array", "minItems": 3, "maxItems": 3,
@@ -472,8 +462,7 @@ def _run_smoothing(cfg):
     return [("smoothing", result)], lines, passed
 
 
-@_kind("lap", "p", "sigma", "N", "L", **_GRID,
-       sigma={"type": "string"},
+@_kind("lap", "p", "sigma", "N", "L",
        d=_num(1.0, exclusiveMinimum=0),
        # 2^-1074 is the least positive double
        eps_ladder_k=dict(_int(12), maximum=1074),
@@ -481,7 +470,6 @@ def _run_smoothing(cfg):
        iters=_int(20),
        order=_int(2),
        cell_quad=_int(8),
-       check_structure={"type": "boolean", "default": True},
        expect=_EXPECT)
 def _run_lap(cfg):
     pair = _pair_from_config(cfg)
@@ -490,8 +478,9 @@ def _run_lap(cfg):
         sigma, pair, _grid_from_config(cfg),
         eps_list=ev.epsilon_ladder(cfg["eps_ladder_k"]),
         sigma_label=cfg["sigma"],
-        **_args(cfg, "d", "trials", "seed", "order", "iters",
-                "check_structure", "cell_quad"))
+        # only a weight that vanishes on the orbit set can pass the check
+        check_structure=cfg["sigma"] in sy.ORBIT_VANISHING,
+        **_args(cfg, "d", "trials", "seed", "order", "iters", "cell_quad"))
     verdict = result.metadata["verdict"]
     lines, passed = _verdict_lines(
         f"lap max/min = {result.metadata['max_over_min']:.3f}, "
@@ -499,16 +488,12 @@ def _run_lap(cfg):
     return [("lap", result)], lines, passed
 
 
-@_kind("restriction", "p", "sigma", "N", "L", **_GRID,
-       sigma={"type": "string"},
+@_kind("restriction", "p", "sigma", "N", "L",
        rhos=_vec([1.0, 2.0, 4.0], minItems=2,
                  items={"type": "number", "exclusiveMinimum": 0}),
-       trials=_int(4),
-       window=_vec([1.19, 1.61], minItems=2, maxItems=2))
+       trials=_int(4))
 def _run_restriction(cfg):
-    lo, hi = cfg["window"]
-    if not lo <= hi:
-        raise ConfigInvalid(f"window {cfg['window']} is not ordered lo <= hi")
+    lo, hi = 1.19, 1.61    # criterion 10's window for each doubling ratio
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
@@ -527,18 +512,16 @@ def _run_restriction(cfg):
     return [("restriction", result)], lines, passed
 
 
-@_kind("duality", "p", "sigma", "N", "L", **_GRID,
-       sigma={"type": "string"},
+@_kind("duality", "p", "sigma", "N", "L",
        T=_num(4.0, exclusiveMinimum=0),
        n_times=_int(33, minimum=3),
        trials=_int(4),
-       order=_int(2),
-       tol=_num(1e-8))
+       order=_int(2))
 def _run_duality(cfg):
     seed = cfg["seed"]
     pair = _pair_from_config(cfg)
     sigma = _sigma_from_config(cfg, pair)
-    tol = cfg["tol"]
+    tol = 1e-8    # criterion 11's bound
     defect = es.duality_check(sigma, pair, _grid_from_config(cfg),
                               **_args(cfg, "T", "n_times", "trials", "seed",
                                       "order"))
@@ -556,10 +539,10 @@ def _run_duality(cfg):
        delta={"type": "number"},
        m_exp={"type": "number"},
        N=_int(512, minimum=4),
-       L=_num(8.0, exclusiveMinimum=0),
-       bound=_num(10.0))
+       L=_num(8.0, exclusiveMinimum=0))
 def _run_hl_oracle(cfg):
-    N, L, bound = cfg["N"], cfg["L"], cfg["bound"]
+    N, L = cfg["N"], cfg["L"]
+    bound = 10.0    # no criterion covers the oracle
     box = lambda y: np.where(np.abs(y) < 2.0, 1.0, 0.0)
     ratio = es.hardy_littlewood_oracle(cfg["gamma"], cfg["delta"],
                                        cfg["m_exp"], box,
@@ -582,7 +565,7 @@ def _execute(kind, config, override, out):
     try:
         cfg = _load_config(config, override, kind)
         results, lines, passed = KINDS[kind].run(cfg)
-        _write_artifacts(out or cfg["out"], cfg, results, lines, passed, t0)
+        _write_artifacts(out, cfg, results, lines, passed, t0)
     except ConfigInvalid as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
@@ -597,7 +580,7 @@ def _subcommand(kind):
     @click.option("--config", required=True,
                   type=click.Path(exists=False, dir_okay=False))
     @click.option("--override", multiple=True, metavar="K=V")
-    @click.option("--out", type=click.Path(file_okay=False), default=None)
+    @click.option("--out", type=click.Path(file_okay=False), default=".")
     def cmd(config, override, out):
         _execute(kind, config, override, out)
     cmd.help = f"Run the {kind} experiment from a JSON config."

@@ -193,12 +193,15 @@ def _phase_sum(values, axis, pts, sign):
 def spectral_packet(grid, center, spread):
     """Unit-norm packet with a Gaussian spectrum of width spread at center;
     SlabError where its norm on the grid is not a positive finite number
-    (it underflows to 0 on a huge box)."""
+    (it underflows to 0 on a huge box, or to 0 for a vanishing spread, and
+    overflows on a tiny box)."""
     xi = grid.freq_stack()
-    d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
-    spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
-    f = inverse_transform(Field(grid, spec, "xi"))
-    norm = f.norm()
+    # the check below reports whatever over- or underflows here
+    with np.errstate(all="ignore"):
+        d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
+        spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
+        f = inverse_transform(Field(grid, spec, "xi"))
+        norm = f.norm()
     if not (np.isfinite(norm) and norm > 0):
         raise SlabError(f"packet norm {float(norm)!r} at N = {grid.N}, "
                         f"L = {grid.L} is not a positive finite number")

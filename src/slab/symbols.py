@@ -1,7 +1,7 @@
 """Homogeneous symbols, duals, the canonical map and structure symbols.
 
 The central objects are a degree-1 positively homogeneous p(xi) > 0 with
-non-vanishing level-set curvature, its dual p* (support function of the
+positive level-set curvature, its dual p* (support function of the
 unit level set), the frequency warp psi conjugating p(D) to |D|, and the
 wedge symbol Omega(x, xi) that vanishes exactly on the classical orbit
 set Gamma_p = {(lambda grad p(xi), xi)}.
@@ -136,7 +136,7 @@ def quadratic_form(A):
 def perturbed(amp=0.05):
     """p(xi) = |xi| (1 + amp (xi_1/|xi|)^3), a smooth asymmetric bump.
 
-    Stays convex with non-vanishing curvature for small amp.
+    p > 0 needs |amp| < 1; the level set is convex only for small amp.
     """
 
     def value(xi):
@@ -189,16 +189,16 @@ def gaussian_curvature(sym, pts):
 
 
 def curvature_audit(sym):
-    """Minimum |Gaussian curvature| over the level_set_samples of Sigma_p;
-    passes iff above KAPPA_MIN.
+    """Minimum Gaussian curvature over the level_set_samples of Sigma_p;
+    passes iff above KAPPA_MIN, so the level set is convex (a curvature
+    that changes sign between samples fails on its negative side).
 
-    Returns (min_abs_curvature, worst_point, passed).
+    Returns (min_curvature, worst_point, passed).
     """
     pts = level_set_samples(sym)
     K = gaussian_curvature(sym, pts)
-    i = np.argmin(np.abs(K))
-    kmin = np.abs(K[i])
-    return float(kmin), pts[i], bool(kmin > KAPPA_MIN)
+    i = np.argmin(K)    # the first NaN, if any, which then fails
+    return float(K[i]), pts[i], bool(K[i] > KAPPA_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +284,14 @@ class DualPair:
 def make_dual(sym):
     """Build the dual symbol p*(x) = max {x.sigma : p(sigma) = 1}.
 
-    Non-vanishing curvature of the compact level set makes it convex, so
+    Positive curvature of the compact level set makes it convex, so
     the maximization is well posed; the dual gradient is the maximizer
     itself (envelope rule).
     """
     kmin, worst, ok = curvature_audit(sym)
     if not ok:
         raise SlabError(
-            f"curvature audit failed: min |K| = {kmin:.3e} at {worst}")
+            f"curvature audit failed: min K = {kmin:.3e} at {worst}")
 
     def solve(x):
         x = np.asarray(x, dtype=float)
@@ -480,10 +480,13 @@ def tau_phase_symbol(pair):
         ps = np.sum(x * gs, axis=-1)    # p*(x) = x . grad p*(x), degree 1
         return (ps / np.linalg.norm(gs, axis=-1))[..., None] * gs
 
+    def cross(x):
+        b = bvec(x)
+        return -2.0 * b[..., 0] * b[..., 1]
+
     terms = [
         (lambda x: bvec(x)[..., 0] ** 2, lambda xi: xi[..., 1] ** 2),
-        (lambda x: -2.0 * bvec(x)[..., 0] * bvec(x)[..., 1],
-         lambda xi: xi[..., 0] * xi[..., 1]),
+        (cross, lambda xi: xi[..., 0] * xi[..., 1]),
         (lambda x: bvec(x)[..., 1] ** 2, lambda xi: xi[..., 0] ** 2),
     ]
     return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0), terms)
@@ -557,6 +560,9 @@ def parse_symbol(spec):
         return quadratic_form(A)
     if spec.startswith("perturbed:amp="):
         amp = float(spec.split("=", 1)[1])
+        if not abs(amp) < 1.0:
+            raise ValueError(f"perturbed amp {amp} is not in (-1, 1), "
+                             "where p > 0 off the origin")
         return perturbed(amp)
     raise ValueError(f"unknown symbol spec {spec!r}")
 
@@ -571,6 +577,11 @@ def make_pair(spec, construction="auto"):
             if construction == "closed-form":
                 raise
     return make_dual(sym)
+
+
+# the registry weights that vanish on the orbit set Gamma_p: the only
+# ones the LAP sweep's structure spot check can pass
+ORBIT_VANISHING = ("structured", "tau")
 
 
 def parse_sigma(spec, pair):

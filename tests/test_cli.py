@@ -17,6 +17,7 @@ import slab
 from slab import estimates as es
 from slab import evolve as ev
 from slab import grid as gr
+from slab import quantize as qu
 from slab import symbols as sy
 from slab.cli import KINDS, main
 
@@ -130,12 +131,16 @@ def test_rejects_unknown_key(runner, tmp_path):
 
 
 def test_rejects_kind_mismatch(runner, tmp_path):
+    # the subcommand is the kind: a config that names one, even another,
+    # states a key the registry does not take
     cfg = write_config(tmp_path / "cfg.json",
                        {"kind": "duality", "p": "euclidean", "samples": 10})
     res = runner.invoke(main, ["geometry-audit", "--config", cfg,
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 1
-    assert "does not match" in res.output
+    assert res.output == ("config error: config does not validate: "
+                          "Additional properties are not allowed ('kind' "
+                          "was unexpected)\n")
 
 
 def test_rejects_malformed_override(runner, tmp_path):
@@ -167,18 +172,19 @@ def test_seed_env_override(runner, tmp_path):
 
 
 def test_verdict_failure_exits_two(runner, tmp_path):
-    # an unreachable tolerance makes the check fail while the run itself
-    # completes, so the exit code distinguishes the two outcomes
+    # at N = 64, L = 16 the commutator sits past the resolution edge: the
+    # run completes and its residual fails the fixed 1e-7, so the exit
+    # code distinguishes the two outcomes
     cfg = write_config(tmp_path / "cfg.json",
-                       {"p": "euclidean", "N": 32, "L": 8.0})
+                       {"p": "euclidean", "N": 64, "L": 16.0})
     out = tmp_path / "out"
     res = runner.invoke(main, ["commutator", "--config", cfg,
-                               "--override", "tol=1e-30",
                                "--out", str(out)])
     assert res.exit_code == 2, res.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["passed"] is False
-    assert "FAIL" in (out / "verdict.txt").read_text()
+    assert (out / "verdict.txt").read_text() == (
+        "commutator residual 3.342e-02 (tol 1.0e-07) FAIL\n")
 
 
 def test_commutator_pass(runner, tmp_path):
@@ -218,7 +224,7 @@ def test_perturbed_tau_duality_on_a_grid(runner, tmp_path):
     # every x-factor of tau evaluates the support-built dual on the grid
     cfg = write_config(tmp_path / "cfg.json",
                        {"p": "perturbed:amp=0.05", "sigma": "tau", "N": 32,
-                        "L": 16.0, "n_times": 3, "tol": 1e-8})
+                        "L": 16.0, "n_times": 3})
     t0 = time.monotonic()
     res = runner.invoke(main, ["duality", "--config", cfg,
                                "--out", str(tmp_path / "out")])
@@ -229,12 +235,18 @@ def test_perturbed_tau_duality_on_a_grid(runner, tmp_path):
 
 def test_optimizer_geometry_audit_roundtrip_at_roundoff(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
-                       {"p": "perturbed:amp=0.05", "construction": "optimizer",
-                        "tol_roundtrip": 1e-12})
+                       {"p": "perturbed:amp=0.05", "construction": "optimizer"})
     res = runner.invoke(main, ["geometry-audit", "--config", cfg,
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
     assert "psi-roundtrip" in res.output
+    # the support-built dual round-trips psi at roundoff, far inside the
+    # verdict's 1e-8, on random frequencies over two e-folds of scale
+    pair = sy.make_pair("perturbed:amp=0.05", construction="optimizer")
+    rng = np.random.default_rng(0)
+    xi = rng.normal(size=(1000, 2))
+    xi = xi * np.exp(rng.uniform(-1.0, 1.0, 1000))[:, None]
+    assert dict(sy.geometry_identities(pair, xi))["psi-roundtrip"] <= 1e-12
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -298,6 +310,9 @@ def test_module_entry_point_runs(tmp_path):
              "eps_ladder_k": 1075}, []),
     # the closed-form dual would square A^{-1} = diag(1, 1e200)
     ("geometry-audit", {"p": "quadratic-form:A=[[1,0],[0,1e-200]]"}, []),
+    # p = |xi| (1 + amp cos^3) > 0 needs |amp| < 1; 1e300 once ran the
+    # curvature audit through numpy RuntimeWarnings to a NaN minimum
+    ("geometry-audit", {"p": "perturbed:amp=1e300"}, []),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
@@ -305,7 +320,8 @@ def test_module_entry_point_runs(tmp_path):
         "packet_center-3d", "packet_center-1d", "egorov-spread-zero",
         "commutator-spread-zero", "smoothing-spread-zero",
         "smoothing-spread-negative", "rhos-zero", "lams-negative",
-        "lams-zero", "eps_ladder_k-underflow", "p-ill-conditioned"])
+        "lams-zero", "eps_ladder_k-underflow", "p-ill-conditioned",
+        "p-amp-huge"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               args):
     line = one_line_failure(runner, tmp_path, kind, cfg, *args)
@@ -341,30 +357,17 @@ def test_unordered_egorov_band_is_a_config_error(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_unordered_restriction_window_is_a_config_error(runner, tmp_path):
-    # a reversed window ran the whole sweep and then failed every ratio
-    path = write_config(tmp_path / "cfg.json",
-                        {"p": "euclidean", "sigma": "structured", "N": 8,
-                         "L": 4.0, "window": [1.61, 1.19]})
-    res = runner.invoke(main, ["restriction", "--config", path,
-                               "--out", str(tmp_path / "out")])
-    assert res.exit_code == 1
-    assert res.output == ("config error: window [1.61, 1.19] is not "
-                          "ordered lo <= hi\n")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("override", [False, True])
 def test_non_finite_json_literals_are_config_errors(runner, tmp_path,
                                                     literal, override):
-    # Python's json reads them; a NaN tolerance would compare false with
-    # every residual, and an infinite L fails deep in the plan
+    # Python's json reads them; a NaN input would compare false with
+    # every check, and an infinite L fails deep in the plan
     cfg = {"p": "euclidean", "N": 16, "L": 4.0}
     path = tmp_path / "cfg.json"
     if override:
         write_config(path, cfg)
-        extra = ["--override", f"tol={literal}"]
+        extra = ["--override", f"L={literal}"]
     else:
         path.write_text('{"p": "euclidean", "N": 16, "L": %s}' % literal)
         extra = []
@@ -491,13 +494,93 @@ def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
      "positive finite number"),
     ("commutator", {"p": "euclidean", "N": 16, "L": 1e150},
      "commutator failed: packet norm 0.0 at N = 16, L = 1e+150"),
+    # the packet's arithmetic over- or underflows: its norm check once came
+    # after numpy's RuntimeWarnings
+    ("egorov", {"p": "euclidean", "N": 16, "L": 1e-150},
+     "egorov failed: packet norm inf at N = 16, L = 1e-150 is not a "
+     "positive finite number"),
+    ("commutator", {"p": "euclidean", "N": 16, "L": 4.0,
+                    "packet_spread": 1e-300},
+     "commutator failed: packet norm 0.0 at N = 16, L = 4.0"),
+    ("restriction", {"p": "euclidean", "sigma": "structured", "N": 16,
+                     "L": 4.0, "rhos": [1e-300, 1]},
+     "restriction failed: packet norm nan at N = 16, L = 4.0"),
+    # the level set is not convex: 160 of its 512 samples have K < 0, and
+    # the support-function dual built on it was wrong
+    ("geometry-audit", {"p": "perturbed:amp=0.9"},
+     "geometry-audit failed: curvature audit failed: min K = -8.000e-01"),
 ], ids=["grid-L-1e200", "ladder-L-1e300", "commutator-profile-vanishes",
         "egorov-band-past-lattice", "egorov-band-past-nyquist",
-        "duality-L-1e150", "commutator-L-1e150"])
+        "duality-L-1e150", "commutator-L-1e150", "egorov-L-1e-150",
+        "commutator-spread-1e-300", "restriction-rho-1e-300",
+        "p-not-convex"])
 def test_degenerate_runs_fail_in_one_line(runner, tmp_path, kind, cfg,
                                           start):
     line = one_line_failure(runner, tmp_path, kind, cfg)
     assert line.startswith(start), line
+
+
+# a valid config of each kind, and each key the registry no longer takes
+# with a value it once took: the subcommand is the kind, --out is the
+# output directory, and each verdict bound is a constant of its runner
+_VALID = {
+    "geometry-audit": {"p": "euclidean"},
+    "egorov": {"p": "euclidean", "N": 8, "L": 4.0},
+    "commutator": {"p": "euclidean", "N": 8, "L": 4.0},
+    "smoothing": _SMOOTHING,
+    "lap": {"p": "euclidean", "sigma": "structured", "N": 8, "L": 4.0},
+    "restriction": {"p": "euclidean", "sigma": "structured", "N": 8,
+                    "L": 4.0},
+    "duality": {"p": "euclidean", "sigma": "structured", "N": 8, "L": 4.0},
+    "hl-oracle": {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5},
+}
+_REMOVED = [*((kind, "kind", kind) for kind in _VALID),
+            *((kind, "out", ".") for kind in _VALID),
+            ("geometry-audit", "tol_euler", 1e-8),
+            ("geometry-audit", "tol_dual", 1e-5),
+            ("geometry-audit", "tol_grad", 1e-5),
+            ("geometry-audit", "tol_roundtrip", 1e-8),
+            ("egorov", "slack", 3.0),
+            ("commutator", "tol", 1e-7),
+            ("commutator", "control_floor", 1e-2),
+            ("restriction", "window", [1.19, 1.61]),
+            ("duality", "tol", 1e-8),
+            ("hl-oracle", "bound", 10.0),
+            ("lap", "check_structure", True),
+            ("hl-oracle", "p", "euclidean")]
+
+
+@pytest.mark.parametrize("kind,key,value", _REMOVED,
+                         ids=[f"{kind}-{key}" for kind, key, _ in _REMOVED])
+def test_removed_key_is_a_config_error(runner, tmp_path, kind, key, value):
+    line = one_line_failure(runner, tmp_path, kind,
+                            dict(_VALID[kind], **{key: value}))
+    assert line == ("config error: config does not validate: Additional "
+                    f"properties are not allowed ('{key}' was unexpected)")
+
+
+@pytest.mark.parametrize("sigma,checked", [
+    ("structured", True), ("tau", True), ("unstructured-critical", False),
+    ("weighted:s=0.75", False)])
+def test_lap_spot_checks_structure_for_orbit_vanishing_weights(
+        runner, tmp_path, monkeypatch, sigma, checked):
+    # the two weights that vanish on the orbit set are checked there; the
+    # contrast weights, which cannot pass the check, run their sweep
+    checks = []
+
+    def spot_check(pair, a):
+        checks.append(a.label)
+        return check(pair, a)
+
+    check = qu.structure_spot_check
+    monkeypatch.setattr(qu, "structure_spot_check", spot_check)
+    path = write_config(tmp_path / "cfg.json",
+                        {"p": "euclidean", "sigma": sigma, "N": 16, "L": 4.0,
+                         "trials": 1, "iters": 2})
+    res = runner.invoke(main, ["lap", "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert len(checks) == checked
 
 
 def registry_defaults(kind):
@@ -509,18 +592,19 @@ def registry_defaults(kind):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_schema_defaults_satisfy_their_own_property(kind):
     defaults = registry_defaults(kind)
-    assert {"seed", "out"} <= set(defaults)
+    assert "seed" in defaults
     for key, value in defaults.items():
         jsonschema.validate(value, KINDS[kind].schema["properties"][key])
 
 
 def test_config_hash_covers_the_effective_config(runner, tmp_path):
     base = {"p": "euclidean", "samples": 50}
-    stated = dict(registry_defaults("geometry-audit"), kind="geometry-audit",
-                  **base)
+    stated = dict(registry_defaults("geometry-audit"), **base)
     digests = []
+    # euclidean p's dual is closed-form under "auto" too: the same run,
+    # another config
     for tag, cfg in (("omitted", base), ("stated", stated),
-                     ("changed", dict(base, tol_grad=2e-5))):
+                     ("changed", dict(base, construction="closed-form"))):
         path = write_config(tmp_path / f"{tag}.json", cfg)
         out = tmp_path / tag
         res = runner.invoke(main, ["geometry-audit", "--config", path,
@@ -553,7 +637,7 @@ _LIBRARY_CALLS = {
             sigma, pair, gr.make_grid(c["N"], c["L"]), d=c["d"],
             eps_list=ev.epsilon_ladder(c["eps_ladder_k"]),
             trials=c["trials"], seed=c["seed"], order=c["order"],
-            check_structure=c["check_structure"], iters=c["iters"],
+            check_structure=True, iters=c["iters"],
             cell_quad=c["cell_quad"]).ratios()),
     "restriction": (
         {"p": "euclidean", "sigma": "structured", "N": 32, "L": 8.0},

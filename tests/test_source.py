@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import slab
+from slab import cli
 
 SOURCES = sorted(pathlib.Path(slab.__file__).parent.glob("*.py"))
 
@@ -419,3 +420,57 @@ def test_every_error_type_is_handled():
                if isinstance(cls, ast.ClassDef)}
     callers = [ast.parse(path.read_text()) for path in [*SOURCES, *CALLERS]]
     assert sorted(defined - handled_types(callers)) == []
+
+
+def _is_name(node, name):
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def config_reads(fn, helpers):
+    """The config keys that ``fn``, a function whose first parameter is the
+    config, reads: each ``cfg[key]`` and ``cfg.get(key, ...)`` with a
+    literal key, each key it passes ``_args(cfg, ...)``, and the reads of
+    each function in ``helpers`` that it passes the config first."""
+    cfg = fn.args.args[0].arg
+    keys = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Subscript) and _is_name(node.value, cfg)
+                and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        elif not isinstance(node, ast.Call) or not node.args:
+            continue
+        elif (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+              and _is_name(node.func.value, cfg)
+              and isinstance(node.args[0], ast.Constant)):
+            keys.add(node.args[0].value)
+        elif _is_name(node.args[0], cfg) and _name(node.func) == "_args":
+            keys.update(arg.value for arg in node.args[1:])
+        elif _is_name(node.args[0], cfg) and _name(node.func) in helpers:
+            keys |= config_reads(helpers[_name(node.func)], helpers)
+    return keys
+
+
+def test_read_check_finds_each_read_key():
+    tree = ast.parse(
+        "def helper(c):\n    return c['h']\n"
+        "def unused(c):\n    return c['u']\n"
+        "def run(cfg):\n"
+        "    x = cfg['a'] + cfg.get('b', 0) + other.get('o')\n"
+        "    helper(cfg)\n    f(**_args(cfg, 'c', 'd'))\n"
+        "    unused(1, cfg)\n    return cfg[key]\n")
+    helpers = {fn.name: fn for fn in tree.body}
+    assert config_reads(helpers["run"], helpers) == {"a", "b", "c", "d", "h"}
+
+
+def test_every_registry_key_is_read_by_its_runner():
+    # a key that its runner never reads is an option with no effect; a
+    # verdict bound is a constant of the runner, not a key
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    helpers = {fn.name: fn for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)}
+    unread = []
+    for kind, entry in cli.KINDS.items():
+        reads = config_reads(helpers[entry.run.__name__], helpers)
+        unread += [f"{kind}.{key}" for key in entry.schema["properties"]
+                   if key not in reads]
+    assert sorted(unread) == []

@@ -80,6 +80,19 @@ def test_curvature_audit_rejects_quartic():
     assert kmin < 1e-2
 
 
+def test_curvature_audit_rejects_a_level_set_that_is_not_convex():
+    # amp = 0.9 bends the level set inward near xi_1 < 0: the curvature
+    # changes sign between samples, so min |K| alone would pass it
+    sym = sy.perturbed(0.9)
+    kmin, _, ok = sy.curvature_audit(sym)
+    assert not ok
+    assert kmin == pytest.approx(-0.8, abs=1e-3)
+    assert np.min(np.abs(sy.gaussian_curvature(
+        sym, sy.level_set_samples(sym)))) > sy.KAPPA_MIN
+    with pytest.raises(SlabError, match="min K = -8.000e-01"):
+        sy.make_dual(sym)
+
+
 def test_closed_form_dual_matches_inverse_matrix():
     # the dual of |xi A| is |x A^{-T}|; |x A^{-1}| agrees with it only
     # for a normal A, such as a diagonal one, and not for criterion 04's
@@ -328,7 +341,8 @@ def test_tau_plan_halves_support_solves(monkeypatch):
     monkeypatch.setattr(sy, "_support_maximizer", counted)
     g = gr.make_grid(32, 8.0)
     plan = qu.SeparablePlan(sy.tau_phase_symbol(pair), g)
-    assert len(calls) <= 4
+    # one solve per x-factor: the cross term binds b once
+    assert len(calls) == 3
     # the x-factors against b = p*(x) grad p*(x) / |grad p*(x)| from two
     # separate solves for the value and the gradient
     X = g.coord_stack()
@@ -359,6 +373,10 @@ def test_parse_symbol_registry():
     assert q(np.array([0.0, 1.0])) == pytest.approx(0.5)
     pert = sy.parse_symbol("perturbed:amp=0.05")
     assert pert(np.array([1.0, 0.0])) > 0
+    # p = |xi| (1 + amp cos^3) > 0 off the origin needs |amp| < 1
+    for amp in ("1", "-1", "1e300", "nan", "inf"):
+        with pytest.raises(ValueError, match="perturbed amp"):
+            sy.parse_symbol(f"perturbed:amp={amp}")
     with pytest.raises(ValueError):
         sy.parse_symbol("no-such-symbol")
     with pytest.raises(ValueError):
