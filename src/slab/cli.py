@@ -348,6 +348,16 @@ def _squared_norm(v):
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
+def _phase_top(axis, v, scale):
+    """scale * max |z.v| over the lattice axis^2.  The maximum and the
+    minimum of z.v are sums over the axes, and the product of finite
+    numbers is never NaN, so a phase past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        t = np.multiply.outer(v, axis)
+        return scale * max(np.sum(np.max(t, axis=1)),
+                           -np.sum(np.min(t, axis=1)))
+
+
 @_kind("egorov", "p", "N", "L",
        amp_growth=_num(1.0),
        declared_order={"type": "number"},    # amp_growth
@@ -379,6 +389,17 @@ def _run_egorov(cfg):
     a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0), [(xfac, gfac)])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
     env = gr.spectral_packet(g, np.zeros(2), cfg["packet_spread"])
+    # the carrier's phase x.carrier over the box, and the recentring's
+    # xi.(lam center) over the lattice, must keep a fractional digit; the
+    # packet's own check names a degenerate box first
+    for key, axis, scale in (("carrier", g.axis_points(), 1.0),
+                             ("center", g.axis_freqs(), max(cfg["lams"]))):
+        top = _phase_top(axis, np.asarray(cfg[key]), scale)
+        if top >= 2.0 ** 52:
+            raise ConfigInvalid(
+                f"{key} {cfg[key]} gives a phase of {top:.3g} at N = "
+                f"{cfg['N']}, L = {cfg['L']}: past 2^52 it keeps no "
+                "fractional digit")
     ratios = qu.egorov_residual(a, plan, declared, env,
                                 lams=tuple(cfg["lams"]),
                                 carrier=tuple(cfg["carrier"]),

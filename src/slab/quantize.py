@@ -16,11 +16,16 @@ check's warped symbol, which is not separable.  It takes e^{i x.xi} from
 per-axis tables of e^{i x_d xi_d}, never pair by pair, over blocks of
 lattice points sized in bytes: each block's (points, K) kernel stays
 under glibc's 128 KiB mmap threshold, so its temporaries reuse heap
-memory instead of faulting in fresh pages on every block.  The
-canonical transform I_gamma runs on a list of fields as one stacked
-off-grid contraction (a single field is the one-column case): cutoff,
-warp and phase tables are built once.  Its cutoff is a ``grid.Cutoff``,
-a profile composed with a map included.
+memory instead of faulting in fresh pages on every block.  The Egorov
+check pairs each kept mode xi with the kept mode -xi when every
+xi-input of the warped symbol agrees bit for bit at the two (an even p;
+never a Nyquist-row mode, whose -xi is off the lattice), and the
+quadrature evaluates the symbol once per pair, summing
+a [cos(x.xi) (v + w) + i sin(x.xi) (v - w)] over the spectra v and w at
+xi and -xi.  The canonical transform I_gamma runs on a list of fields
+as one stacked off-grid contraction (a single field is the one-column
+case): cutoff, warp and phase tables are built once.  Its cutoff is a
+``grid.Cutoff``, a profile composed with a map included.
 """
 
 import warnings
@@ -136,50 +141,92 @@ def apply_pseudo(f, sigma, method="auto"):
 _KN_BYTES = 1 << 17
 
 
-def _kn_sum(grid, block, kept, uh):
-    """Direct Kohn-Nirenberg quadrature of a (K, S) stack of spectra uh:
+def _kn_sum(grid, block, modes, v, w):
+    """Direct Kohn-Nirenberg quadrature of (K, S) stacks of spectra v, w:
 
-        out[x, s] = (dxi / 2 pi)^2 sum_k e^{i x.xi_k} a(x, xi_k) uh[k, s]
+        out[x, s] = (dxi / 2 pi)^2 sum_k a(x, xi_k)
+                    (e^{i x.xi_k} v[k, s] + e^{-i x.xi_k} w[k, s])
 
-    on the x-lattice, over the K lattice modes with flat indices ``kept``;
-    block(xb) is the symbol on the (points, K) set.  A block is the next
-    lattice points in flat order, as many as keep its (points, K) complex
-    kernel under _KN_BYTES and one at least.  Below that mmap threshold
-    the block's temporaries (the symbol and its intermediates, the
-    gathered phase rows) are heap memory the next block reuses; above it
-    each would be fresh pages, faulted in again on every block.  As
-    e^{i x.xi} = e^{i x_0 xi_0} e^{i x_1 xi_1}, the two per-axis tables
-    e^{i x_d xi_{k,d}} (N x K, gathered at the kept modes once) give each
-    block's phase as two gathered rows: the symbol, checked finite, is
-    multiplied by them into one kernel buffer that every block reuses, and
-    the block then meets all S columns in one product.
+    on the x-lattice, over the K lattice modes with flat indices ``modes``;
+    block(xb) is the symbol on the (points, K) set, or an array that
+    broadcasts to it with K entries on its last axis.  A mode k < len(w) is
+    one of a pair: w[k] is the spectrum at -xi_k, where the symbol takes
+    its value at xi_k, so the pair's symbol is evaluated, and checked
+    finite, once.  A mode past len(w) has w = 0.  With c + i s =
+    e^{i x.xi_k} the term is a [c (v + w) + i s (v - w)], which is a e v
+    for w = 0: the (points, K) kernel holds a c for a pair and a e for
+    the rest and meets [v + w, v] in one product, and a (points, len(w))
+    kernel holds a s and meets i (v - w) in another.
+
+    A block is the next lattice points in flat order, as many as keep its
+    (points, K) complex kernel under _KN_BYTES and one at least.  Below
+    that mmap threshold the block's temporaries (the symbol and its
+    intermediates, the gathered phase rows) are heap memory the next block
+    reuses; above it each would be fresh pages, faulted in again on every
+    block.  As e^{i x.xi} = e^{i x_0 xi_0} e^{i x_1 xi_1}, the two
+    per-axis tables e^{i x_d xi_{k,d}} (N x K, gathered at the modes once)
+    give each block's phase as two gathered rows, multiplied into the
+    kernel buffer that every block reuses.
     """
-    K = len(kept)
+    K, n = len(modes), len(w)
     table = np.exp(1j * np.outer(grid.axis_points(), grid.axis_freqs()))
     # np.take is row-major; table[:, k] is column-major, a row's entries
     # N * 16 bytes apart, which makes every gathered row a strided read
     col0, col1 = (np.take(table, k, axis=1)
-                  for k in np.unravel_index(kept, grid.shape))
+                  for k in np.unravel_index(modes, grid.shape))
     # per-axis point indices
     ax0, ax1 = np.indices(grid.shape).reshape(2, -1)
     x_flat = grid.coord_stack().reshape(-1, 2)
     P = len(x_flat)
     step = min(P, max(1, (_KN_BYTES - 1) // (16 * K)))
-    w = (grid.dxi / (2.0 * np.pi)) ** 2
+    weight = (grid.dxi / (2.0 * np.pi)) ** 2
+    rhs = np.concatenate([v[:n] + w, v[n:]]) * weight
+    rhs_s = 1j * (v[:n] - w) * weight
     buf = np.empty((step, K), dtype=complex)
-    out = np.empty((P, uh.shape[1]), dtype=complex)
+    buf_s = np.empty((step, n), dtype=complex)
+    out = np.empty((P, v.shape[1]), dtype=complex)
     for i in range(0, P, step):
         b = slice(i, i + step)
         xb = x_flat[b]
-        kern = buf[:len(xb)]
-        sym = np.broadcast_to(block(xb), kern.shape)
-        if not np.all(np.isfinite(sym)):
+        kern, kern_s = buf[:len(xb)], buf_s[:len(xb)]
+        np.multiply(col0[ax0[b]], col1[ax1[b]], out=kern)
+        sym = block(xb)
+        if not np.isfinite(sym).all():
             raise SlabError("symbol non-finite on the sampling set")
-        np.multiply(sym, col0[ax0[b]], out=kern)
+        np.multiply(sym[..., :n], kern[:, :n].imag, out=kern_s)
+        kern[:, :n] = kern[:, :n].real
+        kern *= sym
         del sym     # not alive while the next block's symbol is evaluated
-        kern *= col1[ax1[b]]
-        out[b] = (kern @ uh) * w
+        np.matmul(kern, rhs, out=out[b])
+        out[b] += kern_s @ rhs_s
     return out
+
+
+def _mode_pairs(grid, kept, inputs):
+    """Pair each of the modes with ascending flat indices ``kept`` with the
+    kept mode at exactly -xi when every row of the (K, ...) arrays
+    ``inputs``, the symbol's xi-inputs, agrees bit for bit at the two.
+    The zero mode is its own mirror and a Nyquist-row mode's -xi is off
+    the lattice, so neither pairs.  Returns indices into ``kept``:
+    ``first``, the pairs' lower members and then every unpaired mode, and
+    ``second``, the partners of the leading len(second) entries of
+    ``first``.
+    """
+    K, N = len(kept), grid.N
+    idx = np.unravel_index(kept, grid.shape)
+    mirror = np.ravel_multi_index(tuple((-i) % N for i in idx), grid.shape)
+    at = np.minimum(np.searchsorted(kept, mirror), K - 1)
+    lower = (kept[at] == mirror) & (at > np.arange(K))
+    for i in idx:
+        lower &= i != N // 2
+    for a in inputs:
+        bits = np.ascontiguousarray(a).reshape(K, -1).view(np.uint8)
+        lower &= np.all(bits == bits[at], axis=1)
+    paired = np.flatnonzero(lower)
+    second = at[paired]
+    rest = np.ones(K, dtype=bool)
+    rest[paired] = rest[second] = False
+    return np.concatenate([paired, np.flatnonzero(rest)]), second
 
 
 def _apply_direct(f, sigma, guard):
@@ -189,7 +236,12 @@ def _apply_direct(f, sigma, guard):
     kept = np.flatnonzero(guard != 0)
     xi = g.freq_stack().reshape(-1, 2)[kept]
     uh = (gr.transform(f).values * guard).ravel()[kept, None]
-    out = _kn_sum(g, lambda xb: sigma(xb[:, None], xi[None]), kept, uh)
+
+    def block(xb):
+        return np.broadcast_to(sigma(xb[:, None], xi[None]),
+                               (len(xb), len(kept)))
+
+    out = _kn_sum(g, block, kept, uh, uh[:0])
     return gr.Field(g, out.reshape(g.shape), "x")
 
 
@@ -435,9 +487,13 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     a~(X,D) acts on the whole family in one direct quadrature, with a's
     xi-factors evaluated once at the warped frequencies (SlabError when
     the cutoff keeps no lattice mode); a(X,D) is one plan for the whole
-    family.  All 2 len(lams) canonical warps, of the family and of
-    a~(X,D) applied to it, are one stacked apply_canonical call, which
-    still checks each field for CutoffLeakage.
+    family.  A kept mode pairs with the kept mode at exactly -xi when the
+    rows of psi'(psi^{-1}(xi)) and a's xi-factors at psi^{-1}(xi) agree
+    bit for bit at the two, as they do for an even p: a~ is then the same
+    at xi and -xi, and the quadrature evaluates it once per pair.  All
+    2 len(lams) canonical warps, of the family and of a~(X,D) applied to
+    it, are one stacked apply_canonical call, which still checks each
+    field for CutoffLeakage.
     """
     g = f.grid
     kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
@@ -446,20 +502,25 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
                         f"L = {g.L}: it lies past the Nyquist frequency "
                         f"{g.nyquist:.4g} or between modes {g.dxi:.4g} apart")
     eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
-    # psi'(psi^{-1}(xi_k)) side by side: x psi' for all kept k is one product
-    J_cat = sy.psi_jacobian(plan.pair, eta).transpose(1, 0, 2).reshape(2, -1)
+    J = sy.psi_jacobian(plan.pair, eta)
     # a's xi-factors at eta, evaluated once for every block
-    terms = [(fx, fxi(eta[None])) for fx, fxi in a.terms]
+    factors = [np.broadcast_to(fxi(eta[None]), (1, len(kept)))[0]
+               for _, fxi in a.terms]
+    first, second = _mode_pairs(g, kept, [J] + factors)
+    # psi'(psi^{-1}(xi_k)) side by side: x psi' for all evaluated k is one
+    # product
+    J_cat = J[first].transpose(1, 0, 2).reshape(2, -1)
+    terms = [(fx, mr[first]) for (fx, _), mr in zip(a.terms, factors)]
 
     def a_tilde(xb):
         x = (xb @ J_cat).reshape(len(xb), -1, 2)
-        return sum(fx(x) * m for fx, m in terms)
+        return sum(fx(x) * mr for fx, mr in terms)
 
     family = [_dilation_family_member(f, lam, carrier, center, False)
               for lam in lams]
     uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
                   axis=1)
-    tilde = _kn_sum(g, a_tilde, kept, uh)
+    tilde = _kn_sum(g, a_tilde, kept[first], uh[first], uh[second])
     # I_gamma u_lam and I_gamma a~(X,D) u_lam for the whole family at once
     warped = np.array([w.values for w in apply_canonical(plan, family + [
         gr.Field(g, col.reshape(g.shape), "x") for col in tilde.T])])

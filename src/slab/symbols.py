@@ -151,7 +151,21 @@ def perturbed(amp=0.05):
         corr[..., 0] += 3.0 * amp * xi[..., 0] ** 2 / r**2
         return g + corr
 
-    return HomogeneousSymbol(f"perturbed:amp={amp}", value, grad)
+    def hess(xi):
+        r2 = np.sum(xi * xi, axis=-1)[..., None, None]
+        x0 = xi[..., 0, None, None]
+        outer = xi[..., :, None] * xi[..., None, :]
+        # e0 xi^T + xi e0^T
+        axis = np.zeros_like(outer)
+        axis[..., 0, :] += xi
+        axis[..., :, 0] += xi
+        # the Hessian of the bump x0^3 / r^2
+        bump = (6.0 * x0 * np.diag([1.0, 0.0]) - 6.0 * x0**2 * axis / r2
+                - 2.0 * x0**3 * np.eye(2) / r2
+                + 8.0 * x0**3 * outer / r2**2) / r2
+        return (np.eye(2) - outer / r2) / np.sqrt(r2) + amp * bump
+
+    return HomogeneousSymbol(f"perturbed:amp={amp}", value, grad, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +300,28 @@ def make_dual(sym):
 
     Positive curvature of the compact level set makes it convex, so
     the maximization is well posed; the dual gradient is the maximizer
-    itself (envelope rule).
+    itself (envelope rule).  The last solve is kept, so a value and a
+    gradient asked at the same points share it; both come back
+    read-only.
     """
     kmin, worst, ok = curvature_audit(sym)
     if not ok:
         raise SlabError(
             f"curvature audit failed: min K = {kmin:.3e} at {worst}")
 
+    memo = {}
+
     def solve(x):
+        # the value and the gradient at the same points share one solve
         x = np.asarray(x, dtype=float)
-        sigma, val = _support_maximizer(sym, x.reshape(-1, 2))
-        return sigma.reshape(x.shape), val.reshape(x.shape[:-1])
+        key = (x.shape, x.tobytes())
+        if key not in memo:
+            sigma, val = _support_maximizer(sym, x.reshape(-1, 2))
+            sigma, val = sigma.reshape(x.shape), val.reshape(x.shape[:-1])
+            sigma.flags.writeable = val.flags.writeable = False
+            memo.clear()
+            memo[key] = sigma, val
+        return memo[key]
 
     dual = HomogeneousSymbol(sym.label + "*", lambda x: solve(x)[1],
                              lambda x: solve(x)[0],

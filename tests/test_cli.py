@@ -313,6 +313,15 @@ def test_module_entry_point_runs(tmp_path):
     # p = |xi| (1 + amp cos^3) > 0 needs |amp| < 1; 1e300 once ran the
     # curvature audit through numpy RuntimeWarnings to a NaN minimum
     ("geometry-audit", {"p": "perturbed:amp=1e300"}, []),
+    # a phase past 2^52 keeps no fractional digit: at N = 16, L = 8 these
+    # once passed with max/min 1.591 and 1.879; x.carrier overflows with
+    # both signs in the last, which must read inf, not inf - inf
+    ("egorov", {"p": "euclidean", "N": 16, "L": 8.0, "carrier": [1e300, 0]},
+     []),
+    ("egorov", {"p": "euclidean", "N": 16, "L": 8.0, "center": [1e300, 0]},
+     []),
+    ("egorov", {"p": "euclidean", "N": 16, "L": 8.0,
+                "carrier": [1e308, -1e308]}, []),
 ], ids=["p-unknown", "p-matrix", "p-amp", "p-closed-form", "seed-negative",
         "sigma-unknown", "sigma-weight", "p-nonsquare", "smoothing-dt",
         "pair-out-of-range", "pair-reversed", "pair-diagonal",
@@ -321,7 +330,7 @@ def test_module_entry_point_runs(tmp_path):
         "commutator-spread-zero", "smoothing-spread-zero",
         "smoothing-spread-negative", "rhos-zero", "lams-negative",
         "lams-zero", "eps_ladder_k-underflow", "p-ill-conditioned",
-        "p-amp-huge"])
+        "p-amp-huge", "carrier-1e300", "center-1e300", "carrier-overflow"])
 def test_bad_names_and_seed_are_config_errors(runner, tmp_path, kind, cfg,
                                               args):
     line = one_line_failure(runner, tmp_path, kind, cfg, *args)

@@ -323,6 +323,17 @@ def _budget(points, K):
     return 16 * K * points + 1
 
 
+def _even_kn_case(g, kept, xi):
+    """A complex symbol even in xi and its xi-inputs, which agree bit for
+    bit at -xi; the pairs, their partners and the unpaired modes."""
+    def sym(x, k):
+        return (np.cos(x @ np.array([1.0, 2.0]))
+                + 1j * k[..., 0] * k[..., 1]) / (1.0 + np.sum(k * k, -1))
+
+    first, second = qu._mode_pairs(g, kept, [xi * xi, xi[:, 0] * xi[:, 1]])
+    return sym, first, second
+
+
 # one point per block, 7 points (splitting the lattice's 8-point leading
 # rows), the whole lattice at once
 @pytest.mark.parametrize("points", [1, 7, 1 << 20])
@@ -334,37 +345,75 @@ def test_kn_sum_matches_literal_double_sum(monkeypatch, points):
         return (np.cos(x @ np.array([1.0, 2.0])) + 1j * np.sum(k, -1)) \
             / (1.0 + np.sum(k * k, -1))
 
-    out = qu._kn_sum(g, lambda xb: sym(xb[:, None], xi[None]), kept, uh)
-    ref = np.zeros((g.N ** 2, 3), dtype=complex)
-    for j, x in enumerate(g.coord_stack().reshape(-1, 2)):
-        for k, kx in enumerate(xi):
-            ref[j] += np.exp(1j * x @ kx) * sym(x, kx) * uh[k]
-    ref *= (g.dxi / (2.0 * np.pi)) ** 2
-    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    even, first, second = _even_kn_case(g, kept, xi)
+    nyquist = np.any(np.abs(xi[first[len(second):]]) == g.nyquist, axis=-1)
+    # paired modes, unpaired modes off and on the Nyquist rows
+    assert len(second) and np.any(nyquist) and not np.all(nyquist)
+    cases = [(sym, np.arange(len(kept)), second[:0]), (even, first, second)]
+    for sym, first, second in cases:
+        out = qu._kn_sum(g, lambda xb: sym(xb[:, None], xi[first][None]),
+                         kept[first], uh[first], uh[second])
+        ref = np.zeros((g.N ** 2, 3), dtype=complex)
+        for j, x in enumerate(g.coord_stack().reshape(-1, 2)):
+            for k, kx in enumerate(xi):
+                ref[j] += np.exp(1j * x @ kx) * sym(x, kx) * uh[k]
+        ref *= (g.dxi / (2.0 * np.pi)) ** 2
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_kn_sum_blocks_fit_the_byte_budget(monkeypatch):
     # every block's (points, K) complex kernel is under the budget unless
-    # it is a single point; the blocks tile the lattice in flat order
+    # it is a single point; the blocks tile the lattice in flat order.  K
+    # is the symbol's columns: one per pair, and one per unpaired mode
     g, kept, xi, uh = _kn_case()
-    K = len(kept)
-    for budget in (1, 100, 16 * K * 3, _budget(3, K), 1 << 13, 1 << 17,
-                   1 << 40):
+    _, first, second = _even_kn_case(g, kept, xi)
+    for budget in (1, 100, 16 * len(kept) * 3, _budget(3, len(kept)),
+                   1 << 13, 1 << 17, 1 << 40):
         monkeypatch.setattr(qu, "_KN_BYTES", budget)
-        seen = []
+        for first, second in [(np.arange(len(kept)), second[:0]),
+                              (first, second)]:
+            K = len(first)
+            seen = []
 
-        def block(xb):
-            seen.append(xb.copy())
-            return np.ones((len(xb), K))
+            def block(xb):
+                seen.append(xb.copy())
+                return np.ones((len(xb), K))
 
-        qu._kn_sum(g, block, kept, uh)
-        sizes = [len(xb) for xb in seen]
-        assert min(sizes) >= 1, budget
-        assert all(p == 1 or 16 * K * p < budget for p in sizes), budget
-        # as many points as fit: only the last block may be short
-        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0], budget
-        assert np.array_equal(np.concatenate(seen),
-                              g.coord_stack().reshape(-1, 2))
+            qu._kn_sum(g, block, kept[first], uh[first], uh[second])
+            sizes = [len(xb) for xb in seen]
+            assert min(sizes) >= 1, budget
+            assert all(p == 1 or 16 * K * p < budget for p in sizes), budget
+            # as many points as fit: only the last block may be short
+            assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0], \
+                budget
+            assert np.array_equal(np.concatenate(seen),
+                                  g.coord_stack().reshape(-1, 2))
+
+
+def test_mode_pairs_need_a_kept_mirror_and_bit_equal_inputs():
+    g = gr.make_grid(8, 3.0)
+    kept = np.arange(g.N ** 2)
+    xi = g.freq_stack().reshape(-1, 2)
+    sq = xi * xi
+    first, second = qu._mode_pairs(g, kept, [sq])
+    # every mode off the zero mode and the Nyquist rows pairs: 49 - 1
+    # modes, 24 pairs
+    assert len(second) == 24 and len(first) == 64 - 24
+    pairs = first[:len(second)]
+    assert np.array_equal(xi[second], -xi[pairs])
+    assert np.all(pairs < second)
+    assert np.array_equal(np.sort(np.concatenate([first, second])), kept)
+    # a NaN in one member unpairs it; -0.0 is not 0.0; a dropped mirror
+    # leaves its mode unpaired
+    k = pairs[0]
+    sq[k, 0] = np.nan
+    tagged = np.zeros(len(kept))
+    tagged[second[1]] = -0.0
+    assert len(qu._mode_pairs(g, kept, [sq, tagged])[1]) == 22
+    assert len(qu._mode_pairs(g, np.delete(kept, second[0]),
+                              [np.delete(xi * xi, second[0], 0)])[1]) == 23
+    # an odd input pairs nothing
+    assert len(qu._mode_pairs(g, kept, [xi])[1]) == 0
 
 
 def test_change_of_vars_identity_and_rotation():
@@ -431,15 +480,14 @@ def test_low_freq_guard_kills_origin():
     assert np.allclose(guard[r > 4 * g.dxi], 1.0)
 
 
-def _egorov_dual_case(N, xf=None, m=1.0):
+def _egorov_dual_case(N, xf=None, m=1.0, gx=None, pair=ELLIPSE):
     # the egorov CLI run at its defaults: x-growth symbol of order 1,
     # fixed envelope recentred along (1.4, 0) on the carrier (4, 0)
     g = gr.make_grid(N, 16.0)
-    gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
+    gx = gx or (lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1)))
     xf = xf or (lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)))
     a = sy.PhaseSpaceSymbol("x-growth", (1.0, 0.0), [(xf, gx)])
-    plan = qu.CanonicalTransformPlan(ELLIPSE,
-                                     gr.annular(0.4, 1.0, 9.0, 11.0))
+    plan = qu.CanonicalTransformPlan(pair, gr.annular(0.4, 1.0, 9.0, 11.0))
     env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
     return qu.egorov_residual(a, plan, m, env, carrier=(4.0, 0.0),
                               center=(1.4, 0.0))
@@ -547,7 +595,35 @@ def test_egorov_residual_leaves_blas_workers_idle():
 
 
 def test_egorov_residual_rejects_non_finite_warped_symbol():
-    with pytest.raises(SlabError, match="symbol non-finite on the "
-                                        "sampling set"):
-        _egorov_dual_case(16, lambda x: np.where(x[..., 0] > 3.0, np.nan, 1.0))
+    # a NaN in the x-factor, and a NaN in the xi-factor at the upper
+    # members of 8 +-xi pairs and at no other mode (N = 16): the pairing
+    # compares the factor's bits, so it unpairs them and the check sees it
+    def gx(eta):
+        nan = (np.abs(eta[..., 0] + 0.6) < 0.3) & (np.abs(eta[..., 1]) < 1.0)
+        return np.where(nan, np.nan,
+                        1.0 / np.sqrt(1.0 + np.sum(eta * eta, axis=-1)))
 
+    for case in ({"xf": lambda x: np.where(x[..., 0] > 3.0, np.nan, 1.0)},
+                 {"gx": gx}):
+        with pytest.raises(SlabError, match="symbol non-finite on the "
+                                            "sampling set"):
+            _egorov_dual_case(16, **case)
+
+
+
+def test_egorov_residual_pairs_the_mirror_modes_of_an_even_p(monkeypatch):
+    # the bench config keeps 1011 modes: 474 pairs and 63 unpaired, so the
+    # symbol has 537 columns; the perturbed p is not even and pairs none
+    seen = []
+
+    def spy(grid, block, modes, v, w):
+        seen.append((len(modes), len(w)))
+        return kn_sum(grid, block, modes, v, w)
+
+    kn_sum = qu._kn_sum
+    monkeypatch.setattr(qu, "_kn_sum", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffLeakage)
+        _egorov_dual_case(32)
+        _egorov_dual_case(32, pair=sy.make_pair("perturbed:amp=0.05"))
+    assert seen == [(537, 474), (1011, 0)]

@@ -155,6 +155,47 @@ def test_support_solve_raises_instead_of_returning_bad_points(monkeypatch):
         pair.dual.gradient(x)
 
 
+def test_support_dual_shares_one_solve_per_point_set(monkeypatch):
+    pair = sy.make_dual(sy.perturbed(0.05))
+    solve = sy._support_maximizer
+    calls = []
+
+    def counted(sym, x):
+        calls.append(len(x))
+        return solve(sym, x)
+
+    monkeypatch.setattr(sy, "_support_maximizer", counted)
+    x = sample_xi(40, seed=3)
+    val, grad = pair.dual(x), pair.dual.gradient(x.copy())
+    assert len(calls) == 1
+    # both are read-only: a caller cannot change the kept solve
+    with pytest.raises(ValueError):
+        val[0] = 0.0
+    with pytest.raises(ValueError):
+        grad[0] = 0.0
+    # other points, or the same bytes in another shape, solve again; the
+    # memo keeps one entry
+    assert np.array_equal(pair.dual.gradient(x[::-1].copy()), grad[::-1])
+    assert pair.dual(x[:1]).shape == (1,) and pair.dual(x[0]).shape == ()
+    assert np.array_equal(pair.dual(x), val)
+    assert calls == [40, 40, 1, 1, 40]
+    # geometry-audit's identities: p*(grad p) and grad p*(grad p) share
+    # a solve, the psi round trip takes the other
+    calls.clear()
+    sy.geometry_identities(pair, sample_xi(30))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("amp", [0.05, -0.3])
+def test_perturbed_hessian_matches_central_differences(amp):
+    sym = sy.perturbed(amp)
+    for xi in (sample_xi(200, seed=5), sy.level_set_samples(sym)):
+        H = sym.hessian(xi)
+        J = sy._central_jacobian(sym.grad, xi, sy.FD_STEP)
+        scale = np.linalg.norm(J, axis=(-2, -1))[:, None, None]
+        assert np.max(np.abs(H - J) / scale) <= 1e-8
+
+
 def test_support_dual_rejects_the_origin():
     # p*(x) = max x.sigma has no maximizer at x = 0, alone or in a batch
     pair = sy.make_dual(sy.perturbed(0.05))
@@ -341,10 +382,10 @@ def test_tau_plan_halves_support_solves(monkeypatch):
     monkeypatch.setattr(sy, "_support_maximizer", counted)
     g = gr.make_grid(32, 8.0)
     plan = qu.SeparablePlan(sy.tau_phase_symbol(pair), g)
-    # one solve per x-factor: the cross term binds b once
-    assert len(calls) == 3
-    # the x-factors against b = p*(x) grad p*(x) / |grad p*(x)| from two
-    # separate solves for the value and the gradient
+    # the three x-factors ask b at the same points: one solve
+    assert len(calls) == 1
+    # the x-factors against b = p*(x) grad p*(x) / |grad p*(x)| from the
+    # dual's value and gradient
     X = g.coord_stack()
     gs = pair.dual.gradient(X)
     b = (pair.dual(X) / np.linalg.norm(gs, axis=-1))[..., None] * gs
