@@ -139,12 +139,29 @@ def _time_reversible(plan, phis, masks):
                     for mask in masks))
 
 
+def _squared(v):
+    """The interleaved real and imaginary parts of the complex stack v,
+    whose rows are contiguous, squared in place (v is spent): a float
+    view whose einsum over the last two axes is the sum of |v|^2 there.
+    That sum is not sq_sum's pairwise one; the two agree to roundoff, and
+    neither uses BLAS."""
+    f = v.view(float)
+    return np.square(f, out=f)
+
+
 def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     """smoothing_ratio's report for each x-space packet of the stack phis.
-    The loop steps through the time samples one at a time; a sample's
-    trials run as FFT-native stacks of at most _STACK_BYTES (one field at
-    least).  A SlabError is raised at the first time sample (lowest trial
-    first) whose mass inside monitor_radius falls below mass_tol.
+    The loop steps through the time samples in blocks, one PropagatorPhase
+    call per block, and through a sample's trials in chunks; blocks and
+    chunks hold at most _STACK_BYTES of phases or spectra (one field at
+    least).  Each chunk writes e v^ and every m_r e v^ into one
+    preallocated (trials, 1 + R, N, N) stack and runs one in-place inverse
+    FFT over it: the first slot is u(t), from which both containment
+    masses come, and the x-factors times the other R slots, summed in
+    place, are sigma(X, D) u(t).  Both slots are squared in place and
+    summed by einsum (_squared), which agrees with plain pairwise sums to
+    roundoff.  A SlabError is raised at the first time sample (lowest
+    trial first) whose mass inside monitor_radius falls below mass_tol.
 
     When _time_reversible holds (make_packet's packets with every registry
     weight but tau over a symbol that is not even) the window is folded:
@@ -163,25 +180,34 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     masks = [None if np.all(inside) else inside for inside in masks]
     times = (window[:(len(window) + 1) // 2]
              if _time_reversible(plan, phis, masks) else window)
+    # each mask as a weight on the interleaved real and imaginary parts
+    mask_weights = [None if inside is None else np.repeat(
+        inside, 2, axis=-1).astype(float) for inside in masks]
     cols = max(1, _STACK_BYTES // vh[0].nbytes)
+    stack = np.empty((min(cols, S), 1 + len(plan.m), *g.shape), dtype=complex)
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
     out = np.empty((3, len(times), S))
-    for j, t in enumerate(times):
-        e = phase([t])[0]
-        for s in range(0, S, cols):
-            wh = e * vh[s:s + cols]
-            blk = out[:, j, s:s + cols]     # a view: writes land in out
-            mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
-            mass = mass.real ** 2 + mass.imag ** 2
-            total = np.sum(mass, axis=plan.axes)
-            for k, inside in enumerate(masks, 1):
-                blk[k] = 1.0 if inside is None else np.sum(
-                    mass * inside, axis=plan.axes) / total
-            low = np.flatnonzero(blk[1] < mass_tol)
-            if len(low):
-                raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
-                                f"{mass_tol} at t = {t:+.3f}")
-            blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh))
+    for b in range(0, len(times), cols):
+        for j, e in enumerate(phase(times[b:b + cols]), b):
+            for s in range(0, S, cols):
+                w = stack[:len(vh[s:s + cols])]
+                u, terms = w[:, 0], w[:, 1:]
+                np.multiply(e, vh[s:s + cols], out=u)
+                np.multiply(plan.m, w[:, :1], out=terms)
+                # s spares numpy a shape lookup, as in SeparablePlan._pass
+                np.fft.ifftn(w, s=g.shape, axes=plan.axes, out=w)
+                blk = out[:, j, s:s + cols]     # a view: writes land in out
+                mass = _squared(u)
+                total = np.einsum("sij->s", mass)
+                for k, weight in enumerate(mask_weights, 1):
+                    blk[k] = 1.0 if weight is None else np.einsum(
+                        "sij,ij->s", mass, weight) / total
+                low = np.flatnonzero(blk[1] < mass_tol)
+                if len(low):
+                    raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
+                                    f"{mass_tol} at t = {times[j]:+.3f}")
+                blk[0] = g.h ** 2 * np.einsum("sij->s", _squared(
+                    plan.term_sum(np.multiply(terms, plan.x, out=terms))))
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)
@@ -237,7 +263,9 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
 def operator_norm(ops, grid, *, iters, starts, seed):
     """Randomized power iteration on B*B, all random starts as one stack:
     ops is the pair (B, B_star) of maps on (starts, *grid.shape) stacks of
-    x-samples.  Returns the largest singular-value estimate."""
+    x-samples, each of which may return a view of a work stack that the
+    next call of either writes.  The start vectors are normalized in
+    place.  Returns the largest singular-value estimate."""
     B, B_star = ops
     rng = np.random.default_rng(seed)
     shape = grid.shape
@@ -254,7 +282,7 @@ def operator_norm(ops, grid, *, iters, starts, seed):
             break     # the next start vector would go unread
         z = B_star(w)
         nz = np.sqrt(gr.sq_sum(z))
-        v = z / np.where(nz > 0, nz, 1.0).reshape(-1, 1, 1)
+        np.divide(z, np.where(nz > 0, nz, 1.0).reshape(-1, 1, 1), out=v)
     return float(est.max())
 
 
@@ -272,12 +300,19 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
     label = sigma_label or getattr(sigma, "label", "sigma")
     result = SweepResult(label, spec_pair.primal.label,
                          metadata={"trials": trials, "kind": "lap", "d": d})
-    plan = qu.SeparablePlan(sigma, grid)
+    # the geometry's setup peak passes before the plan's stacks exist
     geometry = ev.ResolventGeometry(ev.EvolutionSpec(spec_pair, order=order),
                                     grid, cell_quad)
+    plan = qu.SeparablePlan(sigma, grid)
+    # the sandwich's two passes each write their own work stack, so a
+    # power step allocates no field
+    work = np.empty((2, trials, len(plan.m), *grid.shape), dtype=complex)
 
     def sandwich(mult):
-        return lambda v: plan.apply(mult * plan.adjoint(v))
+        def op(v):
+            z = plan.adjoint(v, out=work[0])
+            return plan.apply(np.multiply(mult, z, out=z), out=work[1])
+        return op
 
     ladder = geometry.ladder(d, eps_list, chi=chi)
     for k, (eps, rung) in enumerate(zip(eps_list, ladder)):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import grid as gr
 from . import quantize as qu
+from . import symbols as sy
 from .errors import SlabError
 
 
@@ -48,25 +49,63 @@ def symbol_lattice(pair, grid, power=1):
     homogeneous limit.
     """
     xi = grid.freq_stack()
-    r = np.linalg.norm(xi, axis=-1)
+    r = sy.planar_norm(xi)
     safe = np.where((r > 0)[..., None], xi, 1.0)
     vals = pair.primal(safe) ** power
     return np.where(r > 0, vals, 0.0)
 
 
+# an odd 64-bit multiplier (2^64 over the golden ratio) that mixes a
+# row's columns into one sort key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _distinct_rows(key):
     """Distinct rows of the contiguous (P, c) float array key, compared bit
-    for bit, and each row's index into them: key == rows[index] exactly."""
-    order = np.lexsort(key.view(np.uint64).T)
-    bits = key.view(np.uint64)[order]
-    new = np.empty(len(bits), dtype=bool)
-    new[0] = True
-    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-    rows = bits[new].view(float)
-    del bits
+    for bit, and each row's index into them: key == rows[index] exactly.
+
+    One argsort of one 64-bit key per row puts equal rows side by side:
+    the row's bits for c = 1 (rows then come out in the order of their
+    bits), a wrapping mix of the columns' bits otherwise.  Equal rows mix
+    to equal keys; should two distinct rows share a key, the rows are
+    lexsorted instead.  The temporaries are a few columns' worth."""
+    bits = key.view(np.uint64)
+    mixed = bits[:, 0]
+    for col in bits.T[1:]:
+        mixed = mixed * _MIX
+        mixed ^= col
+
+    def starts(order):
+        """Where each run of equal rows starts in bits[order]."""
+        new = np.zeros(len(order), dtype=bool)
+        new[0] = True
+        ordered = np.empty(len(order), dtype=np.uint64)
+        for col in bits.T:
+            # np.take gathers an order of magnitude faster than indexing;
+            # mode="clip" writes out unbuffered (every index is in range)
+            np.take(col, order, out=ordered, mode="clip")
+            new[1:] |= ordered[1:] != ordered[:-1]
+        return new
+
+    order = np.argsort(mixed)
+    new = starts(order)
+    if bits.shape[1] > 1:
+        # more runs than distinct keys: two distinct rows share a key
+        mixed.sort()
+        if np.count_nonzero(new) > 1 + np.count_nonzero(mixed[1:]
+                                                        != mixed[:-1]):
+            order = np.lexsort(bits.T)
+            new = starts(order)
+    del mixed
+    rows = np.take(bits, order[new], axis=0).view(float)
     index = np.empty(len(order), dtype=np.int32)
-    index[order] = np.cumsum(new) - 1
+    index[order] = np.cumsum(new, dtype=np.int32)
+    index -= 1
     return rows, index
+
+
+# past 2^52 a double keeps no fractional digit
+_FRACTION_LIMIT = 2.0 ** 52
 
 
 class PropagatorPhase:
@@ -75,21 +114,32 @@ class PropagatorPhase:
     The lattice takes few distinct values of p^m (489 of 4096 modes for
     the euclidean symbol at N = 64), so each call evaluates the complex
     exponential once per distinct value and time, then gathers: bit for
-    bit the exponential over the whole lattice.
+    bit the exponential over the whole lattice, row for row whatever the
+    number of times.  SlabError when max |t| max p^m reaches 2^52: the
+    phase then keeps no fractional digit, and e^{-i t p^m} is noise.
     """
 
     def __init__(self, spec, grid):
-        self.shape = grid.shape
+        self.grid, self.order = grid, spec.order
         pm, self.index = _distinct_rows(
             symbol_lattice(spec.pair, grid, spec.order).reshape(-1, 1))
         self.pm = pm[:, 0]
+        self.top = float(np.max(np.abs(self.pm)))
 
     def __call__(self, times):
         """C-contiguous (k, *grid.shape) stack, one phase per time."""
-        e = np.exp(-np.reshape(times, (-1, 1)) * 1j * self.pm)
+        times = np.reshape(times, (-1, 1))
+        t = float(np.max(np.abs(times)))
+        if t * self.top >= _FRACTION_LIMIT:
+            g = self.grid
+            raise SlabError(
+                f"|t| = {t:.3g} gives a propagator phase t p(xi)^"
+                f"{self.order} of up to {t * self.top:.3g} at N = {g.N}, "
+                f"L = {g.L}: past 2^52 it keeps no fractional digit")
+        e = np.exp(-times * 1j * self.pm)
         # np.take keeps C order: a strided gather would send the next
         # complex multiply down another loop, which moves its bits
-        return np.take(e, self.index, axis=1).reshape(-1, *self.shape)
+        return np.take(e, self.index, axis=1).reshape(-1, *self.grid.shape)
 
 
 def schrodinger_propagate(spec, phi, t):
@@ -161,9 +211,10 @@ class ResolventGeometry:
     (log antiderivative of the linearized symbol, finite uniformly in
     eps) and Gauss-Legendre across it, from p^m and its slope b per line.
     The lines' points take few distinct (p^m, b h / 2) pairs (8448 of
-    32768 for the euclidean symbol at N = 64, cell_quad = 8), so each rung
-    evaluates the log once per distinct lattice value and gathers, bit for
-    bit the per-line result.
+    32768 for the euclidean symbol at N = 64, cell_quad = 8), found by one
+    _distinct_rows pass over every node's lines, so each rung evaluates
+    the log once per distinct lattice value and gathers, bit for bit the
+    per-line result.
     """
 
     def __init__(self, spec, grid, cell_quad=1):
@@ -172,39 +223,12 @@ class ResolventGeometry:
             self.pm = symbol_lattice(spec.pair, grid, spec.order)
             return
         nodes, weights = np.polynomial.legendre.leggauss(cell_quad)
-        h, m, p = grid.dxi, spec.order, spec.pair.primal
-        xi = grid.freq_stack()
-        r = np.linalg.norm(xi, axis=-1)
-        gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
-        axis = np.argmax(np.abs(gc), axis=-1)
-        # each node's lines (one per lattice point) are deduped on their
-        # own, then across nodes: the temporaries stay at one lattice's
-        # worth
-        rows, index = [], []
-        for node in nodes:
-            key = np.empty((*grid.shape, 2))
-            for j in (0, 1):
-                mask = axis == j
-                if not np.any(mask):
-                    continue
-                # the line runs along axis j, offset by the node across it
-                shift = np.zeros(2)
-                shift[1 - j] = 0.5 * h * node
-                line = xi[mask] + shift
-                lr = np.linalg.norm(line, axis=-1)
-                lsafe = np.where((lr > 0)[..., None], line, 1.0)
-                pv = np.where(lr > 0, p(lsafe), 1.0)
-                b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
-                key[mask] = np.stack([np.where(lr > 0, pv ** m, 0.0),
-                                      0.5 * b * h], axis=-1)
-            pairs, idx = _distinct_rows(key.reshape(-1, 2))
-            index.append(idx + sum(map(len, rows)))
-            rows.append(pairs)
-        rows = np.concatenate(rows)
-        pairs, merged = _distinct_rows(rows)
+        # every node's lines (one per lattice point) are deduped in one
+        # pass
+        pairs, index = _distinct_rows(_line_rows(spec, grid, nodes))
         self.pm, self.bh = (np.ascontiguousarray(c) for c in pairs.T)
-        self.lines = [(0.5 * weight, merged[idx])
-                      for weight, idx in zip(weights, index)]
+        self.lines = [(0.5 * weight, idx) for weight, idx in
+                      zip(weights, index.reshape(len(nodes), -1))]
 
     def ladder(self, d, eps_list, chi=None):
         """Yield (L_p - d - i eps)^{-1} chi(D), the + i0 side limit, for
@@ -230,16 +254,50 @@ class ResolventGeometry:
             return 1.0 / (self.pm + shift)
         p0 = self.pm + shift
         flat = np.abs(self.bh) < 1e-12 * np.abs(p0)
-        num, den = (np.where(flat, 1.0, p0 + c) for c in (self.bh, -self.bh))
+        # log((p0 + bh) / (p0 - bh)) / (2 bh), formed in place in seg
+        seg, den = (p0 + c for c in (self.bh, -self.bh))
+        seg[flat] = den[flat] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(np.divide(seg, den, out=seg), out=seg)
+            del den
             # 2 bh is b h exactly
-            seg = np.where(flat, 1.0 / p0,
-                           np.log(num / den) / (2.0 * self.bh))
+            np.divide(seg, 2.0 * self.bh, out=seg)
+        seg[flat] = 1.0 / p0[flat]
         # every point adds its lines in node order, as one sum per line did
         vals = np.zeros(self.grid.N ** 2, dtype=complex)
         for w, idx in self.lines:
-            vals += w * seg[idx]
+            vals += w * np.take(seg, idx)
         return vals.reshape(self.grid.shape)
+
+
+def _line_rows(spec, grid, nodes):
+    """The (p^m, b h / 2) row of each cell-quadrature line, nodes first,
+    then lattice points, as one (len(nodes) N^2, 2) array: a point's line
+    runs along the axis best aligned with grad p^m, offset across it by
+    the node.  Its temporaries end with the call, before the rows are
+    deduped."""
+    h, m, p = grid.dxi, spec.order, spec.pair.primal
+    xi = grid.freq_stack()
+    r = sy.planar_norm(xi)
+    gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
+    axis = np.argmax(np.abs(gc), axis=-1)
+    key = np.empty((len(nodes), *grid.shape, 2))
+    for node, rows in zip(nodes, key):
+        for j in (0, 1):
+            mask = axis == j
+            if not np.any(mask):
+                continue
+            # the line runs along axis j, offset by the node across it
+            shift = np.zeros(2)
+            shift[1 - j] = 0.5 * h * node
+            line = xi[mask] + shift
+            lr = sy.planar_norm(line)
+            lsafe = np.where((lr > 0)[..., None], line, 1.0)
+            pv = np.where(lr > 0, p(lsafe), 1.0)
+            b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
+            rows[mask] = np.stack([np.where(lr > 0, pv ** m, 0.0),
+                                   0.5 * b * h], axis=-1)
+    return key.reshape(-1, 2)
 
 
 def resolvent_multiplier(spec, grid, d, eps):

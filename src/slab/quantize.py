@@ -80,11 +80,16 @@ class SeparablePlan:
     """sigma(X, D) = sum_r f_r(X) m_r(D) on one grid, built once.
 
     The x-factors f_r and guarded multipliers m_r are checked and kept
-    read-only as (R, *grid.shape) stacks.  ``apply`` and ``adjoint`` take
-    arrays with any leading batch axes and raw spectra vh = np.fft.fftn(u)
-    over the last two axes (the corner phase and h^2 of ``grid.transform``
-    cancel between the ends): a pass is one FFT call over all R terms plus
-    one multiply.  Symbols singular at xi = 0 get the low-frequency guard.
+    read-only as (R, *grid.shape) stacks, and so are their conjugates from
+    the first ``adjoint`` on.  ``apply`` and ``adjoint`` take arrays with
+    any leading batch axes and raw spectra vh = np.fft.fftn(u) over the
+    last two axes (the corner phase and h^2 of ``grid.transform`` cancel
+    between the ends): a pass is one FFT call over all R terms plus one
+    multiply, in place in a (..., R, *grid.shape) work stack, and the term
+    sum is formed in the stack's first term and returned as a view of it.
+    A caller that passes the work stack as ``out`` allocates nothing per
+    pass; the result then lives until the stack is written again.  Symbols
+    singular at xi = 0 get the low-frequency guard.
     """
 
     def __init__(self, sigma, grid):
@@ -99,22 +104,43 @@ class SeparablePlan:
         self.m = np.array([multiplier_values(grid, fxi(xi), guard)
                            for _, fxi in sigma.terms])
         self.x.flags.writeable = self.m.flags.writeable = False
+        self._conj = None
+
+    @staticmethod
+    def term_sum(w):
+        """Sum over the term axis of the (..., R, N, N) stack w, formed in
+        place in its first term, which is returned: the bits of np.sum
+        over that axis, which adds the terms in order."""
+        head = w[..., 0, :, :]
+        for r in range(1, w.shape[-3]):
+            np.add(head, w[..., r, :, :], out=head)
+        return head
 
     def _pass(self, w, fft, then):
         """Sum over the term axis of then * fft(w), for w the products of a
         factor stack with the input; w is transformed in place."""
-        fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
-        return np.sum(np.multiply(w, then, out=w), axis=-3)
+        # numpy's fftn is ~2x faster with out=, and s spares it a shape
+        # lookup
+        fft(w, s=self.grid.shape, axes=self.axes, out=w)
+        return self.term_sum(np.multiply(w, then, out=w))
 
-    def apply(self, vh):
-        """x-samples of sigma(X, D) u from vh = fftn(u)."""
-        w = self.m * np.expand_dims(vh, -3)     # the term axis
+    def apply(self, vh, out=None):
+        """x-samples of sigma(X, D) u from vh = fftn(u); out is the work
+        stack, allocated when None."""
+        w = np.multiply(self.m, vh[..., None, :, :], out=out)  # the term axis
         return self._pass(w, np.fft.ifftn, self.x)
 
-    def adjoint(self, v):
-        """fftn(sigma(X, D)^* v) from x-samples v."""
-        w = np.conj(self.x) * np.expand_dims(v, -3)
-        return self._pass(w, np.fft.fftn, np.conj(self.m))  # conj(x) freed
+    def adjoint(self, v, out=None):
+        """fftn(sigma(X, D)^* v) from x-samples v; out as for apply.  The
+        first call builds the conjugate stacks, which every later one
+        reuses."""
+        if self._conj is None:
+            self._conj = np.conj(self.x), np.conj(self.m)
+            for stack in self._conj:
+                stack.flags.writeable = False
+        x_conj, m_conj = self._conj
+        w = np.multiply(x_conj, v[..., None, :, :], out=out)
+        return self._pass(w, np.fft.fftn, m_conj)
 
 
 def _apply_plan(plan, f):

@@ -518,11 +518,24 @@ def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
     # the support-function dual built on it was wrong
     ("geometry-audit", {"p": "perturbed:amp=0.9"},
      "geometry-audit failed: curvature audit failed: min K = -8.000e-01"),
+    # a propagator phase t p^m past 2^52 keeps no fractional digit: the
+    # smoothing run once exited 0 with a growing verdict and a last ratio
+    # of 1.49e13, the duality run exited 2 with a defect of 5.3e129
+    ("smoothing", {"p": "euclidean", "sigma": "structured",
+                   "ladder": [[8, 4.0, 1e16], [8, 8.0, 2e16]], "trials": 1,
+                   "dt": 1e15},
+     "smoothing failed: |t| = 1e+16 gives a propagator phase t p(xi)^1 of "
+     "up to 4.44e+16 at N = 8, L = 4.0: past 2^52"),
+    ("duality", {"p": "euclidean", "sigma": "structured", "N": 16,
+                 "L": 4.0, "T": 1e300},
+     "duality failed: |t| = 1e+300 gives a propagator phase t p(xi)^2 of "
+     "up to 7.9e+301 at N = 16, L = 4.0: past 2^52"),
 ], ids=["grid-L-1e200", "ladder-L-1e300", "commutator-profile-vanishes",
         "egorov-band-past-lattice", "egorov-band-past-nyquist",
         "duality-L-1e150", "commutator-L-1e150", "egorov-L-1e-150",
         "commutator-spread-1e-300", "restriction-rho-1e-300",
-        "p-not-convex"])
+        "p-not-convex", "smoothing-phase-past-2^52",
+        "duality-phase-past-2^52"])
 def test_degenerate_runs_fail_in_one_line(runner, tmp_path, kind, cfg,
                                           start):
     line = one_line_failure(runner, tmp_path, kind, cfg)

@@ -236,6 +236,127 @@ def test_smoothing_reports_match_across_chunks_for_an_oblique_symbol():
     assert runs[0] == runs[1]
 
 
+def _two_call_reports(plan, spec, phis, monitor_radius, mass_tol):
+    """The smoothing loop as it ran before the fused stack: per time
+    sample and chunk, one inverse FFT for u(t) and its masses, then
+    plan.apply for sigma(X, D) u(t), with plain pairwise sums."""
+    g, S = plan.grid, len(phis)
+    phase = ev.PropagatorPhase(spec, g)
+    window = spec.times()
+    vh = np.fft.fftn(phis, axes=plan.axes)
+    masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
+    masks = [None if np.all(inside) else inside for inside in masks]
+    times = (window[:(len(window) + 1) // 2]
+             if es._time_reversible(plan, phis, masks) else window)
+    cols = max(1, es._STACK_BYTES // vh[0].nbytes)
+    out = np.empty((3, len(times), S))
+    for j, t in enumerate(times):
+        e = phase([t])[0]
+        for s in range(0, S, cols):
+            wh = e * vh[s:s + cols]
+            blk = out[:, j, s:s + cols]
+            mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
+            mass = mass.real ** 2 + mass.imag ** 2
+            total = np.sum(mass, axis=plan.axes)
+            for k, inside in enumerate(masks, 1):
+                blk[k] = 1.0 if inside is None else np.sum(
+                    mass * inside, axis=plan.axes) / total
+            low = np.flatnonzero(blk[1] < mass_tol)
+            if len(low):
+                raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
+                                f"{mass_tol} at t = {t:+.3f}")
+            blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh))
+    out = np.concatenate(
+        [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)
+    weights = np.ones(len(window))
+    weights[0] = weights[-1] = 0.5
+    norm2 = g.h ** 2 * gr.sq_sum(phis)
+    mass_min = np.minimum(1.0, out[1:].min(axis=1))
+    return [es.SmoothingReport(
+        float(np.sum(weights * f) * spec.dt / norm2[s]),
+        float(max(f[0], f[-1]) / f.max()) if f.max() > 0 else 0.0,
+        float(mass_min[0, s]), float(mass_min[1, s]))
+        for s, f in enumerate(out[0].T)]
+
+
+@pytest.mark.parametrize("p,name,order,N,L,T,dt,scale", [
+    # the bench's last rung, at its seeds and the CLI's defaults
+    ("euclidean", "structured", 1, 64, 64.0, 32.0, 0.5, np.sqrt(2.0)),
+    ("euclidean", "unstructured-critical", 1, 64, 64.0, 32.0, 0.5,
+     np.sqrt(2.0)),
+    # tau over the perturbed p runs the full window, with a monitor mask
+    ("perturbed:amp=0.05", "tau", 2, 32, 8.0, 2.0, 0.25, 0.75),
+], ids=["bench-structured", "bench-unstructured", "tau-perturbed"])
+def test_fused_smoothing_loop_matches_the_two_call_loop(p, name, order, N,
+                                                        L, T, dt, scale):
+    # the fused loop sums |.|^2 by einsum, not pairwise: every report
+    # field moves at roundoff only
+    pair = sy.make_pair(p)
+    g = gr.make_grid(N, L)
+    spec = ev.EvolutionSpec(pair, order=order, T=T, dt=dt)
+    rung = np.random.SeedSequence(0).spawn(3)[2]
+    phis = np.array([es.make_packet(g, np.random.default_rng(cs), 0.9,
+                                    0.15).values for cs in rung.spawn(3)])
+    plan = qu.SeparablePlan(sy.parse_sigma(name, pair), g)
+    args = (plan, spec, phis, scale * L, 0.0)
+    fused, ref = es._smoothing_reports(*args), _two_call_reports(*args)
+    for new, old in zip(fused, ref):
+        for key, value in vars(old).items():
+            assert getattr(new, key) == pytest.approx(value, rel=1e-13)
+
+
+_BENCH_LADDER = [(64, 16.0, 8.0), (64, 32.0, 16.0), (64, 64.0, 32.0)]
+
+
+def _transforms(run):
+    """(function, fields) of each np.fft.fftn and ifftn call of run()."""
+    calls = []
+
+    def counted(name, fft):
+        def call(a, *args, **kwargs):
+            calls.append((name, a.size // (a.shape[-2] * a.shape[-1])))
+            return fft(a, *args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fftn", "ifftn"):
+            mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("name,terms,fields", [
+    ("structured", 3, 1398), ("unstructured-critical", 1, 708)])
+def test_smoothing_transforms_stay_at_their_floor(name, terms, fields):
+    # the bench's smoothing runs: per rung, each of the 3 packets is one
+    # one-field inverse FFT and their spectra one fftn; then each folded
+    # time sample (17, 33 and 65 of them) is one ifftn over u(t) and its
+    # R terms for all 3 trials.  A transform added or a call split shows
+    calls = _transforms(lambda: es.smoothing_sweep(
+        sy.parse_sigma(name, EUCLID), EUCLID, _BENCH_LADDER, trials=3,
+        seed=0, dt=0.5, order=1, freq_mag=0.9, spread=0.15,
+        monitor_scale=np.sqrt(2.0), mass_tol=0.999))
+    expected = []
+    for samples in (17, 33, 65):
+        expected += [("ifftn", 1)] * 3 + [("fftn", 3)]
+        expected += [("ifftn", 3 * (1 + terms))] * samples
+    assert calls == expected
+    assert sum(n for _, n in calls) == fields
+    assert sum(name == "ifftn" for name, _ in calls) == 124
+
+
+def test_lap_transforms_stay_at_their_floor():
+    # the bench's lap run: 13 rungs of 10 power steps, each B = sigma M
+    # sigma* and, but for the last, B*; a sandwich is one fftn of the
+    # R = 3 adjoint terms and one ifftn of the 3 applied ones
+    calls = _transforms(lambda: es.lap_sweep(
+        sy.structured_sigma(EUCLID), EUCLID, gr.make_grid(64, 16.0), d=1.0,
+        eps_list=ev.epsilon_ladder(12), trials=1, seed=0, order=2,
+        check_structure=True, iters=10, cell_quad=8))
+    assert calls == [("fftn", 3), ("ifftn", 3)] * (13 * 19)
+    assert sum(n for _, n in calls) == 1482
+
+
 _BLAS_PROBE = """
 import numpy as np
 from slab import estimates as es, evolve as ev, grid as gr, symbols as sy

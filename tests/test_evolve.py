@@ -313,6 +313,73 @@ def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
             assert np.array_equal(e, ref)
 
 
+def test_propagator_phase_refuses_a_phase_past_2_52():
+    # past 2^52 a double keeps no fractional digit, so e^{-itP} is noise;
+    # the largest |t| of the call and the largest P on the lattice decide
+    g = gr.make_grid(8, 4.0)
+    spec = ev.EvolutionSpec(EUCLID, order=2)
+    phase = ev.PropagatorPhase(spec, g)
+    t = 2.0 ** 52 / np.max(ev.symbol_lattice(EUCLID, g, 2))
+    assert phase([0.0, -0.999 * t]).shape == (2, *g.shape)
+    with pytest.raises(SlabError, match=r"^\|t\| = .* past 2\^52 it keeps "
+                                        r"no fractional digit$"):
+        phase([0.0, -1.001 * t])
+
+
+def _geometry_keys(grid, cell_quad):
+    """The (p^m, b h / 2) rows that ResolventGeometry dedupes."""
+    keys, distinct = [], ev._distinct_rows
+
+    def capture(key):
+        keys.append(key.copy())
+        return distinct(key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "_distinct_rows", capture)
+        ev.ResolventGeometry(ev.EvolutionSpec(EUCLID, order=2), grid,
+                             cell_quad)
+    (key,) = keys
+    return key
+
+
+def _check_distinct_rows(key):
+    rows, index = ev._distinct_rows(key)
+    bits = rows.view(np.uint64)
+    assert key.view(np.uint64).tobytes() == bits[index].tobytes()
+    assert len(np.unique(bits, axis=0)) == len(rows)
+    return rows
+
+
+@pytest.mark.parametrize("mix", ["default", "colliding"])
+def test_distinct_rows_are_bit_exact_and_distinct(mix):
+    # the euclidean lattice's cell-quadrature rows repeat (8448 distinct
+    # of 32768 at N = 64, cell_quad = 8); a zero multiplier mixes every
+    # row to its last column alone, so rows that differ in the first
+    # share a sort key, and the lexsort fallback must still give each row
+    # once
+    key = _geometry_keys(gr.make_grid(64, 16.0), 8)
+    assert key.shape == (8 * 64 * 64, 2)
+    lexsorts, lexsort = [], np.lexsort
+
+    def counted(keys):
+        lexsorts.append(len(keys))
+        return lexsort(keys)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", counted)
+        if mix == "colliding":
+            mp.setattr(ev, "_MIX", np.uint64(0))
+            mixed = key.view(np.uint64)[:, 1]
+            assert len(np.unique(mixed)) < len(np.unique(key, axis=0))
+        rows = _check_distinct_rows(key)
+    assert len(rows) == 8448
+    assert len(lexsorts) == (mix == "colliding")
+    # one column: the rows come out in the order of their bits
+    bits = _check_distinct_rows(np.ascontiguousarray(key[:, :1])).view(
+        np.uint64)
+    assert np.all(bits[1:] > bits[:-1])
+
+
 def test_times_reject_a_step_that_does_not_divide_2T():
     # round(2T/dt) steps would silently move the window's end: T = 1,
     # dt = 0.3 would integrate up to t = 1.1
