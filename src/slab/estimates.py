@@ -103,7 +103,8 @@ class SmoothingReport:
     mass_min_inscribed: float = 1.0
 
 
-# bytes per smoothing stack chunk (one field at least); it sets peak RSS
+# bytes of spectra per smoothing chunk (one field at least); with the
+# chunk's 1 + R fused stack it sets peak RSS
 _STACK_BYTES = 1 << 18
 
 
@@ -151,17 +152,17 @@ def _squared(v):
 
 def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     """smoothing_ratio's report for each x-space packet of the stack phis.
-    The loop steps through the time samples in blocks, one PropagatorPhase
-    call per block, and through a sample's trials in chunks; blocks and
-    chunks hold at most _STACK_BYTES of phases or spectra (one field at
-    least).  Each chunk writes e v^ and every m_r e v^ into one
-    preallocated (trials, 1 + R, N, N) stack and runs one in-place inverse
-    FFT over it: the first slot is u(t), from which both containment
-    masses come, and the x-factors times the other R slots, summed in
-    place, are sigma(X, D) u(t).  Both slots are squared in place and
-    summed by einsum (_squared), which agrees with plain pairwise sums to
-    roundoff.  A SlabError is raised at the first time sample (lowest
-    trial first) whose mass inside monitor_radius falls below mass_tol.
+    The loop steps through the time samples one at a time and through a
+    sample's trials in chunks of at most _STACK_BYTES of spectra (one
+    field at least).  Each chunk writes e v^ and every m_r e v^ into one
+    preallocated (trials, 1 + R, N, N) stack, so it holds 1 + R times
+    _STACK_BYTES at most, and runs one in-place inverse FFT over it: the
+    first slot is u(t), from which both containment masses come, and the
+    x-factors times the other R slots, summed in place, are
+    sigma(X, D) u(t).  Both slots are squared in place and summed by
+    einsum (_squared), which agrees with plain pairwise sums to roundoff.
+    A SlabError is raised at the first time sample (lowest trial first)
+    whose mass inside monitor_radius falls below mass_tol.
 
     When _time_reversible holds (make_packet's packets with every registry
     weight but tau over a symbol that is not even) the window is folded:
@@ -187,27 +188,26 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     stack = np.empty((min(cols, S), 1 + len(plan.m), *g.shape), dtype=complex)
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
     out = np.empty((3, len(times), S))
-    for b in range(0, len(times), cols):
-        for j, e in enumerate(phase(times[b:b + cols]), b):
-            for s in range(0, S, cols):
-                w = stack[:len(vh[s:s + cols])]
-                u, terms = w[:, 0], w[:, 1:]
-                np.multiply(e, vh[s:s + cols], out=u)
-                np.multiply(plan.m, w[:, :1], out=terms)
-                # s spares numpy a shape lookup, as in SeparablePlan._pass
-                np.fft.ifftn(w, s=g.shape, axes=plan.axes, out=w)
-                blk = out[:, j, s:s + cols]     # a view: writes land in out
-                mass = _squared(u)
-                total = np.einsum("sij->s", mass)
-                for k, weight in enumerate(mask_weights, 1):
-                    blk[k] = 1.0 if weight is None else np.einsum(
-                        "sij,ij->s", mass, weight) / total
-                low = np.flatnonzero(blk[1] < mass_tol)
-                if len(low):
-                    raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
-                                    f"{mass_tol} at t = {times[j]:+.3f}")
-                blk[0] = g.h ** 2 * np.einsum("sij->s", _squared(
-                    plan.term_sum(np.multiply(terms, plan.x, out=terms))))
+    for j, t in enumerate(times):
+        e = phase([t])[0]
+        for s in range(0, S, cols):
+            w = stack[:len(vh[s:s + cols])]
+            u, terms = w[:, 0], w[:, 1:]
+            np.multiply(e, vh[s:s + cols], out=u)
+            np.multiply(plan.m, w[:, :1], out=terms)
+            np.fft.ifftn(w, axes=plan.axes, out=w)
+            blk = out[:, j, s:s + cols]     # a view: writes land in out
+            mass = _squared(u)
+            total = np.einsum("sij->s", mass)
+            for k, weight in enumerate(mask_weights, 1):
+                blk[k] = 1.0 if weight is None else np.einsum(
+                    "sij,ij->s", mass, weight) / total
+            low = np.flatnonzero(blk[1] < mass_tol)
+            if len(low):
+                raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
+                                f"{mass_tol} at t = {t:+.3f}")
+            blk[0] = g.h ** 2 * np.einsum("sij->s", _squared(
+                plan.term_sum(np.multiply(terms, plan.x, out=terms))))
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)

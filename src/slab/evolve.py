@@ -12,7 +12,6 @@ import numpy as np
 
 from . import grid as gr
 from . import quantize as qu
-from . import symbols as sy
 from .errors import SlabError
 
 
@@ -49,55 +48,24 @@ def symbol_lattice(pair, grid, power=1):
     homogeneous limit.
     """
     xi = grid.freq_stack()
-    r = sy.planar_norm(xi)
+    r = np.linalg.norm(xi, axis=-1)
     safe = np.where((r > 0)[..., None], xi, 1.0)
     vals = pair.primal(safe) ** power
     return np.where(r > 0, vals, 0.0)
 
 
-# an odd 64-bit multiplier (2^64 over the golden ratio) that mixes a
-# row's columns into one sort key
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _distinct_rows(key):
     """Distinct rows of the contiguous (P, c) float array key, compared bit
     for bit, and each row's index into them: key == rows[index] exactly.
-
-    One argsort of one 64-bit key per row puts equal rows side by side:
-    the row's bits for c = 1 (rows then come out in the order of their
-    bits), a wrapping mix of the columns' bits otherwise.  Equal rows mix
-    to equal keys; should two distinct rows share a key, the rows are
-    lexsorted instead.  The temporaries are a few columns' worth."""
-    bits = key.view(np.uint64)
-    mixed = bits[:, 0]
-    for col in bits.T[1:]:
-        mixed = mixed * _MIX
-        mixed ^= col
-
-    def starts(order):
-        """Where each run of equal rows starts in bits[order]."""
-        new = np.zeros(len(order), dtype=bool)
-        new[0] = True
-        ordered = np.empty(len(order), dtype=np.uint64)
-        for col in bits.T:
-            # np.take gathers an order of magnitude faster than indexing;
-            # mode="clip" writes out unbuffered (every index is in range)
-            np.take(col, order, out=ordered, mode="clip")
-            new[1:] |= ordered[1:] != ordered[:-1]
-        return new
-
-    order = np.argsort(mixed)
-    new = starts(order)
-    if bits.shape[1] > 1:
-        # more runs than distinct keys: two distinct rows share a key
-        mixed.sort()
-        if np.count_nonzero(new) > 1 + np.count_nonzero(mixed[1:]
-                                                        != mixed[:-1]):
-            order = np.lexsort(bits.T)
-            new = starts(order)
-    del mixed
-    rows = np.take(bits, order[new], axis=0).view(float)
+    One lexsort of the rows' bits puts equal rows side by side (for c = 1
+    it is the argsort of the bits)."""
+    order = np.lexsort(key.view(np.uint64).T)
+    bits = key.view(np.uint64)[order]
+    new = np.empty(len(bits), dtype=bool)
+    new[0] = True
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    rows = bits[new].view(float)
+    del bits
     index = np.empty(len(order), dtype=np.int32)
     index[order] = np.cumsum(new, dtype=np.int32)
     index -= 1
@@ -114,9 +82,9 @@ class PropagatorPhase:
     The lattice takes few distinct values of p^m (489 of 4096 modes for
     the euclidean symbol at N = 64), so each call evaluates the complex
     exponential once per distinct value and time, then gathers: bit for
-    bit the exponential over the whole lattice, row for row whatever the
-    number of times.  SlabError when max |t| max p^m reaches 2^52: the
-    phase then keeps no fractional digit, and e^{-i t p^m} is noise.
+    bit the exponential over the whole lattice.  SlabError when max |t|
+    max p^m reaches 2^52: the phase then keeps no fractional digit, and
+    e^{-i t p^m} is noise.
     """
 
     def __init__(self, spec, grid):
@@ -223,9 +191,30 @@ class ResolventGeometry:
             self.pm = symbol_lattice(spec.pair, grid, spec.order)
             return
         nodes, weights = np.polynomial.legendre.leggauss(cell_quad)
-        # every node's lines (one per lattice point) are deduped in one
-        # pass
-        pairs, index = _distinct_rows(_line_rows(spec, grid, nodes))
+        h, m, p = grid.dxi, spec.order, spec.pair.primal
+        xi = grid.freq_stack()
+        r = np.linalg.norm(xi, axis=-1)
+        gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
+        axis = np.argmax(np.abs(gc), axis=-1)
+        # every node's lines (one per lattice point), nodes first, are
+        # deduped in one pass
+        key = np.empty((len(nodes), *grid.shape, 2))
+        for node, rows in zip(nodes, key):
+            for j in (0, 1):
+                mask = axis == j
+                if not np.any(mask):
+                    continue
+                # the line runs along axis j, offset by the node across it
+                shift = np.zeros(2)
+                shift[1 - j] = 0.5 * h * node
+                line = xi[mask] + shift
+                lr = np.linalg.norm(line, axis=-1)
+                lsafe = np.where((lr > 0)[..., None], line, 1.0)
+                pv = np.where(lr > 0, p(lsafe), 1.0)
+                b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
+                rows[mask] = np.stack([np.where(lr > 0, pv ** m, 0.0),
+                                       0.5 * b * h], axis=-1)
+        pairs, index = _distinct_rows(key.reshape(-1, 2))
         self.pm, self.bh = (np.ascontiguousarray(c) for c in pairs.T)
         self.lines = [(0.5 * weight, idx) for weight, idx in
                       zip(weights, index.reshape(len(nodes), -1))]
@@ -254,7 +243,9 @@ class ResolventGeometry:
             return 1.0 / (self.pm + shift)
         p0 = self.pm + shift
         flat = np.abs(self.bh) < 1e-12 * np.abs(p0)
-        # log((p0 + bh) / (p0 - bh)) / (2 bh), formed in place in seg
+        # log((p0 + bh) / (p0 - bh)) / (2 bh), formed in place in seg: the
+        # rungs run while lap_sweep's work stacks live, so their
+        # temporaries would set its peak RSS
         seg, den = (p0 + c for c in (self.bh, -self.bh))
         seg[flat] = den[flat] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -266,38 +257,8 @@ class ResolventGeometry:
         # every point adds its lines in node order, as one sum per line did
         vals = np.zeros(self.grid.N ** 2, dtype=complex)
         for w, idx in self.lines:
-            vals += w * np.take(seg, idx)
+            vals += w * seg[idx]
         return vals.reshape(self.grid.shape)
-
-
-def _line_rows(spec, grid, nodes):
-    """The (p^m, b h / 2) row of each cell-quadrature line, nodes first,
-    then lattice points, as one (len(nodes) N^2, 2) array: a point's line
-    runs along the axis best aligned with grad p^m, offset across it by
-    the node.  Its temporaries end with the call, before the rows are
-    deduped."""
-    h, m, p = grid.dxi, spec.order, spec.pair.primal
-    xi = grid.freq_stack()
-    r = sy.planar_norm(xi)
-    gc = p.gradient(np.where((r > 0)[..., None], xi, 1.0))
-    axis = np.argmax(np.abs(gc), axis=-1)
-    key = np.empty((len(nodes), *grid.shape, 2))
-    for node, rows in zip(nodes, key):
-        for j in (0, 1):
-            mask = axis == j
-            if not np.any(mask):
-                continue
-            # the line runs along axis j, offset by the node across it
-            shift = np.zeros(2)
-            shift[1 - j] = 0.5 * h * node
-            line = xi[mask] + shift
-            lr = sy.planar_norm(line)
-            lsafe = np.where((lr > 0)[..., None], line, 1.0)
-            pv = np.where(lr > 0, p(lsafe), 1.0)
-            b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
-            rows[mask] = np.stack([np.where(lr > 0, pv ** m, 0.0),
-                                   0.5 * b * h], axis=-1)
-    return key.reshape(-1, 2)
 
 
 def resolvent_multiplier(spec, grid, d, eps):

@@ -198,9 +198,7 @@ def spectral_packet(grid, center, spread):
     xi = grid.freq_stack()
     # the check below reports whatever over- or underflows here
     with np.errstate(all="ignore"):
-        d = xi - np.asarray(center, dtype=float)
-        # np.sum over the last axis's two entries, bit for bit
-        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
         spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
         f = inverse_transform(Field(grid, spec, "xi"))
         norm = f.norm()

@@ -28,6 +28,7 @@ case): cutoff, warp and phase tables are built once.  Its cutoff is a
 ``grid.Cutoff``, a profile composed with a map included.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -85,11 +86,12 @@ class SeparablePlan:
     any leading batch axes and raw spectra vh = np.fft.fftn(u) over the
     last two axes (the corner phase and h^2 of ``grid.transform`` cancel
     between the ends): a pass is one FFT call over all R terms plus one
-    multiply, in place in a (..., R, *grid.shape) work stack, and the term
-    sum is formed in the stack's first term and returned as a view of it.
-    A caller that passes the work stack as ``out`` allocates nothing per
-    pass; the result then lives until the stack is written again.  Symbols
-    singular at xi = 0 get the low-frequency guard.
+    multiply, in place in a (..., R, *grid.shape) work stack.  A caller
+    that passes that stack as ``out`` allocates nothing per pass: the term
+    sum is then formed in the stack's first term and returned as a view
+    of it, which lives until the stack is written again.  Without ``out``
+    the sum is a fresh array.  Symbols singular at xi = 0 get the
+    low-frequency guard.
     """
 
     def __init__(self, sigma, grid):
@@ -104,7 +106,6 @@ class SeparablePlan:
         self.m = np.array([multiplier_values(grid, fxi(xi), guard)
                            for _, fxi in sigma.terms])
         self.x.flags.writeable = self.m.flags.writeable = False
-        self._conj = None
 
     @staticmethod
     def term_sum(w):
@@ -116,31 +117,33 @@ class SeparablePlan:
             np.add(head, w[..., r, :, :], out=head)
         return head
 
-    def _pass(self, w, fft, then):
+    def _pass(self, w, fft, then, in_place):
         """Sum over the term axis of then * fft(w), for w the products of a
-        factor stack with the input; w is transformed in place."""
-        # numpy's fftn is ~2x faster with out=, and s spares it a shape
-        # lookup
-        fft(w, s=self.grid.shape, axes=self.axes, out=w)
-        return self.term_sum(np.multiply(w, then, out=w))
+        factor stack with the input; w is transformed in place, and the
+        sum is formed in its first term when in_place, else fresh."""
+        fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
+        np.multiply(w, then, out=w)
+        return self.term_sum(w) if in_place else np.sum(w, axis=-3)
+
+    @functools.cached_property
+    def _conj(self):
+        """conj(x) and conj(m), built by the first adjoint and kept."""
+        stacks = np.conj(self.x), np.conj(self.m)
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
 
     def apply(self, vh, out=None):
         """x-samples of sigma(X, D) u from vh = fftn(u); out is the work
         stack, allocated when None."""
         w = np.multiply(self.m, vh[..., None, :, :], out=out)  # the term axis
-        return self._pass(w, np.fft.ifftn, self.x)
+        return self._pass(w, np.fft.ifftn, self.x, out is not None)
 
     def adjoint(self, v, out=None):
-        """fftn(sigma(X, D)^* v) from x-samples v; out as for apply.  The
-        first call builds the conjugate stacks, which every later one
-        reuses."""
-        if self._conj is None:
-            self._conj = np.conj(self.x), np.conj(self.m)
-            for stack in self._conj:
-                stack.flags.writeable = False
+        """fftn(sigma(X, D)^* v) from x-samples v; out as for apply."""
         x_conj, m_conj = self._conj
         w = np.multiply(x_conj, v[..., None, :, :], out=out)
-        return self._pass(w, np.fft.fftn, m_conj)
+        return self._pass(w, np.fft.fftn, m_conj, out is not None)
 
 
 def _apply_plan(plan, f):

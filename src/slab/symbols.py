@@ -46,14 +46,6 @@ def wedge(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def planar_norm(v, keepdims=False):
-    """|v| of planar vectors over the last axis: np.linalg.norm(v,
-    axis=-1) bit for bit (it adds the same two squares in the same order)
-    at a quarter of its cost, which is mostly its reduction."""
-    r = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
-    return r[..., None] if keepdims else r
-
-
 @dataclass
 class HomogeneousSymbol:
     """Degree-1 positively homogeneous function on the plane with
@@ -101,11 +93,11 @@ def _central_jacobian(fn, xi, step):
 
 def euclidean():
     def value(xi):
-        return planar_norm(xi)
+        return np.linalg.norm(xi, axis=-1)
 
     def grad(xi):
         with np.errstate(invalid="ignore", divide="ignore"):
-            return xi / planar_norm(xi, keepdims=True)
+            return xi / np.linalg.norm(xi, axis=-1, keepdims=True)
 
     def hess(xi):
         r = np.linalg.norm(xi, axis=-1)
@@ -458,18 +450,18 @@ class PhaseSpaceSymbol:
 
 
 def _safe_unit(x):
-    r = planar_norm(x, keepdims=True)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.where(r > 0, r, 1.0)
 
 
 def _inv_sqrt_radius(x):
     """|x|^{-1/2}, with the value 0 at x = 0."""
-    r = planar_norm(x)
+    r = np.linalg.norm(x, axis=-1)
     return np.where(r > 0, r, np.inf) ** -0.5
 
 
 def _sqrt_radius(xi):
-    return np.sqrt(planar_norm(xi))
+    return np.sqrt(np.linalg.norm(xi, axis=-1))
 
 
 def structured_sigma(pair):
@@ -493,7 +485,7 @@ def structured_sigma(pair):
         # grad p is degree-0 homogeneous, so the factor has the limit 0 at
         # xi = 0; the gradient is evaluated only away from it
         def factor(xi):
-            r = planar_norm(xi)
+            r = np.linalg.norm(xi, axis=-1)
             g = grad(np.where((r > 0)[..., None], xi, 1.0))
             return np.where(r > 0, np.sqrt(r) * g[..., i] * g[..., j], 0.0)
         return factor

@@ -350,30 +350,13 @@ def _check_distinct_rows(key):
     return rows
 
 
-@pytest.mark.parametrize("mix", ["default", "colliding"])
-def test_distinct_rows_are_bit_exact_and_distinct(mix):
+def test_distinct_rows_are_bit_exact_and_distinct():
     # the euclidean lattice's cell-quadrature rows repeat (8448 distinct
-    # of 32768 at N = 64, cell_quad = 8); a zero multiplier mixes every
-    # row to its last column alone, so rows that differ in the first
-    # share a sort key, and the lexsort fallback must still give each row
-    # once
+    # of 32768 at N = 64, cell_quad = 8), and all of them are deduped in
+    # one pass
     key = _geometry_keys(gr.make_grid(64, 16.0), 8)
     assert key.shape == (8 * 64 * 64, 2)
-    lexsorts, lexsort = [], np.lexsort
-
-    def counted(keys):
-        lexsorts.append(len(keys))
-        return lexsort(keys)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "lexsort", counted)
-        if mix == "colliding":
-            mp.setattr(ev, "_MIX", np.uint64(0))
-            mixed = key.view(np.uint64)[:, 1]
-            assert len(np.unique(mixed)) < len(np.unique(key, axis=0))
-        rows = _check_distinct_rows(key)
-    assert len(rows) == 8448
-    assert len(lexsorts) == (mix == "colliding")
+    assert len(_check_distinct_rows(key)) == 8448
     # one column: the rows come out in the order of their bits
     bits = _check_distinct_rows(np.ascontiguousarray(key[:, :1])).view(
         np.uint64)
