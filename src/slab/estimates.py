@@ -74,19 +74,29 @@ def verdict(ratios):
     return "inconclusive"
 
 
-def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
-    """Unit-norm wave packet: spectral Gaussian at a random direction on
-    the circle of radius freq_mag, centered at x = 0.
+def make_packets(grid, rngs, freq_mag, spread):
+    """Unit-norm wave packets, one per generator of rngs, as an (S, N, N)
+    stack of x-samples built in one pass: each is a spectral Gaussian at
+    a random direction (one draw of its generator) on the circle of radius
+    freq_mag, centered at x = 0, with the bits of its one-packet build.
 
-    The spectrum is real, so phi(x) = conj(phi(-x)) up to roundoff; the
+    The spectrum is real, so phi(x) = conj(phi(-x)) up to roundoff; each
     packet is averaged with its conjugate reflection to make that exact
     (a move of ~1e-15 per sample), which lets _smoothing_reports fold
     its time window.
     """
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    center = freq_mag * np.array([np.cos(theta), np.sin(theta)])
-    phi = gr.spectral_packet(grid, center, spread).values
-    return gr.Field(grid, 0.5 * (phi + np.conj(grid.reflect(phi))), "x")
+    centers = []
+    for rng in rngs:
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        centers.append(freq_mag * np.array([np.cos(theta), np.sin(theta)]))
+    phis = gr.spectral_packets(grid, centers, spread)
+    return 0.5 * (phis + np.conj(grid.reflect(phis)))
+
+
+def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
+    """The one-packet make_packets, as an x-space Field."""
+    return gr.Field(grid, make_packets(grid, [rng], freq_mag, spread)[0],
+                    "x")
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +160,14 @@ def _squared(v):
     return np.square(f, out=f)
 
 
+def _sq_norms(v):
+    """sum |v|^2 over the last two axes of the complex stack v, whose rows
+    are contiguous, by one einsum over its float view: no temporary, no
+    BLAS, and v is left as it was."""
+    f = v.view(float)
+    return np.einsum("...ij,...ij->...", f, f)
+
+
 def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     """smoothing_ratio's report for each x-space packet of the stack phis.
     The loop steps through the time samples one at a time and through a
@@ -174,7 +192,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     g, S = plan.grid, len(phis)
     phase = ev.PropagatorPhase(spec, g)
     window = spec.times()
-    vh = np.fft.fftn(phis, axes=plan.axes)
+    vh = gr.fft2(phis)
     # a mask over the whole box (the CLI's default monitor radius, the
     # half-diagonal) holds fraction 1 exactly: None skips its sum
     masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
@@ -195,7 +213,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
             u, terms = w[:, 0], w[:, 1:]
             np.multiply(e, vh[s:s + cols], out=u)
             np.multiply(plan.m, w[:, :1], out=terms)
-            np.fft.ifftn(w, axes=plan.axes, out=w)
+            gr.fft2(w, inverse=True, out=w)
             blk = out[:, j, s:s + cols]     # a view: writes land in out
             mass = _squared(u)
             total = np.einsum("sij->s", mass)
@@ -241,9 +259,8 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
     for (N, L, T), ss in zip(ladder, root.spawn(len(ladder))):
         g = gr.make_grid(N, float(L))
         spec = ev.EvolutionSpec(spec_pair, order=order, T=float(T), dt=dt)
-        phis = np.array([
-            make_packet(g, np.random.default_rng(cs), freq_mag, spread).values
-            for cs in ss.spawn(trials)])
+        phis = make_packets(g, [np.random.default_rng(cs)
+                                for cs in ss.spawn(trials)], freq_mag, spread)
         reports = _smoothing_reports(qu.SeparablePlan(sigma, g), spec, phis,
                                      monitor_scale * float(L), mass_tol)
         best = max(reports, key=lambda rep: rep.ratio)
@@ -265,7 +282,9 @@ def operator_norm(ops, grid, *, iters, starts, seed):
     ops is the pair (B, B_star) of maps on (starts, *grid.shape) stacks of
     x-samples, each of which may return a view of a work stack that the
     next call of either writes.  The start vectors are normalized in
-    place.  Returns the largest singular-value estimate."""
+    place, and every norm is one einsum over a stack's float view
+    (_sq_norms), so a power step allocates no field.  Returns the largest
+    singular-value estimate."""
     B, B_star = ops
     rng = np.random.default_rng(seed)
     shape = grid.shape
@@ -274,14 +293,14 @@ def operator_norm(ops, grid, *, iters, starts, seed):
     est = np.zeros(starts)
     for k in range(iters):
         # a start whose vector vanished keeps its last estimate
-        nv = np.sqrt(gr.sq_sum(v))
+        nv = np.sqrt(_sq_norms(v))
         w = B(v)
-        est = np.where(nv > 0, np.sqrt(gr.sq_sum(w))
+        est = np.where(nv > 0, np.sqrt(_sq_norms(w))
                        / np.where(nv > 0, nv, 1.0), est)
         if k == iters - 1:
             break     # the next start vector would go unread
         z = B_star(w)
-        nz = np.sqrt(gr.sq_sum(z))
+        nz = np.sqrt(_sq_norms(z))
         np.divide(z, np.where(nz > 0, nz, 1.0).reshape(-1, 1, 1), out=v)
     return float(est.max())
 
@@ -369,7 +388,8 @@ def surface_norm(fhat_eval, pair, rho, band_limit=None):
 def restriction_norm(plan, pair, f, rho):
     """Surface norm of the transform of sigma(X,D)^* f, over ||f||, for
     the SeparablePlan of sigma on f's grid."""
-    g = gr.Field(f.grid, np.fft.ifftn(plan.adjoint(f.values)), "x")
+    g = gr.Field(f.grid, gr.fft2(plan.adjoint(f.values), inverse=True),
+                 "x")
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
                         band_limit=0.95 * f.grid.nyquist) / f.norm()
 
@@ -422,7 +442,7 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     worst = 0.0
     for _ in range(trials):
         phi = make_packet(grid, rng)
-        phi_hat = np.fft.fftn(phi.values)
+        phi_hat = gr.fft2(phi.values)
         vs = np.array([rng.normal(size=grid.shape)
                        + 1j * rng.normal(size=grid.shape) for _ in times])
         lhs = 0.0 + 0.0j

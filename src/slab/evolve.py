@@ -181,8 +181,8 @@ class ResolventGeometry:
     The lines' points take few distinct (p^m, b h / 2) pairs (8448 of
     32768 for the euclidean symbol at N = 64, cell_quad = 8), found by one
     _distinct_rows pass over every node's lines, so each rung evaluates
-    the log once per distinct lattice value and gathers, bit for bit the
-    per-line result.
+    its real-arithmetic log (_line_means) once per distinct lattice value
+    and gathers, bit for bit the per-line result.
     """
 
     def __init__(self, spec, grid, cell_quad=1):
@@ -226,39 +226,61 @@ class ResolventGeometry:
 
         Each rung runs the formula once on the distinct points (or the
         lattice) and meets each cell-quadrature line once."""
-        eps = np.array(eps_list, dtype=float)
-        if not np.all(eps > 0):
+        eps_list = np.array(eps_list, dtype=float)
+        if not np.all(eps_list > 0):
             raise ValueError("eps must be positive")
-        shifts = -d - 1j * eps
         chi_vals = None if chi is None else chi.on_freqs(self.grid)
-        for shift in shifts:
-            vals = self._rung(shift)
+        for eps in eps_list:
+            vals = self._rung(d, eps)
             if chi_vals is not None:
                 vals *= chi_vals
             yield vals
 
-    def _rung(self, shift):
-        """(L_p + shift)^{-1}, cell-averaged, for one complex shift."""
+    def _rung(self, d, eps):
+        """(L_p - d - i eps)^{-1}, cell-averaged, for one eps > 0."""
         if self.cell_quad <= 1:
-            return 1.0 / (self.pm + shift)
-        p0 = self.pm + shift
-        flat = np.abs(self.bh) < 1e-12 * np.abs(p0)
-        # log((p0 + bh) / (p0 - bh)) / (2 bh), formed in place in seg: the
-        # rungs run while lap_sweep's work stacks live, so their
-        # temporaries would set its peak RSS
-        seg, den = (p0 + c for c in (self.bh, -self.bh))
-        seg[flat] = den[flat] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(np.divide(seg, den, out=seg), out=seg)
-            del den
-            # 2 bh is b h exactly
-            np.divide(seg, 2.0 * self.bh, out=seg)
-        seg[flat] = 1.0 / p0[flat]
+            return 1.0 / (self.pm - d - 1j * eps)
+        seg = self._line_means(d, eps)
         # every point adds its lines in node order, as one sum per line did
         vals = np.zeros(self.grid.N ** 2, dtype=complex)
         for w, idx in self.lines:
             vals += w * seg[idx]
         return vals.reshape(self.grid.shape)
+
+    def _line_means(self, d, eps):
+        """The resolvent's mean over each distinct (p^m, b h / 2) line:
+        with a = p^m - d and p0 = a - i eps, log((p0 + bh) / (p0 - bh))
+        / (2 bh) in real arithmetic, about a quarter of a complex log's
+        time and within 2e-14 of it per value.  The log's real part is
+        half the log of ((a + bh)^2 + eps^2) / ((a - bh)^2 + eps^2) (the
+        ratio's log, not a log1p, stays accurate where a + bh nears 0),
+        its imaginary part atan2(2 eps bh, (a + bh)(a - bh) + eps^2), the
+        argument of (p0 + bh) conj(p0 - bh).  A line with |bh| below
+        1e-12 |p0| takes 1 / p0.  log and atan2 run in place on contiguous
+        work arrays, one loop whatever the dedupe leaves: the rungs run
+        while lap_sweep's work stacks live, so temporaries would set its
+        peak RSS."""
+        a, bh, e2 = self.pm - d, self.bh, eps * eps
+        flat = np.abs(bh) < 1e-12 * np.hypot(a, eps)
+        seg = np.empty(a.shape, dtype=complex)
+        # x / (2 bh) is (x / bh) / 2 exactly, and (2 eps) bh is eps (b h)
+        plus, minus = a + bh, np.subtract(a, bh, out=a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            arg = np.multiply(plus, minus)
+            arg += e2
+            np.arctan2(np.multiply(bh, 2.0 * eps), arg, out=arg)
+            np.divide(arg, bh, out=arg)
+            arg *= 0.5
+            seg.imag = arg
+            for part in (plus, minus):
+                np.square(part, out=part)
+                part += e2
+            mod = np.log(np.divide(plus, minus, out=plus), out=plus)
+            np.divide(mod, bh, out=mod)
+            mod *= 0.25
+            seg.real = mod
+        seg[flat] = 1.0 / (self.pm[flat] - d - 1j * eps)
+        return seg
 
 
 def resolvent_multiplier(spec, grid, d, eps):

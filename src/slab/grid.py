@@ -9,8 +9,10 @@ conventions
     Fu(xi)   = int e^{-i x.xi} u(x) dx,
     F^{-1}u  = (2 pi)^{-2} int e^{i x.xi} u(xi) dxi
 
-and the discrete Plancherel identity is exact.  Smooth cutoffs are one
-``Cutoff`` type, built from a smoothstep band or a super-Gaussian profile.
+and the discrete Plancherel identity is exact.  Every FFT in slab is
+``fft2``, numpy's fftn over the last two axes bit for bit.  Smooth
+cutoffs are one ``Cutoff`` type, built from a smoothstep band or a
+super-Gaussian profile.
 """
 
 from dataclasses import dataclass
@@ -136,18 +138,34 @@ def _corner_phase(g, v, sign):
     return v * phase[:, None] * phase
 
 
+def fft2(a, inverse=False, out=None):
+    """np.fft.fftn of a over its last two axes (ifftn when inverse), as the
+    two 1-D passes fftn makes: np.fft.fft along axis -1, then along axis
+    -2 in place.  The same pocketfft calls in the same order give fftn's
+    bits (tobytes-equal), without its n-D argument handling, which costs
+    about 14 us a call on a (1, 3, 64, 64) stack.  out, which may be a
+    itself, takes the result; else the first pass allocates it."""
+    fft = np.fft.ifft if inverse else np.fft.fft
+    a = fft(a, axis=-1, out=out)
+    return fft(a, axis=-2, out=a)
+
+
 def transform(f):
     """Forward transform, x-space field -> xi-space field."""
     g = f.grid
-    spec = _corner_phase(g, np.fft.fftn(f.values), -1) * g.h**2
+    spec = _corner_phase(g, fft2(f.values), -1) * g.h**2
     return Field(g, spec, space="xi")
+
+
+def _x_samples(g, spectra):
+    """inverse_transform's values for the (..., N, N) stack spectra."""
+    out = _corner_phase(g, spectra, 1)
+    return fft2(out, inverse=True, out=out) / g.h**2
 
 
 def inverse_transform(f):
     """Inverse transform, xi-space field -> x-space field."""
-    g = f.grid
-    out = np.fft.ifftn(_corner_phase(g, f.values, 1)) / g.h**2
-    return Field(g, out, space="x")
+    return Field(f.grid, _x_samples(f.grid, f.values), space="x")
 
 
 # bytes of one _phase_sum block's partial sums; it bounds the
@@ -190,22 +208,33 @@ def _phase_sum(values, axis, pts, sign):
     return out
 
 
-def spectral_packet(grid, center, spread):
-    """Unit-norm packet with a Gaussian spectrum of width spread at center;
-    SlabError where its norm on the grid is not a positive finite number
-    (it underflows to 0 on a huge box, or to 0 for a vanishing spread, and
-    overflows on a tiny box)."""
+def spectral_packets(grid, centers, spread):
+    """Unit-norm packets with Gaussian spectra of width spread, one at each
+    row of centers (S, 2), as an (S, N, N) stack of x-samples built in one
+    pass: each packet has the bits of its own one-row build.  SlabError
+    with the norm of the first packet whose norm on the grid is not a
+    positive finite number (it underflows to 0 on a huge box, or to 0 for
+    a vanishing spread, and overflows on a tiny box)."""
     xi = grid.freq_stack()
+    centers = np.asarray(centers, dtype=float)[:, None, None]
     # the check below reports whatever over- or underflows here
     with np.errstate(all="ignore"):
-        d2 = np.sum((xi - np.asarray(center, dtype=float)) ** 2, axis=-1)
+        d2 = np.sum((xi - centers) ** 2, axis=-1)
         spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
-        f = inverse_transform(Field(grid, spec, "xi"))
-        norm = f.norm()
-    if not (np.isfinite(norm) and norm > 0):
-        raise SlabError(f"packet norm {float(norm)!r} at N = {grid.N}, "
-                        f"L = {grid.L} is not a positive finite number")
-    return Field(grid, f.values / norm, "x")
+        vals = _x_samples(grid, spec)
+        # Field.norm, packet by packet
+        norm = np.sqrt(grid.h ** 2) * np.sqrt(sq_sum(vals))
+    bad = np.flatnonzero(~(np.isfinite(norm) & (norm > 0)))
+    if len(bad):
+        raise SlabError(f"packet norm {float(norm[bad[0]])!r} at N = "
+                        f"{grid.N}, L = {grid.L} is not a positive finite "
+                        "number")
+    return vals / norm[:, None, None]
+
+
+def spectral_packet(grid, center, spread):
+    """The one-packet spectral_packets, as an x-space Field."""
+    return Field(grid, spectral_packets(grid, [center], spread)[0], "x")
 
 
 def eval_offgrid(f, targets):

@@ -83,10 +83,11 @@ class SeparablePlan:
     The x-factors f_r and guarded multipliers m_r are checked and kept
     read-only as (R, *grid.shape) stacks, and so are their conjugates from
     the first ``adjoint`` on.  ``apply`` and ``adjoint`` take arrays with
-    any leading batch axes and raw spectra vh = np.fft.fftn(u) over the
-    last two axes (the corner phase and h^2 of ``grid.transform`` cancel
-    between the ends): a pass is one FFT call over all R terms plus one
-    multiply, in place in a (..., R, *grid.shape) work stack.  A caller
+    any leading batch axes and raw spectra vh = grid.fft2(u) over the
+    last two axes, ``axes`` (the corner phase and h^2 of
+    ``grid.transform`` cancel between the ends): a pass is one fft2 call
+    over all R terms plus one multiply, in place in a (..., R,
+    *grid.shape) work stack.  A caller
     that passes that stack as ``out`` allocates nothing per pass: the term
     sum is then formed in the stack's first term and returned as a view
     of it, which lives until the stack is written again.  Without ``out``
@@ -117,11 +118,12 @@ class SeparablePlan:
             np.add(head, w[..., r, :, :], out=head)
         return head
 
-    def _pass(self, w, fft, then, in_place):
-        """Sum over the term axis of then * fft(w), for w the products of a
-        factor stack with the input; w is transformed in place, and the
-        sum is formed in its first term when in_place, else fresh."""
-        fft(w, axes=self.axes, out=w)   # numpy's fftn is ~2x faster with out=
+    def _pass(self, w, inverse, then, in_place):
+        """Sum over the term axis of then * fft2(w, inverse), for w the
+        products of a factor stack with the input; w is transformed in
+        place, and the sum is formed in its first term when in_place, else
+        fresh."""
+        gr.fft2(w, inverse, out=w)
         np.multiply(w, then, out=w)
         return self.term_sum(w) if in_place else np.sum(w, axis=-3)
 
@@ -137,18 +139,18 @@ class SeparablePlan:
         """x-samples of sigma(X, D) u from vh = fftn(u); out is the work
         stack, allocated when None."""
         w = np.multiply(self.m, vh[..., None, :, :], out=out)  # the term axis
-        return self._pass(w, np.fft.ifftn, self.x, out is not None)
+        return self._pass(w, True, self.x, out is not None)
 
     def adjoint(self, v, out=None):
         """fftn(sigma(X, D)^* v) from x-samples v; out as for apply."""
         x_conj, m_conj = self._conj
         w = np.multiply(x_conj, v[..., None, :, :], out=out)
-        return self._pass(w, np.fft.fftn, m_conj, out is not None)
+        return self._pass(w, False, m_conj, out is not None)
 
 
 def _apply_plan(plan, f):
     """sigma(X, D) u for the SeparablePlan of sigma on f's grid."""
-    return gr.Field(f.grid, plan.apply(np.fft.fftn(f.values)), "x")
+    return gr.Field(f.grid, plan.apply(gr.fft2(f.values)), "x")
 
 
 def apply_pseudo(f, sigma, method="auto"):
@@ -279,7 +281,8 @@ def apply_pseudo_adjoint(f, sigma):
     transpose: multiply by conj f_r in x, then apply conj m_r (D).
     """
     plan = SeparablePlan(sigma, f.grid)
-    return gr.Field(f.grid, np.fft.ifftn(plan.adjoint(f.values)), "x")
+    return gr.Field(f.grid, gr.fft2(plan.adjoint(f.values), inverse=True),
+                    "x")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +557,7 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     warped = np.array([w.values for w in apply_canonical(plan, family + [
         gr.Field(g, col.reshape(g.shape), "x") for col in tilde.T])])
     a_plan = SeparablePlan(a, g)
-    left = a_plan.apply(np.fft.fftn(warped[:len(family)], axes=a_plan.axes))
+    left = a_plan.apply(gr.fft2(warped[:len(family)]))
     ratios = []
     for ul, lw, rw in zip(family, left, warped[len(family):]):
         diff = gr.Field(g, lw - rw, "x")

@@ -309,18 +309,17 @@ _BENCH_LADDER = [(64, 16.0, 8.0), (64, 32.0, 16.0), (64, 64.0, 32.0)]
 
 
 def _transforms(run):
-    """(function, fields) of each np.fft.fftn and ifftn call of run()."""
-    calls = []
+    """(direction, fields) of each grid.fft2 call of run(): every transform
+    in slab goes through it."""
+    calls, fft2 = [], gr.fft2
 
-    def counted(name, fft):
-        def call(a, *args, **kwargs):
-            calls.append((name, a.size // (a.shape[-2] * a.shape[-1])))
-            return fft(a, *args, **kwargs)
-        return call
+    def counted(a, inverse=False, out=None):
+        calls.append(("ifft" if inverse else "fft",
+                      a.size // (a.shape[-2] * a.shape[-1])))
+        return fft2(a, inverse, out)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fftn", "ifftn"):
-            mp.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        mp.setattr(gr, "fft2", counted)
         run()
     return calls
 
@@ -328,9 +327,9 @@ def _transforms(run):
 @pytest.mark.parametrize("name,terms,fields", [
     ("structured", 3, 1398), ("unstructured-critical", 1, 708)])
 def test_smoothing_transforms_stay_at_their_floor(name, terms, fields):
-    # the bench's smoothing runs: per rung, each of the 3 packets is one
-    # one-field inverse FFT and their spectra one fftn; then each folded
-    # time sample (17, 33 and 65 of them) is one ifftn over u(t) and its
+    # the bench's smoothing runs: per rung, the 3 packets are one 3-field
+    # inverse FFT and their spectra one forward FFT; then each folded time
+    # sample (17, 33 and 65 of them) is one inverse FFT over u(t) and its
     # R terms for all 3 trials.  A transform added or a call split shows
     calls = _transforms(lambda: es.smoothing_sweep(
         sy.parse_sigma(name, EUCLID), EUCLID, _BENCH_LADDER, trials=3,
@@ -338,22 +337,22 @@ def test_smoothing_transforms_stay_at_their_floor(name, terms, fields):
         monitor_scale=np.sqrt(2.0), mass_tol=0.999))
     expected = []
     for samples in (17, 33, 65):
-        expected += [("ifftn", 1)] * 3 + [("fftn", 3)]
-        expected += [("ifftn", 3 * (1 + terms))] * samples
+        expected += [("ifft", 3), ("fft", 3)]
+        expected += [("ifft", 3 * (1 + terms))] * samples
     assert calls == expected
     assert sum(n for _, n in calls) == fields
-    assert sum(name == "ifftn" for name, _ in calls) == 124
+    assert sum(name == "ifft" for name, _ in calls) == 118
 
 
 def test_lap_transforms_stay_at_their_floor():
     # the bench's lap run: 13 rungs of 10 power steps, each B = sigma M
-    # sigma* and, but for the last, B*; a sandwich is one fftn of the
-    # R = 3 adjoint terms and one ifftn of the 3 applied ones
+    # sigma* and, but for the last, B*; a sandwich is one forward FFT of
+    # the R = 3 adjoint terms and one inverse FFT of the 3 applied ones
     calls = _transforms(lambda: es.lap_sweep(
         sy.structured_sigma(EUCLID), EUCLID, gr.make_grid(64, 16.0), d=1.0,
         eps_list=ev.epsilon_ladder(12), trials=1, seed=0, order=2,
         check_structure=True, iters=10, cell_quad=8))
-    assert calls == [("fftn", 3), ("ifftn", 3)] * (13 * 19)
+    assert calls == [("fft", 3), ("ifft", 3)] * (13 * 19)
     assert sum(n for _, n in calls) == 1482
 
 
@@ -665,6 +664,51 @@ def test_make_packet_deterministic():
     b = es.make_packet(g, np.random.default_rng(42))
     assert np.array_equal(a.values, b.values)
     assert a.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def _one_packet(grid, rng, freq_mag, spread):
+    """make_packet as it was built one packet at a time: a Field through
+    inverse_transform, normalized by Field.norm."""
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    center = freq_mag * np.array([np.cos(theta), np.sin(theta)])
+    d2 = np.sum((grid.freq_stack() - center) ** 2, axis=-1)
+    spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
+    f = gr.inverse_transform(gr.Field(grid, spec, "xi"))
+    phi = f.values / f.norm()
+    return 0.5 * (phi + np.conj(grid.reflect(phi)))
+
+
+@pytest.mark.parametrize("N,L", [(64, 16.0), (64, 32.0), (64, 64.0),
+                                 (128, 64.0)])
+def test_make_packets_match_the_one_packet_builds_byte_for_byte(N, L):
+    # a rung's packets, built as one stack, at the bench rungs' seeds (and
+    # crit 08's N = 128 with 8 trials): each has the bytes of make_packet
+    # and of the build one packet at a time, in SeedSequence.spawn order
+    g = gr.make_grid(N, L)
+    trials = 8 if N == 128 else 3
+    for ss in np.random.SeedSequence(0).spawn(3):
+        seeds = ss.spawn(trials)
+        stack = es.make_packets(g, [np.random.default_rng(cs)
+                                    for cs in seeds], 0.9, 0.15)
+        assert stack.shape == (trials, N, N)
+        for phi, cs in zip(stack, seeds):
+            assert phi.tobytes() == es.make_packet(
+                g, np.random.default_rng(cs), 0.9, 0.15).values.tobytes()
+            assert phi.tobytes() == _one_packet(
+                g, np.random.default_rng(cs), 0.9, 0.15).tobytes()
+
+
+@pytest.mark.parametrize("centers,norm", [
+    ([[0.9, 0.0], [np.nan, 0.0], [1e3, 0.0]], "nan"),
+    ([[0.9, 0.0], [1e3, 0.0], [np.nan, 0.0]], "0.0")])
+def test_spectral_packets_name_the_first_failing_norm(centers, norm):
+    # a packet whose spectrum underflows has norm 0, one with a nan center
+    # norm nan: the message gives the first failing packet's norm
+    g = gr.make_grid(16, 4.0)
+    with pytest.raises(SlabError, match=rf"^packet norm {norm} at N = 16, "
+                                        r"L = 4.0 is not a positive finite "
+                                        r"number$"):
+        gr.spectral_packets(g, centers, 0.15)
 
 
 def test_make_packet_is_its_own_conjugate_reflection():

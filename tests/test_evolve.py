@@ -220,12 +220,20 @@ def _cell_averaged_reference(spec, grid, d, eps, s, q):
             pv = np.where(lr > 0, p(lsafe), 1.0)
             b = m * pv ** (m - 1) * p.gradient(lsafe)[..., j]
             p0 = np.where(lr > 0, pv ** m, 0.0) + z0
+            a = p0.real
             bh = 0.5 * b * h
-            flat = np.abs(bh) < 1e-12 * np.abs(p0)
-            num = np.where(flat, 1.0, p0 + bh)
-            den = np.where(flat, 1.0, p0 - bh)
+            flat = np.abs(bh) < 1e-12 * np.hypot(a, eps)
+            # log((p0 + bh) / (p0 - bh)) / (b h) in real arithmetic: half
+            # the log of the squared moduli's ratio, and the argument of
+            # (p0 + bh) conj(p0 - bh), 2 bh being b h exactly
+            plus, minus, e2 = a + bh, a - bh, eps * eps
+            seg = np.empty(len(a), dtype=complex)
             with np.errstate(divide="ignore", invalid="ignore"):
-                seg = np.where(flat, 1.0 / p0, np.log(num / den) / (b * h))
+                seg.real = np.log((plus ** 2 + e2) / (minus ** 2 + e2)) / (
+                    2.0 * (b * h))
+                seg.imag = np.arctan2(-s * eps * (b * h),
+                                      plus * minus + e2) / (b * h)
+            seg = np.where(flat, 1.0 / p0, seg)
             cell += w * seg
         acc[mask] = cell
     return acc
@@ -285,6 +293,65 @@ def test_cell_averaged_ladder_on_the_euclidean_lattice_is_bit_identical(
             assert rung.tobytes() == ref.tobytes()
         else:
             assert np.array_equal(np.conj(rung), ref)
+
+
+def _complex_log_means(geometry, d, eps):
+    """Each distinct line's mean by numpy's complex log, the form the real
+    arithmetic of ResolventGeometry._line_means replaced."""
+    p0 = geometry.pm - d - 1j * eps
+    bh = geometry.bh
+    flat = np.abs(bh) < 1e-12 * np.abs(p0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg = np.log((p0 + bh) / (p0 - bh)) / (2.0 * bh)
+    return np.where(flat, 1.0 / p0, seg)
+
+
+_LINE_GEOMETRIES = [("euclidean", 64, 16.0), ("euclidean", 128, 32.0),
+                    ("quadratic-form:A=[[1,0],[0,0.5]]", 64, 16.0)]
+
+
+@pytest.mark.parametrize("label,N,L", _LINE_GEOMETRIES)
+@pytest.mark.parametrize("eps", [1.0, 2.0 ** -6, 2.0 ** -12])
+def test_real_line_means_match_the_complex_log(label, N, L, eps):
+    # the rung's real-arithmetic log agrees with the complex log on every
+    # distinct line of the bench-sized lattices, the lines where a + bh or
+    # a - bh comes nearest 0 among them
+    geometry = ev.ResolventGeometry(
+        ev.EvolutionSpec(sy.make_pair(label), order=2), gr.make_grid(N, L),
+        8)
+    real = geometry._line_means(1.0, eps)
+    ref = _complex_log_means(geometry, 1.0, eps)
+    rel = np.abs(real - ref) / np.abs(ref)
+    assert np.max(rel) <= 5e-14
+    a = geometry.pm - 1.0
+    for edge in (a + geometry.bh, a - geometry.bh):
+        near = np.argsort(np.abs(edge))[:16]
+        assert np.min(np.abs(edge)) < 1e-2 * np.median(np.abs(edge))
+        assert np.all(rel[near] <= 5e-14)
+
+
+@pytest.mark.parametrize("label,N,L", _LINE_GEOMETRIES)
+def test_real_line_means_match_a_40_digit_log(label, N, L):
+    # against mpmath at 40 digits, on the lines nearest a +- bh = 0 and on
+    # a spread of the others (a line with bh = 0 takes 1 / p0)
+    mpmath = pytest.importorskip("mpmath")
+    geometry = ev.ResolventGeometry(
+        ev.EvolutionSpec(sy.make_pair(label), order=2), gr.make_grid(N, L),
+        8)
+    a = geometry.pm - 1.0
+    rows = np.unique(np.concatenate(
+        [np.argsort(np.abs(a + geometry.bh))[:8],
+         np.argsort(np.abs(a - geometry.bh))[:8],
+         np.linspace(0, len(a) - 1, 24).astype(int)]))
+    with mpmath.workdps(40):
+        for eps in (1.0, 2.0 ** -6, 2.0 ** -12):
+            real = geometry._line_means(1.0, eps)
+            for k in rows:
+                p0 = mpmath.mpc(float(a[k]), -eps)
+                bh = mpmath.mpf(float(geometry.bh[k]))
+                ref = complex(1 / p0 if abs(bh) < 1e-12 * abs(p0) else
+                              mpmath.log((p0 + bh) / (p0 - bh)) / (2 * bh))
+                assert abs(real[k] - ref) <= 5e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("label", ["euclidean",

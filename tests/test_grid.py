@@ -104,6 +104,30 @@ def test_lattice_is_in_fft_order(k):
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (3, 64, 64), (1, 3, 64, 64),
+                                   (3, 4, 64, 64), (8, 128, 128), (2, 16, 32)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fft2_is_fftn_byte_for_byte(shape, inverse):
+    # the two 1-D passes are the ones fftn makes over the last two axes,
+    # out of place, in place, and on a view whose leading stride skips
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fftn = np.fft.ifftn if inverse else np.fft.fftn
+    ref = fftn(a, axes=(-2, -1)).tobytes()
+    assert gr.fft2(a, inverse).tobytes() == ref
+    w = a.copy()
+    assert gr.fft2(w, inverse, out=w) is w
+    assert w.tobytes() == ref
+    if len(shape) > 2:
+        # a view that skips a field between its fields, as a term sum's
+        # head does
+        big = np.zeros((shape[0], 2, *shape[1:]), dtype=complex)
+        view = big[:, 0]
+        view[...] = a
+        gr.fft2(view, inverse, out=view)
+        assert np.ascontiguousarray(view).tobytes() == ref
+
+
 def test_weighted_norm_m0_is_quadrature_l2():
     g = gr.make_grid(32, 8.0)
     f = random_field(g, seed=3)
