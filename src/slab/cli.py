@@ -593,6 +593,10 @@ def _execute(kind, config, override, out):
     except SlabError as exc:
         click.echo(f"{kind} failed: {exc}", err=True)
         sys.exit(1)
+    except MemoryError as exc:
+        # numpy names the array it could not allocate
+        click.echo(f"{kind} failed: {str(exc) or 'out of memory'}", err=True)
+        sys.exit(1)
     sys.exit(0 if passed else 2)
 
 

@@ -143,8 +143,10 @@ def _time_reversible(plan, phis, masks):
     so neither P nor the multipliers need to be even in xi.
     """
     g = plan.grid
+    # reflect flips a pitched stack's pad into column 0: compare lattices
+    x = plan.x[..., :g.N]
     return (not np.any(plan.x.imag) and not np.any(plan.m.imag)
-            and np.array_equal(plan.x, g.reflect(plan.x))
+            and np.array_equal(x, g.reflect(x))
             and np.array_equal(phis, np.conj(g.reflect(phis)))
             and all(mask is None or np.array_equal(mask, g.reflect(mask))
                     for mask in masks))
@@ -153,9 +155,9 @@ def _time_reversible(plan, phis, masks):
 def _squared(v):
     """The interleaved real and imaginary parts of the complex stack v,
     whose rows are contiguous, squared in place (v is spent): a float
-    view whose einsum over the last two axes is the sum of |v|^2 there.
-    That sum is not sq_sum's pairwise one; the two agree to roundoff, and
-    neither uses BLAS."""
+    view whose einsum over the last two axes is the sum of |v|^2 there
+    (a pitched stack's zero pad adds nothing).  That sum is not sq_sum's
+    pairwise one; the two agree to roundoff, and neither uses BLAS."""
     f = v.view(float)
     return np.square(f, out=f)
 
@@ -172,9 +174,12 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     """smoothing_ratio's report for each x-space packet of the stack phis.
     The loop steps through the time samples one at a time and through a
     sample's trials in chunks of at most _STACK_BYTES of spectra (one
-    field at least).  Each chunk writes e v^ and every m_r e v^ into one
-    preallocated (trials, 1 + R, N, N) stack, so it holds 1 + R times
-    _STACK_BYTES at most, and runs one in-place inverse FFT over it: the
+    field at least; a field's bytes are its lattice's, 16 N^2).  v^, the
+    mask weights and the work stack are pitched (``grid.pitch``), as the
+    plan's factors and the propagator's phases are.  Each chunk writes
+    e v^ and every m_r e v^ into one preallocated pitched (trials, 1 + R,
+    N, N + 1) stack, so it holds about 1 + R times _STACK_BYTES at most,
+    and runs one in-place inverse FFT over its lattice view: the
     first slot is u(t), from which both containment masses come, and the
     x-factors times the other R slots, summed in place, are
     sigma(X, D) u(t).  Both slots are squared in place and summed by
@@ -189,21 +194,24 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     its own, so the error still fires at the same first sample.
     Otherwise the same loop runs the full window.
     """
-    g, S = plan.grid, len(phis)
+    g, S, N = plan.grid, len(phis), plan.grid.N
     phase = ev.PropagatorPhase(spec, g)
     window = spec.times()
-    vh = gr.fft2(phis)
+    vh = np.zeros((S, N, N + 1), dtype=complex)
+    gr.fft2(phis, out=vh[..., :N])
     # a mask over the whole box (the CLI's default monitor radius, the
     # half-diagonal) holds fraction 1 exactly: None skips its sum
     masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
     masks = [None if np.all(inside) else inside for inside in masks]
     times = (window[:(len(window) + 1) // 2]
              if _time_reversible(plan, phis, masks) else window)
-    # each mask as a weight on the interleaved real and imaginary parts
-    mask_weights = [None if inside is None else np.repeat(
-        inside, 2, axis=-1).astype(float) for inside in masks]
-    cols = max(1, _STACK_BYTES // vh[0].nbytes)
-    stack = np.empty((min(cols, S), 1 + len(plan.m), *g.shape), dtype=complex)
+    # each mask as a pitched weight on the interleaved real and imaginary
+    # parts: inside (1 + i) puts it on both
+    mask_weights = [None if inside is None else gr.pitch(
+        inside * (1.0 + 1.0j)).view(float) for inside in masks]
+    cols = max(1, _STACK_BYTES // (16 * N * N))
+    stack = np.empty((min(cols, S), 1 + len(plan.m), N, N + 1),
+                     dtype=complex)
     # integrand, mass fraction in the monitor radius, in the box; (t, trial)
     out = np.empty((3, len(times), S))
     for j, t in enumerate(times):
@@ -213,7 +221,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
             u, terms = w[:, 0], w[:, 1:]
             np.multiply(e, vh[s:s + cols], out=u)
             np.multiply(plan.m, w[:, :1], out=terms)
-            gr.fft2(w, inverse=True, out=w)
+            gr.fft2(w[..., :N], inverse=True, out=w[..., :N])
             blk = out[:, j, s:s + cols]     # a view: writes land in out
             mass = _squared(u)
             total = np.einsum("sij->s", mass)
@@ -279,17 +287,19 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
 
 def operator_norm(ops, grid, *, iters, starts, seed):
     """Randomized power iteration on B*B, all random starts as one stack:
-    ops is the pair (B, B_star) of maps on (starts, *grid.shape) stacks of
-    x-samples, each of which may return a view of a work stack that the
-    next call of either writes.  The start vectors are normalized in
-    place, and every norm is one einsum over a stack's float view
-    (_sq_norms), so a power step allocates no field.  Returns the largest
-    singular-value estimate."""
+    ops is the pair (B, B_star) of maps on pitched (starts, N, N + 1)
+    stacks of x-samples (``grid.pitch``), each of which may return a view
+    of a work stack that the next call of either writes.  The start
+    vectors are drawn on the lattice and normalized in place, and every
+    norm is one einsum over a stack's float view (_sq_norms), so a power
+    step allocates no field.  Returns the largest singular-value
+    estimate."""
     B, B_star = ops
     rng = np.random.default_rng(seed)
     shape = grid.shape
-    v = np.array([rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                  for _ in range(starts)])
+    v = np.zeros((starts, grid.N, grid.N + 1), dtype=complex)
+    for start in v:
+        start[:, :-1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     est = np.zeros(starts)
     for k in range(iters):
         # a start whose vector vanished keeps its last estimate
@@ -323,9 +333,12 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
     geometry = ev.ResolventGeometry(ev.EvolutionSpec(spec_pair, order=order),
                                     grid, cell_quad)
     plan = qu.SeparablePlan(sigma, grid)
-    # the sandwich's two passes each write their own work stack, so a
-    # power step allocates no field
-    work = np.empty((2, trials, len(plan.m), *grid.shape), dtype=complex)
+    # the sandwich's two passes each write their own pitched work stack,
+    # so a power step allocates no field; each rung writes its multiplier
+    # and the conjugate into one pitched pair
+    N = grid.N
+    work = np.empty((2, trials, len(plan.m), N, N + 1), dtype=complex)
+    pair = np.zeros((2, N, N + 1), dtype=complex)
 
     def sandwich(mult):
         def op(v):
@@ -335,8 +348,9 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
 
     ladder = geometry.ladder(d, eps_list, chi=chi)
     for k, (eps, rung) in enumerate(zip(eps_list, ladder)):
-        mult = qu.multiplier_values(grid, rung)
-        nrm = operator_norm((sandwich(mult), sandwich(np.conj(mult))), grid,
+        pair[0, :, :N] = qu.multiplier_values(grid, rung)
+        np.conj(pair[0], out=pair[1])
+        nrm = operator_norm((sandwich(pair[0]), sandwich(pair[1])), grid,
                             iters=iters, starts=trials, seed=seed + k)
         if nrm == 0:
             raise SlabError(f"operator norm estimate is 0 at eps = {eps!r}")
@@ -388,8 +402,8 @@ def surface_norm(fhat_eval, pair, rho, band_limit=None):
 def restriction_norm(plan, pair, f, rho):
     """Surface norm of the transform of sigma(X,D)^* f, over ||f||, for
     the SeparablePlan of sigma on f's grid."""
-    g = gr.Field(f.grid, gr.fft2(plan.adjoint(f.values), inverse=True),
-                 "x")
+    vh = plan.adjoint(gr.pitch(f.values))[..., :f.grid.N]
+    g = gr.Field(f.grid, gr.fft2(vh, inverse=True), "x")
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
                         band_limit=0.95 * f.grid.nyquist) / f.norm()
 
@@ -440,19 +454,20 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     plan = qu.SeparablePlan(sigma, grid)
     phase = ev.PropagatorPhase(spec, grid)     # e^{-i t L}
     worst = 0.0
+    N = grid.N
     for _ in range(trials):
         phi = make_packet(grid, rng)
-        phi_hat = gr.fft2(phi.values)
+        phi_hat = gr.pitch(gr.fft2(phi.values))
         vs = np.array([rng.normal(size=grid.shape)
                        + 1j * rng.normal(size=grid.shape) for _ in times])
         lhs = 0.0 + 0.0j
-        acc = np.zeros(grid.shape, dtype=complex)
+        acc = np.zeros((N, N + 1), dtype=complex)
         for j, t in enumerate(times):
-            su = plan.apply(phase([t])[0] * phi_hat)
+            su = plan.apply(phase([t])[0] * phi_hat)[:, :N]
             lhs += w[j] * np.sum(np.conj(vs[j]) * su) * hq
-            acc += w[j] * phase([-t])[0] * plan.adjoint(vs[j])
+            acc += w[j] * phase([-t])[0] * plan.adjoint(gr.pitch(vs[j]))
         # raw spectra: sum_k conj(fftn a) fftn b = N^2 sum_x conj(a) b
-        rhs = np.sum(np.conj(acc) * phi_hat) * hq / grid.N ** 2
+        rhs = np.sum(np.conj(acc[:, :N]) * phi_hat[:, :N]) * hq / N ** 2
         vnorm = np.sqrt(hq * np.sum(w * gr.sq_sum(vs)))
         worst = max(worst, abs(lhs - rhs) / (phi.norm() * vnorm))
     return float(worst)

@@ -77,25 +77,32 @@ _FRACTION_LIMIT = 2.0 ** 52
 
 
 class PropagatorPhase:
-    """e^{-i t p(D)^m} on the lattice for an array of times.
+    """e^{-i t p(D)^m} on the lattice for an array of times, as pitched
+    stacks (``grid.pitch``): the [..., :N] view is the lattice and the
+    pad column is 0.
 
     The lattice takes few distinct values of p^m (489 of 4096 modes for
     the euclidean symbol at N = 64), so each call evaluates the complex
     exponential once per distinct value and time, then gathers: bit for
-    bit the exponential over the whole lattice.  SlabError when max |t|
-    max p^m reaches 2^52: the phase then keeps no fractional digit, and
-    e^{-i t p^m} is noise.
+    bit the exponential over the whole lattice.  The pad column's index
+    points at a zero appended to the table, so the gather writes the
+    pitched stack in one pass.  SlabError when max |t| max p^m reaches
+    2^52: the phase then keeps no fractional digit, and e^{-i t p^m} is
+    noise.
     """
 
     def __init__(self, spec, grid):
         self.grid, self.order = grid, spec.order
-        pm, self.index = _distinct_rows(
+        pm, index = _distinct_rows(
             symbol_lattice(spec.pair, grid, spec.order).reshape(-1, 1))
         self.pm = pm[:, 0]
         self.top = float(np.max(np.abs(self.pm)))
+        # the pad column reads the table's last entry, a zero
+        self.index = gr.pitch(index.reshape(grid.shape))
+        self.index[:, -1] = len(self.pm)
 
     def __call__(self, times):
-        """C-contiguous (k, *grid.shape) stack, one phase per time."""
+        """C-contiguous pitched (k, N, N + 1) stack, one phase per time."""
         times = np.reshape(times, (-1, 1))
         t = float(np.max(np.abs(times)))
         if t * self.top >= _FRACTION_LIMIT:
@@ -104,15 +111,17 @@ class PropagatorPhase:
                 f"|t| = {t:.3g} gives a propagator phase t p(xi)^"
                 f"{self.order} of up to {t * self.top:.3g} at N = {g.N}, "
                 f"L = {g.L}: past 2^52 it keeps no fractional digit")
-        e = np.exp(-times * 1j * self.pm)
+        e = np.zeros((len(times), len(self.pm) + 1), dtype=complex)
+        e[:, :-1] = np.exp(-times * 1j * self.pm)
         # np.take keeps C order: a strided gather would send the next
         # complex multiply down another loop, which moves its bits
-        return np.take(e, self.index, axis=1).reshape(-1, *self.grid.shape)
+        return np.take(e, self.index, axis=1)
 
 
 def schrodinger_propagate(spec, phi, t):
     """u(t) = e^{-i t p(D)^m} phi, exact per lattice mode."""
-    return qu.apply_multiplier(phi, PropagatorPhase(spec, phi.grid)([t])[0])
+    e = PropagatorPhase(spec, phi.grid)([t])[0]
+    return qu.apply_multiplier(phi, e[:, :phi.grid.N])
 
 
 @dataclass(frozen=True)

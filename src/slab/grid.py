@@ -10,9 +10,11 @@ conventions
     F^{-1}u  = (2 pi)^{-2} int e^{i x.xi} u(xi) dxi
 
 and the discrete Plancherel identity is exact.  Every FFT in slab is
-``fft2``, numpy's fftn over the last two axes bit for bit.  Smooth
-cutoffs are one ``Cutoff`` type, built from a smoothstep band or a
-super-Gaussian profile.
+``fft2``, numpy's fftn over the last two axes bit for bit.  The hot
+spectral stacks are pitched (``pitch``): each N-sample row is followed
+by one zero, so the stack is (..., N, N + 1) and its [..., :N] view is
+the lattice.  Smooth cutoffs are one ``Cutoff`` type, built from a
+smoothstep band or a super-Gaussian profile.
 """
 
 from dataclasses import dataclass
@@ -138,13 +140,33 @@ def _corner_phase(g, v, sign):
     return v * phase[:, None] * phase
 
 
+def pitch(a):
+    """The pitched copy of the (..., N, N) stack a: a (..., N, N + 1)
+    array of zeros whose [..., :N] view is a.
+
+    A row of N = 64 complex samples is 1 KiB, so the N entries of a
+    lattice column land in 4 of a 32 KiB, 8-way L1's 64 sets, and
+    fft2's column pass evicts its own lines; with a row pitch of N + 1
+    they spread over all of them.  fft2 runs on the lattice view of a
+    pitched stack, while elementwise products and einsums run over the
+    whole contiguous array (a ufunc over the strided view is the slow
+    path): the pad column stays 0 through every product with a pitched
+    factor and adds nothing to a sum."""
+    out = np.zeros((*a.shape[:-1], a.shape[-1] + 1), dtype=a.dtype)
+    out[..., :-1] = a
+    return out
+
+
 def fft2(a, inverse=False, out=None):
     """np.fft.fftn of a over its last two axes (ifftn when inverse), as the
     two 1-D passes fftn makes: np.fft.fft along axis -1, then along axis
     -2 in place.  The same pocketfft calls in the same order give fftn's
     bits (tobytes-equal), without its n-D argument handling, which costs
     about 14 us a call on a (1, 3, 64, 64) stack.  out, which may be a
-    itself, takes the result; else the first pass allocates it."""
+    itself, takes the result; else the first pass allocates it.  a and
+    out may be lattice views of pitched stacks (``pitch``): the same
+    bits, and a column pass about 27 % (N = 64) to 32 % (N = 128) faster
+    than on contiguous (..., N, N) stacks."""
     fft = np.fft.ifft if inverse else np.fft.fft
     a = fft(a, axis=-1, out=out)
     return fft(a, axis=-2, out=a)

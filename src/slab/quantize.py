@@ -81,37 +81,42 @@ class SeparablePlan:
     """sigma(X, D) = sum_r f_r(X) m_r(D) on one grid, built once.
 
     The x-factors f_r and guarded multipliers m_r are checked and kept
-    read-only as (R, *grid.shape) stacks, and so are their conjugates from
-    the first ``adjoint`` on.  ``apply`` and ``adjoint`` take arrays with
-    any leading batch axes and raw spectra vh = grid.fft2(u) over the
-    last two axes, ``axes`` (the corner phase and h^2 of
-    ``grid.transform`` cancel between the ends): a pass is one fft2 call
-    over all R terms plus one multiply, in place in a (..., R,
-    *grid.shape) work stack.  A caller
-    that passes that stack as ``out`` allocates nothing per pass: the term
-    sum is then formed in the stack's first term and returned as a view
-    of it, which lives until the stack is written again.  Without ``out``
-    the sum is a fresh array.  Symbols singular at xi = 0 get the
-    low-frequency guard.
+    read-only as pitched (R, N, N + 1) stacks (``grid.pitch``: the
+    [..., :N] view is the lattice, the pad column is 0), and so are
+    their conjugates from the first ``adjoint`` on.  ``apply`` and
+    ``adjoint`` take pitched (..., N, N + 1) stacks with any leading
+    batch axes, raw spectra vh = grid.fft2(u) on the lattice view (the
+    corner phase and h^2 of ``grid.transform`` cancel between the ends),
+    and return pitched stacks: a pass is one multiply over the whole
+    (..., R, N, N + 1) work stack, one fft2 call on its lattice view for
+    all R terms and one more multiply, in place, and the pad stays 0.
+    A caller that passes that stack as ``out`` allocates nothing per
+    pass: the term sum is then formed in the stack's first term and
+    returned as a view of it, which lives until the stack is written
+    again.  Without ``out`` the sum is a fresh array.  Symbols singular
+    at xi = 0 get the low-frequency guard.
     """
 
     def __init__(self, sigma, grid):
         guard = _guard_for(sigma, grid)
         self.grid = grid
-        self.axes = (-2, -1)
-        X, xi = grid.coord_stack(), grid.freq_stack()
-        self.x = np.array([np.broadcast_to(fx(X), grid.shape)
-                           for fx, _ in sigma.terms], dtype=complex)
+        X, xi, N = grid.coord_stack(), grid.freq_stack(), grid.N
+        # zeros, then each term's lattice view: no lattice-sized copy of
+        # a stack lives beside it
+        self.x = np.zeros((len(sigma.terms), N, N + 1), dtype=complex)
+        self.m = np.zeros_like(self.x)
+        for (fx, _), x in zip(sigma.terms, self.x):
+            x[:, :N] = fx(X)
         if not np.all(np.isfinite(self.x)):
             raise SlabError("x-factor non-finite on the grid")
-        self.m = np.array([multiplier_values(grid, fxi(xi), guard)
-                           for _, fxi in sigma.terms])
+        for (_, fxi), m in zip(sigma.terms, self.m):
+            m[:, :N] = multiplier_values(grid, fxi(xi), guard)
         self.x.flags.writeable = self.m.flags.writeable = False
 
     @staticmethod
     def term_sum(w):
-        """Sum over the term axis of the (..., R, N, N) stack w, formed in
-        place in its first term, which is returned: the bits of np.sum
+        """Sum over the term axis of the (..., R, N, N + 1) stack w, formed
+        in place in its first term, which is returned: the bits of np.sum
         over that axis, which adds the terms in order."""
         head = w[..., 0, :, :]
         for r in range(1, w.shape[-3]):
@@ -120,10 +125,11 @@ class SeparablePlan:
 
     def _pass(self, w, inverse, then, in_place):
         """Sum over the term axis of then * fft2(w, inverse), for w the
-        products of a factor stack with the input; w is transformed in
-        place, and the sum is formed in its first term when in_place, else
-        fresh."""
-        gr.fft2(w, inverse, out=w)
+        pitched products of a factor stack with the input; w is
+        transformed in place on its lattice view, and the sum is formed
+        in its first term when in_place, else fresh."""
+        lattice = w[..., :self.grid.N]
+        gr.fft2(lattice, inverse, out=lattice)
         np.multiply(w, then, out=w)
         return self.term_sum(w) if in_place else np.sum(w, axis=-3)
 
@@ -136,13 +142,14 @@ class SeparablePlan:
         return stacks
 
     def apply(self, vh, out=None):
-        """x-samples of sigma(X, D) u from vh = fftn(u); out is the work
-        stack, allocated when None."""
+        """Pitched x-samples of sigma(X, D) u from the pitched vh =
+        fftn(u); out is the work stack, allocated when None."""
         w = np.multiply(self.m, vh[..., None, :, :], out=out)  # the term axis
         return self._pass(w, True, self.x, out is not None)
 
     def adjoint(self, v, out=None):
-        """fftn(sigma(X, D)^* v) from x-samples v; out as for apply."""
+        """Pitched fftn(sigma(X, D)^* v) from pitched x-samples v; out as
+        for apply."""
         x_conj, m_conj = self._conj
         w = np.multiply(x_conj, v[..., None, :, :], out=out)
         return self._pass(w, False, m_conj, out is not None)
@@ -150,7 +157,8 @@ class SeparablePlan:
 
 def _apply_plan(plan, f):
     """sigma(X, D) u for the SeparablePlan of sigma on f's grid."""
-    return gr.Field(f.grid, plan.apply(gr.fft2(f.values)), "x")
+    out = plan.apply(gr.pitch(gr.fft2(f.values)))
+    return gr.Field(f.grid, out[..., :f.grid.N], "x")
 
 
 def apply_pseudo(f, sigma, method="auto"):
@@ -281,8 +289,8 @@ def apply_pseudo_adjoint(f, sigma):
     transpose: multiply by conj f_r in x, then apply conj m_r (D).
     """
     plan = SeparablePlan(sigma, f.grid)
-    return gr.Field(f.grid, gr.fft2(plan.adjoint(f.values), inverse=True),
-                    "x")
+    vh = plan.adjoint(gr.pitch(f.values))[..., :f.grid.N]
+    return gr.Field(f.grid, gr.fft2(vh, inverse=True), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +565,7 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     warped = np.array([w.values for w in apply_canonical(plan, family + [
         gr.Field(g, col.reshape(g.shape), "x") for col in tilde.T])])
     a_plan = SeparablePlan(a, g)
-    left = a_plan.apply(gr.fft2(warped[:len(family)]))
+    left = a_plan.apply(gr.pitch(gr.fft2(warped[:len(family)])))[..., :g.N]
     ratios = []
     for ul, lw, rw in zip(family, left, warped[len(family):]):
         diff = gr.Field(g, lw - rw, "x")

@@ -456,6 +456,28 @@ def test_hl_oracle_other_dimension_is_a_one_line_error(runner, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_allocation_failure_is_a_one_line_error(runner, tmp_path,
+                                               monkeypatch):
+    # hl-oracle at N = 1048576 asks numpy for an 8 TiB kernel and ended in
+    # a traceback; the MemoryError numpy raises is raised here, without
+    # asking any machine for the memory
+    message = ("Unable to allocate 8.00 TiB for an array with shape "
+               "(1048576, 1048576) and data type float64")
+
+    def oracle(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(es, "hardy_littlewood_oracle", oracle)
+    path = write_config(tmp_path / "cfg.json",
+                        {"gamma": 0.25, "delta": 0.25, "m_exp": 0.5,
+                         "N": 1048576})
+    res = runner.invoke(main, ["hl-oracle", "--config", path,
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert res.output == f"hl-oracle failed: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_hl_oracle_without_a_positive_sample_fails(runner, tmp_path):
     # with L = 1e300 no sample falls in the box |y| < 2; the quotient is
     # 0/0, which once read as a passing ratio of 0

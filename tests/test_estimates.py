@@ -239,33 +239,34 @@ def test_smoothing_reports_match_across_chunks_for_an_oblique_symbol():
 def _two_call_reports(plan, spec, phis, monitor_radius, mass_tol):
     """The smoothing loop as it ran before the fused stack: per time
     sample and chunk, one inverse FFT for u(t) and its masses, then
-    plan.apply for sigma(X, D) u(t), with plain pairwise sums."""
-    g, S = plan.grid, len(phis)
+    plan.apply for sigma(X, D) u(t), with plain pairwise sums over the
+    lattice views of its pitched stacks."""
+    g, S, N = plan.grid, len(phis), plan.grid.N
     phase = ev.PropagatorPhase(spec, g)
     window = spec.times()
-    vh = np.fft.fftn(phis, axes=plan.axes)
+    vh = gr.pitch(np.fft.fftn(phis, axes=(-2, -1)))
     masks = [g.radius() <= rad for rad in (monitor_radius, g.L)]
     masks = [None if np.all(inside) else inside for inside in masks]
     times = (window[:(len(window) + 1) // 2]
              if es._time_reversible(plan, phis, masks) else window)
-    cols = max(1, es._STACK_BYTES // vh[0].nbytes)
+    cols = max(1, es._STACK_BYTES // (16 * N * N))
     out = np.empty((3, len(times), S))
     for j, t in enumerate(times):
         e = phase([t])[0]
         for s in range(0, S, cols):
             wh = e * vh[s:s + cols]
             blk = out[:, j, s:s + cols]
-            mass = np.fft.ifftn(wh, axes=plan.axes, out=np.empty_like(wh))
+            mass = np.fft.ifftn(wh[..., :N], axes=(-2, -1))
             mass = mass.real ** 2 + mass.imag ** 2
-            total = np.sum(mass, axis=plan.axes)
+            total = np.sum(mass, axis=(-2, -1))
             for k, inside in enumerate(masks, 1):
                 blk[k] = 1.0 if inside is None else np.sum(
-                    mass * inside, axis=plan.axes) / total
+                    mass * inside, axis=(-2, -1)) / total
             low = np.flatnonzero(blk[1] < mass_tol)
             if len(low):
                 raise SlabError(f"containment {blk[1][low[0]]:.5f} < "
                                 f"{mass_tol} at t = {t:+.3f}")
-            blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh))
+            blk[0] = g.h ** 2 * gr.sq_sum(plan.apply(wh)[..., :N])
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)
     weights = np.ones(len(window))
@@ -308,14 +309,19 @@ def test_fused_smoothing_loop_matches_the_two_call_loop(p, name, order, N,
 _BENCH_LADDER = [(64, 16.0, 8.0), (64, 32.0, 16.0), (64, 64.0, 32.0)]
 
 
+def _pitched(a):
+    """Whether a is the lattice view of a pitched stack (grid.pitch)."""
+    return a.strides[-2] == (a.shape[-1] + 1) * a.itemsize
+
+
 def _transforms(run):
-    """(direction, fields) of each grid.fft2 call of run(): every transform
-    in slab goes through it."""
+    """(direction, fields, pitched) of each grid.fft2 call of run(): every
+    transform in slab goes through it."""
     calls, fft2 = [], gr.fft2
 
     def counted(a, inverse=False, out=None):
         calls.append(("ifft" if inverse else "fft",
-                      a.size // (a.shape[-2] * a.shape[-1])))
+                      a.size // (a.shape[-2] * a.shape[-1]), _pitched(a)))
         return fft2(a, inverse, out)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -330,30 +336,90 @@ def test_smoothing_transforms_stay_at_their_floor(name, terms, fields):
     # the bench's smoothing runs: per rung, the 3 packets are one 3-field
     # inverse FFT and their spectra one forward FFT; then each folded time
     # sample (17, 33 and 65 of them) is one inverse FFT over u(t) and its
-    # R terms for all 3 trials.  A transform added or a call split shows
+    # R terms for all 3 trials, on the lattice view of the pitched work
+    # stack.  A transform added, a call split or a contiguous loop stack
+    # shows
     calls = _transforms(lambda: es.smoothing_sweep(
         sy.parse_sigma(name, EUCLID), EUCLID, _BENCH_LADDER, trials=3,
         seed=0, dt=0.5, order=1, freq_mag=0.9, spread=0.15,
         monitor_scale=np.sqrt(2.0), mass_tol=0.999))
     expected = []
     for samples in (17, 33, 65):
-        expected += [("ifft", 3), ("fft", 3)]
-        expected += [("ifft", 3 * (1 + terms))] * samples
+        expected += [("ifft", 3, False), ("fft", 3, False)]
+        expected += [("ifft", 3 * (1 + terms), True)] * samples
     assert calls == expected
-    assert sum(n for _, n in calls) == fields
-    assert sum(name == "ifft" for name, _ in calls) == 118
+    assert sum(n for _, n, _ in calls) == fields
+    assert sum(name == "ifft" for name, _, _ in calls) == 118
 
 
 def test_lap_transforms_stay_at_their_floor():
     # the bench's lap run: 13 rungs of 10 power steps, each B = sigma M
     # sigma* and, but for the last, B*; a sandwich is one forward FFT of
-    # the R = 3 adjoint terms and one inverse FFT of the 3 applied ones
+    # the R = 3 adjoint terms and one inverse FFT of the 3 applied ones,
+    # each on the lattice view of a pitched work stack
     calls = _transforms(lambda: es.lap_sweep(
         sy.structured_sigma(EUCLID), EUCLID, gr.make_grid(64, 16.0), d=1.0,
         eps_list=ev.epsilon_ladder(12), trials=1, seed=0, order=2,
         check_structure=True, iters=10, cell_quad=8))
-    assert calls == [("fft", 3), ("ifft", 3)] * (13 * 19)
-    assert sum(n for _, n in calls) == 1482
+    assert calls == [("fft", 3, True), ("ifft", 3, True)] * (13 * 19)
+    assert sum(n for _, n, _ in calls) == 1482
+
+
+def _pad(view):
+    """The pad column of a pitched stack, from its lattice view."""
+    return np.lib.stride_tricks.as_strided(
+        view[..., -1:], view.shape[:-1] + (2,), view.strides)[..., 1]
+
+
+def test_pitched_pads_stay_zero():
+    # every pitched einsum and norm sums over the pad column, so it must
+    # stay exactly 0: through apply and adjoint (into work stacks that
+    # start as NaN), a propagator phase, and the transforms of a smoothing
+    # chunk and of a LAP power step, before and after each call and at
+    # the end of the run
+    g = gr.make_grid(16, 4.0)
+    N = g.N
+    plan = qu.SeparablePlan(sy.structured_sigma(EUCLID), g)
+    rng = np.random.default_rng(0)
+    v = gr.pitch(rng.normal(size=(2, N, N)) + 1j * rng.normal(size=(2, N, N)))
+    work = np.full((2, 2, len(plan.m), N, N + 1), np.nan, dtype=complex)
+    assert not np.any(plan.apply(v)[..., N:])
+    assert not np.any(plan.adjoint(v)[..., N:])
+    assert not np.any(plan.apply(v, out=work[0])[..., N:])
+    assert not np.any(plan.adjoint(v, out=work[1])[..., N:])
+    assert not np.any(work[..., N:])
+    phase = ev.PropagatorPhase(ev.EvolutionSpec(EUCLID), g)
+    assert not np.any(phase([-1.0, 0.0, 0.5])[..., N:])
+    views, fft2 = [], gr.fft2
+
+    def checked(a, inverse=False, out=None):
+        if _pitched(a):
+            views.append(a)
+            assert not np.any(_pad(a))
+        b = fft2(a, inverse, out)
+        assert not _pitched(b) or not np.any(_pad(b))
+        return b
+
+    spec = ev.EvolutionSpec(EUCLID, order=1, T=0.5, dt=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "fft2", checked)
+        es._smoothing_reports(plan, spec, v[..., :N], g.L, 0.0)
+        es.lap_sweep(sy.structured_sigma(EUCLID), EUCLID, g, d=1.0,
+                     eps_list=[0.5], trials=2, seed=0, order=2,
+                     check_structure=True, iters=2, cell_quad=1)
+    # the packets' spectra (v's lattice view is pitched), three time
+    # samples, and B, B* and B of one power step and the last estimate
+    assert len(views) == 1 + 3 + 3 * 2
+    assert not any(np.any(_pad(a)) for a in views)
+    # operator_norm's start vectors and normalized iterates
+    inputs = []
+
+    def B(vs):
+        inputs.append(vs[..., N:].copy())
+        return 0.5 * vs
+
+    es.operator_norm((B, B), g, iters=3, starts=2, seed=0)
+    assert len(inputs) == 5 and not np.any(inputs)
 
 
 _BLAS_PROBE = """
@@ -450,8 +516,9 @@ def test_verdict_rules():
 def test_operator_norm_on_known_multiplier():
     g = gr.make_grid(32, 8.0)
     mvals = np.exp(-g.freq_radius() ** 2 / 4.0)
-    B = lambda vs: np.array([qu.apply_multiplier(gr.Field(g, v, "x"),
-                                                 mvals).values for v in vs])
+    # operator_norm's maps take and return pitched stacks
+    B = lambda vs: gr.pitch(np.array([qu.apply_multiplier(
+        gr.Field(g, v[:, :g.N], "x"), mvals).values for v in vs]))
     est = es.operator_norm((B, B), g, iters=30, starts=4, seed=0)
     assert est == pytest.approx(np.max(mvals), rel=1e-3)
 

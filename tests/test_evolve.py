@@ -361,8 +361,9 @@ def test_real_line_means_match_a_40_digit_log(label, N, L):
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
                                                                  sign):
-    # e^{-itP} bit for bit; e^{+itP}, which the duality check runs as the
-    # phase at -t, value for value (a zero may change sign)
+    # e^{-itP} bit for bit on the lattice view of the pitched stack, whose
+    # pad is 0; e^{+itP}, which the duality check runs as the phase at -t,
+    # value for value (a zero may change sign)
     pair = sy.make_pair(label)
     g = gr.make_grid(N, 8.0)
     spec = ev.EvolutionSpec(pair, order=2)
@@ -370,9 +371,10 @@ def test_propagator_phase_is_the_lattice_exponential_bit_for_bit(label, N,
     s = -1.0 if sign == "-" else 1.0
     times = np.array([-3.0, -0.25, 0.0, 0.7, 2.5])
     stack = ev.PropagatorPhase(spec, g)(times if sign == "-" else -times)
-    assert stack.shape == (len(times), N, N)
+    assert stack.shape == (len(times), N, N + 1)
     assert stack.flags.c_contiguous
-    for t, e in zip(times, stack):
+    assert not np.any(stack[..., N:])
+    for t, e in zip(times, stack[..., :N]):
         ref = np.exp(t * 1j * s * P)
         if sign == "-":
             assert e.tobytes() == ref.tobytes()
@@ -387,7 +389,7 @@ def test_propagator_phase_refuses_a_phase_past_2_52():
     spec = ev.EvolutionSpec(EUCLID, order=2)
     phase = ev.PropagatorPhase(spec, g)
     t = 2.0 ** 52 / np.max(ev.symbol_lattice(EUCLID, g, 2))
-    assert phase([0.0, -0.999 * t]).shape == (2, *g.shape)
+    assert phase([0.0, -0.999 * t]).shape == (2, g.N, g.N + 1)
     with pytest.raises(SlabError, match=r"^\|t\| = .* past 2\^52 it keeps "
                                         r"no fractional digit$"):
         phase([0.0, -1.001 * t])

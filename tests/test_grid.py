@@ -128,6 +128,33 @@ def test_fft2_is_fftn_byte_for_byte(shape, inverse):
         assert np.ascontiguousarray(view).tobytes() == ref
 
 
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+@pytest.mark.parametrize("fields", [1, 3, 12])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fft2_on_a_pitched_view_is_fftn_byte_for_byte(N, fields, inverse):
+    # in place on the lattice view of a pitched stack, whose pad it leaves 0
+    rng = np.random.default_rng(N + fields)
+    a = rng.normal(size=(fields, N, N)) + 1j * rng.normal(size=(fields, N, N))
+    fftn = np.fft.ifftn if inverse else np.fft.fftn
+    w = gr.pitch(a)
+    view = w[..., :N]
+    assert view.strides[-2] == (N + 1) * view.itemsize
+    assert gr.fft2(view, inverse, out=view) is view
+    assert (np.ascontiguousarray(view).tobytes()
+            == fftn(a, axes=(-2, -1)).tobytes())
+    assert not np.any(w[..., N:])
+
+
+@pytest.mark.parametrize("dtype", [complex, float, np.int32])
+def test_pitch_round_trip(dtype):
+    a = np.arange(2 * 8 * 8).reshape(2, 8, 8).astype(dtype) + 1
+    p = gr.pitch(a)
+    assert p.shape == (2, 8, 9) and p.dtype == a.dtype
+    assert p.flags.c_contiguous
+    assert p[..., :8].tobytes() == a.tobytes()
+    assert not np.any(p[..., 8:])
+
+
 def test_weighted_norm_m0_is_quadrature_l2():
     g = gr.make_grid(32, 8.0)
     f = random_field(g, seed=3)

@@ -194,12 +194,14 @@ SIGMAS = ["structured", "unstructured-critical", "weighted:s=0.75"]
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(SIGMAS), seed=st.integers(0, 2**32 - 1))
 def test_plan_adjoint_pairing(name, seed):
-    # <v, sigma u> = <sigma^* v, u> on random fields
+    # <v, sigma u> = <sigma^* v, u> on random fields, through the plan's
+    # pitched stacks
     g = gr.make_grid(16, 4.0)
     plan = qu.SeparablePlan(sy.parse_sigma(name, EUCLID), g)
     u, v = random_field(g, seed), random_field(g, seed + 1)
-    su = gr.Field(g, plan.apply(np.fft.fftn(u.values)), "x")
-    sv = np.fft.ifftn(plan.adjoint(v.values))
+    su = gr.Field(g, plan.apply(gr.pitch(np.fft.fftn(u.values)))[:, :g.N],
+                  "x")
+    sv = np.fft.ifftn(plan.adjoint(gr.pitch(v.values))[:, :g.N])
     q = g.h ** 2
     lhs = q * np.vdot(v.values, su.values)
     rhs = q * np.vdot(sv, u.values)
@@ -211,8 +213,8 @@ def test_plan_matches_direct_quadrature(name):
     g = gr.make_grid(16, 4.0)
     sig = sy.parse_sigma(name, EUCLID)
     f = random_field(g, 7)
-    plan = gr.Field(g, qu.SeparablePlan(sig, g).apply(np.fft.fftn(f.values)),
-                    "x")
+    vh = gr.pitch(np.fft.fftn(f.values))
+    plan = gr.Field(g, qu.SeparablePlan(sig, g).apply(vh)[:, :g.N], "x")
     direct = qu.apply_pseudo(f, sig, method="direct")
     assert np.max(np.abs(plan.values - direct.values)) <= 1e-10 * plan.norm()
 
@@ -231,17 +233,19 @@ def test_structured_plan_builds_without_warnings(p):
 
 @pytest.mark.parametrize("name", SIGMAS)
 def test_plan_stack_matches_per_slice_calls(name):
-    # any leading batch axes: each slice of the stack is the one-field call
+    # any leading batch axes: each slice of the pitched stack is the
+    # one-field call
     g = gr.make_grid(16, 4.0)
     plan = qu.SeparablePlan(sy.parse_sigma(name, EUCLID), g)
-    vs = np.array([random_field(g, seed).values for seed in range(3)])
-    vh = np.fft.fftn(vs, axes=(-2, -1))
+    vs = gr.pitch(np.array([random_field(g, seed).values
+                            for seed in range(3)]))
+    vh = gr.pitch(np.fft.fftn(vs[..., :g.N], axes=(-2, -1)))
     applied, adjoint = plan.apply(vh), plan.adjoint(vs)
-    assert applied.shape == adjoint.shape == vs.shape
+    assert applied.shape == adjoint.shape == vs.shape == (3, g.N, g.N + 1)
     for k in range(len(vs)):
         assert np.array_equal(applied[k], plan.apply(vh[k]))
         assert np.array_equal(adjoint[k], plan.adjoint(vs[k]))
-    nested = plan.apply(vh.reshape(1, 3, *g.shape))
+    nested = plan.apply(vh[None])
     assert np.array_equal(nested[0], applied)
 
 
