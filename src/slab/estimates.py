@@ -402,8 +402,7 @@ def surface_norm(fhat_eval, pair, rho, band_limit=None):
 def restriction_norm(plan, pair, f, rho):
     """Surface norm of the transform of sigma(X,D)^* f, over ||f||, for
     the SeparablePlan of sigma on f's grid."""
-    vh = plan.adjoint(gr.pitch(f.values))[..., :f.grid.N]
-    g = gr.Field(f.grid, gr.fft2(vh, inverse=True), "x")
+    g = qu._adjoint_plan(plan, f)
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
                         band_limit=0.95 * f.grid.nyquist) / f.norm()
 

@@ -90,11 +90,11 @@ class SeparablePlan:
     and return pitched stacks: a pass is one multiply over the whole
     (..., R, N, N + 1) work stack, one fft2 call on its lattice view for
     all R terms and one more multiply, in place, and the pad stays 0.
-    A caller that passes that stack as ``out`` allocates nothing per
-    pass: the term sum is then formed in the stack's first term and
-    returned as a view of it, which lives until the stack is written
-    again.  Without ``out`` the sum is a fresh array.  Symbols singular
-    at xi = 0 get the low-frequency guard.
+    The term sum is formed in the stack's first term and returned as a
+    view of it.  A caller that passes the stack as ``out`` allocates
+    nothing per pass, and the view lives until the stack is written
+    again; without ``out`` the stack is allocated.  Symbols singular at
+    xi = 0 get the low-frequency guard.
     """
 
     def __init__(self, sigma, grid):
@@ -123,15 +123,15 @@ class SeparablePlan:
             np.add(head, w[..., r, :, :], out=head)
         return head
 
-    def _pass(self, w, inverse, then, in_place):
+    def _pass(self, w, inverse, then):
         """Sum over the term axis of then * fft2(w, inverse), for w the
         pitched products of a factor stack with the input; w is
         transformed in place on its lattice view, and the sum is formed
-        in its first term when in_place, else fresh."""
+        in its first term."""
         lattice = w[..., :self.grid.N]
         gr.fft2(lattice, inverse, out=lattice)
         np.multiply(w, then, out=w)
-        return self.term_sum(w) if in_place else np.sum(w, axis=-3)
+        return self.term_sum(w)
 
     @functools.cached_property
     def _conj(self):
@@ -145,20 +145,26 @@ class SeparablePlan:
         """Pitched x-samples of sigma(X, D) u from the pitched vh =
         fftn(u); out is the work stack, allocated when None."""
         w = np.multiply(self.m, vh[..., None, :, :], out=out)  # the term axis
-        return self._pass(w, True, self.x, out is not None)
+        return self._pass(w, True, self.x)
 
     def adjoint(self, v, out=None):
         """Pitched fftn(sigma(X, D)^* v) from pitched x-samples v; out as
         for apply."""
         x_conj, m_conj = self._conj
         w = np.multiply(x_conj, v[..., None, :, :], out=out)
-        return self._pass(w, False, m_conj, out is not None)
+        return self._pass(w, False, m_conj)
 
 
 def _apply_plan(plan, f):
     """sigma(X, D) u for the SeparablePlan of sigma on f's grid."""
     out = plan.apply(gr.pitch(gr.fft2(f.values)))
     return gr.Field(f.grid, out[..., :f.grid.N], "x")
+
+
+def _adjoint_plan(plan, f):
+    """sigma(X, D)^* f for the SeparablePlan of sigma on f's grid."""
+    vh = plan.adjoint(gr.pitch(f.values))[..., :f.grid.N]
+    return gr.Field(f.grid, gr.fft2(vh, inverse=True), "x")
 
 
 def apply_pseudo(f, sigma, method="auto"):
@@ -288,9 +294,7 @@ def apply_pseudo_adjoint(f, sigma):
     """sigma(X, D)^* v = conj-sigma(Y, D) v, the discrete conjugate
     transpose: multiply by conj f_r in x, then apply conj m_r (D).
     """
-    plan = SeparablePlan(sigma, f.grid)
-    vh = plan.adjoint(gr.pitch(f.values))[..., :f.grid.N]
-    return gr.Field(f.grid, gr.fft2(vh, inverse=True), "x")
+    return _adjoint_plan(SeparablePlan(sigma, f.grid), f)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ unit level set), the frequency warp psi conjugating p(D) to |D|, and the
 wedge symbol Omega(x, xi) that vanishes exactly on the classical orbit
 set Gamma_p = {(lambda grad p(xi), xi)}.
 
-Everything lives in the plane.  Duals without a closed form are built
+Everything lives in the plane.  Every derivative is a closed form in
+the gradient and Hessian of the primal p: psi' and Omega read p's
+curvature and never the dual.  Duals without a closed form are built
 by a curvature audit first, then one batched solve of
 p*(x) = max {x.sigma : p(sigma) = 1} over all points, a coarse argmax
 over angles followed by bracketed Newton steps on the angle.  By the
@@ -24,8 +26,6 @@ XI_MIN = 1e-12
 TOL_ORBIT = 1e-8
 KAPPA_MIN = 1e-4
 GRAD_TOL = 1e-10
-FD_STEP = 1e-5          # relative step of the finite-difference Hessian
-JACOBIAN_STEP = 1e-6    # and of psi_jacobian
 
 
 def __getattr__(name):
@@ -38,22 +38,14 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def wedge(a, b):
-    """a_0 b_1 - a_1 b_0 of planar vectors; the last axis is the vector
-    axis."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 @dataclass
 class HomogeneousSymbol:
     """Degree-1 positively homogeneous function on the plane with
     derivative evaluators.
 
-    ``value`` maps points of shape (..., 2) to positive reals and ``grad``
-    to their gradients.  A missing hessian evaluator falls back to central
-    differences of ``grad`` with relative step ``FD_STEP * |xi|``.
+    ``value`` maps points of shape (..., 2) to positive reals, ``grad``
+    to their gradients and ``hess`` to their Hessians (a support dual
+    has none, see ``make_dual``).
     """
 
     dim = 2     # the plane: a class constant the benchmark tracer reads
@@ -71,20 +63,7 @@ class HomogeneousSymbol:
         return self.grad(np.asarray(xi, dtype=float))
 
     def hessian(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.hess is not None:
-            return self.hess(xi)
-        J = _central_jacobian(self.grad, xi, FD_STEP)
-        return 0.5 * (J + np.swapaxes(J, -1, -2))
-
-
-def _central_jacobian(fn, xi, step):
-    """Jacobian of fn at the points xi by central differences with relative
-    step ``step * |xi|``: rows index the output component, columns the
-    differentiation direction."""
-    h = step * np.linalg.norm(xi, axis=-1, keepdims=True)
-    return np.stack([(fn(xi + h * e) - fn(xi - h * e)) / (2.0 * h)
-                     for e in np.eye(2)], axis=-1)
+        return self.hess(np.asarray(xi, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +281,8 @@ def make_dual(sym):
     the maximization is well posed; the dual gradient is the maximizer
     itself (envelope rule).  The last solve is kept, so a value and a
     gradient asked at the same points share it; both come back
-    read-only.
+    read-only.  The dual has no Hessian: psi' and Omega take theirs from
+    the primal's, so no path asks a dual for its curvature.
     """
     kmin, worst, ok = curvature_audit(sym)
     if not ok:
@@ -368,9 +348,19 @@ def psi_inv(pair, xi):
 
 
 def psi_jacobian(pair, xi):
-    """Jacobian matrix psi'(xi) by central differences."""
-    return _central_jacobian(lambda eta: psi(pair, eta),
-                             np.asarray(xi, dtype=float), JACOBIAN_STEP)
+    """Jacobian psi'(xi) = ghat grad p^T + (p / |grad p|) (I - ghat ghat^T)
+    Hess p, with ghat = grad p / |grad p|: rows index the output
+    component, columns the differentiation direction."""
+    xi = _check_freq(xi)
+    p = pair.primal(xi)
+    g = pair.primal.gradient(xi)
+    H = pair.primal.hessian(xi)
+    gn = np.linalg.norm(g, axis=-1, keepdims=True)
+    ghat = g / gn
+    # (I - ghat ghat^T) H = H - ghat (ghat^T H)
+    proj = H - ghat[..., :, None] * (ghat[..., None, :] @ H)
+    return ghat[..., :, None] * g[..., None, :] \
+        + (p[..., None] / gn)[..., None] * proj
 
 
 def geometry_identities(pair, xi):
@@ -392,22 +382,32 @@ def geometry_identities(pair, xi):
     ]
 
 
-def omega(pair, x, xi):
-    """Structure symbol Omega(x, xi) = x psi'(xi)^{-1} ^ psi(xi).
+def _omega_coeffs(sym, xi):
+    """C(xi) with Omega(x, xi) = x . C(xi), for nonzero xi:
+    C = -|g| t / (t^T Hess p(xi) t) = (g_1, -g_0) / (t^T Hess p(xi) t),
+    with g = grad p(xi) and t = g / |g| turned by +90 degrees.
 
-    Evaluated through the dual Hessian at grad p(xi); the radial part of x
-    lies in the Hessian kernel and is projected out, so on-orbit values
-    vanish identically.
+    At g, grad p*(g) = xi / p and Hess p is homogeneous of degree -1, so
+    Hess p*(g) = t t^T / (p t^T Hess p(xi) t), and x Hess p*(g) ^ p g
+    is -(x . t) |g| / (t^T Hess p(xi) t).  On the orbit x is parallel
+    to g, so x . t = 0.
     """
-    xi = _check_freq(xi)
+    g = sym.gradient(xi)
+    H = sym.hessian(xi)
+    gn = np.linalg.norm(g, axis=-1)
+    t0, t1 = -g[..., 1] / gn, g[..., 0] / gn
+    tht = (t0 * t0 * H[..., 0, 0] + t0 * t1 * (H[..., 0, 1] + H[..., 1, 0])
+           + t1 * t1 * H[..., 1, 1])
+    return np.stack([g[..., 1] / tht, -g[..., 0] / tht], axis=-1)
+
+
+def omega(pair, x, xi):
+    """Structure symbol Omega(x, xi) = x psi'(xi)^{-1} ^ psi(xi), from the
+    curvature of p alone (``_omega_coeffs``); it vanishes on the orbit
+    set."""
+    C = _omega_coeffs(pair.primal, _check_freq(xi))
     x = np.asarray(x, dtype=float)
-    p = pair.primal(xi)
-    g = pair.primal.gradient(xi)
-    ghat = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    xperp = x - np.sum(x * ghat, axis=-1, keepdims=True) * ghat
-    H = pair.dual.hessian(g)
-    v = np.einsum("...i,...ij->...j", xperp, H)
-    return wedge(v, p[..., None] * g)
+    return x[..., 0] * C[..., 0] + x[..., 1] * C[..., 1]
 
 
 def gamma_p_membership(pair, x, xi):
@@ -535,18 +535,13 @@ def weighted_subcritical(s):
 
 def omega_phase_symbol(pair):
     """Omega as a PhaseSpaceSymbol, linear in x (separable, rank 2):
-    Omega = sum_l x_l C_l(xi), the form ``omega`` evaluates pointwise."""
+    Omega = sum_l x_l C_l(xi), the coefficients ``omega`` evaluates."""
 
     def coeff(xi, l):
-        # C_l = H*_{l0} p g_1 - H*_{l1} p g_0, H* = hess p*(grad p).
-        # C_l is degree-1 homogeneous, hence 0 at xi = 0 by continuity.
+        # C_l is degree-1 homogeneous, hence 0 at xi = 0 by continuity
         r = np.linalg.norm(xi, axis=-1)
         safe = np.where((r > 0)[..., None], xi, 1.0)
-        g = pair.primal.gradient(safe)
-        p = pair.primal(safe)
-        H = pair.dual.hessian(g)
-        out = p * (H[..., l, 0] * g[..., 1] - H[..., l, 1] * g[..., 0])
-        return np.where(r > 0, out, 0.0)
+        return np.where(r > 0, _omega_coeffs(pair.primal, safe)[..., l], 0.0)
 
     terms = [(lambda x, l=l: x[..., l], lambda xi, l=l: coeff(xi, l))
              for l in range(2)]

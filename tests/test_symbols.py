@@ -11,6 +11,30 @@ from slab.errors import SlabError
 
 EUCLID = sy.make_pair("euclidean")
 ELLIPSE = sy.closed_form_dual(sy.quadratic_form(np.diag([1.0, 0.5])))
+OBLIQUE = sy.closed_form_dual(sy.quadratic_form(
+    [[0.96, 0.196], [-0.28, 0.672]]))
+
+# reference difference steps, relative to |xi|: the library's derivatives
+# are closed forms, checked against these quotients
+FD_STEP = 1e-5          # of the difference Hessian
+JACOBIAN_STEP = 1e-6    # and of the difference psi'
+
+
+def _central_jacobian(fn, xi, step):
+    """Jacobian of fn at the points xi by central differences with relative
+    step ``step * |xi|``: rows index the output component, columns the
+    differentiation direction."""
+    h = step * np.linalg.norm(xi, axis=-1, keepdims=True)
+    return np.stack([(fn(xi + h * e) - fn(xi - h * e)) / (2.0 * h)
+                     for e in np.eye(2)], axis=-1)
+
+
+def difference_hessian(grad):
+    """The symmetrized central-difference Jacobian of grad at FD_STEP."""
+    def hess(xi):
+        J = _central_jacobian(grad, xi, FD_STEP)
+        return 0.5 * (J + np.swapaxes(J, -1, -2))
+    return hess
 
 
 def sample_xi(count, seed=0):
@@ -73,8 +97,11 @@ def test_curvature_audit_rejects_quartic():
     def value(xi):
         return (xi[..., 0]**4 + xi[..., 1]**4) ** 0.25
 
-    quartic = sy.HomogeneousSymbol(
-        "quartic", value, lambda xi: xi**3 / value(xi)[..., None] ** 3)
+    def grad(xi):
+        return xi**3 / value(xi)[..., None] ** 3
+
+    quartic = sy.HomogeneousSymbol("quartic", value, grad,
+                                   difference_hessian(grad))
     kmin, _, ok = sy.curvature_audit(quartic)
     assert not ok
     assert kmin < 1e-2
@@ -191,7 +218,7 @@ def test_perturbed_hessian_matches_central_differences(amp):
     sym = sy.perturbed(amp)
     for xi in (sample_xi(200, seed=5), sy.level_set_samples(sym)):
         H = sym.hessian(xi)
-        J = sy._central_jacobian(sym.grad, xi, sy.FD_STEP)
+        J = _central_jacobian(sym.grad, xi, FD_STEP)
         scale = np.linalg.norm(J, axis=(-2, -1))[:, None, None]
         assert np.max(np.abs(H - J) / scale) <= 1e-8
 
@@ -247,6 +274,87 @@ def test_psi_euclid_identity_and_ellipse_example():
                        [0.0, 1.0], atol=1e-10)
     with pytest.raises(SlabError, match="below the degeneracy floor"):
         sy.psi(EUCLID, np.zeros(2))
+
+
+# every registry primal: euclidean, a diagonal and an oblique quadratic
+# form (closed-form duals) and the perturbed p at +-amp (support duals)
+PRIMAL_PAIRS = [EUCLID, ELLIPSE, OBLIQUE, sy.make_pair("perturbed:amp=0.05"),
+                sy.make_pair("perturbed:amp=-0.05")]
+
+
+def _label(pair):
+    return pair.primal.label
+
+
+def richardson_jacobian(fn, xi, step):
+    """Fourth-order Richardson extrapolation of the central-difference
+    Jacobians of fn at relative steps step and step / 2."""
+    coarse = _central_jacobian(fn, xi, step)
+    fine = _central_jacobian(fn, xi, 0.5 * step)
+    return (4.0 * fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("pair", PRIMAL_PAIRS, ids=_label)
+def test_psi_jacobian_matches_richardson_differences(pair):
+    def warp(eta):
+        return sy.psi(pair, eta)
+
+    for xi in (sample_xi(500, seed=19), sy.level_set_samples(pair.primal)):
+        J = sy.psi_jacobian(pair, xi)
+        ref = richardson_jacobian(warp, xi, 1e-3)
+        size = np.linalg.norm(ref, axis=(-2, -1))
+        assert np.max(np.linalg.norm(J - ref, axis=(-2, -1)) / size) <= 1e-10
+        # the plain central difference at JACOBIAN_STEP carries its
+        # truncation and roundoff error, about 3e-10 relative
+        old = _central_jacobian(warp, xi, JACOBIAN_STEP)
+        assert np.max(np.linalg.norm(J - old, axis=(-2, -1)) / size) <= 1e-8
+
+
+def omega_through_the_dual(pair, x, xi):
+    """Omega as x Hess p*(grad p) ^ p grad p, with the radial part of x
+    projected out: the form that reads the dual's Hessian."""
+    p = pair.primal(xi)
+    g = pair.primal.gradient(xi)
+    ghat = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    xperp = x - np.sum(x * ghat, axis=-1, keepdims=True) * ghat
+    v = np.einsum("...i,...ij->...j", xperp, pair.dual.hessian(g))
+    return p * (v[..., 0] * g[..., 1] - v[..., 1] * g[..., 0])
+
+
+@pytest.mark.parametrize("pair", [EUCLID, ELLIPSE, OBLIQUE], ids=_label)
+def test_omega_matches_the_dual_hessian_form(pair):
+    xi = sample_xi(1000, seed=20)
+    x = np.random.default_rng(20).normal(size=xi.shape) * 3.0
+    err = np.abs(sy.omega(pair, x, xi) - omega_through_the_dual(pair, x, xi))
+    scale = np.linalg.norm(x, axis=-1) * np.linalg.norm(xi, axis=-1)
+    assert np.max(err / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("pair", PRIMAL_PAIRS, ids=_label)
+def test_omega_phase_symbol_coefficients_are_omega_at_unit_x(pair):
+    xi = sample_xi(300, seed=21)
+    terms = sy.omega_phase_symbol(pair).terms
+    for (_, coeff), e in zip(terms, np.eye(2)):
+        assert np.array_equal(coeff(xi), sy.omega(pair, e, xi))
+        assert coeff(np.zeros((1, 2)))[0] == 0.0
+
+
+def test_omega_plan_and_commutator_run_no_support_solve(monkeypatch):
+    # Omega reads p's curvature only, so a support dual is never solved
+    pair = sy.make_pair("perturbed:amp=0.05")
+    solve = sy._support_maximizer
+    calls = []
+
+    def counted(sym, x):
+        calls.append(len(x))
+        return solve(sym, x)
+
+    monkeypatch.setattr(sy, "_support_maximizer", counted)
+    g = gr.make_grid(32, 8.0)
+    qu.SeparablePlan(sy.omega_phase_symbol(pair), g)
+    f = gr.spectral_packet(g, (3.0, 0.0), 1.0)
+    qu.commutator_residual(pair, lambda t: np.exp(-(t / 4.0) ** 2), f)
+    assert calls == []
 
 
 def test_omega_euclid_reduces_to_wedge():
@@ -400,7 +508,7 @@ def test_omega_phase_symbol_separable_terms_consistent():
         om = sy.omega_phase_symbol(pair)
         x = rng.normal(size=(8, 2))
         xi = rng.normal(size=(8, 2)) * 2
-        # the pointwise form through the projected x against the terms
+        # the pointwise form against the terms
         assert np.max(np.abs(sy.omega(pair, x, xi) - om(x, xi))) <= 1e-12
         # gradient direction contracts to zero against the coefficients
         g = pair.primal.gradient(xi)
