@@ -348,6 +348,14 @@ def _squared_norm(v):
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
+def _growth_symbol(growth):
+    """The egorov check's one-term symbol <x>^growth <xi>^{-1}."""
+    return sy.PhaseSpaceSymbol(
+        "x-growth", (growth, 0.0),
+        lambda x: ((1.0 + _squared_norm(x)) ** (growth / 2.0))[None],
+        lambda xi: (1.0 / np.sqrt(1.0 + _squared_norm(xi)))[None])
+
+
 def _phase_top(axis, v, scale):
     """scale * max |z.v| over the lattice axis^2.  The maximum and the
     minimum of z.v are sums over the axes, and the product of finite
@@ -379,14 +387,7 @@ def _run_egorov(cfg):
     growth = cfg["amp_growth"]
     declared = cfg.get("declared_order", growth)
     slack = 3.0    # criterion 06's bound on max/min
-
-    def gfac(xi):
-        return 1.0 / np.sqrt(1.0 + _squared_norm(xi))
-
-    def xfac(x):
-        return (1.0 + _squared_norm(x)) ** (growth / 2.0)
-
-    a = sy.PhaseSpaceSymbol("x-growth", (growth, 0.0), [(xfac, gfac)])
+    a = _growth_symbol(growth)
     plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
     env = gr.spectral_packet(g, np.zeros(2), cfg["packet_spread"])
     # the carrier's phase x.carrier over the box, and the recentring's

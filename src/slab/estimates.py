@@ -124,8 +124,9 @@ def smoothing_ratio(sigma, spec, phi, T, dt, *, monitor_radius, mass_tol):
         int_{-T}^{T} ||sigma(X, D) u(t)||^2 dt / ||phi||^2
 
     by trapezoidal quadrature over the exact trajectory, kept in xi-space
-    (sigma needs separable terms).  The tail indicator (endpoint / peak
-    integrand) flags window truncation; the mass monitor, wrap-around.
+    (through the SeparablePlan of sigma's factor stacks).  The tail
+    indicator (endpoint / peak integrand) flags window truncation; the
+    mass monitor, wrap-around.
     """
     return _smoothing_reports(qu.SeparablePlan(sigma, phi.grid), replace(
         spec, T=T, dt=dt), phi.values[None], monitor_radius, mass_tol)[0]
@@ -237,8 +238,7 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     # the samples t > 0 a folded window skipped are their mirrors' values
     out = np.concatenate(
         [out, out[:, :len(window) - len(times)][:, ::-1]], axis=1)
-    weights = np.ones(len(window))
-    weights[0] = weights[-1] = 0.5
+    weights = spec.trapezoid()
     norm2 = g.h ** 2 * gr.sq_sum(phis)
     mass_min = np.minimum(1.0, out[1:].min(axis=1))
     return [SmoothingReport(
@@ -348,7 +348,7 @@ def lap_sweep(sigma, spec_pair, grid, *, d, eps_list, trials, seed, order,
 
     ladder = geometry.ladder(d, eps_list, chi=chi)
     for k, (eps, rung) in enumerate(zip(eps_list, ladder)):
-        pair[0, :, :N] = qu.multiplier_values(grid, rung)
+        qu.multiplier_values(grid, rung, out=pair[0, :, :N])
         np.conj(pair[0], out=pair[1])
         nrm = operator_norm((sandwich(pair[0]), sandwich(pair[1])), grid,
                             iters=iters, starts=trials, seed=seed + k)
@@ -446,8 +446,7 @@ def duality_check(sigma, spec_pair, grid, *, T, n_times, trials, seed,
     spec = ev.EvolutionSpec(spec_pair, order=order, T=T,
                             dt=2.0 * T / (n_times - 1))
     times = spec.times()
-    w = np.full(len(times), spec.dt)    # trapezoid weights times dt
-    w[0] = w[-1] = 0.5 * spec.dt
+    w = spec.trapezoid() * spec.dt
     rng = np.random.default_rng(seed)
     hq = grid.h ** 2
     plan = qu.SeparablePlan(sigma, grid)

@@ -42,6 +42,13 @@ class EvolutionSpec:
                              f"2T = {2.0 * self.T!r}")
         return -self.T + self.dt * np.arange(n + 1)
 
+    def trapezoid(self):
+        """The trapezoid rule's weights on times(), without the factor dt:
+        [1/2, 1, ..., 1, 1/2]."""
+        weights = np.ones(len(self.times()))
+        weights[0] = weights[-1] = 0.5
+        return weights
+
 
 def symbol_lattice(pair, grid, power=1):
     """p(xi)^power on the frequency lattice, origin patched to 0 by the

@@ -48,18 +48,21 @@ def low_freq_guard(grid):
     return gr._smoothstep((r - xi_min) / xi_min)
 
 
-def multiplier_values(grid, m, guard=None):
+def multiplier_values(grid, m, guard=None, out=None):
     """Multiplier (callable or lattice array) on the frequency lattice,
     times ``guard``; non-finite values are zeroed only where it vanishes.
+    Written into ``out`` when given: a complex view whose last two axes
+    are the lattice, which may hold a stack of multipliers.
     """
-    vals = np.array(m(grid.freq_stack()) if callable(m) else m, dtype=complex)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).copy()
+    if out is None:
+        out = np.empty(grid.shape, dtype=complex)
+    out[...] = m(grid.freq_stack()) if callable(m) else m
     if guard is not None:
-        vals = np.where(np.isfinite(vals) | (guard != 0), vals, 0.0) * guard
-    if not np.all(np.isfinite(vals)):
+        out[~np.isfinite(out) & (guard == 0)] = 0.0
+        out *= guard
+    if not np.all(np.isfinite(out)):
         raise SlabError("multiplier non-finite on the lattice")
-    return vals
+    return out
 
 
 def apply_multiplier(f, m):
@@ -98,19 +101,17 @@ class SeparablePlan:
     """
 
     def __init__(self, sigma, grid):
-        guard = _guard_for(sigma, grid)
-        self.grid = grid
-        X, xi, N = grid.coord_stack(), grid.freq_stack(), grid.N
-        # zeros, then each term's lattice view: no lattice-sized copy of
-        # a stack lives beside it
-        self.x = np.zeros((len(sigma.terms), N, N + 1), dtype=complex)
-        self.m = np.zeros_like(self.x)
-        for (fx, _), x in zip(sigma.terms, self.x):
-            x[:, :N] = fx(X)
+        self.grid, N = grid, grid.N
+        # each factor stack goes straight into its pitched lattice view
+        fx = sigma.x_factors(grid.coord_stack())
+        self.x = np.zeros((len(fx), N, N + 1), dtype=complex)
+        self.x[..., :N] = fx
+        del fx
         if not np.all(np.isfinite(self.x)):
             raise SlabError("x-factor non-finite on the grid")
-        for (_, fxi), m in zip(sigma.terms, self.m):
-            m[:, :N] = multiplier_values(grid, fxi(xi), guard)
+        self.m = np.zeros_like(self.x)
+        multiplier_values(grid, sigma.xi_factors, _guard_for(sigma, grid),
+                          out=self.m[..., :N])
         self.x.flags.writeable = self.m.flags.writeable = False
 
     @staticmethod
@@ -170,9 +171,10 @@ def _adjoint_plan(plan, f):
 def apply_pseudo(f, sigma, method="auto"):
     """sigma(X, D) u on the grid.
 
-    method "separable" (or "auto") applies the symbol's terms through a
-    one-shot SeparablePlan; "direct" does the full O(N^4) quadrature.
-    Symbols singular at xi = 0 get the low-frequency annular guard.
+    method "separable" (or "auto") applies the symbol's factor stacks
+    through a one-shot SeparablePlan; "direct" does the full O(N^4)
+    quadrature.  Symbols singular at xi = 0 get the low-frequency annular
+    guard.
     """
     if method in ("auto", "separable"):
         return _apply_plan(SeparablePlan(sigma, f.grid), f)
@@ -547,18 +549,17 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
                         f"{g.nyquist:.4g} or between modes {g.dxi:.4g} apart")
     eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
     J = sy.psi_jacobian(plan.pair, eta)
-    # a's xi-factors at eta, evaluated once for every block
-    factors = [np.broadcast_to(fxi(eta[None]), (1, len(kept)))[0]
-               for _, fxi in a.terms]
-    first, second = _mode_pairs(g, kept, [J] + factors)
+    # a's (R, K) stack of xi-factors at eta, evaluated once for every block
+    factors = a.xi_factors(eta)
+    first, second = _mode_pairs(g, kept, [J, *factors])
     # psi'(psi^{-1}(xi_k)) side by side: x psi' for all evaluated k is one
     # product
     J_cat = J[first].transpose(1, 0, 2).reshape(2, -1)
-    terms = [(fx, mr[first]) for (fx, _), mr in zip(a.terms, factors)]
+    factors = factors[:, first]
 
     def a_tilde(xb):
         x = (xb @ J_cat).reshape(len(xb), -1, 2)
-        return sum(fx(x) * mr for fx, mr in terms)
+        return sum(f * mr for f, mr in zip(a.x_factors(x), factors))
 
     family = [_dilation_family_member(f, lam, carrier, center, False)
               for lam in lams]

@@ -164,21 +164,22 @@ def level_set_samples(sym):
     return u / sym(u)[..., None]
 
 
+def _tangential(H, t0, t1):
+    """t^T H t for the direction t = (t0, t1), row by row, as explicit
+    products."""
+    return (t0 * t0 * H[..., 0, 0] + t0 * t1 * (H[..., 0, 1] + H[..., 1, 0])
+            + t1 * t1 * H[..., 1, 1])
+
+
 def gaussian_curvature(sym, pts):
-    """Gaussian curvature of {p = 1} at points, via the bordered Hessian."""
+    """Gaussian curvature t^T Hess p t / |grad p| of {p = 1} at points,
+    with t the unit tangent grad p / |grad p| turned by +90 degrees."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = np.atleast_2d(sym.gradient(pts))
-    H = sym.hessian(pts)
-    if H.ndim == 2:
-        H = H[None]
+    g = sym.gradient(pts)
     gn = np.linalg.norm(g, axis=-1)
     if np.any(gn < GRAD_TOL):
         raise SlabError("vanishing gradient on Sigma_p sample")
-    B = np.zeros(pts.shape[:-1] + (3, 3))
-    B[..., :2, :2] = H
-    B[..., :2, 2] = g
-    B[..., 2, :2] = g
-    return -np.linalg.det(B) / gn ** 3
+    return _tangential(sym.hessian(pts), -g[..., 1] / gn, g[..., 0] / gn) / gn
 
 
 def curvature_audit(sym):
@@ -219,7 +220,7 @@ def _support_slopes(sym, x, theta):
     s, xt, gt = (np.sum(x * u, axis=-1), np.sum(x * t, axis=-1),
                  np.sum(g * t, axis=-1))
     d1 = xt / p - s * gt / p**2
-    tht = np.einsum("mi,mij,mj->m", t, sym.hessian(u), t)
+    tht = _tangential(sym.hessian(u), t[:, 0], t[:, 1])
     d2 = (2.0 * s * gt**2 / p - 2.0 * xt * gt - s * tht) / p**2
     return u / p[:, None], d1, d2
 
@@ -393,11 +394,8 @@ def _omega_coeffs(sym, xi):
     to g, so x . t = 0.
     """
     g = sym.gradient(xi)
-    H = sym.hessian(xi)
     gn = np.linalg.norm(g, axis=-1)
-    t0, t1 = -g[..., 1] / gn, g[..., 0] / gn
-    tht = (t0 * t0 * H[..., 0, 0] + t0 * t1 * (H[..., 0, 1] + H[..., 1, 0])
-           + t1 * t1 * H[..., 1, 1])
+    tht = _tangential(sym.hessian(xi), -g[..., 1] / gn, g[..., 0] / gn)
     return np.stack([g[..., 1] / tht, -g[..., 0] / tht], axis=-1)
 
 
@@ -429,34 +427,32 @@ def gamma_p_membership(pair, x, xi):
 
 @dataclass
 class PhaseSpaceSymbol:
-    """Symbol sigma(x, xi) = sum_r f_x,r(x) f_xi,r(xi), given by its
-    separable ``terms`` (f_x, f_xi): homogeneous of order ``orders[0]`` in
-    x and ``orders[1]`` in xi, smooth away from x = 0 and xi = 0.  The
-    terms are the whole definition: quantization applies them and a point
-    value is their sum, taken in order.
+    """Symbol sigma(x, xi) = sum_r f_r(x) m_r(xi) in separated form:
+    ``x_factors`` maps points of shape (..., 2) to the (R, ...) stack of
+    the f_r and ``xi_factors`` frequencies to the (R, ...) stack of the
+    m_r.  Homogeneous of order ``orders[0]`` in x and ``orders[1]`` in xi,
+    smooth away from x = 0 and xi = 0.  The two stacks are the whole
+    definition: quantization applies them and a point value is their
+    product summed over the term axis, in order.
     """
 
     label: str
     orders: tuple
-    terms: list
+    x_factors: callable
+    xi_factors: callable
 
     def __call__(self, x, xi):
-        x, xi = np.asarray(x, float), np.asarray(xi, float)
-        return sum(fx(x) * fxi(xi) for fx, fxi in self.terms)
+        fx = self.x_factors(np.asarray(x, float))
+        m = self.xi_factors(np.asarray(xi, float))
+        return sum(f * mr for f, mr in zip(fx, m))
 
     @property
     def xi_singular(self):
         return self.orders[1] < 0 or self.orders[1] != int(self.orders[1])
 
 
-def _safe_unit(x):
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(r > 0, r, 1.0)
-
-
-def _inv_sqrt_radius(x):
-    """|x|^{-1/2}, with the value 0 at x = 0."""
-    r = np.linalg.norm(x, axis=-1)
+def _inv_sqrt(r):
+    """r^{-1/2} of radii r >= 0, with the value 0 at r = 0."""
     return np.where(r > 0, r, np.inf) ** -0.5
 
 
@@ -475,77 +471,72 @@ def structured_sigma(pair):
     """
     grad = pair.primal.gradient
 
-    def fx(i, j, c):
-        def factor(x):
-            xhat = _safe_unit(x)
-            return c * _inv_sqrt_radius(x) * xhat[..., i] * xhat[..., j]
-        return factor
+    def x_factors(x):
+        r = np.linalg.norm(x, axis=-1)
+        x0, x1 = np.moveaxis(x / np.where(r > 0, r, 1.0)[..., None], -1, 0)
+        s = _inv_sqrt(r)
+        return np.stack([s * x0 * x0, -2.0 * s * x0 * x1, s * x1 * x1])
 
-    def fxi(i, j):
-        # grad p is degree-0 homogeneous, so the factor has the limit 0 at
-        # xi = 0; the gradient is evaluated only away from it
-        def factor(xi):
-            r = np.linalg.norm(xi, axis=-1)
-            g = grad(np.where((r > 0)[..., None], xi, 1.0))
-            return np.where(r > 0, np.sqrt(r) * g[..., i] * g[..., j], 0.0)
-        return factor
+    def xi_factors(xi):
+        # grad p is degree-0 homogeneous, so every factor has the limit 0
+        # at xi = 0; the gradient is evaluated only away from it
+        r = np.linalg.norm(xi, axis=-1)
+        g = grad(np.where((r > 0)[..., None], xi, 1.0))
+        s, g0, g1 = np.sqrt(r), g[..., 0], g[..., 1]
+        return np.where(r > 0, np.stack([s * g1 * g1, s * g0 * g1,
+                                         s * g0 * g0]), 0.0)
 
-    terms = [(fx(0, 0, 1.0), fxi(1, 1)), (fx(0, 1, -2.0), fxi(0, 1)),
-             (fx(1, 1, 1.0), fxi(0, 0))]
     return PhaseSpaceSymbol(f"structured[{pair.primal.label}]",
-                            (-0.5, 0.5), terms)
+                            (-0.5, 0.5), x_factors, xi_factors)
 
 
 def tau_phase_symbol(pair):
     """tau(x, xi) = (b(x) ^ xi)^2 with b = p*(x) grad p*(x) / |grad p*(x)|,
-    orders (2, 2), as three separable terms."""
+    orders (2, 2), as three separable terms; b is one dual gradient."""
 
-    def bvec(x):
+    def x_factors(x):
         gs = pair.dual.gradient(x)
         ps = np.sum(x * gs, axis=-1)    # p*(x) = x . grad p*(x), degree 1
-        return (ps / np.linalg.norm(gs, axis=-1))[..., None] * gs
+        b = (ps / np.linalg.norm(gs, axis=-1))[..., None] * gs
+        b0, b1 = b[..., 0], b[..., 1]
+        return np.stack([b0 ** 2, -2.0 * b0 * b1, b1 ** 2])
 
-    def cross(x):
-        b = bvec(x)
-        return -2.0 * b[..., 0] * b[..., 1]
+    def xi_factors(xi):
+        xi0, xi1 = xi[..., 0], xi[..., 1]
+        return np.stack([xi1 ** 2, xi0 * xi1, xi0 ** 2])
 
-    terms = [
-        (lambda x: bvec(x)[..., 0] ** 2, lambda xi: xi[..., 1] ** 2),
-        (cross, lambda xi: xi[..., 0] * xi[..., 1]),
-        (lambda x: bvec(x)[..., 1] ** 2, lambda xi: xi[..., 0] ** 2),
-    ]
-    return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0), terms)
+    return PhaseSpaceSymbol(f"tau[{pair.primal.label}]", (2.0, 2.0),
+                            x_factors, xi_factors)
 
 
 def unstructured_critical():
     """|x|^{-1/2} |xi|^{1/2}: the critical weight with no structure."""
-    return PhaseSpaceSymbol("unstructured-critical", (-0.5, 0.5),
-                            [(_inv_sqrt_radius, _sqrt_radius)])
+    return PhaseSpaceSymbol(
+        "unstructured-critical", (-0.5, 0.5),
+        lambda x: _inv_sqrt(np.linalg.norm(x, axis=-1))[None],
+        lambda xi: _sqrt_radius(xi)[None])
 
 
 def weighted_subcritical(s):
     """<x>^{-s} |xi|^{1/2}: bounded smoothing regime for s > 1/2."""
-
-    def fx(x):
-        return (1.0 + np.sum(x ** 2, axis=-1)) ** (-s / 2.0)
-
-    return PhaseSpaceSymbol(f"weighted:s={s}", (0.0, 0.5),
-                            [(fx, _sqrt_radius)])
+    return PhaseSpaceSymbol(
+        f"weighted:s={s}", (0.0, 0.5),
+        lambda x: ((1.0 + np.sum(x ** 2, axis=-1)) ** (-s / 2.0))[None],
+        lambda xi: _sqrt_radius(xi)[None])
 
 
 def omega_phase_symbol(pair):
     """Omega as a PhaseSpaceSymbol, linear in x (separable, rank 2):
     Omega = sum_l x_l C_l(xi), the coefficients ``omega`` evaluates."""
 
-    def coeff(xi, l):
+    def xi_factors(xi):
         # C_l is degree-1 homogeneous, hence 0 at xi = 0 by continuity
         r = np.linalg.norm(xi, axis=-1)
-        safe = np.where((r > 0)[..., None], xi, 1.0)
-        return np.where(r > 0, _omega_coeffs(pair.primal, safe)[..., l], 0.0)
+        C = _omega_coeffs(pair.primal, np.where((r > 0)[..., None], xi, 1.0))
+        return np.where(r > 0, np.moveaxis(C, -1, 0), 0.0)
 
-    terms = [(lambda x, l=l: x[..., l], lambda xi, l=l: coeff(xi, l))
-             for l in range(2)]
-    return PhaseSpaceSymbol(f"Omega[{pair.primal.label}]", (1.0, 1.0), terms)
+    return PhaseSpaceSymbol(f"Omega[{pair.primal.label}]", (1.0, 1.0),
+                            lambda x: np.moveaxis(x, -1, 0), xi_factors)
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,10 @@ def test_criterion_06_boundedness_ratio_families():
     checks = {}
 
     env = gr.spectral_packet(g, (0.0, 0.0), 1.2)
-    amp = sy.PhaseSpaceSymbol("x-growth-one", (1.0, 0.0), [
-        (lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)),
-         lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1)))])
+    amp = sy.PhaseSpaceSymbol(
+        "x-growth-one", (1.0, 0.0),
+        lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
+        lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1))[None])
     r = qu.fio_bound_ratio(amp, 1.0, env)
     checks["fio declared <= 3"] = max(r) / min(r) <= 3.0
     r = qu.fio_bound_ratio(amp, 0.0, env)
@@ -211,8 +212,8 @@ def test_criterion_06_boundedness_ratio_families():
     gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
     a = sy.PhaseSpaceSymbol(
         "angular-momentum-weighted", (0.0, 1.0),
-        [(lambda x: x[..., 0], lambda xi: xi[..., 1] * gx(xi)),
-         (lambda x: -x[..., 1], lambda xi: xi[..., 0] * gx(xi))])
+        lambda x: np.stack([x[..., 0], -x[..., 1]]),
+        lambda xi: np.stack([xi[..., 1] * gx(xi), xi[..., 0] * gx(xi)]))
     r = qu.basiclem_ratio(EUCLID, a, 1.0, f)
     checks["structure declared <= 3"] = max(r) / min(r) <= 3.0
     r = qu.basiclem_ratio(EUCLID, a, 0.0, f)
@@ -222,7 +223,8 @@ def test_criterion_06_boundedness_ratio_families():
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(0.4, 1.0, 9.0, 11.0))
     ae = sy.PhaseSpaceSymbol(
         "x-growth-one", (1.0, 0.0),
-        [(lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)), gx)])
+        lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
+        lambda xi: gx(xi)[None])
     r = qu.egorov_residual(ae, plan, 1.0, env2, carrier=(4.0, 0.0),
                            center=(1.4, 0.0))
     checks["conjugation declared <= 3"] = max(r) / min(r) <= 3.0

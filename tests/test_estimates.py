@@ -22,15 +22,15 @@ ELLIPSE = sy.closed_form_dual(sy.quadratic_form(np.diag([1.0, 0.5])))
 
 def zero_symbol():
     return sy.PhaseSpaceSymbol(
-        "zero", (0.0, 0.0),
-        [(lambda x: np.zeros(x.shape[:-1]),
-          lambda xi: np.zeros(xi.shape[:-1]))])
+        "zero", (0.0, 0.0), lambda x: np.zeros((1,) + x.shape[:-1]),
+        lambda xi: np.zeros((1,) + xi.shape[:-1]))
 
 
 def annulus_multiplier_symbol(lo, lo1, hi1, hi):
     cut = gr.annular(lo, lo1, hi1, hi)
     return sy.PhaseSpaceSymbol("annulus", (0.0, 0.0),
-                               [(lambda x: np.ones(x.shape[:-1]), cut)])
+                               lambda x: np.ones((1,) + x.shape[:-1]),
+                               lambda xi: cut(xi)[None])
 
 
 def test_smoothing_ratio_zero_symbol():
@@ -559,7 +559,8 @@ def test_restriction_disjoint_support_floor():
         return np.exp(-d2 / (2 * 0.7**2))
 
     sig = sy.PhaseSpaceSymbol("window", (0.0, 0.0),
-                              [(lambda x: np.ones(x.shape[:-1]), window)])
+                              lambda x: np.ones((1,) + x.shape[:-1]),
+                              lambda xi: window(xi)[None])
     val = es.restriction_norm(qu.SeparablePlan(sig, g), EUCLID, phi, rho=4.0)
     assert val <= 1e-8
 
@@ -676,9 +677,8 @@ def test_duality_check_small_defect():
 def test_duality_check_trivial_symbol():
     g = gr.make_grid(32, 8.0)
     one = sy.PhaseSpaceSymbol(
-        "one", (0.0, 0.0),
-        [(lambda x: np.ones(x.shape[:-1]),
-          lambda xi: np.ones(xi.shape[:-1]))])
+        "one", (0.0, 0.0), lambda x: np.ones((1,) + x.shape[:-1]),
+        lambda xi: np.ones((1,) + xi.shape[:-1]))
     defect = es.duality_check(one, EUCLID, g, T=2.0, n_times=33, trials=2,
                               seed=1, order=2)
     assert defect <= 1e-10

@@ -91,8 +91,8 @@ def test_pseudo_matches_multiplier_for_x_independent_symbol():
     g = gr.make_grid(32, 8.0)
     f = random_field(g, 3)
     sig = sy.PhaseSpaceSymbol(
-        "m", (0.0, 2.0), [(lambda x: np.ones(x.shape[:-1]),
-                           lambda xi: np.sum(xi**2, axis=-1))])
+        "m", (0.0, 2.0), lambda x: np.ones((1,) + x.shape[:-1]),
+        lambda xi: np.sum(xi**2, axis=-1)[None])
     out = qu.apply_pseudo(f, sig)
     ref = qu.apply_multiplier(f, lambda xi: np.sum(xi**2, axis=-1))
     assert np.max(np.abs(out.values - ref.values)) <= 1e-12 * ref.norm()
@@ -101,8 +101,8 @@ def test_pseudo_matches_multiplier_for_x_independent_symbol():
 def test_pseudo_factorized_oracle_x1_xi1():
     g = gr.make_grid(64, 8.0)
     f = packet(g, (0.5, -0.3), 1.0, carrier=(2.0, 1.0))
-    sig = sy.PhaseSpaceSymbol(
-        "x1xi1", (1.0, 1.0), [(lambda x: x[..., 0], lambda xi: xi[..., 0])])
+    sig = sy.PhaseSpaceSymbol("x1xi1", (1.0, 1.0), lambda x: x[None, ..., 0],
+                              lambda xi: xi[None, ..., 0])
     out = qu.apply_pseudo(f, sig)
     d1 = qu.apply_multiplier(f, lambda xi: xi[..., 0])
     ref = g.coord_stack()[..., 0] * d1.values
@@ -112,8 +112,8 @@ def test_pseudo_factorized_oracle_x1_xi1():
 def test_pseudo_direct_method_agrees_with_separable():
     g = gr.make_grid(16, 4.0)
     f = random_field(g, 4)
-    sig = sy.PhaseSpaceSymbol(
-        "x1xi1", (1.0, 1.0), [(lambda x: x[..., 0], lambda xi: xi[..., 0])])
+    sig = sy.PhaseSpaceSymbol("x1xi1", (1.0, 1.0), lambda x: x[None, ..., 0],
+                              lambda xi: xi[None, ..., 0])
     sep = qu.apply_pseudo(f, sig, method="separable")
     direct = qu.apply_pseudo(f, sig, method="direct")
     assert np.max(np.abs(sep.values - direct.values)) <= 1e-10 * sep.norm()
@@ -134,10 +134,12 @@ def test_direct_quadrature_matches_literal_double_sum(N, guard):
         return (np.cos(x[..., 0]) * xi[..., -1] + np.sqrt(r)
                 * np.exp(-np.sum(x * x, axis=-1) / 8.0))
 
-    sig = sy.PhaseSpaceSymbol("mixed", (0.0, 0.5 if guard else 0.0), [
-        (lambda x: np.cos(x[..., 0]), lambda xi: xi[..., -1]),
-        (lambda x: np.exp(-np.sum(x * x, axis=-1) / 8.0),
-         lambda xi: np.sqrt(np.linalg.norm(xi, axis=-1)))])
+    sig = sy.PhaseSpaceSymbol(
+        "mixed", (0.0, 0.5 if guard else 0.0),
+        lambda x: np.stack([np.cos(x[..., 0]),
+                            np.exp(-np.sum(x * x, axis=-1) / 8.0)]),
+        lambda xi: np.stack([xi[..., -1],
+                             np.sqrt(np.linalg.norm(xi, axis=-1))]))
     out = qu.apply_pseudo(f, sig, method="direct")
     x = g.coord_stack().reshape(-1, 2)
     xi = g.freq_stack().reshape(-1, 2)
@@ -177,9 +179,8 @@ def test_adjoint_consistency():
     g = gr.make_grid(32, 8.0)
     u = random_field(g, 5)
     v = random_field(g, 6)
-    sig = sy.PhaseSpaceSymbol(
-        "a", (1.0, 0.0),
-        [(lambda x: x[..., 1], lambda xi: np.cos(xi[..., 0]))])
+    sig = sy.PhaseSpaceSymbol("a", (1.0, 0.0), lambda x: x[None, ..., 1],
+                              lambda xi: np.cos(xi[None, ..., 0]))
     au = qu.apply_pseudo(u, sig)
     asv = qu.apply_pseudo_adjoint(v, sig)
     q = g.h ** 2
@@ -271,7 +272,8 @@ def test_guard_rejects_non_finite_multiplier_off_origin():
         return np.where((r > 1.0) & (r < 1.3), np.nan, np.sqrt(r))
 
     sig = sy.PhaseSpaceSymbol(
-        "ring-nan", (0.0, 0.5), [(lambda x: np.ones(x.shape[:-1]), ring_nan)])
+        "ring-nan", (0.0, 0.5), lambda x: np.ones((1,) + x.shape[:-1]),
+        lambda xi: ring_nan(xi)[None])
     with pytest.raises(SlabError, match="multiplier non-finite on the "
                                         "lattice"):
         qu.apply_pseudo(random_field(g, 8), sig)
@@ -453,9 +455,9 @@ def test_change_of_vars_identity_and_rotation():
 def test_fio_bound_ratio_flat_for_declared_order():
     g = gr.make_grid(64, 16.0)
     f = packet(g, (0.0, 0.0), 1.2)
-    a = sy.PhaseSpaceSymbol("xw", (1.0, 0.0), [(
-        lambda x: np.sqrt(1.0 + np.sum(x**2, axis=-1)),
-        lambda xi: 1.0 / (1.0 + np.sum(xi**2, axis=-1)))])
+    a = sy.PhaseSpaceSymbol(
+        "xw", (1.0, 0.0), lambda x: np.sqrt(1.0 + np.sum(x**2, axis=-1))[None],
+        lambda xi: 1.0 / (1.0 + np.sum(xi**2, axis=-1))[None])
     ratios = qu.fio_bound_ratio(a, 1.0, f)
     assert max(ratios) / min(ratios) <= 3.0
     ratios_bad = qu.fio_bound_ratio(a, 0.0, f)
@@ -503,7 +505,8 @@ def _egorov_dual_case(N, xf=None, m=1.0, gx=None, pair=ELLIPSE):
     g = gr.make_grid(N, 16.0)
     gx = gx or (lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1)))
     xf = xf or (lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1)))
-    a = sy.PhaseSpaceSymbol("x-growth", (1.0, 0.0), [(xf, gx)])
+    a = sy.PhaseSpaceSymbol("x-growth", (1.0, 0.0), lambda x: xf(x)[None],
+                            lambda xi: gx(xi)[None])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(0.4, 1.0, 9.0, 11.0))
     env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
     return qu.egorov_residual(a, plan, m, env, carrier=(4.0, 0.0),

@@ -333,10 +333,10 @@ def test_omega_matches_the_dual_hessian_form(pair):
 @pytest.mark.parametrize("pair", PRIMAL_PAIRS, ids=_label)
 def test_omega_phase_symbol_coefficients_are_omega_at_unit_x(pair):
     xi = sample_xi(300, seed=21)
-    terms = sy.omega_phase_symbol(pair).terms
-    for (_, coeff), e in zip(terms, np.eye(2)):
-        assert np.array_equal(coeff(xi), sy.omega(pair, e, xi))
-        assert coeff(np.zeros((1, 2)))[0] == 0.0
+    coeffs = sy.omega_phase_symbol(pair).xi_factors
+    for coeff, e in zip(coeffs(xi), np.eye(2)):
+        assert np.array_equal(coeff, sy.omega(pair, e, xi))
+    assert np.array_equal(coeffs(np.zeros((1, 2))), np.zeros((2, 1)))
 
 
 def test_omega_plan_and_commutator_run_no_support_solve(monkeypatch):
@@ -508,11 +508,11 @@ def test_omega_phase_symbol_separable_terms_consistent():
         om = sy.omega_phase_symbol(pair)
         x = rng.normal(size=(8, 2))
         xi = rng.normal(size=(8, 2)) * 2
-        # the pointwise form against the terms
+        # the pointwise form against the factor stacks
         assert np.max(np.abs(sy.omega(pair, x, xi) - om(x, xi))) <= 1e-12
         # gradient direction contracts to zero against the coefficients
         g = pair.primal.gradient(xi)
-        contr = sum(g[..., l] * om.terms[l][1](xi) for l in range(2))
+        contr = sum(g[..., l] * om.xi_factors(xi)[l] for l in range(2))
         assert np.max(np.abs(contr)) <= 1e-12
 
 
