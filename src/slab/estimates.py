@@ -4,7 +4,8 @@ identity and the weighted-convolution oracle.
 
 All randomness flows through seeded generators recorded in the results;
 sweeps are reproducible bit for bit at any BLAS thread count (norms are
-plain reductions).  Smoothing and LAP loops run as stacks of spectra.
+plain reductions).  Smoothing and LAP loops run as stacks of spectra,
+and a rho's restriction trials as one stack of fields.
 The sweeps, smoothing_ratio and operator_norm take their experiment
 parameters by keyword, without defaults: the one copy of the defaults is
 the CLI registry (``slab.cli.KINDS``).
@@ -93,10 +94,10 @@ def make_packets(grid, rngs, freq_mag, spread):
     return 0.5 * (phis + np.conj(grid.reflect(phis)))
 
 
-def make_packet(grid, rng, freq_mag=0.9, spread=0.4):
-    """The one-packet make_packets, as an x-space Field."""
-    return gr.Field(grid, make_packets(grid, [rng], freq_mag, spread)[0],
-                    "x")
+def make_packet(grid, rng):
+    """The one-packet make_packets at frequency 0.9 and spread 0.4, as an
+    x-space Field."""
+    return gr.Field(grid, make_packets(grid, [rng], 0.9, 0.4)[0], "x")
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +390,20 @@ def surface_nodes(pair, rho):
 
 
 def surface_norm(fhat_eval, pair, rho, band_limit=None):
-    """sqrt of int |fhat|^2 rho dmu over rho Sigma_p."""
+    """sqrt of int |fhat|^2 rho dmu over rho Sigma_p, per field when
+    fhat_eval returns a stack (..., M) of values at the M nodes."""
     pts, w, p_om = surface_nodes(pair, rho)
     if band_limit is not None and np.max(np.linalg.norm(pts, axis=-1)) \
             > band_limit:
         raise SlabError(
             f"surface at rho = {rho} leaves the usable frequency band")
     vals = fhat_eval(pts)
-    return float(np.sqrt(rho * np.sum(w * np.abs(vals) ** 2 / p_om**2)))
+    return np.sqrt(rho * np.sum(w * np.abs(vals) ** 2 / p_om**2, axis=-1))
 
 
 def restriction_norm(plan, pair, f, rho):
     """Surface norm of the transform of sigma(X,D)^* f, over ||f||, for
-    the SeparablePlan of sigma on f's grid."""
+    the SeparablePlan of sigma on f's grid; per field of a stack."""
     g = qu._adjoint_plan(plan, f)
     return surface_norm(lambda pts: gr.eval_offgrid(g, pts), pair, rho,
                         band_limit=0.95 * f.grid.nyquist) / f.norm()
@@ -412,7 +414,8 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
 
     Each trial draws a random packet with spectrum in the band (0.8, 1.3)
     and pairs rho with the parabolic dilation f_rho(x) = rho f(rho x),
-    so the homogeneous orders of sigma are probed exactly.
+    so the homogeneous orders of sigma are probed exactly.  A rho's
+    trials are one stack, drawn from one generator in trial order.
     """
     rng = np.random.default_rng(seed)
     plan = qu.SeparablePlan(sigma, grid)
@@ -420,11 +423,9 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
     mid, spread = 0.5 * (lo + hi), 0.25 * (hi - lo)
     out = []
     for rho in rhos:
-        best = 0.0
-        for _ in range(trials):
-            f = make_packet(grid, rng, rho * mid, rho * spread)
-            best = max(best, restriction_norm(plan, pair, f, rho))
-        out.append(best)
+        f = gr.Field(grid, make_packets(grid, [rng] * trials, rho * mid,
+                                        rho * spread), "x")
+        out.append(float(restriction_norm(plan, pair, f, rho).max()))
     return out
 
 

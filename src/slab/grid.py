@@ -110,18 +110,20 @@ def make_grid(N, L):
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a Grid, either in x-space or xi-space."""
+    """Complex samples on a Grid, either in x-space or xi-space: one
+    field, or a stack of fields with values of shape (..., N, N).  Norms
+    and transforms act field by field, over the last two axes."""
 
     grid: Grid
     values: np.ndarray
     space: str = "x"  # "x" or "xi"
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-2:] != self.grid.shape:
             raise ValueError("field shape does not match grid")
 
     def norm(self):
-        """L^2 norm under the grid quadrature weight."""
+        """L^2 norm under the grid quadrature weight, per field."""
         g = self.grid
         w = g.h ** 2 if self.space == "x" else (g.dxi / (2.0 * np.pi)) ** 2
         return np.sqrt(w) * np.sqrt(sq_sum(self.values))
@@ -202,20 +204,22 @@ ONE_THREAD_MACS = 1 << 15
 
 
 def _phase_sum(values, axis, pts, sign):
-    """sum_k e^{sign i pts_t . k} values[s, k] over the lattice axis^2, for
-    each column s of the (S, N, N) stack ``values`` and each row t of
-    ``pts`` (M, 2); returns (S, M).
+    """sum_k e^{sign i pts_t . k} values[..., k] over the lattice axis^2,
+    for each field of the (..., N, N) stack ``values`` and each row t of
+    ``pts`` (M, 2); returns (..., M).
 
     The targets go in blocks whose partial sums stay under _PHASE_BYTES.
     A block builds its two per-axis tables e^{sign i pts_td k_d} once for
-    all S columns and contracts one axis at a time: O(M S N^2) work, and
-    column s gets the same bits whatever S is.  Where a block of
+    all S fields and contracts one axis at a time: O(M S N^2) work, and
+    each field gets the same bits whatever S is.  Where a block of
     ONE_THREAD_MACS // N^2 targets still has 32 rows (N <= 32), blocks
-    hold at most that many, so each column's first-axis product,
+    hold at most that many, so each field's first-axis product,
     (targets x N) @ (N x N), runs on one BLAS thread; on larger lattices
     a shared product pays for the second thread.
     """
-    S, N = len(values), axis.size
+    N, lead = axis.size, values.shape[:-2]
+    values = values.reshape(-1, N, N)
+    S = len(values)
     step = max(1, _PHASE_BYTES // (values[0].nbytes // N * S))
     rows = ONE_THREAD_MACS // N ** 2
     if rows >= 32:
@@ -223,11 +227,11 @@ def _phase_sum(values, axis, pts, sign):
     out = np.empty((S, len(pts)), dtype=complex)
     for b in range(0, len(pts), step):
         p = pts[b:b + step]
-        # axis 0 by one product per column, then axis 1 by einsum
+        # axis 0 by one product per field, then axis 1 by einsum
         part = np.exp(sign * 1j * np.outer(p[:, 0], axis)) @ values
         out[:, b:b + step] = np.einsum(
             "tk,stk->st", np.exp(sign * 1j * np.outer(p[:, 1], axis)), part)
-    return out
+    return out.reshape(*lead, len(pts))
 
 
 def spectral_packets(grid, centers, spread):
@@ -260,18 +264,17 @@ def spectral_packet(grid, center, spread):
 
 
 def eval_offgrid(f, targets):
-    """Trigonometric interpolation of the transform of ``f`` at arbitrary
-    frequencies.
+    """Trigonometric interpolation of the transform of ``f``, one field or
+    a stack, at arbitrary frequencies: (..., M) for the M rows of
+    ``targets`` (M, 2).
 
     Evaluates the DFT quadrature sum h^2 sum_j e^{-i x_j . eta} u_j at each
-    row of ``targets`` (shape (M, 2)).  This is exact for the periodized
-    field; the only error against the continuum transform is the spatial
-    mass outside the box.
+    target.  This is exact for the periodized field; the only error
+    against the continuum transform is the spatial mass outside the box.
     """
     g = f.grid
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    return (_phase_sum(f.values[None], g.axis_points(), targets, -1)[0]
-            * g.h**2)
+    return _phase_sum(f.values, g.axis_points(), targets, -1) * g.h**2
 
 
 def eval_field_offgrid(f, points):
@@ -283,12 +286,13 @@ def eval_field_offgrid(f, points):
     """
     g = f.grid
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return (_phase_sum(transform(f).values[None], g.axis_freqs(), points,
-                       1)[0] * (g.dxi / (2.0 * np.pi)) ** 2)
+    return (_phase_sum(transform(f).values, g.axis_freqs(), points, 1)
+            * (g.dxi / (2.0 * np.pi)) ** 2)
 
 
 def weighted_norm(f, m):
-    """L^2_m norm with weight <x>^m (or <xi>^m for spectral fields)."""
+    """L^2_m norm with weight <x>^m (or <xi>^m for spectral fields), per
+    field."""
     g = f.grid
     r2 = g.radius() ** 2 if f.space == "x" else g.freq_radius() ** 2
     return Field(g, (1.0 + r2) ** (m / 2.0) * f.values, f.space).norm()

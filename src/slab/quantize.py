@@ -22,10 +22,12 @@ xi-input of the warped symbol agrees bit for bit at the two (an even p;
 never a Nyquist-row mode, whose -xi is off the lattice), and the
 quadrature evaluates the symbol once per pair, summing
 a [cos(x.xi) (v + w) + i sin(x.xi) (v - w)] over the spectra v and w at
-xi and -xi.  The canonical transform I_gamma runs on a list of fields
-as one stacked off-grid contraction (a single field is the one-column
-case): cutoff, warp and phase tables are built once.  Its cutoff is a
-``grid.Cutoff``, a profile composed with a map included.
+xi and -xi.  The canonical transform I_gamma takes one x-space Field,
+a single field or a stack, and runs it as one off-grid contraction:
+cutoff, warp and phase tables are built once.  Its cutoff is a
+``grid.Cutoff``, a profile composed with a map included.  The Egorov
+family and the dilation families of the boundedness checks are stacks,
+so each operator meets a whole family in one call.
 """
 
 import functools
@@ -51,12 +53,15 @@ def low_freq_guard(grid):
 def multiplier_values(grid, m, guard=None, out=None):
     """Multiplier (callable or lattice array) on the frequency lattice,
     times ``guard``; non-finite values are zeroed only where it vanishes.
-    Written into ``out`` when given: a complex view whose last two axes
-    are the lattice, which may hold a stack of multipliers.
+    The values may be a stack of multipliers, (..., N, N).  Written into
+    ``out`` when given: a complex view whose last two axes are the
+    lattice; else into an array shaped like the values.
     """
+    vals = m(grid.freq_stack()) if callable(m) else m
     if out is None:
-        out = np.empty(grid.shape, dtype=complex)
-    out[...] = m(grid.freq_stack()) if callable(m) else m
+        out = np.empty(np.broadcast_shapes(np.shape(vals), grid.shape),
+                       dtype=complex)
+    out[...] = vals
     if guard is not None:
         out[~np.isfinite(out) & (guard == 0)] = 0.0
         out *= guard
@@ -67,7 +72,8 @@ def multiplier_values(grid, m, guard=None, out=None):
 
 def apply_multiplier(f, m):
     """m(D) u for a multiplier given as a callable on (..., 2) frequency
-    stacks or as a precomputed lattice array.
+    stacks or as a precomputed lattice array; a stack of multipliers, or
+    of fields, gives the stack of products.
     """
     g = f.grid
     fh = gr.transform(f) if f.space == "x" else f
@@ -323,50 +329,44 @@ class CanonicalTransformPlan:
         raise ValueError(f"unknown direction {self.direction!r}")
 
 
-def _leakage_check(fh, gamma_vals):
-    total = np.sum(np.abs(fh.values) ** 2)
-    if total == 0:
-        return
+def _leakage_check(spectra, gamma_vals):
+    """CutoffLeakage for each field of the (..., N, N) stack of spectra
+    with more than 1 % of its spectral mass on the cutoff's transition
+    band, in stack order."""
+    power = np.abs(spectra) ** 2
+    total = np.sum(power, axis=(-2, -1))
     trans = (gamma_vals > 1e-3) & (gamma_vals < 1.0 - 1e-3)
-    frac = np.sum(np.abs(fh.values[trans]) ** 2) / total
-    if frac > 0.01:
-        warnings.warn(
-            f"{100 * frac:.1f}% of spectral mass sits on the cutoff "
-            "transition region", CutoffLeakage)
+    part = np.sum(power[..., trans], axis=-1)
+    for frac in np.ravel(part / np.where(total > 0, total, 1.0)):
+        if frac > 0.01:
+            warnings.warn(
+                f"{100 * frac:.1f}% of spectral mass sits on the cutoff "
+                "transition region", CutoffLeakage)
 
 
 def apply_canonical(plan, f):
-    """I_gamma u = F^{-1}[gamma(xi) u_hat(psi(xi))] for a Field u, or for
-    every Field of a list on one grid (the results come back as a list).
+    """I_gamma u = F^{-1}[gamma(xi) u_hat(psi(xi))] for an x-space Field
+    u, one field or a stack.
 
     The warped spectrum is evaluated by exact trigonometric interpolation
-    (direct DFT sum at off-lattice frequencies), only where gamma is
-    supported.  The cutoff, the warp and the phase tables are built once,
-    and all fields meet them in one stacked contraction; CutoffLeakage is
-    checked field by field.
+    (``grid.eval_offgrid`` at off-lattice frequencies), only where gamma
+    is supported.  The cutoff, the warp and the phase tables are built
+    once for the whole stack; CutoffLeakage is checked field by field.
     """
-    fields = [f] if isinstance(f, gr.Field) else list(f)
-    g = fields[0].grid
-    if any(v.grid != g for v in fields):
-        raise ValueError("apply_canonical needs fields on one grid")
+    g = f.grid
     gamma_vals = plan.cutoff.on_freqs(g)
-    for v in fields:
-        _leakage_check(gr.transform(v) if v.space == "x" else v, gamma_vals)
-    u = np.array([v.values if v.space == "x" else
-                  gr.inverse_transform(v).values for v in fields])
+    _leakage_check(gr.transform(f).values, gamma_vals)
     xi_flat = g.freq_stack().reshape(-1, 2)
     gam_flat = gamma_vals.ravel()
     # the zero mode is never warped: the map is undefined at xi = 0 and
     # every admissible cutoff is negligible there
     live = (gam_flat > 1e-14) & (np.linalg.norm(xi_flat, axis=-1) > 0)
-    out = np.zeros((len(u), xi_flat.shape[0]), dtype=complex)
+    out = np.zeros((*f.values.shape[:-2], xi_flat.shape[0]), dtype=complex)
     if np.any(live):
-        # eval_offgrid of every field at once
-        out[:, live] = gam_flat[live] * (gr._phase_sum(
-            u, g.axis_points(), plan.warp(xi_flat[live]), -1) * g.h ** 2)
-    out = [gr.inverse_transform(gr.Field(g, v.reshape(g.shape), "xi"))
-           for v in out]
-    return out[0] if isinstance(f, gr.Field) else out
+        out[..., live] = gam_flat[live] * gr.eval_offgrid(
+            f, plan.warp(xi_flat[live]))
+    return gr.inverse_transform(gr.Field(g, out.reshape(f.values.shape),
+                                         "xi"))
 
 
 # ---------------------------------------------------------------------------
@@ -434,45 +434,31 @@ def dilate(f, lam):
     return gr.Field(g, vals, "x")
 
 
-def _dilation_family_member(f, lam, carrier=None, center=None, spread=True):
-    """Family member at parameter lam: the envelope dilated by lam (or kept
-    fixed when spread=False), recentred at lam*center, and remodulated onto
-    a fixed carrier.  Fixed carrier keeps the frequency content constant so
-    the family probes spatial growth declarations only; the translated
-    variant walks the weight region without outgrowing the box.
-    """
-    g = f.grid
-    if spread and lam != 1.0:
-        ul = dilate(f, lam)
-    else:
-        ul = f
-    if center is not None:
-        shift = lam * np.asarray(center, dtype=float)
-        ul = apply_multiplier(ul, lambda xi: np.exp(
-            -1j * np.tensordot(xi, shift, axes=([-1], [0]))))
-    if carrier is None:
-        return ul
-    phase = np.exp(1j * np.tensordot(g.coord_stack(), np.asarray(carrier),
-                                     axes=([-1], [0])))
-    return gr.Field(g, phase * ul.values, "x")
-
-
 # the dilation parameters lam of the family u_lam in the boundedness checks
 DILATIONS = (1.0, 2.0, 4.0, 8.0)
 
 
+def _dilation_family(f):
+    """The stack of u_lam = f dilated by each lam of DILATIONS, remodulated
+    onto the fixed carrier (3, 0), which keeps the frequency content
+    constant so the family probes spatial growth declarations only."""
+    g = f.grid
+    members = np.stack([f.values if lam == 1.0 else dilate(f, lam).values
+                        for lam in DILATIONS])
+    phase = np.exp(1j * np.tensordot(g.coord_stack(), np.array([3.0, 0.0]),
+                                     axes=([-1], [0])))
+    return gr.Field(g, phase * members, "x")
+
+
 def fio_bound_ratio(a, m, f):
     """Ratios ||a(X,D) u_lam||_{L^2} / ||u_lam||_{L^2_m} for a symbol a
-    of declared x-order m, over the dilation family remodulated onto the
-    carrier (3, 0); bounded iff max/min <= slack (caller judges).  a is
-    one SeparablePlan for the whole family.
+    of declared x-order m, over the dilation family; bounded iff max/min
+    <= slack (caller judges).  a is one SeparablePlan applied once to the
+    whole family.
     """
-    plan = SeparablePlan(a, f.grid)
-    ratios = []
-    for lam in DILATIONS:
-        ul = _dilation_family_member(f, lam, (3.0, 0.0))
-        ratios.append(_apply_plan(plan, ul).norm() / gr.weighted_norm(ul, m))
-    return ratios
+    family = _dilation_family(f)
+    au = _apply_plan(SeparablePlan(a, f.grid), family)
+    return (au.norm() / gr.weighted_norm(family, m)).tolist()
 
 
 def structure_spot_check(pair, a):
@@ -501,26 +487,22 @@ def basiclem_ratio(pair, a, m, f):
 
         ||a(X,D)u|| <= C (||Omega(X,D)u||_{L^2_{m-1}} + ||u||_{L^2_{m-1}})
 
-    over the dilation family remodulated onto the carrier (3, 0).  The
-    symbol must vanish on the orbit set (SlabError otherwise);
-    a and Omega are one SeparablePlan each for the whole family.
+    over the dilation family.  The symbol must vanish on the orbit set
+    (SlabError otherwise); a and Omega are one SeparablePlan each,
+    applied once to the whole family.
     """
     structure_spot_check(pair, a)
     g = f.grid
-    a_plan = SeparablePlan(a, g)
-    om = SeparablePlan(sy.omega_phase_symbol(pair), g)
-    ratios = []
-    for lam in DILATIONS:
-        ul = _dilation_family_member(f, lam, (3.0, 0.0))
-        lhs = _apply_plan(a_plan, ul).norm()
-        rhs = gr.weighted_norm(ul, m - 1.0)
-        rhs += gr.weighted_norm(_apply_plan(om, ul), m - 1.0)
-        ratios.append(lhs / rhs)
-    return ratios
+    family = _dilation_family(f)
+    lhs = _apply_plan(SeparablePlan(a, g), family).norm()
+    rhs = gr.weighted_norm(family, m - 1.0)
+    rhs += gr.weighted_norm(
+        _apply_plan(SeparablePlan(sy.omega_phase_symbol(pair), g), family),
+        m - 1.0)
+    return (lhs / rhs).tolist()
 
 
-def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
-                    center=None):
+def egorov_residual(a, plan, m, f, *, carrier, center, lams=DILATIONS):
     """Weighted residual ratios of the conjugation identity
 
         a(X,D) I_gamma = I_gamma a~(X,D) + R,
@@ -529,7 +511,7 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     i.e. max over the family of ||(a(X,D) I_g - I_g a~(X,D)) u_lam|| /
     ||u_lam||_{L^2_{m-1}}.  Bounded ratios (not smallness) are the claim.
     The family keeps f's envelope: u_lam is f recentred at lam*center and
-    remodulated onto carrier.
+    remodulated onto carrier, one stack built from one transform of f.
     a~(X,D) acts on the whole family in one direct quadrature, with a's
     xi-factors evaluated once at the warped frequencies (SlabError when
     the cutoff keeps no lattice mode); a(X,D) is one plan for the whole
@@ -538,8 +520,8 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
     bit for bit at the two, as they do for an even p: a~ is then the same
     at xi and -xi, and the quadrature evaluates it once per pair.  All
     2 len(lams) canonical warps, of the family and of a~(X,D) applied to
-    it, are one stacked apply_canonical call, which still checks each
-    field for CutoffLeakage.
+    it, are one apply_canonical call on their stack, which still checks
+    each field for CutoffLeakage.
     """
     g = f.grid
     kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
@@ -547,7 +529,8 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
         raise SlabError(f"the cutoff band keeps no lattice mode at N = {g.N}, "
                         f"L = {g.L}: it lies past the Nyquist frequency "
                         f"{g.nyquist:.4g} or between modes {g.dxi:.4g} apart")
-    eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
+    xi = g.freq_stack().reshape(-1, 2)
+    eta = sy.psi_inv(plan.pair, xi[kept])
     J = sy.psi_jacobian(plan.pair, eta)
     # a's (R, K) stack of xi-factors at eta, evaluated once for every block
     factors = a.xi_factors(eta)
@@ -561,18 +544,19 @@ def egorov_residual(a, plan, m, f, lams=DILATIONS, carrier=None,
         x = (xb @ J_cat).reshape(len(xb), -1, 2)
         return sum(f * mr for f, mr in zip(a.x_factors(x), factors))
 
-    family = [_dilation_family_member(f, lam, carrier, center, False)
-              for lam in lams]
-    uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
-                  axis=1)
+    S = len(lams)
+    # e^{-i xi.(lam center)} for every lam: one vector-matrix product per
+    # member, which has the bits of the product with its shift alone
+    shifts = np.multiply.outer(lams, np.asarray(center, dtype=float))
+    recentre = np.exp(-1j * (shifts[:, None] @ xi.T)).reshape(S, *g.shape)
+    carry = np.exp(1j * np.tensordot(g.coord_stack(), np.asarray(carrier),
+                                     axes=([-1], [0])))
+    family = gr.Field(g, carry * apply_multiplier(f, recentre).values, "x")
+    uh = gr.transform(family).values.reshape(S, -1)[:, kept].T
     tilde = _kn_sum(g, a_tilde, kept[first], uh[first], uh[second])
     # I_gamma u_lam and I_gamma a~(X,D) u_lam for the whole family at once
-    warped = np.array([w.values for w in apply_canonical(plan, family + [
-        gr.Field(g, col.reshape(g.shape), "x") for col in tilde.T])])
-    a_plan = SeparablePlan(a, g)
-    left = a_plan.apply(gr.pitch(gr.fft2(warped[:len(family)])))[..., :g.N]
-    ratios = []
-    for ul, lw, rw in zip(family, left, warped[len(family):]):
-        diff = gr.Field(g, lw - rw, "x")
-        ratios.append(diff.norm() / gr.weighted_norm(ul, m - 1.0))
-    return ratios
+    warped = apply_canonical(plan, gr.Field(g, np.concatenate(
+        [family.values, tilde.T.reshape(S, *g.shape)]), "x")).values
+    left = SeparablePlan(a, g).apply(gr.pitch(gr.fft2(warped[:S])))
+    diff = gr.Field(g, left[..., :g.N] - warped[S:], "x")
+    return (diff.norm() / gr.weighted_norm(family, m - 1.0)).tolist()

@@ -33,6 +33,13 @@ def annulus_multiplier_symbol(lo, lo1, hi1, hi):
                                lambda xi: cut(xi)[None])
 
 
+def packet(grid, rng, freq_mag=0.9, spread=0.4):
+    """make_packets' one packet at freq_mag and spread, as an x-space
+    Field: make_packet at any frequency and spread."""
+    return gr.Field(grid, es.make_packets(grid, [rng], freq_mag, spread)[0],
+                    "x")
+
+
 def test_smoothing_ratio_zero_symbol():
     g = gr.make_grid(32, 8.0)
     rng = np.random.default_rng(0)
@@ -48,7 +55,7 @@ def test_smoothing_ratio_unimodular_annulus():
     # quotient is 2T times the spectral mass fraction under the cutoff
     g = gr.make_grid(64, 16.0)
     rng = np.random.default_rng(1)
-    phi = es.make_packet(g, rng, freq_mag=0.9, spread=0.15)
+    phi = packet(g, rng, freq_mag=0.9, spread=0.15)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     sig = annulus_multiplier_symbol(0.3, 0.5, 1.3, 1.5)
     T = 2.0
@@ -66,7 +73,7 @@ def test_smoothing_ratio_unimodular_annulus():
 def test_smoothing_ratio_structured_monotone_window():
     g = gr.make_grid(128, 16.0)
     rng = np.random.default_rng(2)
-    phi = es.make_packet(g, rng, freq_mag=0.9, spread=0.15)
+    phi = packet(g, rng, freq_mag=0.9, spread=0.15)
     spec = ev.EvolutionSpec(EUCLID, order=1)
     sig = sy.structured_sigma(EUCLID)
     reps = [es.smoothing_ratio(sig, spec, phi, T=T, dt=0.5,
@@ -81,7 +88,7 @@ def test_smoothing_ratio_structured_monotone_window():
 def test_smoothing_ratio_mass_escape():
     g = gr.make_grid(32, 4.0)
     rng = np.random.default_rng(3)
-    phi = es.make_packet(g, rng, freq_mag=2.0, spread=0.3)
+    phi = packet(g, rng, freq_mag=2.0, spread=0.3)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     with pytest.raises(SlabError, match=r"^containment .* < 0\.999 at t = "):
         es.smoothing_ratio(zero_symbol(), spec, phi, T=8.0, dt=1.0,
@@ -133,7 +140,7 @@ def _check_against_reference_loop(spec, sigma, phi, T, dt, radius):
     (sy.structured_sigma(EUCLID), 1), (sy.unstructured_critical(), 2)])
 def test_smoothing_ratio_matches_reference_loop(sigma, order):
     g = gr.make_grid(32, 8.0)
-    phi = es.make_packet(g, np.random.default_rng(4), spread=0.3)
+    phi = packet(g, np.random.default_rng(4), spread=0.3)
     spec = ev.EvolutionSpec(EUCLID, order=order)
     _check_against_reference_loop(spec, sigma, phi, 2.0, 0.25,
                                   np.sqrt(2.0) * g.L)
@@ -152,7 +159,7 @@ def test_folded_smoothing_window_matches_the_full_reference_loop(name, p):
     # monitor radius inside the box makes the mask part of the check.
     pair = sy.make_pair(p)
     g = gr.make_grid(32, 8.0)
-    phi = es.make_packet(g, np.random.default_rng(7), spread=0.3)
+    phi = packet(g, np.random.default_rng(7), spread=0.3)
     spec = ev.EvolutionSpec(pair, order=2)
     samples = _check_against_reference_loop(
         spec, sy.parse_sigma(name, pair), phi, 2.0, 0.25, 0.75 * g.L)
@@ -167,7 +174,7 @@ def test_folded_smoothing_window_matches_the_full_reference_loop(name, p):
 ])
 def test_smoothing_window_fold_edges(shift, T, samples):
     g = gr.make_grid(32, 8.0)
-    phi = es.make_packet(g, np.random.default_rng(8), spread=0.3)
+    phi = packet(g, np.random.default_rng(8), spread=0.3)
     phi = gr.Field(g, np.roll(phi.values, shift, axis=(0, 1)), "x")
     spec = ev.EvolutionSpec(EUCLID, order=2)
     assert _check_against_reference_loop(
@@ -210,7 +217,7 @@ def test_smoothing_sweep_matches_per_packet_ratios():
     rung = np.random.SeedSequence(2).spawn(2)[0]
     spec = ev.EvolutionSpec(EUCLID, order=2, T=2.0, dt=0.5)
     best = max(es.smoothing_ratio(
-        sig, spec, es.make_packet(g, np.random.default_rng(cs), 0.9, 0.3),
+        sig, spec, packet(g, np.random.default_rng(cs), 0.9, 0.3),
         2.0, 0.5, monitor_radius=g.L, mass_tol=0.0).ratio
         for cs in rung.spawn(3))
     assert res.ratios()[0] == best
@@ -223,7 +230,7 @@ def test_smoothing_reports_match_across_chunks_for_an_oblique_symbol():
     g = gr.make_grid(32, 8.0)
     spec = ev.EvolutionSpec(pair, order=2, T=2.0, dt=0.25)
     rng = np.random.default_rng(4)
-    phis = np.array([es.make_packet(g, rng, 0.9, 0.3).values
+    phis = np.array([packet(g, rng, 0.9, 0.3).values
                      for _ in range(3)])
     plan = qu.SeparablePlan(sy.structured_sigma(pair), g)
     runs = []
@@ -296,8 +303,8 @@ def test_fused_smoothing_loop_matches_the_two_call_loop(p, name, order, N,
     g = gr.make_grid(N, L)
     spec = ev.EvolutionSpec(pair, order=order, T=T, dt=dt)
     rung = np.random.SeedSequence(0).spawn(3)[2]
-    phis = np.array([es.make_packet(g, np.random.default_rng(cs), 0.9,
-                                    0.15).values for cs in rung.spawn(3)])
+    phis = np.array([packet(g, np.random.default_rng(cs), 0.9, 0.15).values
+                     for cs in rung.spawn(3)])
     plan = qu.SeparablePlan(sy.parse_sigma(name, pair), g)
     args = (plan, spec, phis, scale * L, 0.0)
     fused, ref = es._smoothing_reports(*args), _two_call_reports(*args)
@@ -552,7 +559,7 @@ def test_restriction_disjoint_support_floor():
     # spectrum near |xi| = 0.5, surface at rho = 4; both the packet and the
     # frequency window are Gaussian so the filtered field stays spatially
     # contained and the only leakage is the interpolation floor
-    phi = es.make_packet(g, rng, freq_mag=0.5, spread=0.7)
+    phi = packet(g, rng, freq_mag=0.5, spread=0.7)
 
     def window(xi):
         d2 = np.sum((np.asarray(xi) - np.array([0.5, 0.0]))**2, axis=-1)
@@ -563,6 +570,36 @@ def test_restriction_disjoint_support_floor():
                               lambda xi: window(xi)[None])
     val = es.restriction_norm(qu.SeparablePlan(sig, g), EUCLID, phi, rho=4.0)
     assert val <= 1e-8
+
+
+def _restriction_per_trial(sigma, pair, grid, rhos, trials, seed):
+    """restriction_scaling one trial at a time: reference code for the
+    stacked trials."""
+    rng = np.random.default_rng(seed)
+    plan = qu.SeparablePlan(sigma, grid)
+    lo, hi = 0.8, 1.3
+    mid, spread = 0.5 * (lo + hi), 0.25 * (hi - lo)
+    out = []
+    for rho in rhos:
+        best = 0.0
+        for _ in range(trials):
+            f = packet(grid, rng, rho * mid, rho * spread)
+            best = max(best, float(es.restriction_norm(plan, pair, f, rho)))
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("p", ["euclidean", "perturbed:amp=0.05"])
+@pytest.mark.parametrize("weight", ["structured", "unstructured-critical"])
+def test_restriction_scaling_equals_the_per_trial_loop(p, weight):
+    # a rho's trials as one stack draw the same directions in the same
+    # order and give the per-trial norms bit for bit
+    pair = sy.make_pair(p)
+    g = gr.make_grid(64, 16.0)
+    sigma = sy.parse_sigma(weight, pair)
+    assert es.restriction_scaling(
+        sigma, pair, g, rhos=(1.0, 2.0, 4.0), trials=3, seed=5) == \
+        _restriction_per_trial(sigma, pair, g, (1.0, 2.0, 4.0), 3, 5)
 
 
 # the resolvent / surface identity: reference code, reached by no CLI kind
@@ -624,7 +661,7 @@ def test_resolvent_im_identity_converges():
     # radial quadrature floor takes over near 3e-3
     g = gr.make_grid(128, 16.0)
     rng = np.random.default_rng(5)
-    phi = es.make_packet(g, rng, freq_mag=1.0, spread=0.2)
+    phi = packet(g, rng, freq_mag=1.0, spread=0.2)
     gaps = [surface_identity_gap(EUCLID, phi, rho=1.0, eps=e)
             for e in (1e-1, 1e-2, 1e-3)]
     assert gaps[2] < gaps[1] < gaps[0]
@@ -659,8 +696,7 @@ def _resolvent_im_per_angle(pair, f, rho, eps, n_angles, n_radial=129):
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_resolvent_im_identity_matches_per_angle_loop(eps, n_angles):
     g = gr.make_grid(64, 16.0)
-    phi = es.make_packet(g, np.random.default_rng(5), freq_mag=1.0,
-                         spread=0.2)
+    phi = packet(g, np.random.default_rng(5), freq_mag=1.0, spread=0.2)
     ref = _resolvent_im_per_angle(ELLIPSE, phi, 1.0, eps, n_angles)
     val = resolvent_im_identity(ELLIPSE, phi, 1.0, eps, n_angles=n_angles)
     assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -759,7 +795,7 @@ def test_make_packets_match_the_one_packet_builds_byte_for_byte(N, L):
                                     for cs in seeds], 0.9, 0.15)
         assert stack.shape == (trials, N, N)
         for phi, cs in zip(stack, seeds):
-            assert phi.tobytes() == es.make_packet(
+            assert phi.tobytes() == packet(
                 g, np.random.default_rng(cs), 0.9, 0.15).values.tobytes()
             assert phi.tobytes() == _one_packet(
                 g, np.random.default_rng(cs), 0.9, 0.15).tobytes()
@@ -781,7 +817,7 @@ def test_spectral_packets_name_the_first_failing_norm(centers, norm):
 def test_make_packet_is_its_own_conjugate_reflection():
     g = gr.make_grid(32, 8.0)
     for seed in range(3):
-        phi = es.make_packet(g, np.random.default_rng(seed), 1.1, 0.3).values
+        phi = packet(g, np.random.default_rng(seed), 1.1, 0.3).values
         assert np.array_equal(phi, np.conj(g.reflect(phi)))
         theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
         ref = gr.spectral_packet(g, 1.1 * np.array([np.cos(theta),
@@ -796,7 +832,7 @@ def test_smoothing_scaling_covariance():
     sig = sy.structured_sigma(EUCLID)
     rng = np.random.default_rng(6)
     g1 = gr.make_grid(128, 16.0)
-    phi1 = es.make_packet(g1, rng, freq_mag=1.0, spread=0.2)
+    phi1 = packet(g1, rng, freq_mag=1.0, spread=0.2)
     spec = ev.EvolutionSpec(EUCLID, order=2)
     rep1 = es.smoothing_ratio(sig, spec, phi1, T=4.0, dt=0.25,
                               monitor_radius=np.sqrt(2.0) * g1.L,

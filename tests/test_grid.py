@@ -256,6 +256,26 @@ def test_offgrid_evaluation_matches_lattice():
     assert np.max(np.abs(fv - f.values.reshape(-1)[[7, 77, 777]])) <= 1e-10
 
 
+def test_field_holds_a_stack_and_eval_offgrid_acts_per_field():
+    # a Field checks the last two axes only; eval_offgrid of a stack is
+    # one call per field, bit for bit, and so are its norms
+    g = gr.make_grid(32, 8.0)
+    stack = gr.Field(g, np.array([random_field(g, s).values
+                                  for s in range(3)]), "x")
+    assert stack.values.shape == (3, 32, 32)
+    with pytest.raises(ValueError, match="field shape does not match"):
+        gr.Field(g, np.zeros((32, 33), complex), "x")
+    targets = np.random.default_rng(1).uniform(-g.nyquist, g.nyquist,
+                                               size=(301, 2))
+    out = gr.eval_offgrid(stack, targets)
+    assert out.shape == (3, 301)
+    for row, vals in zip(out, stack.values):
+        one = gr.Field(g, vals, "x")
+        assert np.array_equal(row, gr.eval_offgrid(one, targets))
+    assert np.array_equal(stack.norm(), [gr.Field(g, v, "x").norm()
+                                         for v in stack.values])
+
+
 # (S, N) in the plane where the row bound re-cuts 601 targets: byte-sized
 # blocks of 1024, 256, 512 and 64 targets become blocks of 128, 128, 32
 # and 32

@@ -304,27 +304,28 @@ def test_canonical_leakage_warning():
 
 
 def test_stacked_canonical_equals_per_field():
-    # one stacked call per list of fields: the same bits, and the same
+    # one call on a stack of x-space fields: the same bits, and the same
     # CutoffLeakage warnings, as one call per field
     g = gr.make_grid(32, 16.0)
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(0.4, 1.0, 9.0, 11.0))
     fields = [packet(g, (1.0, 0.0), 1.5, carrier=(4.0, 0.0)),
               packet(g, (0.0, 0.0), 0.5, carrier=(0.5, 0.5)),
               random_field(g, 2),
-              gr.transform(packet(g, (0.0, -2.0), 1.0, carrier=(0.0, 3.0)))]
+              packet(g, (0.0, -2.0), 1.0, carrier=(0.0, 3.0))]
     with warnings.catch_warnings(record=True) as single:
         warnings.simplefilter("always")
         ref = [qu.apply_canonical(plan, f) for f in fields]
     with warnings.catch_warnings(record=True) as stacked:
         warnings.simplefilter("always")
-        out = qu.apply_canonical(plan, fields)
+        out = qu.apply_canonical(
+            plan, gr.Field(g, np.array([f.values for f in fields]), "x"))
     assert len(single) > 0
     assert [str(w.message) for w in stacked] == [str(w.message)
                                                  for w in single]
     assert all(w.category is CutoffLeakage for w in stacked)
-    assert [o.space for o in out] == ["x"] * len(fields)
-    for o, r in zip(out, ref):
-        assert np.array_equal(o.values, r.values)
+    assert out.space == "x" and out.values.shape == (len(fields), *g.shape)
+    for o, r in zip(out.values, ref):
+        assert np.array_equal(o, r.values)
 
 
 def _kn_case():
@@ -651,3 +652,119 @@ def test_egorov_residual_pairs_the_mirror_modes_of_an_even_p(monkeypatch):
         _egorov_dual_case(32)
         _egorov_dual_case(32, pair=sy.make_pair("perturbed:amp=0.05"))
     assert seen == [(537, 474), (1009, 2)]
+
+
+# reference code: the boundedness and Egorov families as they were built
+# member by member, a list of Fields, before the families became stacks
+
+
+def _family_member(f, lam, carrier, center=None, spread=True):
+    """u_lam one member at a time: f dilated by lam (kept when spread is
+    False or lam = 1), recentred at lam center, remodulated onto carrier."""
+    g = f.grid
+    ul = qu.dilate(f, lam) if spread and lam != 1.0 else f
+    if center is not None:
+        shift = lam * np.asarray(center, dtype=float)
+        ul = qu.apply_multiplier(ul, lambda xi: np.exp(
+            -1j * np.tensordot(xi, shift, axes=([-1], [0]))))
+    phase = np.exp(1j * np.tensordot(g.coord_stack(), np.asarray(carrier),
+                                     axes=([-1], [0])))
+    return gr.Field(g, phase * ul.values, "x")
+
+
+def _fio_per_member(a, m, f):
+    plan = qu.SeparablePlan(a, f.grid)
+    ratios = []
+    for lam in qu.DILATIONS:
+        ul = _family_member(f, lam, (3.0, 0.0))
+        ratios.append(qu._apply_plan(plan, ul).norm()
+                      / gr.weighted_norm(ul, m))
+    return ratios
+
+
+def _basiclem_per_member(pair, a, m, f):
+    a_plan = qu.SeparablePlan(a, f.grid)
+    om = qu.SeparablePlan(sy.omega_phase_symbol(pair), f.grid)
+    ratios = []
+    for lam in qu.DILATIONS:
+        ul = _family_member(f, lam, (3.0, 0.0))
+        rhs = gr.weighted_norm(ul, m - 1.0)
+        rhs += gr.weighted_norm(qu._apply_plan(om, ul), m - 1.0)
+        ratios.append(qu._apply_plan(a_plan, ul).norm() / rhs)
+    return ratios
+
+
+def _egorov_per_member(a, plan, m, f, carrier, center, lams=qu.DILATIONS):
+    """egorov_residual on a list-based family: one recentring transform and
+    one canonical warp per field, the ratios one member at a time."""
+    g = f.grid
+    kept = np.flatnonzero(plan.cutoff.on_freqs(g) > 1e-14)
+    eta = sy.psi_inv(plan.pair, g.freq_stack().reshape(-1, 2)[kept])
+    J = sy.psi_jacobian(plan.pair, eta)
+    factors = a.xi_factors(eta)
+    first, second = qu._mode_pairs(g, kept, [J, *factors])
+    J_cat = J[first].transpose(1, 0, 2).reshape(2, -1)
+    factors = factors[:, first]
+
+    def a_tilde(xb):
+        x = (xb @ J_cat).reshape(len(xb), -1, 2)
+        return sum(f * mr for f, mr in zip(a.x_factors(x), factors))
+
+    family = [_family_member(f, lam, carrier, center, False) for lam in lams]
+    uh = np.stack([gr.transform(ul).values.ravel()[kept] for ul in family],
+                  axis=1)
+    tilde = qu._kn_sum(g, a_tilde, kept[first], uh[first], uh[second])
+    a_plan = qu.SeparablePlan(a, g)
+    ratios = []
+    for ul, col in zip(family, tilde.T):
+        lw = qu._apply_plan(a_plan, qu.apply_canonical(plan, ul)).values
+        rw = qu.apply_canonical(
+            plan, gr.Field(g, col.reshape(g.shape), "x")).values
+        ratios.append(gr.Field(g, lw - rw, "x").norm()
+                      / gr.weighted_norm(ul, m - 1.0))
+    return ratios
+
+
+@pytest.mark.parametrize("N", [32, 64])
+@pytest.mark.parametrize("p", ["euclidean", "quadratic-form:A=[[1,0],[0,0.5]]",
+                               "perturbed:amp=0.05"])
+def test_egorov_residual_equals_the_list_based_family(N, p):
+    # the stacked family, built from one transform of the envelope, gives
+    # the list-based family's ratios bit for bit, on an oblique center too
+    g = gr.make_grid(N, 16.0)
+    gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
+    a = sy.PhaseSpaceSymbol(
+        "x-growth", (1.0, 0.0),
+        lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
+        lambda xi: gx(xi)[None])
+    plan = qu.CanonicalTransformPlan(sy.make_pair(p),
+                                     gr.annular(0.4, 1.0, 9.0, 11.0))
+    env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffLeakage)
+        for m, carrier, center in ((1.0, (4.0, 0.0), (1.4, 0.0)),
+                                   (0.0, (3.3, -1.7), (0.9, 0.7))):
+            assert qu.egorov_residual(
+                a, plan, m, env, carrier=carrier, center=center) == \
+                _egorov_per_member(a, plan, m, env, carrier, center)
+
+
+def test_dilation_families_equal_the_per_member_loops():
+    # criterion 06's fio and structure inputs: the stacked family, each
+    # plan applied once, gives the per-member ratios bit for bit
+    g = gr.make_grid(64, 16.0)
+    env = gr.spectral_packet(g, (0.0, 0.0), 1.2)
+    amp = sy.PhaseSpaceSymbol(
+        "x-growth-one", (1.0, 0.0),
+        lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
+        lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1))[None])
+    f = gr.spectral_packet(g, (3.0, 0.0), 1.2)
+    gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
+    a = sy.PhaseSpaceSymbol(
+        "angular-momentum-weighted", (0.0, 1.0),
+        lambda x: np.stack([x[..., 0], -x[..., 1]]),
+        lambda xi: np.stack([xi[..., 1] * gx(xi), xi[..., 0] * gx(xi)]))
+    for m in (1.0, 0.0):
+        assert qu.fio_bound_ratio(amp, m, env) == _fio_per_member(amp, m, env)
+        assert qu.basiclem_ratio(EUCLID, a, m, f) == \
+            _basiclem_per_member(EUCLID, a, m, f)
