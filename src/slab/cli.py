@@ -389,7 +389,7 @@ def _run_egorov(cfg):
     slack = 3.0    # criterion 06's bound on max/min
     a = _growth_symbol(growth)
     plan = qu.CanonicalTransformPlan(pair, gr.annular(lo, lo1, hi1, hi))
-    env = gr.spectral_packet(g, np.zeros(2), cfg["packet_spread"])
+    env = gr.spectral_packets(g, np.zeros(2), cfg["packet_spread"])
     # the carrier's phase x.carrier over the box, and the recentring's
     # xi.(lam center) over the lattice, must keep a fractional digit; the
     # packet's own check names a degenerate box first
@@ -427,7 +427,7 @@ def _run_commutator(cfg):
     g = _grid_from_config(cfg)
     scale = cfg["profile_scale"]
     tol, floor = 1e-7, 1e-2    # criterion 04's bounds
-    f = gr.spectral_packet(g, cfg["packet_center"], cfg["packet_spread"])
+    f = gr.spectral_packets(g, cfg["packet_center"], cfg["packet_spread"])
 
     def h(t):
         # a tiny scale overflows (t / scale)^2; exp(-inf) is h's limit 0

@@ -75,29 +75,18 @@ def verdict(ratios):
     return "inconclusive"
 
 
-def make_packets(grid, rngs, freq_mag, spread):
-    """Unit-norm wave packets, one per generator of rngs, as an (S, N, N)
-    stack of x-samples built in one pass: each is a spectral Gaussian at
-    a random direction (one draw of its generator) on the circle of radius
-    freq_mag, centered at x = 0, with the bits of its one-packet build.
-
-    The spectrum is real, so phi(x) = conj(phi(-x)) up to roundoff; each
-    packet is averaged with its conjugate reflection to make that exact
-    (a move of ~1e-15 per sample), which lets _smoothing_reports fold
-    its time window.
-    """
-    centers = []
-    for rng in rngs:
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        centers.append(freq_mag * np.array([np.cos(theta), np.sin(theta)]))
-    phis = gr.spectral_packets(grid, centers, spread)
-    return 0.5 * (phis + np.conj(grid.reflect(phis)))
+def _random_centers(rngs, freq_mag):
+    """(S, 2) packet centers on the circle of radius freq_mag, one per
+    generator of rngs, each at a random direction: one uniform(0, 2 pi)
+    draw of its generator, in generator order."""
+    theta = np.array([rng.uniform(0.0, 2.0 * np.pi) for rng in rngs])
+    return freq_mag * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def make_packet(grid, rng):
-    """The one-packet make_packets at frequency 0.9 and spread 0.4, as an
-    x-space Field."""
-    return gr.Field(grid, make_packets(grid, [rng], 0.9, 0.4)[0], "x")
+    """A unit-norm packet (``grid.spectral_packets``) at frequency 0.9 in
+    a random direction, one draw of rng, with spread 0.4."""
+    return gr.spectral_packets(grid, _random_centers([rng], 0.9)[0], 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +178,10 @@ def _smoothing_reports(plan, spec, phis, monitor_radius, mass_tol):
     A SlabError is raised at the first time sample (lowest trial first)
     whose mass inside monitor_radius falls below mass_tol.
 
-    When _time_reversible holds (make_packet's packets with every registry
-    weight but tau over a symbol that is not even) the window is folded:
-    only the samples t <= 0 run, in natural order, and each t > 0 takes
-    its mirror's values, which halves the work.  A mirror's mass equals
+    When _time_reversible holds (spectral_packets' packets with every
+    registry weight but tau over a symbol that is not even) the window is
+    folded: only the samples t <= 0 run, in natural order, and each t > 0
+    takes its mirror's values, which halves the work.  A mirror's mass equals
     its own, so the error still fires at the same first sample.
     Otherwise the same loop runs the full window.
     """
@@ -268,8 +257,9 @@ def smoothing_sweep(sigma, spec_pair, ladder, *, trials, seed, dt, order,
     for (N, L, T), ss in zip(ladder, root.spawn(len(ladder))):
         g = gr.make_grid(N, float(L))
         spec = ev.EvolutionSpec(spec_pair, order=order, T=float(T), dt=dt)
-        phis = make_packets(g, [np.random.default_rng(cs)
-                                for cs in ss.spawn(trials)], freq_mag, spread)
+        phis = gr.spectral_packets(g, _random_centers(
+            [np.random.default_rng(cs) for cs in ss.spawn(trials)],
+            freq_mag), spread).values
         reports = _smoothing_reports(qu.SeparablePlan(sigma, g), spec, phis,
                                      monitor_scale * float(L), mass_tol)
         best = max(reports, key=lambda rep: rep.ratio)
@@ -423,8 +413,8 @@ def restriction_scaling(sigma, pair, grid, *, rhos, trials, seed):
     mid, spread = 0.5 * (lo + hi), 0.25 * (hi - lo)
     out = []
     for rho in rhos:
-        f = gr.Field(grid, make_packets(grid, [rng] * trials, rho * mid,
-                                        rho * spread), "x")
+        f = gr.spectral_packets(
+            grid, _random_centers([rng] * trials, rho * mid), rho * spread)
         out.append(float(restriction_norm(plan, pair, f, rho).max()))
     return out
 

@@ -63,21 +63,11 @@ class Grid:
         raw np.fft.fftn spectrum meets them index for index."""
         return self.dxi * np.fft.fftfreq(self.N, 1.0 / self.N)
 
-    def coords(self):
-        """Spatial coordinate arrays, broadcastable to ``shape``."""
-        x = self.axis_points()
-        return np.meshgrid(x, x, indexing="ij", sparse=True)
-
-    def freqs(self):
-        """Frequency coordinate arrays, broadcastable to ``shape``."""
-        xi = self.axis_freqs()
-        return np.meshgrid(xi, xi, indexing="ij", sparse=True)
-
     def radius(self):
-        return np.sqrt(sum(c**2 for c in self.coords()))
+        return np.linalg.norm(self.coord_stack(), axis=-1)
 
     def freq_radius(self):
-        return np.sqrt(sum(c**2 for c in self.freqs()))
+        return np.linalg.norm(self.freq_stack(), axis=-1)
 
     def coord_stack(self):
         """Spatial coordinates as an array of shape (N, N, 2)."""
@@ -235,17 +225,22 @@ def _phase_sum(values, axis, pts, sign):
 
 
 def spectral_packets(grid, centers, spread):
-    """Unit-norm packets with Gaussian spectra of width spread, one at each
-    row of centers (S, 2), as an (S, N, N) stack of x-samples built in one
-    pass: each packet has the bits of its own one-row build.  SlabError
-    with the norm of the first packet whose norm on the grid is not a
-    positive finite number (it underflows to 0 on a huge box, or to 0 for
-    a vanishing spread, and overflows on a tiny box)."""
+    """slab's packet builder: unit-norm packets with Gaussian spectra of
+    width spread, one at each center of centers (..., 2), as an x-space
+    Field of shape (..., N, N) built in one pass; a (2,) center gives one
+    packet, an (S, 2) stack S of them, each with the bits of its own
+    one-packet build.  The spectrum is real, so phi(x) = conj(phi(-x))
+    up to roundoff; each packet is averaged with its conjugate
+    reflection to make that exact (a move of ~1e-15 per sample), which
+    lets the smoothing loop fold its time window.  SlabError with the
+    norm of the first packet whose norm on the grid is not a positive
+    finite number (it underflows to 0 on a huge box, or to 0 for a
+    vanishing spread, and overflows on a tiny box)."""
     xi = grid.freq_stack()
-    centers = np.asarray(centers, dtype=float)[:, None, None]
+    centers = np.asarray(centers, dtype=float)
     # the check below reports whatever over- or underflows here
     with np.errstate(all="ignore"):
-        d2 = np.sum((xi - centers) ** 2, axis=-1)
+        d2 = np.sum((xi - centers.reshape(-1, 1, 1, 2)) ** 2, axis=-1)
         spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
         vals = _x_samples(grid, spec)
         # Field.norm, packet by packet
@@ -255,12 +250,9 @@ def spectral_packets(grid, centers, spread):
         raise SlabError(f"packet norm {float(norm[bad[0]])!r} at N = "
                         f"{grid.N}, L = {grid.L} is not a positive finite "
                         "number")
-    return vals / norm[:, None, None]
-
-
-def spectral_packet(grid, center, spread):
-    """The one-packet spectral_packets, as an x-space Field."""
-    return Field(grid, spectral_packets(grid, [center], spread)[0], "x")
+    phis = vals / norm[:, None, None]
+    phis = 0.5 * (phis + np.conj(grid.reflect(phis)))
+    return Field(grid, phis.reshape(*centers.shape[:-1], *grid.shape), "x")
 
 
 def eval_offgrid(f, targets):
@@ -299,11 +291,13 @@ def weighted_norm(f, m):
 
 
 def mass_fraction(f, radius):
-    """Fraction of the field's L^2 mass inside |x| <= radius."""
+    """Fraction of each field's L^2 mass inside |x| <= radius; 1 for a
+    field that is identically 0."""
     total = sq_sum(f.values)
-    if total == 0:
-        return 1.0
-    return float(sq_sum(f.values * (f.grid.radius() <= radius)) / total)
+    inside = sq_sum(f.values * (f.grid.radius() <= radius))
+    zero = total == 0
+    # [()] makes one field's 0-d array a scalar
+    return np.where(zero, 1.0, inside / np.where(zero, 1.0, total))[()]
 
 
 # ---------------------------------------------------------------------------

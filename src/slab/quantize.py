@@ -426,14 +426,6 @@ def commutator_residual(pair, h, f, multiplier=None):
 # boundedness ratios
 
 
-def dilate(f, lam):
-    """u_lambda(x) = u(x / lambda), by spectral interpolation."""
-    g = f.grid
-    pts = g.coord_stack().reshape(-1, 2) / lam
-    vals = gr.eval_field_offgrid(f, pts).reshape(g.shape)
-    return gr.Field(g, vals, "x")
-
-
 # the dilation parameters lam of the family u_lam in the boundedness checks
 DILATIONS = (1.0, 2.0, 4.0, 8.0)
 
@@ -443,9 +435,14 @@ def _dilation_family(f):
     onto the fixed carrier (3, 0), which keeps the frequency content
     constant so the family probes spatial growth declarations only."""
     g = f.grid
-    members = np.stack([f.values if lam == 1.0 else dilate(f, lam).values
-                        for lam in DILATIONS])
-    phase = np.exp(1j * np.tensordot(g.coord_stack(), np.array([3.0, 0.0]),
+    x = g.coord_stack()
+    # u_lam(x) = f(x / lam) by spectral interpolation, every lam but
+    # DILATIONS[0] = 1 from one transform of f
+    dilated = gr.eval_field_offgrid(f, np.concatenate(
+        [x.reshape(-1, 2) / lam for lam in DILATIONS[1:]]))
+    members = np.concatenate([f.values[None],
+                              dilated.reshape(-1, *g.shape)])
+    phase = np.exp(1j * np.tensordot(x, np.array([3.0, 0.0]),
                                      axes=([-1], [0])))
     return gr.Field(g, phase * members, "x")
 

@@ -149,7 +149,7 @@ def test_criterion_05_fio_identities():
     # (id): forward after inverse equals the squared cutoff multiplier
     g = gr.make_grid(256, 32.0)
     pair = sy.closed_form_dual(sy.quadratic_form(np.diag([1.0, 2.0**-0.5])))
-    u = gr.spectral_packet(g, (3.5, 0.0), 0.42)
+    u = gr.spectral_packets(g, (3.5, 0.0), 0.42)
 
     def safe_p(pts):
         r = np.linalg.norm(pts, axis=-1)
@@ -169,7 +169,7 @@ def test_criterion_05_fio_identities():
 
     # (jd): rotation and its inverse compose to the squared window
     g2 = gr.make_grid(128, 16.0)
-    u2 = gr.spectral_packet(g2, (2.0, 1.0), 0.9)
+    u2 = gr.spectral_packets(g2, (2.0, 1.0), 0.9)
     gam = gr.radial_bump(5.0, 9.0)
     w1 = qu.apply_change_of_vars(0.7, gam, u2)
     w2 = qu.apply_change_of_vars(-0.7, gam, w1)
@@ -179,7 +179,7 @@ def test_criterion_05_fio_identities():
 
     # conjugation: the transform intertwines p(D) with |D| on the band
     g3 = gr.make_grid(128, 16.0)
-    u3 = gr.spectral_packet(g3, (3.0, 0.0), 0.35)
+    u3 = gr.spectral_packets(g3, (3.0, 0.0), 0.35)
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(1.0, 2.0, 5.0, 7.0),
                                      direction="inverse")
     xi0 = g3.freq_stack()
@@ -198,7 +198,7 @@ def test_criterion_06_boundedness_ratio_families():
     g = gr.make_grid(64, 16.0)
     checks = {}
 
-    env = gr.spectral_packet(g, (0.0, 0.0), 1.2)
+    env = gr.spectral_packets(g, (0.0, 0.0), 1.2)
     amp = sy.PhaseSpaceSymbol(
         "x-growth-one", (1.0, 0.0),
         lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
@@ -208,7 +208,7 @@ def test_criterion_06_boundedness_ratio_families():
     r = qu.fio_bound_ratio(amp, 0.0, env)
     checks["fio misdeclared > 3"] = max(r) / min(r) > 3.0
 
-    f = gr.spectral_packet(g, (3.0, 0.0), 1.2)
+    f = gr.spectral_packets(g, (3.0, 0.0), 1.2)
     gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
     a = sy.PhaseSpaceSymbol(
         "angular-momentum-weighted", (0.0, 1.0),
@@ -219,7 +219,7 @@ def test_criterion_06_boundedness_ratio_families():
     r = qu.basiclem_ratio(EUCLID, a, 0.0, f)
     checks["structure misdeclared > 3"] = max(r) / min(r) > 3.0
 
-    env2 = gr.spectral_packet(g, (0.0, 0.0), 0.8)
+    env2 = gr.spectral_packets(g, (0.0, 0.0), 0.8)
     plan = qu.CanonicalTransformPlan(ELLIPSE, gr.annular(0.4, 1.0, 9.0, 11.0))
     ae = sy.PhaseSpaceSymbol(
         "x-growth-one", (1.0, 0.0),

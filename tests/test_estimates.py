@@ -34,10 +34,10 @@ def annulus_multiplier_symbol(lo, lo1, hi1, hi):
 
 
 def packet(grid, rng, freq_mag=0.9, spread=0.4):
-    """make_packets' one packet at freq_mag and spread, as an x-space
-    Field: make_packet at any frequency and spread."""
-    return gr.Field(grid, es.make_packets(grid, [rng], freq_mag, spread)[0],
-                    "x")
+    """make_packet at any frequency and spread: one spectral_packets packet
+    at a random direction (one draw of rng) on the circle freq_mag."""
+    return gr.spectral_packets(grid, es._random_centers([rng], freq_mag)[0],
+                               spread)
 
 
 def test_smoothing_ratio_zero_symbol():
@@ -784,15 +784,16 @@ def _one_packet(grid, rng, freq_mag, spread):
 @pytest.mark.parametrize("N,L", [(64, 16.0), (64, 32.0), (64, 64.0),
                                  (128, 64.0)])
 def test_make_packets_match_the_one_packet_builds_byte_for_byte(N, L):
-    # a rung's packets, built as one stack, at the bench rungs' seeds (and
-    # crit 08's N = 128 with 8 trials): each has the bytes of make_packet
-    # and of the build one packet at a time, in SeedSequence.spawn order
+    # a rung's packets, built by spectral_packets as one stack, at the
+    # bench rungs' seeds (and crit 08's N = 128 with 8 trials): each has
+    # the bytes of a one-packet spectral_packets call and of the build one
+    # packet at a time, in SeedSequence.spawn order
     g = gr.make_grid(N, L)
     trials = 8 if N == 128 else 3
     for ss in np.random.SeedSequence(0).spawn(3):
         seeds = ss.spawn(trials)
-        stack = es.make_packets(g, [np.random.default_rng(cs)
-                                    for cs in seeds], 0.9, 0.15)
+        stack = gr.spectral_packets(g, es._random_centers(
+            [np.random.default_rng(cs) for cs in seeds], 0.9), 0.15).values
         assert stack.shape == (trials, N, N)
         for phi, cs in zip(stack, seeds):
             assert phi.tobytes() == packet(
@@ -814,16 +815,37 @@ def test_spectral_packets_name_the_first_failing_norm(centers, norm):
         gr.spectral_packets(g, centers, 0.15)
 
 
+def _unsymmetrized_packet(grid, center, spread):
+    """The unit-norm packet before the average with its conjugate
+    reflection: its Gaussian spectrum through inverse_transform."""
+    d2 = np.sum((grid.freq_stack() - np.asarray(center)) ** 2, axis=-1)
+    spec = np.exp(-d2 / (2.0 * spread * spread)).astype(complex)
+    f = gr.inverse_transform(gr.Field(grid, spec, "xi"))
+    return f.values / f.norm()
+
+
 def test_make_packet_is_its_own_conjugate_reflection():
+    # the symmetrization is exact and moves each packet by roundoff only;
+    # a (2,) center gives one (N, N) packet with the bits of its (1, 2)
+    # stack, as do the CLI's egorov envelope and commutator packet at
+    # their default centers and spreads
     g = gr.make_grid(32, 8.0)
+    cases = []
     for seed in range(3):
-        phi = packet(g, np.random.default_rng(seed), 1.1, 0.3).values
-        assert np.array_equal(phi, np.conj(g.reflect(phi)))
         theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
-        ref = gr.spectral_packet(g, 1.1 * np.array([np.cos(theta),
-                                                    np.sin(theta)]), 0.3)
-        assert np.max(np.abs(phi - ref.values)) <= 1e-14 * np.max(
-            np.abs(ref.values))
+        center = 1.1 * np.array([np.cos(theta), np.sin(theta)])
+        assert np.array_equal(
+            packet(g, np.random.default_rng(seed), 1.1, 0.3).values,
+            gr.spectral_packets(g, center, 0.3).values)
+        cases.append((center, 0.3))
+    for center, spread in cases + [((0.0, 0.0), 0.8), ((3.0, 0.0), 1.8)]:
+        phi = gr.spectral_packets(g, center, spread)
+        assert phi.space == "x" and phi.values.shape == g.shape
+        assert np.array_equal(phi.values, gr.spectral_packets(
+            g, [center], spread).values[0])
+        assert np.array_equal(phi.values, np.conj(g.reflect(phi.values)))
+        raw = _unsymmetrized_packet(g, center, spread)
+        assert np.max(np.abs(phi.values - raw)) <= 1e-14 * np.max(np.abs(raw))
 
 
 def test_smoothing_scaling_covariance():

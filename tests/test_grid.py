@@ -197,6 +197,35 @@ def test_mass_fraction_monotone():
     assert fr[2] > 0.999
 
 
+def test_mass_fraction_acts_per_field():
+    # a stack with an identically zero field: each fraction has the bits
+    # of its own one-field call, and the zero field's is 1
+    g = gr.make_grid(32, 8.0)
+    x = g.coord_stack()
+    f = np.exp(-np.sum(x**2, axis=-1)) + 0j
+    stack = gr.Field(g, np.stack([f, np.zeros_like(f), f * np.exp(
+        -np.sum((x - 3.0)**2, axis=-1))]), "x")
+    fr = gr.mass_fraction(stack, 2.0)
+    assert fr.shape == (3,) and fr[1] == 1.0
+    for one, vals in zip(fr, stack.values):
+        assert one.tobytes() == np.float64(
+            gr.mass_fraction(gr.Field(g, vals, "x"), 2.0)).tobytes()
+
+
+@pytest.mark.parametrize("N,L", [(8, 4.0), (32, 16.0), (64, 8.0),
+                                 (128, 64.0), (256, 64.0), (64, 1e150),
+                                 (16, 1e-150)])
+def test_radii_have_the_bytes_of_the_sqrt_of_squares(N, L):
+    # the norms over the coordinate stacks against the sum of the squared
+    # broadcast axes, as radius and freq_radius were computed before
+    g = gr.make_grid(N, L)
+    for axis, radius in ((g.axis_points(), g.radius()),
+                         (g.axis_freqs(), g.freq_radius())):
+        ref = np.sqrt(sum(c**2 for c in np.meshgrid(axis, axis, indexing="ij",
+                                                    sparse=True)))
+        assert radius.tobytes() == ref.tobytes()
+
+
 def test_cutoff_ranges_and_plateaus():
     ann = gr.annular(1.0, 2.0, 5.0, 6.0)
     g = gr.make_grid(64, 8.0)
@@ -295,7 +324,7 @@ def test_phase_sum_keeps_its_bits_whatever_the_blocking(monkeypatch, S, N):
 
 def test_spectral_packet_unit_norm_and_centered():
     g = gr.make_grid(32, 8.0)
-    f = gr.spectral_packet(g, (1.5, -0.5), 0.6)
+    f = gr.spectral_packets(g, (1.5, -0.5), 0.6)
     assert f.space == "x"
     assert f.norm() == pytest.approx(1.0, rel=1e-12)
     fh = gr.transform(f)

@@ -485,11 +485,13 @@ def test_commutator_residual_small_and_control_large():
 
 
 def test_dilate_preserves_mass_normalization():
+    # the dilation family's lam = 2 member: the envelope widens and the
+    # carrier's phase has modulus 1, so the norm scales like lambda^{n/2}
     g = gr.make_grid(64, 16.0)
     f = packet(g, (0.0, 0.0), 1.0)
-    d = qu.dilate(f, 2.0)
-    # envelope widens; norm scales like lambda^{n/2} on the grid
-    assert d.norm() == pytest.approx(2.0 * f.norm(), rel=1e-2)
+    norms = qu._dilation_family(f).norm()
+    assert norms[qu.DILATIONS.index(2.0)] == pytest.approx(2.0 * f.norm(),
+                                                           rel=1e-2)
 
 
 def test_low_freq_guard_kills_origin():
@@ -509,7 +511,7 @@ def _egorov_dual_case(N, xf=None, m=1.0, gx=None, pair=ELLIPSE):
     a = sy.PhaseSpaceSymbol("x-growth", (1.0, 0.0), lambda x: xf(x)[None],
                             lambda xi: gx(xi)[None])
     plan = qu.CanonicalTransformPlan(pair, gr.annular(0.4, 1.0, 9.0, 11.0))
-    env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
+    env = gr.spectral_packets(g, (0.0, 0.0), 0.8)
     return qu.egorov_residual(a, plan, m, env, carrier=(4.0, 0.0),
                               center=(1.4, 0.0))
 
@@ -658,11 +660,20 @@ def test_egorov_residual_pairs_the_mirror_modes_of_an_even_p(monkeypatch):
 # member by member, a list of Fields, before the families became stacks
 
 
+def dilate(f, lam):
+    """u_lambda(x) = u(x / lambda), by spectral interpolation: one
+    transform of f per lam."""
+    g = f.grid
+    pts = g.coord_stack().reshape(-1, 2) / lam
+    vals = gr.eval_field_offgrid(f, pts).reshape(g.shape)
+    return gr.Field(g, vals, "x")
+
+
 def _family_member(f, lam, carrier, center=None, spread=True):
     """u_lam one member at a time: f dilated by lam (kept when spread is
     False or lam = 1), recentred at lam center, remodulated onto carrier."""
     g = f.grid
-    ul = qu.dilate(f, lam) if spread and lam != 1.0 else f
+    ul = dilate(f, lam) if spread and lam != 1.0 else f
     if center is not None:
         shift = lam * np.asarray(center, dtype=float)
         ul = qu.apply_multiplier(ul, lambda xi: np.exp(
@@ -739,7 +750,7 @@ def test_egorov_residual_equals_the_list_based_family(N, p):
         lambda xi: gx(xi)[None])
     plan = qu.CanonicalTransformPlan(sy.make_pair(p),
                                      gr.annular(0.4, 1.0, 9.0, 11.0))
-    env = gr.spectral_packet(g, (0.0, 0.0), 0.8)
+    env = gr.spectral_packets(g, (0.0, 0.0), 0.8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffLeakage)
         for m, carrier, center in ((1.0, (4.0, 0.0), (1.4, 0.0)),
@@ -749,16 +760,30 @@ def test_egorov_residual_equals_the_list_based_family(N, p):
                 _egorov_per_member(a, plan, m, env, carrier, center)
 
 
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128])
+def test_dilation_family_is_the_per_lam_dilate_stack(N):
+    # every lam != 1 from one off-grid contraction over the concatenated
+    # target sets: the bits of one dilate call per lam, whatever the
+    # contraction's blocking at N
+    g = gr.make_grid(N, 16.0)
+    f = gr.spectral_packets(g, (0.0, 0.0), 1.2)
+    phase = np.exp(1j * np.tensordot(g.coord_stack(), np.array([3.0, 0.0]),
+                                     axes=([-1], [0])))
+    ref = np.stack([phase * (f if lam == 1.0 else dilate(f, lam)).values
+                    for lam in qu.DILATIONS])
+    assert np.array_equal(qu._dilation_family(f).values, ref)
+
+
 def test_dilation_families_equal_the_per_member_loops():
     # criterion 06's fio and structure inputs: the stacked family, each
     # plan applied once, gives the per-member ratios bit for bit
     g = gr.make_grid(64, 16.0)
-    env = gr.spectral_packet(g, (0.0, 0.0), 1.2)
+    env = gr.spectral_packets(g, (0.0, 0.0), 1.2)
     amp = sy.PhaseSpaceSymbol(
         "x-growth-one", (1.0, 0.0),
         lambda x: np.sqrt(1.0 + np.sum(x * x, axis=-1))[None],
         lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1))[None])
-    f = gr.spectral_packet(g, (3.0, 0.0), 1.2)
+    f = gr.spectral_packets(g, (3.0, 0.0), 1.2)
     gx = lambda xi: 1.0 / np.sqrt(1.0 + np.sum(xi * xi, axis=-1))
     a = sy.PhaseSpaceSymbol(
         "angular-momentum-weighted", (0.0, 1.0),

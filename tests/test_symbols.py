@@ -352,7 +352,7 @@ def test_omega_plan_and_commutator_run_no_support_solve(monkeypatch):
     monkeypatch.setattr(sy, "_support_maximizer", counted)
     g = gr.make_grid(32, 8.0)
     qu.SeparablePlan(sy.omega_phase_symbol(pair), g)
-    f = gr.spectral_packet(g, (3.0, 0.0), 1.0)
+    f = gr.spectral_packets(g, (3.0, 0.0), 1.0)
     qu.commutator_residual(pair, lambda t: np.exp(-(t / 4.0) ** 2), f)
     assert calls == []
 
